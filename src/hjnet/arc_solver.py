@@ -19,6 +19,13 @@ Boundary handling:
   per-s momentum minimizer), so no information enters from outside and the
   update stays order-preserving.
 
+One batched kernel does every march: ``_lf_step`` advances an (R, ns + 1)
+stack of arc rows of any kinds, with per-row theta, on the column tables of
+``_ArcStack``, and returns the interior update and both state-constraint
+endpoint candidates; the caller applies the sides.  It serves
+``max_subsolution`` (R = 1), the network solver (all edges), the
+certificate (all arc transforms) and the residual scans.
+
 Also provided: the exact cone solution of w_t - M |w'| = 0 used as a
 finite-speed oracle, Lipschitz envelopes, t-partial sup-convolution, minimum
 merges, time gluing, residual scans, and the finite-speed window used to
@@ -40,9 +47,7 @@ from .errors import (
     TraceMismatchError,
 )
 from .hamiltonians import (
-    _sampled_eval_rows,
-    _sampled_rows_at,
-    evaluate,
+    _Columns,
     momentum_lipschitz,
     momentum_minimizer,
     sublevel_width,
@@ -136,25 +141,45 @@ class ArcField:
         return self.values[-1].copy()
 
 
-class _Columns:
-    """Vectorized H evaluation at a fixed set of s columns."""
+class _ArcStack:
+    """Column tables of R arcs at the ns + 1 nodes of one s-grid, grouped by
+    kind; p_star[r] holds row r's momentum minimizers at s = 0 and s = 1."""
 
-    def __init__(self, H, s):
-        self.H = H
-        s = np.asarray(s, dtype=float)
-        if H.kind == "sampled":
-            self.rows = _sampled_rows_at(H, s)
-        else:
-            self.a = np.interp(s, H.s_knots, H.alpha)
-            self.b = np.interp(s, H.s_knots, H.beta)
-            self.k = np.interp(s, H.s_knots, H.kappa)
+    def __init__(self, hams, ns):
+        s = np.linspace(0.0, 1.0, ns + 1)
+        groups = {}
+        for i, H in enumerate(hams):
+            key = (H.kind, 0 if H.p_knots is None else H.p_knots.size)
+            groups.setdefault(key, []).append(i)
+        self.groups = [(np.array(idx), _Columns([hams[i] for i in idx], s))
+                       for idx in groups.values()]
+        self.p_star = np.stack([momentum_minimizer(H, [0.0, 1.0])
+                                for H in hams])
 
     def __call__(self, p):
-        if self.H.kind == "quadratic":
-            return self.a * p * p + self.b * p + self.k
-        if self.H.kind == "abs":
-            return self.a * np.abs(p - self.b) + self.k
-        return _sampled_eval_rows(self.H, self.rows, p)
+        if len(self.groups) == 1:  # also lets one arc's table take any rows
+            return self.groups[0][1](p)
+        out = np.empty(p.shape)
+        for rows, cols in self.groups:
+            out[rows] = cols(p[rows])
+        return out
+
+
+def _lf_step(tab, u, half_theta, dt):
+    """One step of the rows u (R, ns+1) with half_theta scalar or (R, 1).
+
+    Returns the update (state-constraint candidates in columns 0 and ns), the
+    cell slopes of u, and Hhat, which at the ends is H at the one-sided slope
+    clipped to the monotone branch (p <= p* at s = 0, p >= p* at s = 1).
+    """
+    pm = np.diff(u, axis=1) * (u.shape[1] - 1)
+    p = np.empty(u.shape)
+    p[:, 1:-1] = 0.5 * (pm[:, :-1] + pm[:, 1:])
+    p[:, 0] = np.minimum(pm[:, 0], tab.p_star[:, 0])
+    p[:, -1] = np.maximum(pm[:, -1], tab.p_star[:, 1])
+    hh = tab(p)
+    hh[:, 1:-1] -= half_theta * (pm[:, 1:] - pm[:, :-1])
+    return u - dt * hh, pm, hh
 
 
 def default_dissipation(H, initial, left=None, right=None, dt=None, slack=1.0):
@@ -178,16 +203,25 @@ def default_dissipation(H, initial, left=None, right=None, dt=None, slack=1.0):
     return momentum_lipschitz(H, max(width, gmax) + slack)
 
 
-def _check_constrained(bm, grid, initial, endpoint_value):
-    if bm.kind != "constrained":
-        return
-    if bm.datum.shape != (grid.nt + 1,):
-        raise GridMismatchError("constrained datum must live on the full time grid")
-    scale = 1.0 + abs(float(endpoint_value))
-    if bm.datum[0] < endpoint_value - 1e-9 * scale:
-        raise CornerMismatchError(
-            f"lateral datum at t0 ({bm.datum[0]}) below initial endpoint "
-            f"({endpoint_value})")
+def _arc_theta(H, initial, left, right, grid, theta):
+    """Check one arc's data against its grid; returns its dissipation."""
+    if initial.shape != (grid.ns + 1,):
+        raise GridMismatchError("initial datum must be sampled on the s-grid")
+    if theta is None:
+        theta = default_dissipation(H, initial, left, right, dt=grid.dt)
+    theta = float(theta)
+    if grid.dt * theta > grid.ds * (1.0 + 1e-12):
+        raise CFLViolationError(
+            f"dt*theta = {grid.dt * theta:.3e} exceeds ds = {grid.ds:.3e}")
+    for bm, end in ((left, initial[0]), (right, initial[-1])):
+        if bm.kind != "constrained":
+            continue
+        if bm.datum.shape != (grid.nt + 1,):
+            raise GridMismatchError("constrained datum must live on the full time grid")
+        if bm.datum[0] < end - 1e-9 * (1.0 + abs(float(end))):
+            raise CornerMismatchError(
+                f"lateral datum at t0 ({bm.datum[0]}) below initial endpoint ({end})")
+    return theta
 
 
 def max_subsolution(H, initial, left, right, grid, theta=None) -> ArcField:
@@ -199,43 +233,19 @@ def max_subsolution(H, initial, left, right, grid, theta=None) -> ArcField:
     or below their datum.
     """
     initial = np.asarray(initial, dtype=float)
-    if initial.shape != (grid.ns + 1,):
-        raise GridMismatchError("initial datum must be sampled on the s-grid")
-    if theta is None:
-        theta = default_dissipation(H, initial, left, right, dt=grid.dt)
-    theta = float(theta)
-    ds, dt = grid.ds, grid.dt
-    if dt * theta > ds * (1.0 + 1e-12):
-        raise CFLViolationError(
-            f"dt*theta = {dt * theta:.3e} exceeds ds = {ds:.3e}")
-    _check_constrained(left, grid, initial, initial[0])
-    _check_constrained(right, grid, initial, initial[-1])
-
-    s = grid.s_nodes()
-    cols_int = _Columns(H, s[1:-1])
-    p_star_l = float(momentum_minimizer(H, 0.0)[0])
-    p_star_r = float(momentum_minimizer(H, 1.0)[0])
-
-    ns = grid.ns
-    values = np.empty((grid.nt + 1, ns + 1))
+    theta = _arc_theta(H, initial, left, right, grid, theta)
+    tab = _ArcStack([H], grid.ns)
+    values = np.empty((grid.nt + 1, grid.ns + 1))
     values[0] = initial
-    u = initial.copy()
-    max_slope = float(np.max(np.abs(np.diff(u)))) * ns if ns else 0.0
-    half_theta = 0.5 * theta
+    u = initial[None, :]
+    max_slope = float(np.max(np.abs(np.diff(initial)))) * grid.ns
     for k in range(grid.nt):
-        pm = np.diff(u) * ns  # cell slopes; pm[i] = (u[i+1]-u[i])/ds
-        mid = 0.5 * (pm[:-1] + pm[1:])
-        diss = pm[1:] - pm[:-1]
-        new = np.empty_like(u)
-        new[1:-1] = u[1:-1] - dt * (cols_int(mid) - half_theta * diss)
-        # state-constraint endpoints: one-sided slope through the monotone
-        # branch of H so no information can enter from outside
-        cand_l = u[0] - dt * evaluate(H, 0.0, min(pm[0], p_star_l))
-        cand_r = u[-1] - dt * evaluate(H, 1.0, max(pm[-1], p_star_r))
-        new[0] = min(cand_l, left.datum[k + 1]) if left.kind == "constrained" else cand_l
-        new[-1] = min(cand_r, right.datum[k + 1]) if right.kind == "constrained" else cand_r
-        u = new
-        values[k + 1] = u
+        u, pm, _ = _lf_step(tab, u, 0.5 * theta, grid.dt)
+        if left.kind == "constrained":
+            u[0, 0] = min(u[0, 0], left.datum[k + 1])
+        if right.kind == "constrained":
+            u[0, -1] = min(u[0, -1], right.datum[k + 1])
+        values[k + 1] = u[0]
         max_slope = max(max_slope, float(np.max(np.abs(pm))))
     return ArcField(grid=grid, values=values, left=left, right=right,
                     initial=initial, theta=theta, max_slope=max_slope)
@@ -399,15 +409,9 @@ def _interior_residuals(field: ArcField, H, theta=None):
         theta = field.theta
     if theta is None:
         theta = momentum_lipschitz(H, field.max_slope + 1.0)
-    s = grid.s_nodes()
-    cols = _Columns(H, s[1:-1])
     u = field.values
-    pm = np.diff(u, axis=1) * grid.ns
-    mid = 0.5 * (pm[:, :-1] + pm[:, 1:])
-    diss = pm[:, 1:] - pm[:, :-1]
-    hhat = cols(mid[:-1]) - 0.5 * theta * diss[:-1]
-    ut = np.diff(u[:, 1:-1], axis=0) / grid.dt
-    return ut + hhat
+    hh = _lf_step(_ArcStack([H], grid.ns), u[:-1], 0.5 * theta, grid.dt)[2]
+    return np.diff(u[:, 1:-1], axis=0) / grid.dt + hh[:, 1:-1]
 
 
 def subsolution_residual(field, H, theta=None) -> float:

@@ -67,13 +67,6 @@ class ArcHamiltonian:
         return evaluate(self, s, p)
 
 
-def _as_knot_array(c, m=None):
-    a = np.atleast_1d(np.asarray(c, dtype=float))
-    if a.size == 1:
-        a = np.repeat(a, 2 if m is None else m)
-    return a
-
-
 def _make_knots(n, s_knots):
     if s_knots is not None:
         s = np.asarray(s_knots, dtype=float)
@@ -138,10 +131,6 @@ def sampled_hamiltonian(s_knots, p_knots, table, extension_slope):
                           p_knots=p, table=t, extension_slope=slope)
 
 
-def _coeff_at(H, name, s):
-    return np.interp(s, H.s_knots, getattr(H, name))
-
-
 def _check_s(s):
     s = np.asarray(s, dtype=float)
     if np.any(s < -1e-12) or np.any(s > 1.0 + 1e-12):
@@ -160,43 +149,49 @@ def _sampled_rows_at(H, s):
     return (1.0 - w)[:, None] * H.table[idx] + w[:, None] * H.table[idx + 1]
 
 
-def _sampled_eval_rows(H, rows, p):
-    """Evaluate interpolated table rows at momenta p (same leading shape)."""
-    p = np.atleast_1d(np.asarray(p, dtype=float))
-    pk = H.p_knots
-    pc = np.clip(p, pk[0], pk[-1])
-    j = np.clip(np.searchsorted(pk, pc, side="right") - 1, 0, pk.size - 2)
-    w = (pc - pk[j]) / (pk[j + 1] - pk[j])
-    r = np.arange(rows.shape[0])
-    vals = (1.0 - w) * rows[r, j] + w * rows[r, j + 1]
-    over = p - pk[-1]
-    under = pk[0] - p
-    vals = vals + H.extension_slope * (np.maximum(over, 0.0) + np.maximum(under, 0.0))
-    return vals
+class _Columns:
+    """H(s, p) of R same-kind Hamiltonians (sampled ones sharing a knot count)
+    at C fixed s columns, coefficients looked up once; takes momenta (R, C),
+    or any (N, C) when R = 1."""
+
+    def __init__(self, hams, s):
+        s = np.asarray(s, dtype=float)
+        self.kind = hams[0].kind
+        if self.kind == "sampled":
+            self.rows = np.array([_sampled_rows_at(H, s) for H in hams])
+            self.pk = np.array([H.p_knots for H in hams])
+            self.ext = np.array([[H.extension_slope] for H in hams])
+            self.r = np.arange(len(hams))[:, None]
+            self.c = np.arange(s.size)
+        else:
+            self.a, self.b, self.k = (
+                np.array([np.interp(s, H.s_knots, getattr(H, c)) for H in hams])
+                for c in ("alpha", "beta", "kappa"))
+
+    def __call__(self, p):
+        if self.kind == "quadratic":
+            return self.a * p * p + self.b * p + self.k
+        if self.kind == "abs":
+            return self.a * np.abs(p - self.b) + self.k
+        # counting the knots at or below the clipped p locates its cell as
+        # a right-sided searchsorted would, for every element at once
+        pk, r, c = self.pk, self.r, self.c
+        lo, hi = pk[:, :1], pk[:, -1:]
+        pc = np.minimum(np.maximum(p, lo), hi)
+        j = np.minimum(np.sum(pk[:, None, :] <= pc[..., None], axis=-1),
+                       pk.shape[1] - 1) - 1
+        k0, k1 = pk[r, j], pk[r, j + 1]
+        w = (pc - k0) / (k1 - k0)
+        vals = (1.0 - w) * self.rows[r, c, j] + w * self.rows[r, c, j + 1]
+        return vals + self.ext * (np.maximum(p - hi, 0.0)
+                                  + np.maximum(lo - p, 0.0))
 
 
 def evaluate(H, s, p):
     """H(s, p); s and p broadcast together, s validated to [0,1]."""
-    s = _check_s(s)
-    p = np.asarray(p, dtype=float)
-    s_b, p_b = np.broadcast_arrays(s, p)
-    if H.kind == "quadratic":
-        a = _coeff_at(H, "alpha", s_b)
-        b = _coeff_at(H, "beta", s_b)
-        k = _coeff_at(H, "kappa", s_b)
-        out = a * p_b * p_b + b * p_b + k
-    elif H.kind == "abs":
-        a = _coeff_at(H, "alpha", s_b)
-        b = _coeff_at(H, "beta", s_b)
-        k = _coeff_at(H, "kappa", s_b)
-        out = a * np.abs(p_b - b) + k
-    else:
-        shape = s_b.shape
-        rows = _sampled_rows_at(H, s_b.ravel())
-        out = _sampled_eval_rows(H, rows, p_b.ravel()).reshape(shape)
-    if out.ndim == 0 or (np.ndim(s) == 0 and np.ndim(p) == 0):
-        return float(out)
-    return out
+    s_b, p_b = np.broadcast_arrays(_check_s(s), np.asarray(p, dtype=float))
+    out = _Columns([H], s_b.ravel())(p_b.ravel()).reshape(s_b.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 def _s_check_grid(H, s_grid=None, n=257):
@@ -208,10 +203,9 @@ def _s_check_grid(H, s_grid=None, n=257):
 def momentum_minimizer(H, s):
     """Per-s minimizer(s) of p -> H(s,p); vectorized over s."""
     s = _check_s(np.atleast_1d(s))
-    if H.kind == "quadratic":
-        return -_coeff_at(H, "beta", s) / (2.0 * _coeff_at(H, "alpha", s))
-    if H.kind == "abs":
-        return _coeff_at(H, "beta", s)
+    if H.kind != "sampled":
+        b = np.interp(s, H.s_knots, H.beta)
+        return b if H.kind == "abs" else -b / (2.0 * np.interp(s, H.s_knots, H.alpha))
     rows = _sampled_rows_at(H, s)
     j = np.argmin(rows, axis=1)
     inward = (j == 0) & (rows[:, 1] < rows[:, 0])
@@ -240,11 +234,9 @@ def c_gamma(H, s_grid=None, p_grid=None):
     """
     s = _s_check_grid(H, s_grid)
     if H.kind == "sampled" and p_grid is not None:
-        rows = _sampled_rows_at(H, s)
-        vals = np.stack([_sampled_eval_rows(H, rows, np.full(s.size, p))
-                         for p in np.asarray(p_grid, dtype=float)], axis=1)
+        vals = _Columns([H], s)(np.asarray(p_grid, dtype=float)[:, None])
         momentum_minimizer(H, s)  # range check
-        return -float(np.max(np.min(vals, axis=1)))
+        return -float(np.max(np.min(vals, axis=0)))
     return -float(np.max(_min_over_p(H, s)))
 
 
@@ -294,11 +286,6 @@ def subsolution_level(H, w0):
     return float(np.max(evaluate(H, mids, slopes)))
 
 
-def _uniform_max(H, p, s):
-    """max over the s check grid of H(s, p) for scalar p."""
-    return float(np.max(evaluate(H, s, np.full(s.shape, p))))
-
-
 def sublevel_width(H, M, s_grid=None, tol=1e-12):
     """max{|p| : H(s,p) <= M for every s}, by bisection.
 
@@ -306,30 +293,37 @@ def sublevel_width(H, M, s_grid=None, tol=1e-12):
     bounds it.  Raises EmptySublevelError when the interval is empty.
     """
     s = _s_check_grid(H, s_grid)
+    cols = _Columns([H], s)
+
+    def umax(p):
+        return float(np.max(cols(p)))
+
     # candidate interior point: best per-s minimizer under the uniform max
     cands = np.unique(momentum_minimizer(H, s))
-    vals = [_uniform_max(H, p, s) for p in cands]
+    vals = np.max(cols(cands[:, None]), axis=1)
     i0 = int(np.argmin(vals))
-    p0, v0 = float(cands[i0]), vals[i0]
+    p0, v0 = float(cands[i0]), float(vals[i0])
     if v0 > M:
         # convex in p: ternary search around the candidate set
         lo, hi = float(cands.min()) - 1.0, float(cands.max()) + 1.0
         for _ in range(200):
             m1 = lo + (hi - lo) / 3.0
             m2 = hi - (hi - lo) / 3.0
-            if _uniform_max(H, m1, s) <= _uniform_max(H, m2, s):
+            if m1 == lo and m2 == hi:  # bracket stopped moving
+                break
+            if umax(m1) <= umax(m2):
                 hi = m2
             else:
                 lo = m1
         p0 = 0.5 * (lo + hi)
-        v0 = _uniform_max(H, p0, s)
+        v0 = umax(p0)
         if v0 > M + tol * (1.0 + abs(M)):
             raise EmptySublevelError(f"sublevel at M={M} is empty (min {v0})")
 
     def root(direction):
         step = 1.0
         inside, outside = p0, p0 + direction * step
-        while _uniform_max(H, outside, s) <= M:
+        while umax(outside) <= M:
             inside = outside
             step *= 2.0
             outside = p0 + direction * step
@@ -337,7 +331,11 @@ def sublevel_width(H, M, s_grid=None, tol=1e-12):
                 raise EmptySublevelError("coercivity violated: no outer bound")
         for _ in range(100):
             mid = 0.5 * (inside + outside)
-            if _uniform_max(H, mid, s) <= M:
+            # outside always fails the test: once mid rounds to an end,
+            # inside can no longer move
+            if mid == inside or mid == outside:
+                break
+            if umax(mid) <= M:
                 inside = mid
             else:
                 outside = mid
@@ -359,10 +357,9 @@ def momentum_lipschitz(H, M_bound):
     grid = np.union1d(pk[(pk >= lo) & (pk <= hi)], [lo, hi])
     best = float(H.extension_slope) if (M_bound > pk[-1] or -M_bound < pk[0]) else 0.0
     if grid.size >= 2:
-        rows = _sampled_rows_at(H, H.s_knots)
-        vals = np.stack([_sampled_eval_rows(H, rows, np.full(H.s_knots.size, p))
-                         for p in grid], axis=1)
-        best = max(best, float(np.max(np.abs(np.diff(vals, axis=1) / np.diff(grid)))))
+        vals = _Columns([H], H.s_knots)(grid[:, None])
+        best = max(best, float(np.max(np.abs(np.diff(vals, axis=0)
+                                             / np.diff(grid)[:, None]))))
     return best
 
 

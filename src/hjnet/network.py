@@ -69,6 +69,13 @@ class Network:
     def arc(self, arc_id):
         return self.arcs[arc_id]
 
+    def incidence(self):
+        """Arc ids ending at each vertex, in incident_arcs order, in one pass."""
+        into = {x: [] for x in self.vertex_ids()}
+        for aid in self.arc_ids():
+            into[self.arcs[aid].end].append(aid)
+        return into
+
 
 def build_network(vertices, edges) -> Network:
     """Build and validate a network.

@@ -26,10 +26,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .arc_solver import (
+    ArcField,
     Grid2D,
-    _Columns,
+    _ArcStack,
+    _arc_theta,
+    _lf_step,
     free,
-    max_subsolution,
     propagation_window,
     subsolution_residual,
     supersolution_residual,
@@ -37,16 +39,14 @@ from .arc_solver import (
 from .errors import CFLViolationError, ValidationError
 from .hamiltonians import (
     HamiltonianFamily,
-    evaluate,
     global_min,
     momentum_lipschitz,
-    momentum_minimizer,
     positive_shift,
     shift_hamiltonian,
     sublevel_width,
     subsolution_level,
 )
-from .network import FluxLimiter, incident_arcs, validate_flux_limiter
+from .network import FluxLimiter, validate_flux_limiter
 from .semidiscrete import VertexTraceSet, discr_residual
 from .slope_cap import TimeSeries, apply_g
 
@@ -104,8 +104,10 @@ def validate_scenario(sc: Scenario):
             f"(margin {bad.margin:.6g})")
     at_vertex = {}
     for arc in sc.network.edge_arcs():
-        g = np.asarray(sc.initial.get(arc.id), dtype=float)
-        if g is None or g.shape != (sc.ns + 1,):
+        if arc.id not in sc.initial:
+            raise ValidationError(f"edge {arc.id!r} is missing its initial datum")
+        g = np.asarray(sc.initial[arc.id], dtype=float)
+        if g.shape != (sc.ns + 1,):
             raise ValidationError(
                 f"initial datum of edge {arc.id!r} must have {sc.ns + 1} samples")
         if not np.all(np.isfinite(g)):
@@ -153,14 +155,7 @@ class SolveParams:
 
 
 def _shifted(sc: Scenario):
-    fam, a, lim = positive_shift(sc.hamiltonians, sc.limiter_values())
-    return fam, a, lim
-
-
-def _m0_shifted(sc, fam, lim):
-    level = max(subsolution_level(fam[arc.id], sc.initial[arc.id])
-                for arc in sc.network.edge_arcs())
-    return max(level, max(abs(c) for c in lim.values()))
+    return positive_shift(sc.hamiltonians, sc.limiter_values())
 
 
 def plan_solve(scenario: Scenario, others=(), cfl=None) -> SolveParams:
@@ -184,7 +179,7 @@ def plan_solve(scenario: Scenario, others=(), cfl=None) -> SolveParams:
     width_clipped = False
     for sc in scens:
         fam, a, lim = _shifted(sc)
-        m0s = _m0_shifted(sc, fam, lim)
+        m0s = compute_m0(replace(sc, hamiltonians=fam, limiter=lim))
         m0_plan = max(m0_plan, m0s)
         for arc in sc.network.edge_arcs():
             H = fam[arc.id]
@@ -273,106 +268,77 @@ class NetworkSolution:
                    for e in self.fields)
 
 
-def _endpoint_step(H, u, pm, side, p_star, dt):
-    """State-constraint endpoint candidate (monotone one-sided branch)."""
-    if side == 0:
-        return u[0] - dt * evaluate(H, 0.0, min(pm[0], p_star))
-    return u[-1] - dt * evaluate(H, 1.0, max(pm[-1], p_star))
-
-
 def solve(scenario: Scenario, params: SolveParams | None = None) -> NetworkSolution:
-    """Run the windowed construction over the whole horizon."""
+    """Run the windowed construction over the whole horizon, all edges
+    marching as one (E, ns+1) stack coupled only at the vertices."""
     if params is None:
         params = plan_solve(scenario)
     net = scenario.network
     fam, shift_a, lim = _shifted(scenario)
-    m0s = _m0_shifted(scenario, fam, lim)
+    m0s = compute_m0(replace(scenario, hamiltonians=fam, limiter=lim))
     ns, dt, nt, m = params.ns, params.dt, params.nt, params.window_steps
     edges = net.edge_arcs()
+    n_e = len(edges)
+    vids = net.vertex_ids()
+    grid = Grid2D(ns, scenario.t0, dt, nt)
+    init = [np.asarray(scenario.initial[a.id], dtype=float) for a in edges]
+    half_theta = 0.5 * np.array([[_arc_theta(fam[a.id], g, free(), free(),
+                                             grid, params.theta[a.id])]
+                                 for a, g in zip(edges, init)])
+    u = np.array(init)
+    tab = _ArcStack([fam[a.id] for a in edges], ns)
 
-    cols = {a.id: _Columns(fam[a.id], np.linspace(0.0, 1.0, ns + 1)[1:-1])
-            for a in edges}
-    pstar = {a.id: (float(momentum_minimizer(fam[a.id], 0.0)[0]),
-                    float(momentum_minimizer(fam[a.id], 1.0)[0]))
-             for a in edges}
-    # arcs meeting at each vertex: (edge id, endpoint column, side flag)
-    touch = {}
-    for x in net.vertex_ids():
-        lst = []
-        for arc in incident_arcs(net, x):
-            if arc.id in cols:           # forward arc ends at x
-                lst.append((arc.id, -1, 1))
-            else:                        # reverse arc ends at x = edge start
-                lst.append((arc.inverse_id, 0, 0))
-        touch[x] = lst
+    # endpoint slots: column 0 of edge i is slot i (its reverse arc ends
+    # there), column ns is slot E + i; vertex groups follow incident_arcs
+    slot = {a.id: n_e + i for i, a in enumerate(edges)}
+    slot.update({a.inverse_id: i for i, a in enumerate(edges)})
+    into = net.incidence()
+    order = np.array([slot[aid] for x in vids for aid in into[x]])
+    starts = np.cumsum([0] + [len(into[x]) for x in vids[:-1]])
+    vix = {x: i for i, x in enumerate(vids)}
+    start_ix = np.array([vix[a.start] for a in edges])
+    end_ix = np.array([vix[a.end] for a in edges])
 
-    state = {a.id: np.asarray(scenario.initial[a.id], dtype=float).copy()
-             for a in edges}
-    fields = {a.id: np.empty((nt + 1, ns + 1)) for a in edges}
-    for a in edges:
-        fields[a.id][0] = state[a.id]
-    vtr = {x: np.empty(nt + 1) for x in net.vertex_ids()}
-    for x, lst in touch.items():
-        eid, col, _ = lst[0]
-        vtr[x][0] = state[eid][col]
+    def ends(rows):
+        return np.concatenate([rows[:, 0], rows[:, -1]])
 
-    max_slope = max(float(np.max(np.abs(np.diff(state[a.id])))) * ns
-                    for a in edges)
+    def vertex_min(slots):
+        return np.minimum.reduceat(slots[..., order], starts, axis=-1)
+
+    fields = np.empty((n_e, nt + 1, ns + 1))
+    fields[:, 0] = u
+    vtr = np.empty((len(vids), nt + 1))
+    vtr[:, 0] = ends(u)[order[starts]]
+    max_slope = float(np.max(np.abs(np.diff(u, axis=1)))) * ns
     k = 0
     nwin = 0
     while k < nt:
         mwin = min(m, nt - k)
-        wgrid = Grid2D(ns, scenario.t0 + k * dt, dt, mwin)
-        vfield = {a.id: max_subsolution(fam[a.id], state[a.id], free(), free(),
-                                        wgrid, theta=params.theta[a.id])
-                  for a in edges}
-        ubar = {}
-        for x, lst in touch.items():
-            vmin = np.min(np.stack([vfield[eid].values[:, col]
-                                    for eid, col, _ in lst]), axis=0)
-            ubar[x] = apply_g(TimeSeries(wgrid.t0, dt, vmin), lim[x]).values
-        u = {a.id: state[a.id] for a in edges}
+        free_ends = np.empty((mwin + 1, 2 * n_e))
+        free_ends[0] = ends(u)
+        v = u
         for j in range(mwin):
-            pm = {a.id: np.diff(u[a.id]) * ns for a in edges}
-            newint = {}
-            cand = {}
-            for a in edges:
-                eid = a.id
-                p = pm[eid]
-                mid = 0.5 * (p[:-1] + p[1:])
-                diss = p[1:] - p[:-1]
-                th = params.theta[eid]
-                newint[eid] = u[eid][1:-1] - dt * (cols[eid](mid) - 0.5 * th * diss)
-                cand[(eid, 0)] = _endpoint_step(fam[eid], u[eid], p, 0,
-                                                pstar[eid][0], dt)
-                cand[(eid, 1)] = _endpoint_step(fam[eid], u[eid], p, 1,
-                                                pstar[eid][1], dt)
-                max_slope = max(max_slope, float(np.max(np.abs(p))))
-            vval = {x: min(ubar[x][j + 1],
-                           min(cand[(eid, sideflag)] for eid, _, sideflag in lst))
-                    for x, lst in touch.items()}
-            nxt = {}
-            for a in edges:
-                row = np.empty(ns + 1)
-                row[1:-1] = newint[a.id]
-                row[0] = vval[a.start]
-                row[-1] = vval[a.end]
-                nxt[a.id] = row
-                fields[a.id][k + j + 1] = row
-            for x in vtr:
-                vtr[x][k + j + 1] = vval[x]
-            u = nxt
-        state = {eid: u[eid].copy() for eid in u}
+            v = _lf_step(tab, v, half_theta, dt)[0]
+            free_ends[j + 1] = ends(v)
+        vmin = vertex_min(free_ends)
+        ubar = np.stack([apply_g(TimeSeries(scenario.t0 + k * dt, dt, vmin[:, i]),
+                                 lim[x]).values for i, x in enumerate(vids)],
+                        axis=1)
+        for j in range(mwin):
+            u, pm, _ = _lf_step(tab, u, half_theta, dt)
+            max_slope = max(max_slope, float(np.max(np.abs(pm))))
+            vval = np.minimum(ubar[j + 1], vertex_min(ends(u)))
+            u[:, 0] = vval[start_ix]
+            u[:, -1] = vval[end_ix]
+            fields[:, k + j + 1] = u
+            vtr[:, k + j + 1] = vval
         k += mwin
         nwin += 1
 
     if shift_a != 0.0:
         tshift = shift_a * (np.arange(nt + 1) * dt)
-        for eid in fields:
-            fields[eid] = fields[eid] + tshift[:, None]
-        for x in vtr:
-            vtr[x] = vtr[x] + tshift
-    grid = Grid2D(ns, scenario.t0, dt, nt)
+        fields += tshift[:, None]
+        vtr += tshift
     l_bound = {a.id: sublevel_width(fam[a.id], m0s) for a in edges}
     constants = SolveConstants(
         shift=shift_a, m0=m0s, l_bound=l_bound,
@@ -383,7 +349,9 @@ def solve(scenario: Scenario, params: SolveParams | None = None) -> NetworkSolut
         window_short=params.dt > params.delta_raw,
     )
     return NetworkSolution(scenario=scenario, params=params, grid=grid,
-                           fields=fields, vertex=vtr, constants=constants)
+                           fields={a.id: fields[i] for i, a in enumerate(edges)},
+                           vertex={x: vtr[i] for i, x in enumerate(vids)},
+                           constants=constants)
 
 
 def default_epsilon(solution: NetworkSolution) -> float:
@@ -530,7 +498,6 @@ def verify(solution: NetworkSolution, eps_scheme=None, resid_tol=1e-9,
 
 
 def _as_arc_field(solution, edge_id, values):
-    from .arc_solver import ArcField
     return ArcField(grid=solution.grid, values=values, left=free(),
                     right=free(), initial=values[0],
                     theta=solution.params.theta[edge_id],

@@ -13,6 +13,10 @@ transform,
 and the residual of that identity is the solver's convergence certificate.
 A discrete comparison harness for sub/supersolution trace sets rounds out
 the module.
+
+The vertex transforms, the certificate and the comparison march the arc
+transforms they need, up to all 2E, as one stack on the arc solver's
+batched kernel, keeping only the current rows and the right-end traces.
 """
 
 from __future__ import annotations
@@ -21,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arc_solver import Grid2D, constrained, free, max_subsolution
+from .arc_solver import (Grid2D, _ArcStack, _arc_theta, _lf_step, constrained,
+                         free, max_subsolution)
 from .errors import GridMismatchError, ValidationError
 from .network import incident_arcs, reverse_arc_id
 from .slope_cap import TimeSeries, apply_g
@@ -96,29 +101,55 @@ def f_gamma(traces, network, hams, arc_id, theta=None):
     )
 
 
-def _f_gamma_traces(traces, network, hams, x, thetas=None):
-    out = []
-    for arc in incident_arcs(network, x):
-        th = None if thetas is None else thetas.get(arc.id, thetas.get(
-            reverse_arc_id(arc.id)))
-        fld = f_gamma(traces, network, hams, arc.id, theta=th)
-        out.append((arc.id, fld.values[:, -1]))
+def _arc_transform_traces(traces, network, hams, ids, thetas=None):
+    """Right-end traces (len(ids), nt+1) of the arc transforms of ids, each
+    arc checked and given its dissipation as f_gamma would."""
+    grid = traces.grid
+    rows = []
+    for aid in ids:
+        g = arc_initial(traces, aid)
+        left = constrained(traces.traces[network.arc(aid).start])
+        th = None if thetas is None else thetas.get(aid, thetas.get(
+            reverse_arc_id(aid)))
+        rows.append((g, left.datum, _arc_theta(hams[aid], g, left, free(),
+                                               grid, th)))
+    u, datum, theta = (np.array(col) for col in zip(*rows))
+    tab = _ArcStack([hams[aid] for aid in ids], grid.ns)
+    half_theta = 0.5 * theta[:, None]
+    out = np.empty((len(ids), grid.nt + 1))
+    out[:, 0] = u[:, -1]
+    for k in range(grid.nt):
+        u = _lf_step(tab, u, half_theta, grid.dt)[0]
+        u[:, 0] = np.minimum(u[:, 0], datum[:, k + 1])
+        out[:, k + 1] = u[:, -1]
     return out
 
 
 def f_x(traces, network, hams, x, thetas=None) -> np.ndarray:
     """Vertex transform: pointwise min of arc transforms over arcs into x."""
-    per_arc = _f_gamma_traces(traces, network, hams, x, thetas)
-    return np.min(np.stack([t for _, t in per_arc]), axis=0)
+    return f_x_selected(traces, network, hams, x, thetas)[0]
 
 
 def f_x_selected(traces, network, hams, x, thetas=None):
     """Vertex transform plus the per-time selected arc (smallest id on ties)."""
-    per_arc = _f_gamma_traces(traces, network, hams, x, thetas)
-    stack = np.stack([t for _, t in per_arc])
-    idx = np.argmin(stack, axis=0)  # argmin takes the first (smallest id)
-    ids = [aid for aid, _ in per_arc]
-    return np.min(stack, axis=0), [ids[i] for i in idx]
+    ids = [arc.id for arc in incident_arcs(network, x)]
+    per_arc = _arc_transform_traces(traces, network, hams, ids, thetas)
+    idx = np.argmin(per_arc, axis=0)  # argmin takes the first (smallest id)
+    return np.min(per_arc, axis=0), [ids[i] for i in idx]
+
+
+def _capped_transforms(traces, network, hams, limiter, thetas):
+    """cap_{c_x}[F_x[u]] at every vertex x, from one march of all arcs."""
+    grid = traces.grid
+    into = network.incidence()
+    per_arc = _arc_transform_traces(
+        traces, network, hams, [aid for ids in into.values() for aid in ids],
+        thetas)
+    bounds = np.cumsum([0] + [len(ids) for ids in into.values()])
+    return {x: apply_g(TimeSeries(grid.t0, grid.dt,
+                                  np.min(per_arc[lo:hi], axis=0)),
+                       limiter[x]).values
+            for x, lo, hi in zip(into, bounds, bounds[1:])}
 
 
 @dataclass(frozen=True)
@@ -147,11 +178,10 @@ def discr_residual(traces, network, hams, limiter, tolerance,
                    thetas=None) -> DiscrReport:
     """Per-vertex sup distance between the trace and its coupled prediction."""
     grid = traces.grid
+    capped = _capped_transforms(traces, network, hams, limiter, thetas)
     entries = []
     for x in network.vertex_ids():
-        fx = f_x(traces, network, hams, x, thetas)
-        capped = apply_g(TimeSeries(grid.t0, grid.dt, fx), limiter[x]).values
-        resid = np.abs(np.asarray(traces.traces[x], dtype=float) - capped)
+        resid = np.abs(np.asarray(traces.traces[x], dtype=float) - capped[x])
         k = int(np.argmax(resid))
         entries.append(DiscrEntry(x, float(resid[k]), grid.t0 + k * grid.dt,
                                   float(resid[k]) <= tolerance))
@@ -180,16 +210,11 @@ def discr_compare(sub, sup, network, hams, limiter, tolerance,
     if not (_same_time_grid(sub.grid, sup.grid)):
         raise GridMismatchError("trace sets must share the time grid")
     gaps = {"sub": 0.0, "sup": 0.0, "initial": 0.0}
-    grid = sub.grid
+    fx_sub = _capped_transforms(sub, network, hams, limiter, thetas)
+    fx_sup = _capped_transforms(sup, network, hams, limiter, thetas)
     for x in network.vertex_ids():
-        fx_sub = apply_g(TimeSeries(grid.t0, grid.dt,
-                                    f_x(sub, network, hams, x, thetas)),
-                         limiter[x]).values
-        fx_sup = apply_g(TimeSeries(grid.t0, grid.dt,
-                                    f_x(sup, network, hams, x, thetas)),
-                         limiter[x]).values
-        gaps["sub"] = max(gaps["sub"], float(np.max(sub.traces[x] - fx_sub)))
-        gaps["sup"] = max(gaps["sup"], float(np.max(fx_sup - sup.traces[x])))
+        gaps["sub"] = max(gaps["sub"], float(np.max(sub.traces[x] - fx_sub[x])))
+        gaps["sup"] = max(gaps["sup"], float(np.max(fx_sup[x] - sup.traces[x])))
     for eid in sub.initial:
         gaps["initial"] = max(gaps["initial"], float(
             np.max(np.asarray(sub.initial[eid]) - np.asarray(sup.initial[eid]))))

@@ -44,6 +44,38 @@ def make_single_edge(ns, horizon=1.0, c=-1.0, initial=None):
                        horizon=horizon, ns=ns, name="single")
 
 
+def make_mixed(ns, horizon=0.25):
+    """All three kinds on a cycle A-B-C-A with a multi-edge A-B and a pendant
+    edge C-D; e4's Hamiltonian goes negative, so the positivity shift is
+    non-zero."""
+    net = hj.build_network(["A", "B", "C", "D"],
+                           [("e1", "A", "B"), ("e2", "A", "B"), ("e3", "B", "C"),
+                            ("e4", "C", "A"), ("e5", "C", "D")])
+    p = np.linspace(-3.0, 3.0, 9)
+    a = np.array([0.6, 0.8, 0.5])
+    k = np.array([0.7, 1.2, 0.9])
+    table = a[:, None] * p[None, :] ** 2 + k[:, None]
+    edge = float(np.max(np.abs(np.diff(table, axis=1) / np.diff(p))))
+    fam = hj.family_from_edges(net, {
+        "e1": hj.abs_hamiltonian(alpha=1.5, beta=0.25, kappa=1.0),
+        "e2": hj.quadratic_hamiltonian(alpha=1.0, beta=-0.3, kappa=0.8),
+        "e3": hj.sampled_hamiltonian([0.0, 0.5, 1.0], p, table, edge + 0.5),
+        "e4": hj.abs_hamiltonian(alpha=[1.0, 2.0, 1.5], beta=[0.0, 0.4, -0.2],
+                                 kappa=-0.5),
+        "e5": hj.quadratic_hamiltonian(alpha=[0.5, 1.2], beta=[0.2, -0.4],
+                                       kappa=[0.6, 1.1]),
+    })
+    lim = {x: min(hj.c_gamma(fam[a.id]) for a in hj.incident_arcs(net, x)) - d
+           for x, d in zip(net.vertex_ids(), (0.3, 0.1, 0.5, 0.2))}
+    vval = {"A": 0.1, "B": -0.2, "C": 0.3, "D": 0.0}
+    bump = {"e1": 0.2, "e2": -0.3, "e3": 0.1, "e4": 0.25, "e5": -0.15}
+    s = np.linspace(0.0, 1.0, ns + 1)
+    g = {arc.id: vval[arc.start] + (vval[arc.end] - vval[arc.start]) * s
+         + 2.0 * bump[arc.id] * np.minimum(s, 1.0 - s)
+         for arc in net.edge_arcs()}
+    return hj.Scenario(net, fam, lim, g, horizon=horizon, ns=ns, name="mixed")
+
+
 def dyadic_series(rng, n, granularity=2.0 ** -10, span=2.0 ** 20):
     """Random values exactly representable at a coarse dyadic granularity."""
     return rng.integers(-int(span), int(span), size=n) * granularity

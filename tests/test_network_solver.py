@@ -71,6 +71,14 @@ def test_solver_rejects_bad_inputs():
         hj.plan_solve(dataclasses.replace(sc, cfl=1.5))
 
 
+def test_missing_initial_datum_is_named():
+    sc = make_tripod(20)
+    initial = {e: v for e, v in sc.initial.items() if e != "e2"}
+    with pytest.raises(ValidationError,
+                       match="edge 'e2' is missing its initial datum"):
+        hj.validate_scenario(dataclasses.replace(sc, initial=initial))
+
+
 def test_explicit_time_step_is_honored():
     sc = dataclasses.replace(make_tripod(40), dt=0.002)
     params = hj.plan_solve(sc)

@@ -1,0 +1,147 @@
+"""Bitwise pins of solver outputs, certificate and sublevel widths.
+
+The digests and hex values were taken from the scalar-loop implementation
+the batched marching kernel replaced; the kernel must reproduce every bit.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+import hjnet as hj
+from hjnet.errors import EmptySublevelError
+from hjnet.semidiscrete import VertexTraceSet, f_x
+
+from conftest import make_mixed, make_path, make_tripod
+
+
+def digest(arrays):
+    h = hashlib.sha256()
+    for key in sorted(arrays):
+        h.update(f"{key}:".encode())
+        h.update(np.ascontiguousarray(arrays[key], dtype=float).tobytes())
+    return h.hexdigest()
+
+
+def margins_digest(report):
+    rows = [(c.name, c.ok, float(c.margin).hex()) for c in report.checks]
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+def vertex_transforms(sol, thetas, amp):
+    """F_x at every vertex of the shifted trace set, lifted off consistency
+    by amp; with thetas None every arc picks its default dissipation.  The
+    data use only exactly rounded arithmetic, so the pins hold on any
+    IEEE-754 machine."""
+    ts = sol.trace_set(shifted=True)
+    t = sol.grid.t_nodes()
+    wave = np.abs((t + 0.0625) % 0.25 - 0.125) - 0.0625  # zero at t = 0
+    lifted = {x: v + amp * (i + 1) * wave
+              for i, (x, v) in enumerate(sorted(ts.traces.items()))}
+    lifted_ts = VertexTraceSet(sol.grid, lifted, ts.initial)
+    fam = hj.positive_shift(sol.scenario.hamiltonians,
+                            sol.scenario.limiter_values())[0]
+    return {x: f_x(lifted_ts, sol.scenario.network, fam, x, thetas=thetas)
+            for x in sol.scenario.network.vertex_ids()}
+
+
+NETWORKS = {
+    "tripod": lambda: make_tripod(40, c_center=-1.75),
+    "path": lambda: make_path(40, horizon=0.5),
+    "mixed": lambda: make_mixed(24),
+}
+
+PINS = {
+    "tripod": {
+        "fields":
+            "639e0178e97933f34d09e3d787cfce06851e10da8f57aaede4a963aa9c899f63",
+        "vertex":
+            "5c062d6d434e73fb26f94cef24df293c2549ab90ac5298a9e85d8559e304881a",
+        "margins":
+            "9816cad38a43f74747b0638a989283d23164015c5f3d65652518fa55ed9303fb",
+        "transforms":
+            "de00c0164fae10cc81b01adf8669585e31a950538e172e593349cc72503ae561",
+        "transforms_default":
+            "c751d7a6ed63f104375c76b439b7a369aa0d26885b3d25cabd26fd33a0293a65",
+    },
+    "path": {
+        "fields":
+            "37698d6ebf74692a4e158bb91d4cd90533d6a6b63dbf4272636f74977b3c3622",
+        "vertex":
+            "18434e1d6adeabb8bb0a26cbc9cb7873534844eef9947e38c9dfc1718a022c4b",
+        "margins":
+            "61fba0e5a64f4c9aa68020d3b1b3ebc834fbfb13401e166d7f27c6c9e974099f",
+        "transforms":
+            "0f61fbf39708c7c4b1abcd09c6172451caf8185ad095576f5210b355ea874821",
+        "transforms_default":
+            "7f4082e3d43b179f874977b2a8f178ae1fb58e716c50aa9d427b8adc7589f022",
+    },
+    "mixed": {
+        "fields":
+            "44d15bc7624939e202a1cf87408be597039cd7f808e92ad784e8809103d21968",
+        "vertex":
+            "1516eb5c8ca614e4ab8ce158f97a17b178a5d234bcfbc63f71001bd40ccf77ec",
+        "margins":
+            "31f9ace5ffc00ddc86c03405b3af5566cca1732e87d86762ee523c45d2419f4d",
+        "transforms":
+            "edb2f3520f63fb19a3ee7927cce0d873b7a5055581a5207e66739154514829c4",
+        "transforms_default":
+            "3f55a005a392f08b1fe99613ccf2b58506c29761bf4c888d5e3e23b3030d9ecf",
+    },
+}
+
+
+def pin_values(name):
+    sol = hj.solve(NETWORKS[name]())
+    return {
+        "fields": digest(sol.fields),
+        "vertex": digest(sol.vertex),
+        "margins": margins_digest(hj.verify(sol)),
+        "transforms": digest(vertex_transforms(sol, sol.params.theta, 0.4)),
+        "transforms_default": digest(vertex_transforms(sol, None, 0.0)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(NETWORKS))
+def test_solution_verify_and_certificate_are_bitwise_pinned(name):
+    assert pin_values(name) == PINS[name]
+
+
+def _ternary_h():
+    # the per-s minimizers beta(s) miss the minimizer 0 of max_s H(s, p)
+    # = |p| + 1, so at M = 1.002 every candidate lies above M
+    return hj.abs_hamiltonian(alpha=1.0, beta=[-1.0, 0.3, 1.0], kappa=0.0)
+
+
+def _sampled_h():
+    p = np.linspace(-2.0, 2.5, 10)
+    a = np.array([0.7, 1.1, 0.9])
+    k = np.array([0.3, 0.6, 0.4])
+    table = a[:, None] * (p[None, :] - 0.2) ** 2 + k[:, None]
+    edge = float(np.max(np.abs(np.diff(table, axis=1) / np.diff(p))))
+    return hj.sampled_hamiltonian([0.0, 0.4, 1.0], p, table, edge + 0.25)
+
+
+WIDTHS = [
+    ("abs", lambda: hj.abs_hamiltonian(
+        alpha=[1.0, 2.0], beta=[0.1, -0.3], kappa=[0.5, 0.8]),
+     2.0, "0x1.ccccccccccccep-1"),
+    ("quadratic", lambda: hj.quadratic_hamiltonian(
+        alpha=[0.5, 1.5, 1.0], beta=[0.2, -0.4, 0.1], kappa=[0.9, 0.6, 1.0]),
+     3.0, "0x1.5d770214308b5p+0"),
+    ("sampled", _sampled_h, 2.5, "0x1.8313f8313f830p+0"),
+    ("sampled_beyond_table", _sampled_h, 12.0, "0x1.d613caa613cacp+1"),
+    ("ternary", _ternary_h, 1.002, "0x1.0624dd2f1aaffp-9"),
+]
+
+
+@pytest.mark.parametrize("name,make,M,pinned", WIDTHS,
+                         ids=[w[0] for w in WIDTHS])
+def test_sublevel_width_is_bitwise_pinned(name, make, M, pinned):
+    assert hj.sublevel_width(make(), M).hex() == pinned
+
+
+def test_sublevel_width_empty_after_ternary_search():
+    with pytest.raises(EmptySublevelError, match="is empty"):
+        hj.sublevel_width(_ternary_h(), 0.9)
