@@ -32,8 +32,7 @@ print(f"slope budget m0 = {hj.compute_m0(scenario)}")
 
 params = hj.plan_solve(scenario)
 print(f"grid: ns={params.ns}, dt={params.dt:.5f}, nt={params.nt}, "
-      f"window={params.window_steps} steps (finite-speed bound "
-      f"{params.delta_raw:.4f})")
+      f"theta={params.theta['e1']:.4f} (dt * theta = ds)")
 
 sol = hj.solve(scenario, params)
 t, s = sol.grid.t_nodes(), sol.grid.s_nodes()

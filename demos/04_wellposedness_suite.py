@@ -21,7 +21,7 @@ net = hj.build_network(
 H = hj.abs_hamiltonian(kappa=1.0)
 fam = hj.family_from_edges(net, {"e1": H, "e2": H, "e3": H})
 limiter = {"x0": -2.0, "x1": -1.0, "x2": -1.0, "x3": -1.0}
-ns = 107  # 216 time steps; the 3-step window divides the half horizon
+ns = 107  # 216 time steps; the restart splits at step 108
 scenario = hj.Scenario(net, fam, limiter,
                        {e: np.zeros(ns + 1) for e in ("e1", "e2", "e3")},
                        horizon=2.0, ns=ns, name="tripod")

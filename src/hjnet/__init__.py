@@ -3,9 +3,10 @@
 A numpy library for solving u_t + H_gamma(s, u') = 0 on the arcs of a
 network, coupled through continuity and a per-vertex flux limiter, with a
 monotone finite-difference arc solver, the slope-cap transform handling the
-limiter, a windowed constructive network solver, and a verification suite
-that turns the well-posedness theory (comparison, contraction, stability,
-finite speed of propagation) into executable checks.
+limiter, a network solver that marches all arcs together and caps every
+vertex at its limiter step by step, and a verification suite that turns the
+well-posedness theory (comparison, contraction, stability, finite speed of
+propagation) into executable checks.
 """
 
 from .arc_solver import (

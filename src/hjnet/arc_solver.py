@@ -28,8 +28,8 @@ certificate (all arc transforms) and the residual scans.
 
 Also provided: the exact cone solution of w_t - M |w'| = 0 used as a
 finite-speed oracle, Lipschitz envelopes, t-partial sup-convolution, minimum
-merges, time gluing, residual scans, and the finite-speed window used to
-schedule the network solver.
+merges, time gluing, residual scans, and the finite-speed window within
+which lateral data cannot reach an arc's interior.
 """
 
 from __future__ import annotations

@@ -28,9 +28,10 @@ from .network_solver import (
     calibrate_epsilon,
     plan_solve,
     solve,
+    solve_constants,
     verify,
 )
-from .scenario_io import parse_scenario_file
+from .scenario_io import CHECK_NAMES, parse_scenario_file
 from .slope_cap import TimeSeries, apply_g, apply_g_bruteforce
 
 __all__ = ["main", "write_solution_csv", "load_solution_csv"]
@@ -94,10 +95,9 @@ def load_solution_csv(outdir, scenario, params=None) -> NetworkSolution:
             x, t_, u_ = line.rstrip("\n").split(",")
             vertex.setdefault(x, []).append(float(u_))
     vertex = {x: np.array(v) for x, v in vertex.items()}
-    probe = solve(scenario, params)  # recover constants deterministically
     return NetworkSolution(scenario=scenario, params=params, grid=g,
                            fields=fields, vertex=vertex,
-                           constants=probe.constants)
+                           constants=solve_constants(scenario))
 
 
 def _dump_slices(solution, outdir, times):
@@ -127,10 +127,6 @@ def _report(solution, rep, refine_details, elapsed, outdir):
             "dt": solution.params.dt,
             "ns": solution.params.ns,
             "nt": solution.params.nt,
-            "delta": solution.constants.delta,
-            "window_steps": solution.constants.window_steps,
-            "windows": solution.constants.windows,
-            "max_slope_seen": solution.constants.max_slope_seen,
         },
         "eps_scheme": rep.eps_scheme if rep is not None else None,
         "checks": [asdict(c) for c in (rep.checks if rep is not None else [])],
@@ -152,6 +148,18 @@ def _cmd_run(args):
     except (ValidationError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    checks = run.checks
+    if args.checks is not None:
+        if args.checks == "all":
+            checks = None
+        elif args.checks == "none":
+            checks = ()
+        else:
+            checks = tuple(c.strip() for c in args.checks.split(",") if c.strip())
+            unknown = [c for c in checks if c not in CHECK_NAMES]
+            if unknown:
+                print(f"error: unknown check {unknown[0]!r}", file=sys.stderr)
+                return 2
     outdir = args.out
     os.makedirs(outdir, exist_ok=True)
     t_start = time.perf_counter()
@@ -169,14 +177,6 @@ def _cmd_run(args):
         eps = 3.0 * C * (g.ds + g.dt)
         refine_details = {"C": C, "levels": details}
 
-    checks = run.checks
-    if args.checks is not None:
-        if args.checks == "all":
-            checks = None
-        elif args.checks == "none":
-            checks = ()
-        else:
-            checks = tuple(c.strip() for c in args.checks.split(",") if c.strip())
     rep = None
     if checks is None or checks:
         rep = verify(solution, eps_scheme=eps,

@@ -1,14 +1,14 @@
-"""Windowed constructive solver for the network problem, plus its checks.
+"""Constructive solver for the network problem, plus its checks.
 
-One window of length delta (from the finite-speed bound) advances the whole
-network:
+All edges march as one (E, ns+1) stack, coupled only at the vertices.  Each
+time step advances every arc by one monotone scheme step, whose endpoint
+columns are state-constraint candidates; then every vertex x takes
 
-1. solve every arc with its current state and both sides free;
-2. at each vertex take the minimum of the incident right-endpoint traces;
-3. cap that minimum's time slope at the vertex flux limiter;
-4. re-solve every arc with both endpoints constrained by the capped vertex
-   series, coupling the endpoints across arcs so all traces agree exactly;
-5. the window-end slice restarts the next window, and windows glue in time.
+    v[k+1] = min(v[k] + c_x dt, min of the incident arcs' candidates),
+
+the one-step recursion of the slope-cap transform at the flux limiter c_x,
+applied online, and writes v[k+1] back to both ends of its edges, so all
+traces at a vertex agree exactly.
 
 Everything runs on a normalized family with strictly positive Hamiltonians
 (adding a constant a to all of them and subtracting it from the limiter);
@@ -32,11 +32,10 @@ from .arc_solver import (
     _arc_theta,
     _lf_step,
     free,
-    propagation_window,
     subsolution_residual,
     supersolution_residual,
 )
-from .errors import CFLViolationError, ValidationError
+from .errors import CFLViolationError, NonNegativeSlopeError, ValidationError
 from .hamiltonians import (
     HamiltonianFamily,
     global_min,
@@ -48,7 +47,7 @@ from .hamiltonians import (
 )
 from .network import FluxLimiter, validate_flux_limiter
 from .semidiscrete import VertexTraceSet, discr_residual
-from .slope_cap import TimeSeries, apply_g
+from .slope_cap import TimeSeries
 
 __all__ = [
     "Scenario",
@@ -58,6 +57,7 @@ __all__ = [
     "with_resolution",
     "compute_m0",
     "plan_solve",
+    "solve_constants",
     "solve",
     "verify",
     "default_epsilon",
@@ -140,17 +140,12 @@ def compute_m0(sc: Scenario) -> float:
 
 @dataclass(frozen=True)
 class SolveParams:
-    """Grid, dissipation and window schedule shared by comparable runs."""
+    """Grid and dissipation shared by comparable runs."""
 
     ns: int
     dt: float
     nt: int
     theta: dict            # edge id -> dissipation coefficient
-    l_design: dict         # edge id -> slope budget behind theta
-    window_steps: int
-    delta: float           # finite-speed window actually honored (<= raw bound)
-    delta_raw: float
-    m0_plan: float
     width_beyond_table: bool = False  # a sampled table's p-range bound the width
 
 
@@ -159,7 +154,7 @@ def _shifted(sc: Scenario):
 
 
 def plan_solve(scenario: Scenario, others=(), cfl=None) -> SolveParams:
-    """Choose dissipation, time step and window schedule.
+    """Choose dissipation and time step.
 
     ``others`` lists scenarios that must run on the very same grid (for
     exact comparisons); budgets are taken over all of them.  The default
@@ -174,13 +169,11 @@ def plan_solve(scenario: Scenario, others=(), cfl=None) -> SolveParams:
         if sc.ns != scenario.ns:
             raise ValidationError("comparable scenarios must share ns")
     ds = 1.0 / scenario.ns
-    m0_plan = 0.0
     budgets = {}
     width_clipped = False
     for sc in scens:
         fam, a, lim = _shifted(sc)
         m0s = compute_m0(replace(sc, hamiltonians=fam, limiter=lim))
-        m0_plan = max(m0_plan, m0s)
         for arc in sc.network.edge_arcs():
             H = fam[arc.id]
             width = sublevel_width(H, m0s)
@@ -189,13 +182,9 @@ def plan_solve(scenario: Scenario, others=(), cfl=None) -> SolveParams:
                 width_clipped = True  # coercivity proxy decided the width
             gmax = float(np.max(np.abs(np.diff(sc.initial[arc.id])))) * sc.ns
             budgets[arc.id] = max(budgets.get(arc.id, 0.0), width, gmax)
-    theta = {}
-    l_design = {}
-    for arc in scenario.network.edge_arcs():
-        L = budgets[arc.id]
-        l_design[arc.id] = L
-        theta[arc.id] = momentum_lipschitz(
-            scenario.hamiltonians[arc.id], L + 1.0) * (1.0 + ds)
+    theta = {arc.id: momentum_lipschitz(scenario.hamiltonians[arc.id],
+                                        budgets[arc.id] + 1.0) * (1.0 + ds)
+             for arc in scenario.network.edge_arcs()}
     th_max = max(theta.values())
     dt_cap = ds / th_max
     want = scenario.cfl if cfl is None else cfl
@@ -212,17 +201,8 @@ def plan_solve(scenario: Scenario, others=(), cfl=None) -> SolveParams:
         dt0 = dt_cap
     T = scenario.horizon
     nt = max(1, int(np.ceil(T / dt0 - 1e-9)))
-    dt = T / nt
-    delta_raw = min(
-        propagation_window(scenario.hamiltonians[arc.id],
-                           max(m0_plan, budgets[arc.id]))
-        for arc in scenario.network.edge_arcs())
-    delta_eff = min(delta_raw, T / 4.0)
-    window_steps = max(1, int(np.floor(delta_eff / dt + 1e-9)))
-    return SolveParams(ns=scenario.ns, dt=dt, nt=nt, theta=dict(theta),
-                       l_design=l_design, window_steps=window_steps,
-                       delta=window_steps * dt, delta_raw=delta_raw,
-                       m0_plan=m0_plan, width_beyond_table=width_clipped)
+    return SolveParams(ns=scenario.ns, dt=T / nt, nt=nt, theta=theta,
+                       width_beyond_table=width_clipped)
 
 
 @dataclass(frozen=True)
@@ -230,12 +210,16 @@ class SolveConstants:
     shift: float
     m0: float               # slope budget of the normalized problem
     l_bound: dict           # edge id -> space-slope bound at m0
-    delta: float
-    window_steps: int
-    windows: int
-    max_slope_seen: float
-    slope_excess: bool      # measured slopes left the design budget
-    window_short: bool      # dt could not fit under the raw finite-speed bound
+
+
+def solve_constants(scenario: Scenario) -> SolveConstants:
+    """Positivity shift, slope budget and space-slope bounds of a scenario;
+    they depend on nothing else, so a reloaded solution rebuilds them."""
+    fam, shift_a, lim = _shifted(scenario)
+    m0s = compute_m0(replace(scenario, hamiltonians=fam, limiter=lim))
+    return SolveConstants(shift=shift_a, m0=m0s,
+                          l_bound={a.id: sublevel_width(fam[a.id], m0s)
+                                   for a in scenario.network.edge_arcs()})
 
 
 @dataclass(eq=False)
@@ -269,17 +253,22 @@ class NetworkSolution:
 
 
 def solve(scenario: Scenario, params: SolveParams | None = None) -> NetworkSolution:
-    """Run the windowed construction over the whole horizon, all edges
-    marching as one (E, ns+1) stack coupled only at the vertices."""
+    """March the whole horizon, all edges as one (E, ns+1) stack capped at
+    the vertices step by step."""
     if params is None:
         params = plan_solve(scenario)
     net = scenario.network
     fam, shift_a, lim = _shifted(scenario)
-    m0s = compute_m0(replace(scenario, hamiltonians=fam, limiter=lim))
-    ns, dt, nt, m = params.ns, params.dt, params.nt, params.window_steps
+    ns, dt, nt = params.ns, params.dt, params.nt
     edges = net.edge_arcs()
     n_e = len(edges)
     vids = net.vertex_ids()
+    for x in vids:
+        if not lim[x] < 0:
+            raise NonNegativeSlopeError(
+                f"flux limiter at vertex {x!r} must be negative after the "
+                f"positivity shift, got {lim[x]}")
+    c_dt = np.array([lim[x] for x in vids]) * dt
     grid = Grid2D(ns, scenario.t0, dt, nt)
     init = [np.asarray(scenario.initial[a.id], dtype=float) for a in edges]
     half_theta = 0.5 * np.array([[_arc_theta(fam[a.id], g, free(), free(),
@@ -303,55 +292,29 @@ def solve(scenario: Scenario, params: SolveParams | None = None) -> NetworkSolut
         return np.concatenate([rows[:, 0], rows[:, -1]])
 
     def vertex_min(slots):
-        return np.minimum.reduceat(slots[..., order], starts, axis=-1)
+        return np.minimum.reduceat(slots[order], starts)
 
     fields = np.empty((n_e, nt + 1, ns + 1))
     fields[:, 0] = u
     vtr = np.empty((len(vids), nt + 1))
     vtr[:, 0] = ends(u)[order[starts]]
-    max_slope = float(np.max(np.abs(np.diff(u, axis=1)))) * ns
-    k = 0
-    nwin = 0
-    while k < nt:
-        mwin = min(m, nt - k)
-        free_ends = np.empty((mwin + 1, 2 * n_e))
-        free_ends[0] = ends(u)
-        v = u
-        for j in range(mwin):
-            v = _lf_step(tab, v, half_theta, dt)[0]
-            free_ends[j + 1] = ends(v)
-        vmin = vertex_min(free_ends)
-        ubar = np.stack([apply_g(TimeSeries(scenario.t0 + k * dt, dt, vmin[:, i]),
-                                 lim[x]).values for i, x in enumerate(vids)],
-                        axis=1)
-        for j in range(mwin):
-            u, pm, _ = _lf_step(tab, u, half_theta, dt)
-            max_slope = max(max_slope, float(np.max(np.abs(pm))))
-            vval = np.minimum(ubar[j + 1], vertex_min(ends(u)))
-            u[:, 0] = vval[start_ix]
-            u[:, -1] = vval[end_ix]
-            fields[:, k + j + 1] = u
-            vtr[:, k + j + 1] = vval
-        k += mwin
-        nwin += 1
+    vval = vertex_min(ends(u))
+    for k in range(1, nt + 1):
+        u = _lf_step(tab, u, half_theta, dt)[0]
+        vval = np.minimum(vval + c_dt, vertex_min(ends(u)))
+        u[:, 0] = vval[start_ix]
+        u[:, -1] = vval[end_ix]
+        fields[:, k] = u
+        vtr[:, k] = vval
 
     if shift_a != 0.0:
         tshift = shift_a * (np.arange(nt + 1) * dt)
         fields += tshift[:, None]
         vtr += tshift
-    l_bound = {a.id: sublevel_width(fam[a.id], m0s) for a in edges}
-    constants = SolveConstants(
-        shift=shift_a, m0=m0s, l_bound=l_bound,
-        delta=params.delta, window_steps=m, windows=nwin,
-        max_slope_seen=max_slope,
-        slope_excess=any(max_slope > params.l_design[a.id] + 1.0 + 1e-9
-                         for a in edges),
-        window_short=params.dt > params.delta_raw,
-    )
     return NetworkSolution(scenario=scenario, params=params, grid=grid,
                            fields={a.id: fields[i] for i, a in enumerate(edges)},
                            vertex={x: vtr[i] for i, x in enumerate(vids)},
-                           constants=constants)
+                           constants=solve_constants(scenario))
 
 
 def default_epsilon(solution: NetworkSolution) -> float:
@@ -487,12 +450,19 @@ def verify(solution: NetworkSolution, eps_scheme=None, resid_tol=1e-9,
         out.append(CheckResult("inverse_consistency", worst <= trace_tol,
                                trace_tol - worst))
 
-    if enabled("window"):
-        ok = not solution.constants.window_short and not solution.constants.slope_excess
-        out.append(CheckResult("window", ok, 0.0, {
-            "window_short": solution.constants.window_short,
-            "slope_excess": solution.constants.slope_excess,
-            "width_beyond_table": params.width_beyond_table}))
+    if enabled("headroom"):
+        # theta must cover the momentum-Lipschitz constant at the slopes the
+        # march differenced (rows 0..nt-1), floored at ds around p = 0
+        worst, wit = np.inf, {}
+        for arc in sc.network.edge_arcs():
+            pm = np.diff(solution.fields[arc.id][:-1], axis=1)
+            seen = float(np.max(np.abs(pm), initial=0.0)) * grid.ns
+            room = params.theta[arc.id] - momentum_lipschitz(
+                sc.hamiltonians[arc.id], max(seen, grid.ds))
+            if room < worst:
+                worst, wit = room, {"edge": arc.id, "slope_seen": seen}
+        wit["width_beyond_table"] = params.width_beyond_table
+        out.append(CheckResult("headroom", worst >= 0.0, worst, wit))
 
     return VerifyReport(out, eps)
 
@@ -500,8 +470,7 @@ def verify(solution: NetworkSolution, eps_scheme=None, resid_tol=1e-9,
 def _as_arc_field(solution, edge_id, values):
     return ArcField(grid=solution.grid, values=values, left=free(),
                     right=free(), initial=values[0],
-                    theta=solution.params.theta[edge_id],
-                    max_slope=solution.constants.max_slope_seen)
+                    theta=solution.params.theta[edge_id])
 
 
 def calibrate_epsilon(scenario: Scenario, levels=3):
@@ -649,17 +618,15 @@ def stability_sweep(scenario: Scenario, eps_h=0.0, eps_c=0.0, eps_g=0.0,
 def restart_check(scenario: Scenario, params: SolveParams | None = None):
     """Solve [t0, t0+T] against [t0, t0+T/2] + restart; byte-compare.
 
-    The split must land on a window boundary (nt even, half a multiple of
-    the window length), which the caller arranges through ns; the restart
-    reuses the full run's parameters so the updates replay identically.
+    The split is step nt // 2, at any nt; the restart reuses the full run's
+    parameters, so every step replays the same operations.  The glued run is
+    byte-identical when the positivity shift is zero.  A nonzero shift a
+    lifts the restart datum by a T/2, which the march carries as a constant
+    and may round in the last bit; the returned sup difference shows it.
     """
     if params is None:
         params = plan_solve(scenario)
-    nt, m = params.nt, params.window_steps
-    if nt % 2 or (nt // 2) % m:
-        raise ValidationError(
-            f"restart split needs nt even and half divisible by the window "
-            f"({nt} steps, window {m})")
+    nt = params.nt
     half = nt // 2
     full = solve(scenario, params)
     p1 = replace(params, nt=half)

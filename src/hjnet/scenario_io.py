@@ -58,7 +58,7 @@ CHECK_NAMES = (
     "space_lipschitz",
     "vertex_continuity",
     "inverse_consistency",
-    "window",
+    "headroom",
 )
 
 

@@ -13,8 +13,9 @@ reproduces the definition exactly, so the transform carries no discretization
 error of its own.  The O(n^2) direct form is kept as an independent oracle.
 
 In the network solver the slope is a vertex flux limiter (negative after the
-positivity normalization), and the transform converts unconstrained vertex
-traces into limiter-respecting ones.
+positivity normalization), and the solver applies the one-step recursion
+online to the vertex candidates, so its traces never rise faster than the
+limiter; the certificate applies the transform to whole traces.
 """
 
 from __future__ import annotations

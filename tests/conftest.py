@@ -76,6 +76,47 @@ def make_mixed(ns, horizon=0.25):
     return hj.Scenario(net, fam, lim, g, horizon=horizon, ns=ns, name="mixed")
 
 
+def make_comb(seed, spine_edges=4, ns=24, horizon=0.25):
+    """Comb: a spine path s0..sN with a leaf on every spine vertex but the
+    last; abs, quadratic and sampled arcs in turn, drawn coefficients and
+    limiters, and a piecewise-linear datum through drawn knots."""
+    rng = np.random.default_rng(seed)
+    n = spine_edges
+    spine = [f"s{i}" for i in range(n + 1)]
+    edges = [(f"q{i}", f"l{i}", spine[i]) for i in range(n)]
+    edges += [(f"p{i}", spine[i], spine[i + 1]) for i in range(n)]
+    net = hj.build_network(spine + [f"l{i}" for i in range(n)], edges)
+    p = np.linspace(-3.0, 3.0, 9)
+    per = {}
+    for j, (eid, _, _) in enumerate(edges):
+        if j % 3 == 0:
+            per[eid] = hj.abs_hamiltonian(alpha=float(rng.uniform(0.5, 2.0)),
+                                          beta=float(rng.uniform(-0.5, 0.5)),
+                                          kappa=float(rng.uniform(0.5, 1.5)))
+        elif j % 3 == 1:
+            per[eid] = hj.quadratic_hamiltonian(
+                alpha=float(rng.uniform(0.5, 1.5)),
+                beta=float(rng.uniform(-0.5, 0.5)),
+                kappa=float(rng.uniform(0.5, 1.5)))
+        else:
+            table = (rng.uniform(0.4, 0.9, size=3)[:, None] * p[None, :] ** 2
+                     + rng.uniform(0.5, 1.5, size=3)[:, None])
+            edge = float(np.max(np.abs(np.diff(table, axis=1) / np.diff(p))))
+            per[eid] = hj.sampled_hamiltonian([0.0, 0.5, 1.0], p, table,
+                                              edge + 0.5)
+    fam = hj.family_from_edges(net, per)
+    lim = {x: min(hj.c_gamma(fam[a.id]) for a in hj.incident_arcs(net, x))
+           - float(rng.uniform(0.0, 0.8)) for x in net.vertex_ids()}
+    vval = {x: float(rng.uniform(-0.5, 0.5)) for x in net.vertex_ids()}
+    s = np.linspace(0.0, 1.0, ns + 1)
+    g = {}
+    for eid, a, b in edges:
+        knots = rng.uniform(-0.4, 0.4, size=5)
+        knots[0], knots[-1] = vval[a], vval[b]
+        g[eid] = np.interp(s, np.linspace(0.0, 1.0, 5), knots)
+    return hj.Scenario(net, fam, lim, g, horizon=horizon, ns=ns, name="comb")
+
+
 def dyadic_series(rng, n, granularity=2.0 ** -10, span=2.0 ** 20):
     """Random values exactly representable at a coarse dyadic granularity."""
     return rng.integers(-int(span), int(span), size=n) * granularity

@@ -307,7 +307,7 @@ def test_c08_network_comparison_and_maximality(tripod_pack):
 
 
 def test_c09_gluing_restart_and_determinism():
-    sc = make_tripod(107)  # window of 3 steps divides the half horizon
+    sc = make_tripod(107)  # nt = 216, split at step 108
     equal, worst = hj.restart_check(sc)
     assert equal and worst == 0.0
     s1, s2 = hj.solve(sc), hj.solve(sc)

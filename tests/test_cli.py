@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 import hjnet as hj
-from hjnet.cli import load_solution_csv, main
+from hjnet.cli import load_solution_csv, main, write_solution_csv
 from hjnet.errors import ScenarioParseError
 from hjnet.scenario_io import parse_scenario
+
+from conftest import make_mixed
 
 TRIPOD = """
 [vertices]
@@ -116,13 +118,11 @@ def test_run_rejects_parse_garbage(tmp_path):
     assert main(["run", "--scenario", scn, "--out", str(tmp_path / "o")]) == 2
 
 
-def test_run_flags_underresolved_window(tmp_path):
-    # at ns = 8 the time step cannot fit under the finite-speed bound, the
-    # window check reports it, and the exit code turns nonzero
+def test_run_rejects_unknown_check(tmp_path):
     scn = _write(tmp_path, TRIPOD)
     code = main(["run", "--scenario", scn, "--out", str(tmp_path / "o"),
-                 "--ns", "8", "--checks", "window"])
-    assert code == 1
+                 "--checks", "headroom,window"])
+    assert code == 2
 
 
 def test_run_with_checks_none_skips_verification(tmp_path):
@@ -155,6 +155,17 @@ def test_dumped_solution_roundtrips_through_verify(tmp_path):
     original = {c["name"]: c["ok"] for c in report["checks"]}
     roundtrip = {c.name: c.ok for c in rep2.checks}
     assert original == roundtrip
+
+
+def test_reload_rebuilds_the_solve_constants(tmp_path):
+    sc = make_mixed(12)  # nonzero positivity shift, all three kinds
+    sol = hj.solve(sc)
+    out = str(tmp_path / "rc")
+    write_solution_csv(sol, out)
+    reloaded = load_solution_csv(out, sc)
+    assert reloaded.constants == sol.constants
+    assert all(np.array_equal(reloaded.fields[e], sol.fields[e])
+               for e in sol.fields)
 
 
 def test_refine_calibrates_epsilon(tmp_path):

@@ -1,4 +1,4 @@
-"""Windowed network solver: constants, closed forms, well-posedness checks."""
+"""Network solver: constants, closed forms, well-posedness checks."""
 
 import dataclasses
 
@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 import hjnet as hj
-from hjnet.errors import CFLViolationError, ValidationError
+from hjnet.errors import CFLViolationError, NonNegativeSlopeError, ValidationError
 from hjnet.network_solver import interior_bump
 
-from conftest import make_path, make_single_edge, make_tripod
+from conftest import make_comb, make_path, make_single_edge, make_tripod
 
 
 def test_m0_joins_datum_level_and_limiter():
@@ -168,15 +168,41 @@ def test_stability_sweep_halves_monotonically():
 
 
 def test_restart_replays_byte_identically():
-    sc = make_tripod(107)  # nt = 216, window 3 steps, half = 108 aligned
+    sc = make_tripod(107)  # nt = 216, half = 108
     equal, worst = hj.restart_check(sc)
     assert equal and worst == 0.0
 
 
-def test_restart_rejects_misaligned_grids():
-    sc = make_tripod(100)  # nt = 202, half = 101 not a multiple of 2
-    with pytest.raises(ValidationError):
-        hj.restart_check(sc)
+def test_restart_at_odd_splits_replays_byte_identically():
+    # splits at step 101 of 202 (tripod), 140 of 280 (path, two kinds) and
+    # 27 of 55 (comb, all three kinds); no positivity shift in any of them
+    for sc, nt in ((make_tripod(100), 202), (make_path(40), 280),
+                   (make_comb(3), 55)):
+        params = hj.plan_solve(sc)
+        assert params.nt == nt
+        equal, worst = hj.restart_check(sc, params)
+        assert equal and worst == 0.0, sc.name
+
+
+def test_headroom_flags_underdissipated_arc():
+    sc = make_path(40)
+    params = hj.plan_solve(sc)
+    assert hj.verify(hj.solve(sc, params)).ok
+    # theta 1 on the quadratic arc b is below 2 * slope seen there
+    low = dataclasses.replace(params, theta={**params.theta, "b": 1.0})
+    rep = hj.verify(hj.solve(sc, low), checks=["headroom"])
+    head = rep["headroom"]
+    assert not head.ok and head.margin < 0.0
+    assert head.witness["edge"] == "b"
+    assert head.witness["width_beyond_table"] is False
+
+
+def test_solve_rejects_nonnegative_shifted_limiter():
+    sc = make_tripod(40)
+    params = hj.plan_solve(sc)
+    bad = dataclasses.replace(sc, limiter={**sc.limiter, "x0": 0.5})
+    with pytest.raises(NonNegativeSlopeError, match="vertex 'x0'"):
+        hj.solve(bad, params)
 
 
 def test_handcrafted_subsolutions_stay_below_the_solution():
