@@ -13,6 +13,7 @@ digits, so outputs are byte-stable across runs and round-trip exactly.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -49,52 +50,91 @@ def _write_csv(path, header, rows):
                               for c in row) + "\n")
 
 
+def _row_template(key, cells):
+    """One CSV line per cell: key, the cell's text, a %.17g slot for u.
+
+    A NUL character in a cell marks where the time string goes.  The key
+    is an id that build_network checked to be printable; its '%' are
+    escaped.
+    """
+    key = key.replace("%", "%%")
+    return "".join(f"{key},{c},%.17g\n" for c in cells)
+
+
+def _fill(template, tk, row):
+    """The lines of one time row: CPython's %.17g, byte for byte _fmt's."""
+    return template.replace("\0", tk) % tuple(row.tolist())
+
+
 def write_solution_csv(solution: NetworkSolution, outdir):
     os.makedirs(outdir, exist_ok=True)
     g = solution.grid
-    s = g.s_nodes()
-    t = g.t_nodes()
-
-    def sol_rows():
+    s_text = [_fmt(x) for x in g.s_nodes()]
+    t_text = [_fmt(x) for x in g.t_nodes()]
+    with open(os.path.join(outdir, "solution.csv"), "w",
+              encoding="utf-8") as fh:
+        fh.write("arc_id,s,t,u\n")
         for eid in sorted(solution.fields):
-            f = solution.fields[eid]
-            for k in range(g.nt + 1):
-                for i in range(g.ns + 1):
-                    yield (eid, s[i], t[k], f[k, i])
-
-    _write_csv(os.path.join(outdir, "solution.csv"),
-               ["arc_id", "s", "t", "u"], sol_rows())
-
-    def vert_rows():
+            tpl = _row_template(eid, [f"{si},\0" for si in s_text])
+            for tk, row in zip(t_text, solution.fields[eid]):
+                fh.write(_fill(tpl, tk, row))
+    with open(os.path.join(outdir, "vertex_traces.csv"), "w",
+              encoding="utf-8") as fh:
+        fh.write("vertex_id,t,u\n")
         for x in sorted(solution.vertex):
-            for k in range(g.nt + 1):
-                yield (x, t[k], solution.vertex[x][k])
+            fh.write(_row_template(x, t_text)
+                     % tuple(np.asarray(solution.vertex[x]).tolist()))
 
-    _write_csv(os.path.join(outdir, "vertex_traces.csv"),
-               ["vertex_id", "t", "u"], vert_rows())
+
+def _read_u_blocks(path, kind, ids, size):
+    """The u column of a dump, split into one block of ``size`` values per
+    id; the file must hold exactly ``ids`` (of ``kind``, named in errors),
+    each in one contiguous run."""
+    ids = set(ids)
+    with open(path, "r", encoding="utf-8") as fh:
+        fh.readline()
+        runs = [(key, sum(1 for _ in grp)) for key, grp in
+                itertools.groupby(fh, key=lambda line: line.partition(",")[0])]
+    seen = set()
+    for key, _ in runs:
+        if key in seen:
+            raise ValidationError(
+                f"{path}: rows of {kind} {key!r} are not contiguous")
+        if key not in ids:
+            raise ValidationError(f"{path}: unknown {kind} {key!r}")
+        seen.add(key)
+    missing = sorted(ids - seen)
+    if missing:
+        raise ValidationError(f"{path}: {kind} {missing[0]!r} is missing")
+    for key, n in runs:
+        if n != size:
+            raise ValidationError(
+                f"{path}: {kind} {key!r} has {n} rows, expected {size}")
+    try:
+        u = np.loadtxt(path, delimiter=",", skiprows=1, usecols=-1, ndmin=1,
+                       comments=None)
+    except ValueError as e:
+        raise ValidationError(f"{path}: {e}") from e
+    return {key: u[j * size:(j + 1) * size]
+            for j, (key, _) in enumerate(runs)}
 
 
 def load_solution_csv(outdir, scenario, params=None) -> NetworkSolution:
-    """Re-import a dumped solution for verification round-trips."""
+    """Re-import a dumped solution for verification round-trips.
+
+    Only the u column is parsed; the layout (one contiguous block of the
+    right length per scenario edge and vertex) is checked first.
+    """
     if params is None:
         params = plan_solve(scenario)
     g = Grid2D(params.ns, scenario.t0, params.dt, params.nt)
-    fields = {}
-    with open(os.path.join(outdir, "solution.csv"), "r", encoding="utf-8") as fh:
-        next(fh)
-        for line in fh:
-            eid, s_, t_, u_ = line.rstrip("\n").split(",")
-            fields.setdefault(eid, []).append(float(u_))
-    fields = {eid: np.array(v).reshape(g.nt + 1, g.ns + 1)
-              for eid, v in fields.items()}
-    vertex = {}
-    with open(os.path.join(outdir, "vertex_traces.csv"), "r",
-              encoding="utf-8") as fh:
-        next(fh)
-        for line in fh:
-            x, t_, u_ = line.rstrip("\n").split(",")
-            vertex.setdefault(x, []).append(float(u_))
-    vertex = {x: np.array(v) for x, v in vertex.items()}
+    net = scenario.network
+    fields = _read_u_blocks(os.path.join(outdir, "solution.csv"), "edge",
+                            [a.id for a in net.edge_arcs()],
+                            (g.nt + 1) * (g.ns + 1))
+    fields = {eid: u.reshape(g.nt + 1, g.ns + 1) for eid, u in fields.items()}
+    vertex = _read_u_blocks(os.path.join(outdir, "vertex_traces.csv"),
+                            "vertex", net.vertex_ids(), g.nt + 1)
     return NetworkSolution(scenario=scenario, params=params, grid=g,
                            fields=fields, vertex=vertex,
                            constants=solve_constants(scenario))
@@ -102,18 +142,16 @@ def load_solution_csv(outdir, scenario, params=None) -> NetworkSolution:
 
 def _dump_slices(solution, outdir, times):
     g = solution.grid
-    s = g.s_nodes()
+    s_text = [_fmt(x) for x in g.s_nodes()]
     t = g.t_nodes()
-
-    def rows():
-        for want in times:
-            k = int(np.argmin(np.abs(t - want)))
-            for eid in sorted(solution.fields):
-                for i in range(g.ns + 1):
-                    yield (eid, t[k], s[i], solution.fields[eid][k, i])
-
-    _write_csv(os.path.join(outdir, "slices.csv"),
-               ["arc_id", "t", "s", "u"], rows())
+    ks = [int(np.argmin(np.abs(t - want))) for want in times]
+    with open(os.path.join(outdir, "slices.csv"), "w", encoding="utf-8") as fh:
+        fh.write("arc_id,t,s,u\n")
+        tpls = {eid: _row_template(eid, [f"\0,{si}" for si in s_text])
+                for eid in sorted(solution.fields)}
+        for k in ks:
+            for eid, tpl in tpls.items():
+                fh.write(_fill(tpl, _fmt(t[k]), solution.fields[eid][k]))
 
 
 def _report(solution, rep, refine_details, elapsed, outdir):

@@ -16,6 +16,7 @@ from .errors import (
     DuplicateIdError,
     LoopEdgeError,
     UnknownVertexError,
+    ValidationError,
 )
 from .hamiltonians import c_gamma
 
@@ -35,6 +36,16 @@ _REV = "~"
 
 def reverse_arc_id(arc_id: str) -> str:
     return arc_id[:-1] if arc_id.endswith(_REV) else arc_id + _REV
+
+
+def _csv_safe(kind, ident):
+    """Ids are the first CSV column of every dump, so they may hold no comma,
+    whitespace or control character."""
+    if ("," in ident or not ident.isprintable()
+            or any(c.isspace() for c in ident)):
+        raise ValidationError(f"{kind} id {ident!r} contains a comma, "
+                              "whitespace or a control character")
+    return ident
 
 
 @dataclass(frozen=True)
@@ -90,14 +101,14 @@ def build_network(vertices, edges) -> Network:
             vid, coords = v[0], tuple(float(c) for c in v[1])
         else:
             vid, coords = v, None
-        vid = str(vid)
+        vid = _csv_safe("vertex", str(vid))
         if vid in vdict:
             raise DuplicateIdError(f"duplicate vertex id {vid!r}")
         vdict[vid] = Vertex(vid, coords)
 
     arcs = {}
     for eid, u, v in edges:
-        eid, u, v = str(eid), str(u), str(v)
+        eid, u, v = _csv_safe("edge", str(eid)), str(u), str(v)
         if u not in vdict or v not in vdict:
             raise UnknownVertexError(f"edge {eid!r} references unknown vertex")
         if u == v:

@@ -60,6 +60,7 @@ __all__ = [
     "solve_constants",
     "solve",
     "verify",
+    "CHECK_NAMES",
     "default_epsilon",
     "calibrate_epsilon",
     "contraction_check",
@@ -331,6 +332,21 @@ class CheckResult:
     witness: dict = field(default_factory=dict)
 
 
+# The battery of verify, in the order it runs them.
+CHECK_NAMES = (
+    "limiter",
+    "interior_residual",
+    "discr_certificate",
+    "vertex_slope",
+    "time_monotone",
+    "time_lipschitz",
+    "space_lipschitz",
+    "vertex_continuity",
+    "inverse_consistency",
+    "headroom",
+)
+
+
 @dataclass(frozen=True)
 class VerifyReport:
     checks: list
@@ -353,8 +369,13 @@ def verify(solution: NetworkSolution, eps_scheme=None, resid_tol=1e-9,
 
     All PDE-level checks run in the normalized (positive-Hamiltonian) frame;
     slope checks and the vertex certificate then transfer to the original
-    problem by the exact shift identity.
+    problem by the exact shift identity.  ``checks`` selects a subset of
+    CHECK_NAMES; an unknown name raises ValidationError.
     """
+    if checks is not None:
+        unknown = [c for c in checks if c not in CHECK_NAMES]
+        if unknown:
+            raise ValidationError(f"unknown check {unknown[0]!r}")
     sc = solution.scenario
     params = solution.params
     fam, a, lim = _shifted(sc)

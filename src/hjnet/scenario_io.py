@@ -42,24 +42,11 @@ from .hamiltonians import (
     sampled_hamiltonian,
 )
 from .network import build_network
-from .network_solver import Scenario
+from .network_solver import CHECK_NAMES, Scenario
 
 __all__ = ["RunOptions", "parse_scenario", "parse_scenario_file"]
 
 _SECTIONS = ("vertices", "edges", "limiter", "initial", "run")
-
-CHECK_NAMES = (
-    "limiter",
-    "interior_residual",
-    "discr_certificate",
-    "vertex_slope",
-    "time_monotone",
-    "time_lipschitz",
-    "space_lipschitz",
-    "vertex_continuity",
-    "inverse_consistency",
-    "headroom",
-)
 
 
 @dataclass

@@ -8,7 +8,7 @@ import pytest
 
 import hjnet as hj
 from hjnet.cli import load_solution_csv, main, write_solution_csv
-from hjnet.errors import ScenarioParseError
+from hjnet.errors import ScenarioParseError, ValidationError
 from hjnet.scenario_io import parse_scenario
 
 from conftest import make_mixed
@@ -83,6 +83,14 @@ def test_parse_errors_carry_line_numbers():
         parse_scenario("[vertices]\nv\n[edges]\n")
     with pytest.raises(ScenarioParseError):
         parse_scenario(TRIPOD.replace("[limiter]", "[limiterz]"))
+
+
+def test_parse_rejects_ids_with_commas():
+    with pytest.raises(ValidationError, match="'e,1'"):
+        parse_scenario(TRIPOD.replace("e1 x1 x0", "e,1 x1 x0")
+                       .replace("e1 constant", "e,1 constant"))
+    with pytest.raises(ValidationError, match="'x,1'"):
+        parse_scenario(TRIPOD.replace("x1", "x,1"))
 
 
 def _write(tmp_path, text, name="scn.scn"):

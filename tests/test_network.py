@@ -8,6 +8,7 @@ from hjnet.errors import (
     DuplicateIdError,
     LoopEdgeError,
     UnknownVertexError,
+    ValidationError,
 )
 
 
@@ -80,6 +81,18 @@ def test_multi_edges_allowed():
 def test_reverse_marker_reserved():
     with pytest.raises(DuplicateIdError):
         hj.build_network(["a", "b"], [("e~", "a", "b")])
+
+
+@pytest.mark.parametrize("vertices,edges,bad", [
+    (["a,b", "c"], [("e", "a,b", "c")], "'a,b'"),
+    (["a", "c"], [("e,1", "a", "c")], "'e,1'"),
+    (["a b", "c"], [("e", "a b", "c")], "'a b'"),
+    (["a", "c"], [("e\t1", "a", "c")], r"'e\\t1'"),
+    (["a\x00", "c"], [("e", "a\x00", "c")], r"'a\\x00'"),
+], ids=["comma_vertex", "comma_edge", "space", "tab", "nul"])
+def test_ids_that_break_the_csv_rejected(vertices, edges, bad):
+    with pytest.raises(ValidationError, match=bad):
+        hj.build_network(vertices, edges)
 
 
 def _uniform_family(net, H):

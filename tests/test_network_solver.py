@@ -93,6 +93,14 @@ def test_verify_passes_on_solver_output():
         assert rep.ok, [c.name for c in rep.checks if not c.ok]
 
 
+def test_verify_rejects_unknown_check_names():
+    sol = hj.solve(make_path(20))
+    with pytest.raises(ValidationError, match="window"):
+        hj.verify(sol, checks=["headroom", "window"])
+    assert [c.name for c in hj.verify(sol, checks=["headroom"]).checks] \
+        == ["headroom"]
+
+
 def test_verify_flags_forced_vertex_slope():
     sc = make_tripod(60)
     sol = hj.solve(sc)

@@ -1,12 +1,16 @@
-"""Bitwise pins of solver outputs, certificate and sublevel widths.
+"""Bitwise pins of solver outputs, certificate, sublevel widths and CSVs.
 
 The digests and hex values were taken from the scalar-loop implementation
 the batched marching kernel replaced; the kernel must reproduce every bit.
 The margins digests were retaken when the headroom check replaced the window
-check; every other check row kept its margin bit for bit.
+check; every other check row kept its margin bit for bit.  The CSV digests
+were taken from the per-cell writer the row-template writer replaced.
 """
 
+import contextlib
 import hashlib
+import io
+import os
 
 import numpy as np
 import pytest
@@ -15,7 +19,12 @@ import hjnet as hj
 from hjnet.errors import EmptySublevelError
 from hjnet.semidiscrete import VertexTraceSet, f_x
 
+from hjnet.cli import main, write_solution_csv
+
 from conftest import make_mixed, make_path, make_tripod
+
+TRIPOD_SCN = os.path.join(os.path.dirname(__file__), os.pardir, "demos",
+                          "scenarios", "tripod.scn")
 
 
 def digest(arrays):
@@ -147,3 +156,50 @@ def test_sublevel_width_is_bitwise_pinned(name, make, M, pinned):
 def test_sublevel_width_empty_after_ternary_search():
     with pytest.raises(EmptySublevelError, match="is empty"):
         hj.sublevel_width(_ternary_h(), 0.9)
+
+
+CSV_PINS = {
+    "tripod_100": {
+        "solution.csv":
+            "3e533bc04a429993e62c770c4452939c896a966d53ca43d793ce86e8340e2619",
+        "vertex_traces.csv":
+            "e15c6d9f2d8d306e7540e80754a077810dac31ddcc89f0d1724dcc2f6149fc29",
+        "slices.csv":
+            "4fc8ec7092202e843af8b8f0542f146722e6460b815beff6b4f6a6a14f1f2c7d",
+    },
+    "tripod_200": {
+        "solution.csv":
+            "5730eec234c658db77b2d5a4f8e5e297884d46bdea221094f0113d49f2daf8cf",
+        "vertex_traces.csv":
+            "e3eccaeae51fecd1c34a0388ac4746be750b36e8068e1b7487b556fd9e05aa60",
+        "slices.csv":
+            "dae5bf1778832a8b5309f23f5451c49ceaa75c135d8b0ace1691681ec7dd90c9",
+    },
+    "mixed": {
+        "solution.csv":
+            "e6c1cd12f37f73f3d75024bee8ca78050bb0f13a61b2605118ff697972385109",
+        "vertex_traces.csv":
+            "8e8edb27ac947721d7d4c304edb3b15554734b0005dae6af8cc2186555cdc5c7",
+    },
+}
+
+
+def file_digests(outdir, names):
+    out = {}
+    for name in names:
+        with open(os.path.join(outdir, name), "rb") as fh:
+            out[name] = hashlib.sha256(fh.read()).hexdigest()
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(CSV_PINS))
+def test_csv_dumps_are_bytewise_pinned(name, tmp_path):
+    out = str(tmp_path / name)
+    if name == "mixed":  # all three kinds, a multi-edge, a cycle, a shift
+        write_solution_csv(hj.solve(make_mixed(12)), out)
+    else:
+        ns = name.split("_")[1]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["run", "--scenario", TRIPOD_SCN, "--ns", ns,
+                         "--dump-slices", "0.5,1.0", "--out", out]) == 0
+    assert file_digests(out, CSV_PINS[name]) == CSV_PINS[name]
