@@ -44,7 +44,6 @@ from .hamiltonians import (
 )
 from .network import (
     Arc,
-    FluxLimiter,
     Network,
     Vertex,
     build_network,

@@ -29,10 +29,9 @@ from .network_solver import (
     calibrate_epsilon,
     plan_solve,
     solve,
-    solve_constants,
     verify,
 )
-from .scenario_io import CHECK_NAMES, parse_scenario_file
+from .scenario_io import parse_checks, parse_scenario_file
 from .slope_cap import TimeSeries, apply_g, apply_g_bruteforce
 
 __all__ = ["main", "write_solution_csv", "load_solution_csv"]
@@ -86,17 +85,24 @@ def write_solution_csv(solution: NetworkSolution, outdir):
                      % tuple(np.asarray(solution.vertex[x]).tolist()))
 
 
-def _read_u_blocks(path, kind, ids, size):
+def _read_u_blocks(path, kind, ids, size, ends):
     """The u column of a dump, split into one block of ``size`` values per
     id; the file must hold exactly ``ids`` (of ``kind``, named in errors),
-    each in one contiguous run."""
+    each in one contiguous run whose first and last rows hold the grid
+    nodes ``ends`` (the text between the id and u)."""
     ids = set(ids)
+    runs = []
     with open(path, "r", encoding="utf-8") as fh:
-        fh.readline()
-        runs = [(key, sum(1 for _ in grp)) for key, grp in
-                itertools.groupby(fh, key=lambda line: line.partition(",")[0])]
+        cols = _cells(fh.readline())
+        for key, grp in itertools.groupby(
+                fh, key=lambda line: line.partition(",")[0]):
+            n, first = 1, next(grp)
+            last = first
+            for n, last in enumerate(grp, start=2):
+                pass
+            runs.append((key, n, (_cells(first), _cells(last))))
     seen = set()
-    for key, _ in runs:
+    for key, *_ in runs:
         if key in seen:
             raise ValidationError(
                 f"{path}: rows of {kind} {key!r} are not contiguous")
@@ -106,38 +112,49 @@ def _read_u_blocks(path, kind, ids, size):
     missing = sorted(ids - seen)
     if missing:
         raise ValidationError(f"{path}: {kind} {missing[0]!r} is missing")
-    for key, n in runs:
+    for key, n, got in runs:
         if n != size:
             raise ValidationError(
                 f"{path}: {kind} {key!r} has {n} rows, expected {size}")
+        if got != ends:
+            raise ValidationError(
+                f"{path}: {kind} {key!r} runs from {cols} = {got[0]} to "
+                f"{got[1]}, but the grid from {ends[0]} to {ends[1]}")
     try:
         u = np.loadtxt(path, delimiter=",", skiprows=1, usecols=-1, ndmin=1,
                        comments=None)
     except ValueError as e:
         raise ValidationError(f"{path}: {e}") from e
     return {key: u[j * size:(j + 1) * size]
-            for j, (key, _) in enumerate(runs)}
+            for j, (key, *_) in enumerate(runs)}
+
+
+def _cells(line):
+    """The text of a CSV line between its first and last comma."""
+    return line.partition(",")[2].rpartition(",")[0]
 
 
 def load_solution_csv(outdir, scenario, params=None) -> NetworkSolution:
     """Re-import a dumped solution for verification round-trips.
 
     Only the u column is parsed; the layout (one contiguous block of the
-    right length per scenario edge and vertex) is checked first.
+    right length per scenario edge and vertex, starting and ending at the
+    grid's first and last nodes) is checked first.
     """
     if params is None:
         params = plan_solve(scenario)
     g = Grid2D(params.ns, scenario.t0, params.dt, params.nt)
     net = scenario.network
+    t0, t1 = (_fmt(t) for t in g.t_nodes()[[0, -1]])
     fields = _read_u_blocks(os.path.join(outdir, "solution.csv"), "edge",
                             [a.id for a in net.edge_arcs()],
-                            (g.nt + 1) * (g.ns + 1))
+                            (g.nt + 1) * (g.ns + 1),
+                            (f"{_fmt(0.0)},{t0}", f"{_fmt(1.0)},{t1}"))
     fields = {eid: u.reshape(g.nt + 1, g.ns + 1) for eid, u in fields.items()}
     vertex = _read_u_blocks(os.path.join(outdir, "vertex_traces.csv"),
-                            "vertex", net.vertex_ids(), g.nt + 1)
+                            "vertex", net.vertex_ids(), g.nt + 1, (t0, t1))
     return NetworkSolution(scenario=scenario, params=params, grid=g,
-                           fields=fields, vertex=vertex,
-                           constants=solve_constants(scenario))
+                           fields=fields, vertex=vertex)
 
 
 def _dump_slices(solution, outdir, times):
@@ -183,21 +200,10 @@ def _cmd_run(args):
         scenario, run = parse_scenario_file(
             args.scenario, ns=args.ns, horizon=args.t_final, cfl=args.cfl)
         params = plan_solve(scenario)
+        checks = run.checks if args.checks is None else parse_checks(args.checks)
     except (ValidationError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    checks = run.checks
-    if args.checks is not None:
-        if args.checks == "all":
-            checks = None
-        elif args.checks == "none":
-            checks = ()
-        else:
-            checks = tuple(c.strip() for c in args.checks.split(",") if c.strip())
-            unknown = [c for c in checks if c not in CHECK_NAMES]
-            if unknown:
-                print(f"error: unknown check {unknown[0]!r}", file=sys.stderr)
-                return 2
     outdir = args.out
     os.makedirs(outdir, exist_ok=True)
     t_start = time.perf_counter()
@@ -216,9 +222,8 @@ def _cmd_run(args):
         refine_details = {"C": C, "levels": details}
 
     rep = None
-    if checks is None or checks:
-        rep = verify(solution, eps_scheme=eps,
-                     checks=None if checks is None else checks)
+    if checks:
+        rep = verify(solution, eps_scheme=eps, checks=checks)
 
     write_solution_csv(solution, outdir)
     if args.dump_slices:

@@ -65,7 +65,3 @@ class TraceMismatchError(ValidationError):
 
 class EmptySublevelError(HJNetError):
     """Requested sublevel set {p : H(s,p) <= M for all s} is empty."""
-
-
-class MomentumRangeError(HJNetError):
-    """A sampled table's momentum range provably excludes a minimizer."""

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import EmptySublevelError, MomentumRangeError
+from .errors import EmptySublevelError
 
 __all__ = [
     "ArcHamiltonian",
@@ -206,13 +206,8 @@ def momentum_minimizer(H, s):
     if H.kind != "sampled":
         b = np.interp(s, H.s_knots, H.beta)
         return b if H.kind == "abs" else -b / (2.0 * np.interp(s, H.s_knots, H.alpha))
-    rows = _sampled_rows_at(H, s)
-    j = np.argmin(rows, axis=1)
-    inward = (j == 0) & (rows[:, 1] < rows[:, 0])
-    inward |= (j == rows.shape[1] - 1) & (rows[:, -2] < rows[:, -1])
-    if np.any(inward):
-        raise MomentumRangeError("sampled p-range excludes a momentum minimizer")
-    return H.p_knots[j]
+    # piecewise linear between knots, rising beyond them: a knot minimizes
+    return H.p_knots[np.argmin(_sampled_rows_at(H, s), axis=1)]
 
 
 def _min_over_p(H, s):
@@ -229,13 +224,11 @@ def c_gamma(H, s_grid=None, p_grid=None):
     """Critical value -max_s min_p H(s,p) on a check grid.
 
     Symbolic kinds use the closed-form per-s minimizer; the sampled kind
-    scans its momentum knots (p_grid overrides) and refuses tables whose
-    minimizer provably escapes the p-range.
+    scans its momentum knots (p_grid overrides).
     """
     s = _s_check_grid(H, s_grid)
     if H.kind == "sampled" and p_grid is not None:
         vals = _Columns([H], s)(np.asarray(p_grid, dtype=float)[:, None])
-        momentum_minimizer(H, s)  # range check
         return -float(np.max(np.min(vals, axis=0)))
     return -float(np.max(_min_over_p(H, s)))
 

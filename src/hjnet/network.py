@@ -24,7 +24,6 @@ __all__ = [
     "Vertex",
     "Arc",
     "Network",
-    "FluxLimiter",
     "build_network",
     "incident_arcs",
     "validate_flux_limiter",
@@ -150,19 +149,6 @@ def incident_arcs(net: Network, x) -> list:
 
 
 @dataclass(frozen=True)
-class FluxLimiter:
-    """Per-vertex bound c_x on the time slope of solutions at the vertex."""
-
-    values: dict
-
-    def __getitem__(self, x):
-        return self.values[x]
-
-    def items(self):
-        return self.values.items()
-
-
-@dataclass(frozen=True)
 class LimiterEntry:
     vertex: str
     c_x: float
@@ -185,14 +171,13 @@ class LimiterReport:
 
 def validate_flux_limiter(net, limiter, hams, tol=1e-12) -> LimiterReport:
     """Check c_x <= min over incident arcs of c_gamma, vertex by vertex."""
-    values = limiter.values if isinstance(limiter, FluxLimiter) else dict(limiter)
     entries = []
     cgam = {aid: c_gamma(hams[aid]) for aid in net.arcs}
     for x in net.vertex_ids():
-        if x not in values:
+        if x not in limiter:
             raise UnknownVertexError(f"flux limiter missing vertex {x!r}")
         inc = incident_arcs(net, x)
         cmin = min(cgam[a.id] for a in inc)
-        margin = values[x] - cmin
-        entries.append(LimiterEntry(x, values[x], cmin, margin, margin <= tol))
+        margin = limiter[x] - cmin
+        entries.append(LimiterEntry(x, limiter[x], cmin, margin, margin <= tol))
     return LimiterReport(entries)

@@ -12,7 +12,10 @@ traces at a vertex agree exactly.
 
 Everything runs on a normalized family with strictly positive Hamiltonians
 (adding a constant a to all of them and subtracting it from the limiter);
-the output is corrected back by u -> u + a (t - t0).
+the output is corrected back by u -> u + a (t - t0).  ``Scenario.constants``
+derives that normalization, with the slope budget m0 and the space-slope
+bounds taken on it, once per Scenario object; planning, solving, verifying
+and reloading all read that one record.
 
 The verification battery re-derives the certificate of the semidiscrete
 vertex system, interior scheme residuals, slope bounds, vertex continuity
@@ -22,6 +25,7 @@ and limiter admissibility from a finished solution.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -30,10 +34,9 @@ from .arc_solver import (
     Grid2D,
     _ArcStack,
     _arc_theta,
+    _interior_residuals,
     _lf_step,
     free,
-    subsolution_residual,
-    supersolution_residual,
 )
 from .errors import CFLViolationError, NonNegativeSlopeError, ValidationError
 from .hamiltonians import (
@@ -45,7 +48,7 @@ from .hamiltonians import (
     sublevel_width,
     subsolution_level,
 )
-from .network import FluxLimiter, validate_flux_limiter
+from .network import validate_flux_limiter
 from .semidiscrete import VertexTraceSet, discr_residual
 from .slope_cap import TimeSeries
 
@@ -57,7 +60,6 @@ __all__ = [
     "with_resolution",
     "compute_m0",
     "plan_solve",
-    "solve_constants",
     "solve",
     "verify",
     "CHECK_NAMES",
@@ -69,6 +71,17 @@ __all__ = [
     "restart_check",
     "interior_bump",
 ]
+
+
+@dataclass(frozen=True)
+class SolveConstants:
+    """The normalized problem of a scenario and the bounds derived on it."""
+
+    shift: float            # a: every H raised by a, every c_x lowered by a
+    m0: float               # slope budget of the normalized problem
+    l_bound: dict           # edge id -> space-slope bound at m0
+    hamiltonians: HamiltonianFamily = field(compare=False, repr=False)
+    limiter: dict = field(compare=False, repr=False)  # shifted c_x
 
 
 @dataclass(frozen=True)
@@ -87,9 +100,23 @@ class Scenario:
     name: str = "scenario"
 
     def limiter_values(self):
-        vals = self.limiter.values if isinstance(self.limiter, FluxLimiter) \
-            else self.limiter
-        return dict(vals)
+        return dict(self.limiter)
+
+    @cached_property
+    def constants(self) -> SolveConstants:
+        """Positivity shift, slope budget and space-slope bounds.
+
+        They depend on the scenario alone and are derived once per Scenario
+        object; a changed input means a new object (``replace``), which
+        derives its own.
+        """
+        fam, a, lim = positive_shift(self.hamiltonians, self.limiter_values())
+        m0s = compute_m0(replace(self, hamiltonians=fam, limiter=lim))
+        return SolveConstants(
+            shift=a, m0=m0s,
+            l_bound={arc.id: sublevel_width(fam[arc.id], m0s)
+                     for arc in self.network.edge_arcs()},
+            hamiltonians=fam, limiter=lim)
 
 
 def validate_scenario(sc: Scenario):
@@ -150,10 +177,6 @@ class SolveParams:
     width_beyond_table: bool = False  # a sampled table's p-range bound the width
 
 
-def _shifted(sc: Scenario):
-    return positive_shift(sc.hamiltonians, sc.limiter_values())
-
-
 def plan_solve(scenario: Scenario, others=(), cfl=None) -> SolveParams:
     """Choose dissipation and time step.
 
@@ -173,11 +196,9 @@ def plan_solve(scenario: Scenario, others=(), cfl=None) -> SolveParams:
     budgets = {}
     width_clipped = False
     for sc in scens:
-        fam, a, lim = _shifted(sc)
-        m0s = compute_m0(replace(sc, hamiltonians=fam, limiter=lim))
         for arc in sc.network.edge_arcs():
-            H = fam[arc.id]
-            width = sublevel_width(H, m0s)
+            H = sc.hamiltonians[arc.id]
+            width = sc.constants.l_bound[arc.id]
             if H.kind == "sampled" and width >= max(abs(H.p_knots[0]),
                                                     abs(H.p_knots[-1])) - 1e-12:
                 width_clipped = True  # coercivity proxy decided the width
@@ -206,23 +227,6 @@ def plan_solve(scenario: Scenario, others=(), cfl=None) -> SolveParams:
                        width_beyond_table=width_clipped)
 
 
-@dataclass(frozen=True)
-class SolveConstants:
-    shift: float
-    m0: float               # slope budget of the normalized problem
-    l_bound: dict           # edge id -> space-slope bound at m0
-
-
-def solve_constants(scenario: Scenario) -> SolveConstants:
-    """Positivity shift, slope budget and space-slope bounds of a scenario;
-    they depend on nothing else, so a reloaded solution rebuilds them."""
-    fam, shift_a, lim = _shifted(scenario)
-    m0s = compute_m0(replace(scenario, hamiltonians=fam, limiter=lim))
-    return SolveConstants(shift=shift_a, m0=m0s,
-                          l_bound={a.id: sublevel_width(fam[a.id], m0s)
-                                   for a in scenario.network.edge_arcs()})
-
-
 @dataclass(eq=False)
 class NetworkSolution:
     scenario: Scenario
@@ -230,7 +234,10 @@ class NetworkSolution:
     grid: Grid2D
     fields: dict            # edge id -> (nt+1, ns+1) original-problem values
     vertex: dict            # vertex id -> (nt+1,)
-    constants: SolveConstants
+
+    @property
+    def constants(self) -> SolveConstants:
+        return self.scenario.constants
 
     def field(self, arc_id):
         """Values along an oriented arc; reverse arcs are s-reflections."""
@@ -259,7 +266,8 @@ def solve(scenario: Scenario, params: SolveParams | None = None) -> NetworkSolut
     if params is None:
         params = plan_solve(scenario)
     net = scenario.network
-    fam, shift_a, lim = _shifted(scenario)
+    const = scenario.constants
+    fam, shift_a, lim = const.hamiltonians, const.shift, const.limiter
     ns, dt, nt = params.ns, params.dt, params.nt
     edges = net.edge_arcs()
     n_e = len(edges)
@@ -314,8 +322,7 @@ def solve(scenario: Scenario, params: SolveParams | None = None) -> NetworkSolut
         vtr += tshift
     return NetworkSolution(scenario=scenario, params=params, grid=grid,
                            fields={a.id: fields[i] for i, a in enumerate(edges)},
-                           vertex={x: vtr[i] for i, x in enumerate(vids)},
-                           constants=solve_constants(scenario))
+                           vertex={x: vtr[i] for i, x in enumerate(vids)})
 
 
 def default_epsilon(solution: NetworkSolution) -> float:
@@ -378,7 +385,8 @@ def verify(solution: NetworkSolution, eps_scheme=None, resid_tol=1e-9,
             raise ValidationError(f"unknown check {unknown[0]!r}")
     sc = solution.scenario
     params = solution.params
-    fam, a, lim = _shifted(sc)
+    const = solution.constants
+    fam, a, lim, m0s = const.hamiltonians, const.shift, const.limiter, const.m0
     grid = solution.grid
     eps = default_epsilon(solution) if eps_scheme is None else float(eps_scheme)
     want = None if checks is None else set(checks)
@@ -392,7 +400,6 @@ def verify(solution: NetworkSolution, eps_scheme=None, resid_tol=1e-9,
                       for eid in solution.fields}
     shifted_vertex = {x: solution.vertex[x] - a * t_rel
                       for x in solution.vertex}
-    m0s = solution.constants.m0
 
     if enabled("limiter"):
         rep = validate_flux_limiter(sc.network, sc.limiter_values(),
@@ -404,8 +411,9 @@ def verify(solution: NetworkSolution, eps_scheme=None, resid_tol=1e-9,
         worst, wit = 0.0, {}
         for arc in sc.network.edge_arcs():
             fld = _as_arc_field(solution, arc.id, shifted_fields[arc.id])
-            r = max(subsolution_residual(fld, fam[arc.id], params.theta[arc.id]),
-                    supersolution_residual(fld, fam[arc.id], params.theta[arc.id]))
+            res = _interior_residuals(fld, fam[arc.id], params.theta[arc.id])
+            r = max(0.0, float(np.max(res, initial=-np.inf)),
+                    -float(np.min(res, initial=np.inf)))
             if r > worst:
                 worst, wit = r, {"edge": arc.id}
         out.append(CheckResult("interior_residual", worst <= resid_tol,
@@ -449,7 +457,7 @@ def verify(solution: NetworkSolution, eps_scheme=None, resid_tol=1e-9,
         worst = -np.inf
         for arc in sc.network.edge_arcs():
             sl = np.max(np.abs(np.diff(solution.fields[arc.id], axis=1))) * grid.ns
-            worst = max(worst, float(sl) - solution.constants.l_bound[arc.id])
+            worst = max(worst, float(sl) - const.l_bound[arc.id])
         out.append(CheckResult("space_lipschitz", worst <= eps, eps - worst))
 
     if enabled("vertex_continuity"):

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ScenarioParseError
+from .errors import ScenarioParseError, ValidationError
 from .hamiltonians import (
     abs_hamiltonian,
     family_from_edges,
@@ -44,7 +44,7 @@ from .hamiltonians import (
 from .network import build_network
 from .network_solver import CHECK_NAMES, Scenario
 
-__all__ = ["RunOptions", "parse_scenario", "parse_scenario_file"]
+__all__ = ["RunOptions", "parse_checks", "parse_scenario", "parse_scenario_file"]
 
 _SECTIONS = ("vertices", "edges", "limiter", "initial", "run")
 
@@ -60,6 +60,29 @@ class RunOptions:
 
 def _fail(msg, line):
     raise ScenarioParseError(msg, line)
+
+
+def parse_checks(text, line=None):
+    """``all | none | a,b,c`` as the tuple of check names verify runs."""
+    if text == "all":
+        return CHECK_NAMES
+    if text == "none":
+        return ()
+    wanted = tuple(c.strip() for c in text.split(",") if c.strip())
+    for c in wanted:
+        if c not in CHECK_NAMES:
+            _fail(f"unknown check {c!r}", line)
+    return wanted
+
+
+def _numbered(items, at):
+    """The items of (line, item) pairs; at[0] is the line of the item last
+    taken (None after the last), where build_network, which checks each item
+    as it takes it, failed."""
+    for lineno, item in items:
+        at[0] = lineno
+        yield item
+    at[0] = None
 
 
 def _floats(text, line):
@@ -152,7 +175,6 @@ def parse_scenario(text, name="scenario", ns=None, horizon=None, cfl=None):
         raise ScenarioParseError("no [edges] section")
 
     run = RunOptions()
-    checks = "all"
     for lineno, line in sections["run"]:
         if "=" not in line:
             _fail("run entries are key = value", lineno)
@@ -166,7 +188,7 @@ def parse_scenario(text, name="scenario", ns=None, horizon=None, cfl=None):
         elif k == "cfl":
             run.cfl = float(v)
         elif k == "checks":
-            checks = v
+            run.checks = parse_checks(v, lineno)
         else:
             _fail(f"unknown run key {k!r}", lineno)
     if ns is not None:
@@ -176,27 +198,15 @@ def parse_scenario(text, name="scenario", ns=None, horizon=None, cfl=None):
     if cfl is not None:
         run.cfl = float(cfl)
         run.dt = None
-    if checks == "all":
-        run.checks = CHECK_NAMES
-    elif checks == "none":
-        run.checks = ()
-    else:
-        wanted = tuple(c.strip() for c in checks.split(",") if c.strip())
-        for c in wanted:
-            if c not in CHECK_NAMES:
-                raise ScenarioParseError(f"unknown check {c!r}")
-        run.checks = wanted
 
     vertices = []
     for lineno, line in sections["vertices"]:
-        toks = line.split()
-        if len(toks) == 1:
-            vertices.append(toks[0])
-        else:
-            try:
-                vertices.append((toks[0], [float(x) for x in toks[1:]]))
-            except ValueError:
-                _fail("vertex coordinates must be numbers", lineno)
+        vid, *coords = line.split()
+        try:
+            item = (vid, [float(x) for x in coords]) if coords else vid
+        except ValueError:
+            _fail("vertex coordinates must be numbers", lineno)
+        vertices.append((lineno, item))
 
     edges = []
     per_edge_h = {}
@@ -205,14 +215,14 @@ def parse_scenario(text, name="scenario", ns=None, horizon=None, cfl=None):
         if len(toks) < 4:
             _fail("edge lines are: id start end kind [key=value ...]", lineno)
         eid, u, v, kind = toks[:4]
-        edges.append((eid, u, v))
+        edges.append((lineno, (eid, u, v)))
         per_edge_h[eid] = _edge_hamiltonian(kind, _kv(toks[4:], lineno), lineno)
 
-    from .errors import ValidationError
+    at = [None]
     try:
-        net = build_network(vertices, edges)
+        net = build_network(_numbered(vertices, at), _numbered(edges, at))
     except ValidationError as e:
-        raise ScenarioParseError(str(e))
+        raise ScenarioParseError(str(e), at[0]) from e
     fam = family_from_edges(net, per_edge_h)
 
     limiter = {}
@@ -234,7 +244,7 @@ def parse_scenario(text, name="scenario", ns=None, horizon=None, cfl=None):
                     f"no flux limiter for vertex {x!r} and no default")
             limiter[x] = default_c
 
-    initial = {eid: np.zeros(run.ns + 1) for eid, _, _ in edges}
+    initial = {eid: np.zeros(run.ns + 1) for _, (eid, _, _) in edges}
     for lineno, line in sections["initial"]:
         toks = line.split()
         if toks[0] not in initial:

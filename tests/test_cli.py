@@ -85,6 +85,24 @@ def test_parse_errors_carry_line_numbers():
         parse_scenario(TRIPOD.replace("[limiter]", "[limiterz]"))
 
 
+@pytest.mark.parametrize("old,new", [
+    ("e1 x1 x0", "e,1 x1 x0"),
+    ("e2 x2 x0", "e1 x2 x0"),
+    ("e3 x3 x0", "e3 x3 x3"),
+    ("e2 x2 x0", "e2 x9 x0"),
+    ("x3 -0.5 -0.87", "x2 -0.5 -0.87"),
+], ids=["comma_in_id", "duplicate_edge", "loop", "unknown_vertex",
+        "duplicate_vertex"])
+def test_network_errors_carry_the_line_of_their_vertex_or_edge(old, new):
+    text = TRIPOD.replace(old, new)
+    line = next(i for i, ln in enumerate(text.splitlines(), start=1)
+                if ln.startswith(new))
+    with pytest.raises(ScenarioParseError) as err:
+        parse_scenario(text)
+    assert err.value.line == line
+    assert str(err.value).startswith(f"line {line}: ")
+
+
 def test_parse_rejects_ids_with_commas():
     with pytest.raises(ValidationError, match="'e,1'"):
         parse_scenario(TRIPOD.replace("e1 x1 x0", "e,1 x1 x0")

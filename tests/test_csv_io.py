@@ -1,6 +1,7 @@
 """The CSV dumps: byte identity with the per-cell writer, the loader's
 exact round trip and its layout errors."""
 
+import dataclasses
 import os
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 import hjnet as hj
 from hjnet.cli import _dump_slices, load_solution_csv, write_solution_csv
 from hjnet.errors import ValidationError
-from hjnet.network_solver import NetworkSolution, solve_constants
+from hjnet.network_solver import NetworkSolution
 
 from conftest import make_tripod
 
@@ -75,8 +76,7 @@ def awkward_solution():
               "y": np.arange(grid.nt + 1) * 7 - 3,
               "z": rng.normal(size=grid.nt + 1)}
     return NetworkSolution(scenario=sc, params=params, grid=grid,
-                           fields=fields, vertex=vertex,
-                           constants=solve_constants(sc))
+                           fields=fields, vertex=vertex)
 
 
 def test_row_template_writer_matches_the_per_cell_writer(tmp_path):
@@ -150,3 +150,17 @@ def test_loader_names_the_file_and_id_of_a_bad_layout(tmp_path, name, edit,
     path.write_text("".join(edit(lines, arg)))
     with pytest.raises(ValidationError, match=match):
         load_solution_csv(str(out), sc, sol.params)
+
+
+def test_loader_rejects_a_dump_of_another_time_grid(tmp_path):
+    # same block sizes (nt and ns agree), but every step twice as long
+    sc = make_tripod(16)
+    sol = hj.solve(sc)
+    out = str(tmp_path / "grid")
+    write_solution_csv(sol, out)
+    longer = dataclasses.replace(sc, horizon=2.0 * sc.horizon)
+    params = dataclasses.replace(sol.params, dt=2.0 * sol.params.dt)
+    with pytest.raises(ValidationError,
+                       match=r"solution\.csv: edge 'e1' runs from s,t = 0,0 "
+                             r"to 1,2, but the grid from 0,0 to 1,4$"):
+        load_solution_csv(out, longer, params)

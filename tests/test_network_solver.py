@@ -1,15 +1,19 @@
 """Network solver: constants, closed forms, well-posedness checks."""
 
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import hjnet as hj
 from hjnet.errors import CFLViolationError, NonNegativeSlopeError, ValidationError
+from hjnet import network_solver
+from hjnet.hamiltonians import shift_hamiltonian
 from hjnet.network_solver import interior_bump
 
-from conftest import make_comb, make_path, make_single_edge, make_tripod
+from conftest import (make_comb, make_mixed, make_path, make_single_edge,
+                      make_tripod)
 
 
 def test_m0_joins_datum_level_and_limiter():
@@ -22,6 +26,37 @@ def test_m0_joins_datum_level_and_limiter():
 
     sc0 = make_single_edge(50, c=-1.0)
     assert hj.compute_m0(sc0) == 1.0  # zero datum: level H(0) = 1 = |c|
+
+
+def test_normalization_is_derived_once_per_scenario(monkeypatch):
+    calls = Counter()
+
+    def counted(name):
+        fn = getattr(network_solver, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("positive_shift", "sublevel_width"):
+        monkeypatch.setattr(network_solver, name, counted(name))
+    sc = make_mixed(12)
+    n_edges = len(sc.network.edge_arcs())
+    sol = hj.solve(sc, hj.plan_solve(sc))
+    hj.verify(sol)
+    assert calls == {"positive_shift": 1, "sublevel_width": n_edges}
+    assert sol.constants is sc.constants
+
+    # a changed input is a new object with its own record
+    lowered = dataclasses.replace(
+        sc, limiter={x: c - 0.5 for x, c in sc.limiter.items()},
+        hamiltonians=hj.HamiltonianFamily(
+            {a: shift_hamiltonian(H, -0.5)
+             for a, H in sc.hamiltonians.by_arc.items()}))
+    assert lowered.constants.shift == pytest.approx(sc.constants.shift + 0.5,
+                                                    abs=1e-12)
+    assert calls == {"positive_shift": 2, "sublevel_width": 2 * n_edges}
 
 
 def test_tripod_closed_form():
