@@ -62,6 +62,7 @@ from .network_solver import (
     restart_check,
     shift_check,
     solve,
+    solve_ensemble,
     stability_sweep,
     validate_scenario,
     verify,

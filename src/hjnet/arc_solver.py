@@ -23,8 +23,9 @@ One batched kernel does every march: ``_lf_step`` advances an (R, ns + 1)
 stack of arc rows of any kinds, with per-row theta, on the column tables of
 ``_ArcStack``, and returns the interior update and both state-constraint
 endpoint candidates; the caller applies the sides.  It serves
-``max_subsolution`` (R = 1), the network solver (all edges), the
-certificate (all arc transforms) and the residual scans.
+``max_subsolution`` (R = 1), the network solver (all edges of every
+scenario it marches together), the certificate (all arc transforms) and the
+residual scans.
 
 Also provided: the exact cone solution of w_t - M |w'| = 0 used as a
 finite-speed oracle, Lipschitz envelopes, t-partial sup-convolution, minimum
@@ -401,28 +402,31 @@ def glue_in_time(early: ArcField, late: ArcField, tol=1e-12) -> ArcField:
                     max_slope=max(early.max_slope, late.max_slope))
 
 
-def _interior_residuals(field: ArcField, H, theta=None):
-    grid = field.grid
-    if grid.nt == 0:
-        return np.zeros((0, max(grid.ns - 1, 0)))
+def _interior_residuals(u, H, theta, dt):
+    """u_t + Hhat at the interior nodes of the rows u (nt+1, ns+1)."""
+    if u.shape[0] == 1:
+        return np.zeros((0, max(u.shape[1] - 2, 0)))
+    hh = _lf_step(_ArcStack([H], u.shape[1] - 1), u[:-1], 0.5 * theta, dt)[2]
+    return np.diff(u[:, 1:-1], axis=0) / dt + hh[:, 1:-1]
+
+
+def _field_residuals(field: ArcField, H, theta):
     if theta is None:
         theta = field.theta
     if theta is None:
         theta = momentum_lipschitz(H, field.max_slope + 1.0)
-    u = field.values
-    hh = _lf_step(_ArcStack([H], grid.ns), u[:-1], 0.5 * theta, grid.dt)[2]
-    return np.diff(u[:, 1:-1], axis=0) / grid.dt + hh[:, 1:-1]
+    return _interior_residuals(field.values, H, theta, field.grid.dt)
 
 
 def subsolution_residual(field, H, theta=None) -> float:
     """Positive part of the worst interior violation of u_t + Hhat <= 0."""
-    r = _interior_residuals(field, H, theta)
+    r = _field_residuals(field, H, theta)
     return float(max(0.0, np.max(r, initial=-np.inf)))
 
 
 def supersolution_residual(field, H, theta=None) -> float:
     """Positive part of the worst interior violation of u_t + Hhat >= 0."""
-    r = _interior_residuals(field, H, theta)
+    r = _field_residuals(field, H, theta)
     return float(max(0.0, -np.min(r, initial=np.inf)))
 
 

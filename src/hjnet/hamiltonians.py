@@ -21,6 +21,7 @@ forward arcs extends uniquely to the inverse arcs.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -52,7 +53,13 @@ _KINDS = ("quadratic", "abs", "sampled")
 
 @dataclass(frozen=True)
 class ArcHamiltonian:
-    """Evaluable Hamiltonian on one arc, parametrized on s in [0,1]."""
+    """Evaluable Hamiltonian on one arc, parametrized on s in [0,1].
+
+    Its arrays are never written in place (``replace`` makes a new object),
+    so the invariants derived on the default check grid are cached on the
+    object: min_p H behind ``c_gamma`` and ``global_min``, and the
+    ``sublevel_width`` of every level asked for.
+    """
 
     kind: str
     s_knots: np.ndarray
@@ -65,6 +72,14 @@ class ArcHamiltonian:
 
     def __call__(self, s, p):
         return evaluate(self, s, p)
+
+    @cached_property
+    def _min_p(self):
+        return _min_over_p(self, _s_check_grid(self))
+
+    @cached_property
+    def _widths(self):
+        return {}
 
 
 def _make_knots(n, s_knots):
@@ -226,16 +241,22 @@ def c_gamma(H, s_grid=None, p_grid=None):
     Symbolic kinds use the closed-form per-s minimizer; the sampled kind
     scans its momentum knots (p_grid overrides).
     """
-    s = _s_check_grid(H, s_grid)
     if H.kind == "sampled" and p_grid is not None:
-        vals = _Columns([H], s)(np.asarray(p_grid, dtype=float)[:, None])
+        vals = _Columns([H], _s_check_grid(H, s_grid))(
+            np.asarray(p_grid, dtype=float)[:, None])
         return -float(np.max(np.min(vals, axis=0)))
-    return -float(np.max(_min_over_p(H, s)))
+    return -float(np.max(_min_p_on(H, s_grid)))
 
 
 def global_min(H, s_grid=None):
     """min over (s,p) of H on the check grid."""
-    return float(np.min(_min_over_p(H, _s_check_grid(H, s_grid))))
+    return float(np.min(_min_p_on(H, s_grid)))
+
+
+def _min_p_on(H, s_grid):
+    if s_grid is None:
+        return H._min_p
+    return _min_over_p(H, _s_check_grid(H, s_grid))
 
 
 def reverse_hamiltonian(H):
@@ -285,6 +306,9 @@ def sublevel_width(H, M, s_grid=None, tol=1e-12):
     Convexity in p makes {p : max_s H(s,p) <= M} an interval; coercivity
     bounds it.  Raises EmptySublevelError when the interval is empty.
     """
+    key = (M, tol)
+    if s_grid is None and key in H._widths:
+        return H._widths[key]
     s = _s_check_grid(H, s_grid)
     cols = _Columns([H], s)
 
@@ -334,7 +358,10 @@ def sublevel_width(H, M, s_grid=None, tol=1e-12):
                 outside = mid
         return inside
 
-    return max(abs(root(+1.0)), abs(root(-1.0)))
+    width = max(abs(root(+1.0)), abs(root(-1.0)))
+    if s_grid is None:
+        H._widths[key] = width
+    return width
 
 
 def momentum_lipschitz(H, M_bound):

@@ -10,6 +10,12 @@ the one-step recursion of the slope-cap transform at the flux limiter c_x,
 applied online, and writes v[k+1] back to both ends of its edges, so all
 traces at a vertex agree exactly.
 
+One march serves one scenario or many: ``solve_ensemble`` stacks the edges
+of several scenarios on one grid into one array and their vertex groups into
+one reduction, with nothing coupling two members, and ``solve`` is its
+one-member case.  The contraction, shift and stability checks march the
+runs they compare in one call.
+
 Everything runs on a normalized family with strictly positive Hamiltonians
 (adding a constant a to all of them and subtracting it from the limiter);
 the output is corrected back by u -> u + a (t - t0).  ``Scenario.constants``
@@ -29,16 +35,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .arc_solver import (
-    ArcField,
-    Grid2D,
-    _ArcStack,
-    _arc_theta,
-    _interior_residuals,
-    _lf_step,
-    free,
+from .arc_solver import Grid2D, _ArcStack, _interior_residuals, _lf_step
+from .errors import (
+    CFLViolationError,
+    GridMismatchError,
+    NonNegativeSlopeError,
+    ValidationError,
 )
-from .errors import CFLViolationError, NonNegativeSlopeError, ValidationError
 from .hamiltonians import (
     HamiltonianFamily,
     global_min,
@@ -61,6 +64,7 @@ __all__ = [
     "compute_m0",
     "plan_solve",
     "solve",
+    "solve_ensemble",
     "verify",
     "CHECK_NAMES",
     "default_epsilon",
@@ -265,37 +269,78 @@ def solve(scenario: Scenario, params: SolveParams | None = None) -> NetworkSolut
     the vertices step by step."""
     if params is None:
         params = plan_solve(scenario)
-    net = scenario.network
-    const = scenario.constants
-    fam, shift_a, lim = const.hamiltonians, const.shift, const.limiter
-    ns, dt, nt = params.ns, params.dt, params.nt
-    edges = net.edge_arcs()
-    n_e = len(edges)
-    vids = net.vertex_ids()
-    for x in vids:
-        if not lim[x] < 0:
-            raise NonNegativeSlopeError(
-                f"flux limiter at vertex {x!r} must be negative after the "
-                f"positivity shift, got {lim[x]}")
-    c_dt = np.array([lim[x] for x in vids]) * dt
-    grid = Grid2D(ns, scenario.t0, dt, nt)
-    init = [np.asarray(scenario.initial[a.id], dtype=float) for a in edges]
-    half_theta = 0.5 * np.array([[_arc_theta(fam[a.id], g, free(), free(),
-                                             grid, params.theta[a.id])]
-                                 for a, g in zip(edges, init)])
-    u = np.array(init)
-    tab = _ArcStack([fam[a.id] for a in edges], ns)
+    return solve_ensemble([scenario], params)[0]
 
-    # endpoint slots: column 0 of edge i is slot i (its reverse arc ends
-    # there), column ns is slot E + i; vertex groups follow incident_arcs
-    slot = {a.id: n_e + i for i, a in enumerate(edges)}
-    slot.update({a.inverse_id: i for i, a in enumerate(edges)})
-    into = net.incidence()
-    order = np.array([slot[aid] for x in vids for aid in into[x]])
-    starts = np.cumsum([0] + [len(into[x]) for x in vids[:-1]])
-    vix = {x: i for i, x in enumerate(vids)}
-    start_ix = np.array([vix[a.start] for a in edges])
-    end_ix = np.array([vix[a.end] for a in edges])
+
+def solve_ensemble(scenarios, params: SolveParams) -> list:
+    """March scenarios that share one grid together; one solution each.
+
+    The members' edges stack into one (sum E, ns+1) array and their vertex
+    groups into one min-reduction order, each member's slots offset past the
+    ones before it, so no vertex couples two members and every member gets
+    bitwise the solution it gets alone on ``params``.  Plan comparable runs
+    with ``plan_solve(sc, others=...)``; members may come from different
+    networks as long as ``params.theta`` covers every edge id.
+    """
+    scenarios = list(scenarios)
+    if not scenarios:
+        raise ValidationError("an ensemble needs at least one scenario")
+    ns, dt, nt = params.ns, params.dt, params.nt
+    grid = Grid2D(ns, scenarios[0].t0, dt, nt)
+    n_rows = sum(len(sc.network.edge_arcs()) for sc in scenarios)
+    hams, init, theta, c_x = [], [], [], []
+    order, group_len, start_ix, end_ix = [], [], [], []
+    members = []
+    for sc in scenarios:
+        if sc.ns != ns or sc.t0 != grid.t0:
+            raise GridMismatchError(
+                f"scenario {sc.name!r} (ns={sc.ns}, t0={sc.t0}) is off the "
+                f"ensemble grid (ns={ns}, t0={grid.t0})")
+        const = sc.constants
+        net = sc.network
+        edges, vids = net.edge_arcs(), net.vertex_ids()
+        r0, v0 = len(init), len(c_x)
+        for x in vids:
+            if not const.limiter[x] < 0:
+                raise NonNegativeSlopeError(
+                    f"flux limiter at vertex {x!r} must be negative after the "
+                    f"positivity shift, got {const.limiter[x]}")
+            c_x.append(const.limiter[x])
+        for a in edges:
+            g = np.asarray(sc.initial[a.id], dtype=float)
+            if g.shape != (ns + 1,):
+                raise GridMismatchError(
+                    f"initial datum of edge {a.id!r} must have {ns + 1} samples")
+            if a.id not in params.theta:
+                raise ValidationError(f"params carry no theta for edge {a.id!r}")
+            th = float(params.theta[a.id])
+            if dt * th > grid.ds * (1.0 + 1e-12):
+                raise CFLViolationError(
+                    f"edge {a.id!r}: dt*theta = {dt * th:.3e} exceeds "
+                    f"ds = {grid.ds:.3e}")
+            hams.append(const.hamiltonians[a.id])
+            init.append(g)
+            theta.append(th)
+        # endpoint slots: column 0 of row r is slot r (its reverse arc ends
+        # there), column ns is slot n_rows + r; groups follow incident_arcs
+        slot = {a.id: n_rows + r0 + i for i, a in enumerate(edges)}
+        slot.update({a.inverse_id: r0 + i for i, a in enumerate(edges)})
+        into = net.incidence()
+        for x in vids:
+            order += [slot[aid] for aid in into[x]]
+            group_len.append(len(into[x]))
+        vix = {x: v0 + i for i, x in enumerate(vids)}
+        start_ix += [vix[a.start] for a in edges]
+        end_ix += [vix[a.end] for a in edges]
+        members.append((sc, edges, vids, r0, v0, const.shift))
+
+    u = np.array(init)
+    half_theta = 0.5 * np.array(theta)[:, None]
+    c_dt = np.array(c_x) * dt
+    tab = _ArcStack(hams, ns)
+    order = np.array(order)
+    starts = np.cumsum([0] + group_len[:-1])
+    start_ix, end_ix = np.array(start_ix), np.array(end_ix)
 
     def ends(rows):
         return np.concatenate([rows[:, 0], rows[:, -1]])
@@ -303,9 +348,9 @@ def solve(scenario: Scenario, params: SolveParams | None = None) -> NetworkSolut
     def vertex_min(slots):
         return np.minimum.reduceat(slots[order], starts)
 
-    fields = np.empty((n_e, nt + 1, ns + 1))
+    fields = np.empty((n_rows, nt + 1, ns + 1))
     fields[:, 0] = u
-    vtr = np.empty((len(vids), nt + 1))
+    vtr = np.empty((len(c_x), nt + 1))
     vtr[:, 0] = ends(u)[order[starts]]
     vval = vertex_min(ends(u))
     for k in range(1, nt + 1):
@@ -316,13 +361,19 @@ def solve(scenario: Scenario, params: SolveParams | None = None) -> NetworkSolut
         fields[:, k] = u
         vtr[:, k] = vval
 
-    if shift_a != 0.0:
-        tshift = shift_a * (np.arange(nt + 1) * dt)
-        fields += tshift[:, None]
-        vtr += tshift
-    return NetworkSolution(scenario=scenario, params=params, grid=grid,
-                           fields={a.id: fields[i] for i, a in enumerate(edges)},
-                           vertex={x: vtr[i] for i, x in enumerate(vids)})
+    sols = []
+    for sc, edges, vids, r0, v0, shift_a in members:
+        f = fields[r0:r0 + len(edges)]
+        v = vtr[v0:v0 + len(vids)]
+        if shift_a != 0.0:
+            tshift = shift_a * (np.arange(nt + 1) * dt)
+            f += tshift[:, None]
+            v += tshift
+        sols.append(NetworkSolution(
+            scenario=sc, params=params, grid=grid,
+            fields={a.id: f[i] for i, a in enumerate(edges)},
+            vertex={x: v[i] for i, x in enumerate(vids)}))
+    return sols
 
 
 def default_epsilon(solution: NetworkSolution) -> float:
@@ -410,8 +461,8 @@ def verify(solution: NetworkSolution, eps_scheme=None, resid_tol=1e-9,
     if enabled("interior_residual"):
         worst, wit = 0.0, {}
         for arc in sc.network.edge_arcs():
-            fld = _as_arc_field(solution, arc.id, shifted_fields[arc.id])
-            res = _interior_residuals(fld, fam[arc.id], params.theta[arc.id])
+            res = _interior_residuals(shifted_fields[arc.id], fam[arc.id],
+                                      params.theta[arc.id], grid.dt)
             r = max(0.0, float(np.max(res, initial=-np.inf)),
                     -float(np.min(res, initial=np.inf)))
             if r > worst:
@@ -496,12 +547,6 @@ def verify(solution: NetworkSolution, eps_scheme=None, resid_tol=1e-9,
     return VerifyReport(out, eps)
 
 
-def _as_arc_field(solution, edge_id, values):
-    return ArcField(grid=solution.grid, values=values, left=free(),
-                    right=free(), initial=values[0],
-                    theta=solution.params.theta[edge_id])
-
-
 def calibrate_epsilon(scenario: Scenario, levels=3):
     """Fit the scheme-error constant from a grid-refinement study.
 
@@ -552,9 +597,8 @@ def contraction_check(scenario: Scenario, initial2: dict,
     """Nonexpansiveness in the initial datum, on one shared grid."""
     sc2 = replace(scenario, initial={k: np.asarray(v, dtype=float)
                                      for k, v in initial2.items()})
-    params = plan_solve(scenario, others=[sc2])
-    u1 = solve(scenario, params)
-    u2 = solve(sc2, params)
+    u1, u2 = solve_ensemble([scenario, sc2],
+                            plan_solve(scenario, others=[sc2]))
     gap = max(float(np.max(np.abs(np.asarray(scenario.initial[e])
                                   - np.asarray(sc2.initial[e]))))
               for e in scenario.initial)
@@ -577,15 +621,22 @@ class ShiftReport:
 
 def shift_check(scenario: Scenario, a: float, tol=1e-12) -> ShiftReport:
     """Adding a to all Hamiltonians and subtracting it from the limiter
-    must reproduce the solution minus a*(t-t0), to near machine accuracy."""
+    must reproduce the solution minus a*(t-t0), to near machine accuracy.
+
+    Each run is planned on its own and must land on the same time grid; both
+    then march on the original run's parameters.  The two plans' theta may
+    differ in the last bit (the sublevel-width bisection runs at levels a
+    apart), and one shared theta makes the identity exact for the scheme.
+    """
     fam2 = HamiltonianFamily({aid: shift_hamiltonian(H, a)
                               for aid, H in scenario.hamiltonians.by_arc.items()})
     lim2 = {x: c - a for x, c in scenario.limiter_values().items()}
     sc2 = replace(scenario, hamiltonians=fam2, limiter=lim2)
-    u1 = solve(scenario)
-    u2 = solve(sc2)
-    if u1.grid.nt != u2.grid.nt:
+    params = plan_solve(scenario)
+    p2 = plan_solve(sc2)
+    if (p2.ns, p2.dt, p2.nt) != (params.ns, params.dt, params.nt):
         raise ValidationError("shifted run landed on a different grid")
+    u1, u2 = solve_ensemble([scenario, sc2], params)
     t_rel = u1.grid.t_nodes() - u1.grid.t0
     dev = max(float(np.max(np.abs(u2.fields[e] + a * t_rel[:, None]
                                   - u1.fields[e])))
@@ -636,9 +687,9 @@ def stability_sweep(scenario: Scenario, eps_h=0.0, eps_c=0.0, eps_g=0.0,
             init = {e: v + bump for e, v in init.items()}
         perturbed.append(replace(scenario, hamiltonians=fam, limiter=lim,
                                  initial=init))
-    params = plan_solve(scenario, others=perturbed)
-    base = solve(scenario, params)
-    diffs = [solve(sc, params).sup_diff(base) for sc in perturbed]
+    base, *runs = solve_ensemble([scenario, *perturbed],
+                                 plan_solve(scenario, others=perturbed))
+    diffs = [sol.sup_diff(base) for sol in runs]
     eps = default_epsilon(base) if eps_scheme is None else float(eps_scheme)
     mono = all(diffs[i + 1] <= diffs[i] + eps for i in range(len(diffs) - 1))
     return StabilityReport(diffs=diffs, monotone_ok=mono, eps_used=eps)

@@ -12,7 +12,7 @@ import pytest
 
 import hjnet as hj
 from hjnet.network_solver import interior_bump
-from hjnet.semidiscrete import VertexTraceSet, discr_residual
+from hjnet.semidiscrete import VertexTraceSet, discr_compare, discr_residual
 from hjnet.slope_cap import TimeSeries, apply_g, apply_g_bruteforce, contact_set
 
 from conftest import dyadic_series, eps_at, make_path, make_tripod
@@ -279,9 +279,7 @@ def test_c08_network_comparison_and_maximality(tripod_pack):
         kind = "tripod" if trial % 2 == 0 else "path"
         sc, g2 = _random_ordered_pair(rng, kind, ns=64)
         sc2 = dataclasses.replace(sc, initial=g2)
-        params = hj.plan_solve(sc, others=[sc2])
-        u1 = hj.solve(sc, params)
-        u2 = hj.solve(sc2, params)
+        u1, u2 = hj.solve_ensemble([sc, sc2], hj.plan_solve(sc, others=[sc2]))
         for e in u1.fields:
             worst_gap = max(worst_gap, float(np.max(u1.fields[e] - u2.fields[e])))
     assert worst_gap <= 1e-11
@@ -297,10 +295,41 @@ def test_c08_network_comparison_and_maximality(tripod_pack):
         assert np.all(ramp[:, None] <= sol.fields[e] + eps)
     for x in sol.vertex:
         assert np.all(ramp <= sol.vertex[x] + eps)
-        assert np.all(sol.vertex[x] - 0.5 <= sol.vertex[x] + eps)
-        assert np.all(sol.vertex[x] - 0.1 * t_rel <= sol.vertex[x] + eps)
+
+    # the discrete comparison of the vertex-trace system, against the
+    # solution, on subsolution trace sets that are not trivially ordered
+    sc = sol.scenario
+    low = dataclasses.replace(sc, limiter={**sc.limiter,
+                                           "x0": sc.limiter["x0"] - 0.3})
+    params = hj.plan_solve(sc, others=[low])
+    u, u_low = hj.solve_ensemble([sc, low], params)
+    sup = u.trace_set()
+
+    def compare(sub):
+        return discr_compare(sub, sup, sc.network, sc.hamiltonians,
+                             sc.limiter_values(), eps, thetas=params.theta)
+
+    # cap at c' <= c stays below cap at c: a subsolution trace set
+    lowered = compare(u_low.trace_set())
+    assert lowered.ok, lowered
+    assert float(np.max(sup.traces["x0"] - u_low.vertex["x0"])) > 0.5
+    t = u.grid.t_nodes() - u.grid.t0
+    ramp_set = VertexTraceSet(u.grid, {x: floor - K * t for x in u.vertex},
+                              {e: np.full(sc.ns + 1, floor) for e in u.fields})
+    ramped = compare(ramp_set)
+    assert ramped.ok, ramped
+    # control: lifting the centre 2 eps above the solution for t > 1 breaks
+    # the subsolution precondition by more than eps
+    traces = {x: v.copy() for x, v in sup.traces.items()}
+    traces["x0"] = traces["x0"] + 2.0 * eps * (t > 1.0)
+    lifted = compare(VertexTraceSet(u.grid, traces, sup.initial))
+    assert not lifted.ok
+    assert lifted.precondition_gaps["sub"] > eps
     _announce(8, True, f"20 ordered scenario pairs, worst gap {worst_gap:.2e}; "
-                       "handcrafted subsolutions dominated")
+                       f"lowered limiter margin {lowered.margin:.3f} and ramp "
+                       f"margin {ramped.margin:.1e} compare below the "
+                       f"solution; a 2 eps lift fails by "
+                       f"{lifted.precondition_gaps['sub']:.3f} > eps {eps:.3f}")
 
 
 # ---------------------------------------------------------------- criterion 9

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import hjnet as hj
+from hjnet import hamiltonians
 from hjnet.errors import EmptySublevelError
 from hjnet.hamiltonians import (
     global_min,
@@ -178,6 +179,46 @@ def test_sublevel_width_nondecreasing_in_level(habs):
 def test_sublevel_width_empty(hquad):
     with pytest.raises(EmptySublevelError):
         hj.sublevel_width(hj.quadratic_hamiltonian(kappa=2.0), 1.0)
+
+
+def test_invariants_are_derived_once_per_hamiltonian(monkeypatch):
+    calls = {"min_over_p": 0, "columns": 0}
+    min_over_p, columns = hamiltonians._min_over_p, hamiltonians._Columns
+
+    def counted_min(H, s):
+        calls["min_over_p"] += 1
+        return min_over_p(H, s)
+
+    def counted_columns(hams, s):
+        calls["columns"] += 1
+        return columns(hams, s)
+
+    monkeypatch.setattr(hamiltonians, "_min_over_p", counted_min)
+    monkeypatch.setattr(hamiltonians, "_Columns", counted_columns)
+    H = hj.abs_hamiltonian(alpha=[1.0, 2.0, 1.5], beta=[0.0, 0.4, -0.2],
+                           kappa=-0.5)
+    grid = np.union1d(H.s_knots, np.linspace(0.0, 1.0, 257))  # the default
+    cg, gm = hj.c_gamma(H), global_min(H)
+    assert calls["min_over_p"] == 1
+    assert hj.c_gamma(H) == cg and global_min(H) == gm
+    assert calls["min_over_p"] == 1
+    # bitwise the values an explicit grid derives afresh
+    assert hj.c_gamma(H, s_grid=grid) == cg and global_min(H, grid) == gm
+    assert calls["min_over_p"] == 3
+
+    w = hj.sublevel_width(H, 2.0)
+    n = calls["columns"]
+    assert hj.sublevel_width(H, 2.0) == w and calls["columns"] == n
+    assert hj.sublevel_width(H, 2.0, s_grid=grid) == w
+    assert hj.sublevel_width(H, 3.0) > w
+    assert calls["columns"] == n + 2
+
+    # a replaced Hamiltonian is a new object with its own invariants
+    raised = shift_hamiltonian(H, 1.0)
+    assert hj.c_gamma(raised) == pytest.approx(cg - 1.0, abs=1e-12)
+    assert calls["min_over_p"] == 4
+    with pytest.raises(EmptySublevelError):
+        hj.sublevel_width(raised, -5.0)
 
 
 def test_momentum_lipschitz(habs, hquad):

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import hjnet as hj
-from hjnet.errors import CFLViolationError, NonNegativeSlopeError, ValidationError
+from hjnet.errors import (CFLViolationError, GridMismatchError, HJNetError,
+                          NonNegativeSlopeError, ValidationError)
 from hjnet import network_solver
 from hjnet.hamiltonians import shift_hamiltonian
 from hjnet.network_solver import interior_bump
@@ -246,6 +247,110 @@ def test_solve_rejects_nonnegative_shifted_limiter():
     bad = dataclasses.replace(sc, limiter={**sc.limiter, "x0": 0.5})
     with pytest.raises(NonNegativeSlopeError, match="vertex 'x0'"):
         hj.solve(bad, params)
+
+
+def _ensemble_equals_solo_solves(members, params):
+    sols = hj.solve_ensemble(members, params)
+    assert len(sols) == len(members)
+    for sc, sol in zip(members, sols):
+        alone = hj.solve(sc, params)
+        assert sol.scenario is sc and sol.params is params
+        assert sol.grid == alone.grid
+        assert sorted(sol.fields) == sorted(alone.fields)
+        assert sorted(sol.vertex) == sorted(alone.vertex)
+        for e in alone.fields:
+            assert np.array_equal(sol.fields[e], alone.fields[e]), (sc.name, e)
+        for x in alone.vertex:
+            assert np.array_equal(sol.vertex[x], alone.vertex[x]), (sc.name, x)
+    return sols
+
+
+def test_ensemble_members_equal_their_own_solves():
+    # make_mixed: all three kinds, a cycle, a multi-edge, a non-zero shift
+    for sc in (make_mixed(16), make_comb(0)):
+        lifted = dataclasses.replace(
+            sc, initial={e: v + 0.1 for e, v in sc.initial.items()})
+        bumped = dataclasses.replace(
+            sc, initial={e: v + interior_bump(sc.ns, 0.2)
+                         for e, v in sc.initial.items()})
+        members = [sc, lifted, bumped]
+        _ensemble_equals_solo_solves(
+            members, hj.plan_solve(sc, others=members[1:]))
+
+
+def test_ensemble_members_keep_their_own_positivity_shift():
+    sc = make_mixed(16)
+    raised = dataclasses.replace(
+        sc, limiter={x: c - 2.0 for x, c in sc.limiter.items()},
+        hamiltonians=hj.HamiltonianFamily(
+            {a: shift_hamiltonian(H, 2.0)
+             for a, H in sc.hamiltonians.by_arc.items()}))
+    assert sc.constants.shift > 0.0 and raised.constants.shift == 0.0
+    _ensemble_equals_solo_solves([sc, raised],
+                                 hj.plan_solve(sc, others=[raised]))
+
+
+def test_ensemble_members_may_come_from_different_networks():
+    members = [make_tripod(16, horizon=0.25), make_path(16, horizon=0.25),
+               make_comb(0, ns=16, horizon=0.25)]
+    plans = [hj.plan_solve(sc) for sc in members]
+    finest = min(plans, key=lambda p: p.dt)
+    params = dataclasses.replace(
+        finest, theta={e: th for p in plans for e, th in p.theta.items()})
+    sols = _ensemble_equals_solo_solves(members, params)
+    assert [len(s.fields) for s in sols] == [3, 2, 8]
+
+
+def test_ensemble_rejects_members_off_its_grid():
+    sc = make_tripod(16, horizon=0.25)
+    params = hj.plan_solve(sc)
+    with pytest.raises(ValidationError, match="at least one scenario"):
+        hj.solve_ensemble([], params)
+    with pytest.raises(GridMismatchError, match="ns=20"):
+        hj.solve_ensemble([sc, make_tripod(20, horizon=0.25)], params)
+    with pytest.raises(GridMismatchError, match="t0=0.5"):
+        hj.solve_ensemble([sc, dataclasses.replace(sc, t0=0.5)], params)
+    with pytest.raises(ValidationError, match="no theta for edge 'a'"):
+        hj.solve_ensemble([sc, make_path(16, horizon=0.25)], params)
+    fast = dataclasses.replace(params, theta={**params.theta,
+                                              "e2": 2.0 * params.theta["e2"]})
+    with pytest.raises(CFLViolationError, match="edge 'e2'"):
+        hj.solve_ensemble([sc], fast)
+    bad = dataclasses.replace(sc, limiter={**sc.limiter, "x0": 0.5})
+    with pytest.raises(NonNegativeSlopeError, match="vertex 'x0'"):
+        hj.solve_ensemble([sc, bad], params)
+    for err in (GridMismatchError, CFLViolationError, NonNegativeSlopeError):
+        assert issubclass(err, HJNetError)
+
+
+def _patch_shifted_plan(monkeypatch, sc, change):
+    """plan_solve that hands every scenario but sc a changed plan."""
+    plan = network_solver.plan_solve
+
+    def patched(scenario, *args, **kwargs):
+        params = plan(scenario, *args, **kwargs)
+        return params if scenario is sc else change(params)
+
+    monkeypatch.setattr(network_solver, "plan_solve", patched)
+
+
+def test_shift_check_requires_the_shifted_run_on_the_same_grid(monkeypatch):
+    sc = make_tripod(40)
+    assert hj.shift_check(sc, 1.0).ok
+    _patch_shifted_plan(monkeypatch, sc, lambda p: dataclasses.replace(
+        p, nt=p.nt + 1, dt=sc.horizon / (p.nt + 1)))
+    with pytest.raises(ValidationError, match="different grid"):
+        hj.shift_check(sc, 1.0)
+
+
+def test_shift_check_marches_both_runs_on_one_theta(monkeypatch):
+    # at ns=8 the path's two plans differ in the last bit of theta on the
+    # quadratic edge; both runs march on the original's, so nothing raises
+    sc = make_path(8)
+    rep = hj.shift_check(sc, 1.0)
+    _patch_shifted_plan(monkeypatch, sc, lambda p: dataclasses.replace(
+        p, theta={e: 2.0 * th for e, th in p.theta.items()}))
+    assert hj.shift_check(sc, 1.0) == rep and rep.ok
 
 
 def test_handcrafted_subsolutions_stay_below_the_solution():
