@@ -19,13 +19,15 @@ Boundary handling:
   per-s momentum minimizer), so no information enters from outside and the
   update stays order-preserving.
 
-One batched kernel does every march: ``_lf_step`` advances an (R, ns + 1)
-stack of arc rows of any kinds, with per-row theta, on the column tables of
-``_ArcStack``, and returns the interior update and both state-constraint
-endpoint candidates; the caller applies the sides.  It serves
-``max_subsolution`` (R = 1), the network solver (all edges of every
-scenario it marches together), the certificate (all arc transforms) and the
-residual scans.
+One stepper does every march: ``_ArcStepper``, built once per march on an
+(R, ns + 1) stack of arc rows of any kinds with per-row theta, orders the
+rows so that each kind is one contiguous slice, allocates its slope,
+momentum and Hhat buffers once, and writes each step's update, interior
+nodes and both state-constraint endpoint candidates, into an array the
+caller passes in (the rows themselves allowed); the caller applies the
+sides.  It serves ``max_subsolution`` (R = 1), the network solver (all
+edges of every scenario it marches together), the certificate (all arc
+transforms) and the residual scans (whose Hhat is the stepper's).
 
 Also provided: the exact cone solution of w_t - M |w'| = 0 used as a
 finite-speed oracle, Lipschitz envelopes, t-partial sup-convolution, minimum
@@ -142,45 +144,70 @@ class ArcField:
         return self.values[-1].copy()
 
 
-class _ArcStack:
-    """Column tables of R arcs at the ns + 1 nodes of one s-grid, grouped by
-    kind; p_star[r] holds row r's momentum minimizers at s = 0 and s = 1."""
+class _ArcStepper:
+    """One monotone scheme step for a stack of arc rows, built once per march.
 
-    def __init__(self, hams, ns):
+    The stack holds its rows grouped by kind (sampled ones sharing a knot
+    count): stack row r is ``hams[order[r]]``, so each group is one slice of
+    rows and its column table reads and writes views.  theta is one scalar
+    or one value per Hamiltonian; a single Hamiltonian may serve ``rows``
+    rows.  The slope, momentum, Hhat and scratch buffers, and every view of
+    them a step touches, are made here and reused by every step.
+    """
+
+    def __init__(self, hams, ns, theta, dt, rows=None):
         s = np.linspace(0.0, 1.0, ns + 1)
         groups = {}
         for i, H in enumerate(hams):
             key = (H.kind, 0 if H.p_knots is None else H.p_knots.size)
             groups.setdefault(key, []).append(i)
-        self.groups = [(np.array(idx), _Columns([hams[i] for i in idx], s))
-                       for idx in groups.values()]
+        self.order = np.array([i for idx in groups.values() for i in idx])
+        # momentum minimizers of the rows at s = 0 and at s = 1
         self.p_star = np.stack([momentum_minimizer(H, [0.0, 1.0])
-                                for H in hams])
+                                for H in hams])[self.order].T.copy()
+        half_theta = 0.5 * np.asarray(theta, dtype=float)
+        self.half_theta = (half_theta[self.order, None] if half_theta.ndim
+                           else half_theta)
+        self.ns, self.dt = ns, dt
+        n = len(hams) if rows is None else rows
+        self.pm = pm = np.empty((n, ns))
+        p = np.empty((n, ns + 1))
+        self.hh = hh = np.empty((n, ns + 1))
+        self.tmp = tmp = np.empty((n, ns + 1))
+        self._views = (pm[:, :-1], pm[:, 1:], p[:, 1:-1], hh[:, 1:-1],
+                       tmp[:, 1:-1], pm[:, 0], p[:, 0], pm[:, -1], p[:, -1])
+        bounds = np.cumsum([0] + [len(idx) for idx in groups.values()])
+        self.groups = []
+        for idx, lo, hi in zip(groups.values(), bounds, bounds[1:]):
+            # a lone group takes every row, however many one H serves
+            sl = slice(lo, hi) if len(groups) > 1 else slice(None)
+            self.groups.append((_Columns([hams[i] for i in idx], s),
+                                p[sl], hh[sl], tmp[sl]))
 
-    def __call__(self, p):
-        if len(self.groups) == 1:  # also lets one arc's table take any rows
-            return self.groups[0][1](p)
-        out = np.empty(p.shape)
-        for rows, cols in self.groups:
-            out[rows] = cols(p[rows])
-        return out
+    def hhat(self, u):
+        """Hhat of the rows u (R, ns+1), left in ``hh``, with the cell
+        slopes left in ``pm``.  At the ends Hhat is H at the one-sided slope
+        clipped to the monotone branch (p <= p* at s = 0, p >= p* at s = 1).
+        """
+        pm_lo, pm_hi, p_mid, hh_mid, d, pm_0, p_0, pm_n, p_n = self._views
+        np.subtract(u[:, 1:], u[:, :-1], out=self.pm)
+        self.pm *= self.ns
+        np.add(pm_lo, pm_hi, out=p_mid)
+        p_mid *= 0.5
+        np.minimum(pm_0, self.p_star[0], out=p_0)
+        np.maximum(pm_n, self.p_star[1], out=p_n)
+        for cols, q, h, t in self.groups:
+            cols(q, out=h, tmp=t)
+        np.subtract(pm_hi, pm_lo, out=d)
+        d *= self.half_theta
+        hh_mid -= d
+        return self.hh
 
-
-def _lf_step(tab, u, half_theta, dt):
-    """One step of the rows u (R, ns+1) with half_theta scalar or (R, 1).
-
-    Returns the update (state-constraint candidates in columns 0 and ns), the
-    cell slopes of u, and Hhat, which at the ends is H at the one-sided slope
-    clipped to the monotone branch (p <= p* at s = 0, p >= p* at s = 1).
-    """
-    pm = np.diff(u, axis=1) * (u.shape[1] - 1)
-    p = np.empty(u.shape)
-    p[:, 1:-1] = 0.5 * (pm[:, :-1] + pm[:, 1:])
-    p[:, 0] = np.minimum(pm[:, 0], tab.p_star[:, 0])
-    p[:, -1] = np.maximum(pm[:, -1], tab.p_star[:, 1])
-    hh = tab(p)
-    hh[:, 1:-1] -= half_theta * (pm[:, 1:] - pm[:, :-1])
-    return u - dt * hh, pm, hh
+    def __call__(self, u, out):
+        """Write the update of the rows u into out (u itself allowed);
+        columns 0 and ns hold the state-constraint candidates."""
+        np.multiply(self.hhat(u), self.dt, out=self.tmp)
+        np.subtract(u, self.tmp, out=out)
 
 
 def default_dissipation(H, initial, left=None, right=None, dt=None, slack=1.0):
@@ -235,19 +262,20 @@ def max_subsolution(H, initial, left, right, grid, theta=None) -> ArcField:
     """
     initial = np.asarray(initial, dtype=float)
     theta = _arc_theta(H, initial, left, right, grid, theta)
-    tab = _ArcStack([H], grid.ns)
+    step = _ArcStepper([H], grid.ns, theta, grid.dt)
     values = np.empty((grid.nt + 1, grid.ns + 1))
     values[0] = initial
-    u = initial[None, :]
+    slopes = np.empty(grid.ns)
     max_slope = float(np.max(np.abs(np.diff(initial)))) * grid.ns
     for k in range(grid.nt):
-        u, pm, _ = _lf_step(tab, u, 0.5 * theta, grid.dt)
+        u = values[k + 1]
+        step(values[k:k + 1], out=u[None, :])
         if left.kind == "constrained":
-            u[0, 0] = min(u[0, 0], left.datum[k + 1])
+            u[0] = min(u[0], left.datum[k + 1])
         if right.kind == "constrained":
-            u[0, -1] = min(u[0, -1], right.datum[k + 1])
-        values[k + 1] = u[0]
-        max_slope = max(max_slope, float(np.max(np.abs(pm))))
+            u[-1] = min(u[-1], right.datum[k + 1])
+        max_slope = max(max_slope,
+                        float(np.max(np.abs(step.pm[0], out=slopes))))
     return ArcField(grid=grid, values=values, left=left, right=right,
                     initial=initial, theta=theta, max_slope=max_slope)
 
@@ -406,7 +434,8 @@ def _interior_residuals(u, H, theta, dt):
     """u_t + Hhat at the interior nodes of the rows u (nt+1, ns+1)."""
     if u.shape[0] == 1:
         return np.zeros((0, max(u.shape[1] - 2, 0)))
-    hh = _lf_step(_ArcStack([H], u.shape[1] - 1), u[:-1], 0.5 * theta, dt)[2]
+    hh = _ArcStepper([H], u.shape[1] - 1, theta, dt,
+                     rows=u.shape[0] - 1).hhat(u[:-1])
     return np.diff(u[:, 1:-1], axis=0) / dt + hh[:, 1:-1]
 
 

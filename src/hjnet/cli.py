@@ -171,6 +171,14 @@ def _dump_slices(solution, outdir, times):
                 fh.write(_fill(tpl, _fmt(t[k]), solution.fields[eid][k]))
 
 
+def _slice_times(text):
+    """The times of --dump-slices (comma-separated), or [] without it."""
+    try:
+        return [float(x) for x in (text or "").split(",") if x]
+    except ValueError as e:
+        raise ValidationError(f"--dump-slices: {e}") from e
+
+
 def _report(solution, rep, refine_details, elapsed, outdir):
     doc = {
         "scenario": solution.scenario.name,
@@ -201,6 +209,9 @@ def _cmd_run(args):
             args.scenario, ns=args.ns, horizon=args.t_final, cfl=args.cfl)
         params = plan_solve(scenario)
         checks = run.checks if args.checks is None else parse_checks(args.checks)
+        if args.refine < 0:
+            raise ValidationError("--refine must be at least 0")
+        times = _slice_times(args.dump_slices)
     except (ValidationError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -226,8 +237,7 @@ def _cmd_run(args):
         rep = verify(solution, eps_scheme=eps, checks=checks)
 
     write_solution_csv(solution, outdir)
-    if args.dump_slices:
-        times = [float(x) for x in args.dump_slices.split(",") if x]
+    if times:
         _dump_slices(solution, outdir, times)
     doc = _report(solution, rep, refine_details, time.perf_counter() - t_start,
                   outdir)

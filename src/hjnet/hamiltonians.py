@@ -57,8 +57,9 @@ class ArcHamiltonian:
 
     Its arrays are never written in place (``replace`` makes a new object),
     so the invariants derived on the default check grid are cached on the
-    object: min_p H behind ``c_gamma`` and ``global_min``, and the
-    ``sublevel_width`` of every level asked for.
+    object: min_p H behind ``c_gamma`` and ``global_min``, the
+    ``sublevel_width`` of every level asked for, and the
+    ``shift_hamiltonian`` copy of every shift asked for.
     """
 
     kind: str
@@ -79,6 +80,10 @@ class ArcHamiltonian:
 
     @cached_property
     def _widths(self):
+        return {}
+
+    @cached_property
+    def _shifted(self):
         return {}
 
 
@@ -167,7 +172,8 @@ def _sampled_rows_at(H, s):
 class _Columns:
     """H(s, p) of R same-kind Hamiltonians (sampled ones sharing a knot count)
     at C fixed s columns, coefficients looked up once; takes momenta (R, C),
-    or any (N, C) when R = 1."""
+    or any (N, C) when R = 1.  Given ``out`` (and, for the quadratic kind, a
+    scratch ``tmp`` of its shape) the values are written there."""
 
     def __init__(self, hams, s):
         s = np.asarray(s, dtype=float)
@@ -183,11 +189,28 @@ class _Columns:
                 np.array([np.interp(s, H.s_knots, getattr(H, c)) for H in hams])
                 for c in ("alpha", "beta", "kappa"))
 
-    def __call__(self, p):
-        if self.kind == "quadratic":
-            return self.a * p * p + self.b * p + self.k
-        if self.kind == "abs":
-            return self.a * np.abs(p - self.b) + self.k
+    def __call__(self, p, out=None, tmp=None):
+        if self.kind == "sampled":
+            if out is None:
+                return self._sampled(p)
+            out[...] = self._sampled(p)
+            return out
+        if out is None:
+            out = np.empty(np.broadcast_shapes(self.a.shape, np.shape(p)))
+        if self.kind == "quadratic":  # a p p + b p + k
+            tmp = np.empty_like(out) if tmp is None else tmp
+            np.multiply(self.a, p, out=out)
+            out *= p
+            np.multiply(self.b, p, out=tmp)
+            out += tmp
+        else:                         # a |p - b| + k
+            np.subtract(p, self.b, out=out)
+            np.abs(out, out=out)
+            out *= self.a
+        out += self.k
+        return out
+
+    def _sampled(self, p):
         # counting the knots at or below the clipped p locates its cell as
         # a right-sided searchsorted would, for every element at once
         pk, r, c = self.pk, self.r, self.c
@@ -276,12 +299,14 @@ def reverse_hamiltonian(H):
 
 
 def shift_hamiltonian(H, a):
-    """H + a (constant in s and p)."""
+    """H + a (constant in s and p); one object per (H, a), so the shifted
+    copy keeps its derived invariants from call to call."""
     if a == 0.0:
         return H
-    if H.kind == "sampled":
-        return replace(H, table=H.table + a)
-    return replace(H, kappa=H.kappa + a)
+    if a not in H._shifted:
+        H._shifted[a] = (replace(H, table=H.table + a) if H.kind == "sampled"
+                         else replace(H, kappa=H.kappa + a))
+    return H._shifted[a]
 
 
 def subsolution_level(H, w0):

@@ -35,7 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .arc_solver import Grid2D, _ArcStack, _interior_residuals, _lf_step
+from .arc_solver import Grid2D, _ArcStepper, _interior_residuals
 from .errors import (
     CFLViolationError,
     GridMismatchError,
@@ -124,7 +124,10 @@ class Scenario:
 
 
 def validate_scenario(sc: Scenario):
-    """Limiter admissibility, datum shape, vertex consistency of the datum."""
+    """Grid size, limiter admissibility, datum shape, vertex consistency of
+    the datum."""
+    if sc.ns < 2:
+        raise ValidationError("ns must be at least 2")
     if sc.horizon <= 0:
         raise ValidationError("horizon must be positive")
     rep = validate_flux_limiter(sc.network, sc.limiter_values(),
@@ -275,10 +278,11 @@ def solve(scenario: Scenario, params: SolveParams | None = None) -> NetworkSolut
 def solve_ensemble(scenarios, params: SolveParams) -> list:
     """March scenarios that share one grid together; one solution each.
 
-    The members' edges stack into one (sum E, ns+1) array and their vertex
-    groups into one min-reduction order, each member's slots offset past the
-    ones before it, so no vertex couples two members and every member gets
-    bitwise the solution it gets alone on ``params``.  Plan comparable runs
+    The members' edges stack into one (sum E, ns+1) array, its rows grouped
+    by kind for the stepper, and their vertex groups into one min-reduction
+    over the stack's end nodes, so no vertex couples two members and every
+    member gets bitwise the solution it gets alone on ``params``.  Each
+    edge's field is a view of one (sum E, nt+1, ns+1) block.  Plan comparable runs
     with ``plan_solve(sc, others=...)``; members may come from different
     networks as long as ``params.theta`` covers every edge id.
     """
@@ -287,9 +291,7 @@ def solve_ensemble(scenarios, params: SolveParams) -> list:
         raise ValidationError("an ensemble needs at least one scenario")
     ns, dt, nt = params.ns, params.dt, params.nt
     grid = Grid2D(ns, scenarios[0].t0, dt, nt)
-    n_rows = sum(len(sc.network.edge_arcs()) for sc in scenarios)
     hams, init, theta, c_x = [], [], [], []
-    order, group_len, start_ix, end_ix = [], [], [], []
     members = []
     for sc in scenarios:
         if sc.ns != ns or sc.t0 != grid.t0:
@@ -297,9 +299,8 @@ def solve_ensemble(scenarios, params: SolveParams) -> list:
                 f"scenario {sc.name!r} (ns={sc.ns}, t0={sc.t0}) is off the "
                 f"ensemble grid (ns={ns}, t0={grid.t0})")
         const = sc.constants
-        net = sc.network
-        edges, vids = net.edge_arcs(), net.vertex_ids()
-        r0, v0 = len(init), len(c_x)
+        edges, vids = sc.network.edge_arcs(), sc.network.vertex_ids()
+        members.append((sc, edges, vids, len(init), len(c_x), const.shift))
         for x in vids:
             if not const.limiter[x] < 0:
                 raise NonNegativeSlopeError(
@@ -321,53 +322,60 @@ def solve_ensemble(scenarios, params: SolveParams) -> list:
             hams.append(const.hamiltonians[a.id])
             init.append(g)
             theta.append(th)
-        # endpoint slots: column 0 of row r is slot r (its reverse arc ends
-        # there), column ns is slot n_rows + r; groups follow incident_arcs
-        slot = {a.id: n_rows + r0 + i for i, a in enumerate(edges)}
-        slot.update({a.inverse_id: r0 + i for i, a in enumerate(edges)})
-        into = net.incidence()
+
+    # edge i marches as row[i] of the kind-grouped stack; the gather and the
+    # scatter address the stack's flat block: edge i's column 0 is first[i]
+    # (its reverse arc ends there) and its column ns is last[i]
+    step = _ArcStepper(hams, ns, theta, dt)
+    row = np.empty(len(hams), dtype=int)
+    row[step.order] = np.arange(len(hams))
+    first = row * (ns + 1)
+    last = first + ns
+    gather, group_len, start_ix, end_ix = [], [], [], []
+    for sc, edges, vids, r0, v0, _ in members:
+        pos = {a.id: last[r0 + i] for i, a in enumerate(edges)}
+        pos.update({a.inverse_id: first[r0 + i] for i, a in enumerate(edges)})
+        into = sc.network.incidence()   # groups follow incident_arcs
         for x in vids:
-            order += [slot[aid] for aid in into[x]]
+            gather += [pos[aid] for aid in into[x]]
             group_len.append(len(into[x]))
         vix = {x: v0 + i for i, x in enumerate(vids)}
         start_ix += [vix[a.start] for a in edges]
         end_ix += [vix[a.end] for a in edges]
-        members.append((sc, edges, vids, r0, v0, const.shift))
-
-    u = np.array(init)
-    half_theta = 0.5 * np.array(theta)[:, None]
-    c_dt = np.array(c_x) * dt
-    tab = _ArcStack(hams, ns)
-    order = np.array(order)
+    gather = np.array(gather)
     starts = np.cumsum([0] + group_len[:-1])
-    start_ix, end_ix = np.array(start_ix), np.array(end_ix)
+    scatter = np.concatenate([first, last])
+    scatter_ix = np.array(start_ix + end_ix)
 
-    def ends(rows):
-        return np.concatenate([rows[:, 0], rows[:, -1]])
-
-    def vertex_min(slots):
-        return np.minimum.reduceat(slots[order], starts)
-
-    fields = np.empty((n_rows, nt + 1, ns + 1))
+    u = np.array(init)[step.order]
+    flat = u.reshape(-1)
+    ends = flat[gather]
+    vmin = np.empty(len(c_x))
+    vnew = np.empty(scatter.size)
+    c_dt = np.array(c_x) * dt
+    fields = np.empty((len(hams), nt + 1, ns + 1))
     fields[:, 0] = u
     vtr = np.empty((len(c_x), nt + 1))
-    vtr[:, 0] = ends(u)[order[starts]]
-    vval = vertex_min(ends(u))
+    vtr[:, 0] = ends[starts]
+    vval = np.minimum.reduceat(ends, starts)
     for k in range(1, nt + 1):
-        u = _lf_step(tab, u, half_theta, dt)[0]
-        vval = np.minimum(vval + c_dt, vertex_min(ends(u)))
-        u[:, 0] = vval[start_ix]
-        u[:, -1] = vval[end_ix]
+        step(u, out=u)
+        flat.take(gather, out=ends)
+        np.minimum.reduceat(ends, starts, out=vmin)
+        vval += c_dt
+        np.minimum(vval, vmin, out=vval)
+        flat[scatter] = vval.take(scatter_ix, out=vnew)
         fields[:, k] = u
         vtr[:, k] = vval
 
     sols = []
     for sc, edges, vids, r0, v0, shift_a in members:
-        f = fields[r0:r0 + len(edges)]
+        f = [fields[row[r0 + i]] for i in range(len(edges))]
         v = vtr[v0:v0 + len(vids)]
         if shift_a != 0.0:
             tshift = shift_a * (np.arange(nt + 1) * dt)
-            f += tshift[:, None]
+            for fi in f:
+                fi += tshift[:, None]
             v += tshift
         sols.append(NetworkSolution(
             scenario=sc, params=params, grid=grid,
@@ -553,10 +561,13 @@ def calibrate_epsilon(scenario: Scenario, levels=3):
     Solves at ns, 2 ns, 4 ns, ..., measures sup differences of consecutive
     levels on the coarser grid (linear interpolation in time), and returns
     (C, details) with C = max diff / (ds + dt) of the coarser level.  The
-    usable tolerance at a level is 3 * C * (ds + dt).
+    usable tolerance at a level is 3 * C * (ds + dt).  It takes at least two
+    levels.
     """
+    if levels < 2:
+        raise ValidationError(
+            f"calibrate_epsilon needs levels >= 2 to compare, got {levels}")
     sols = []
-    sc = scenario
     for k in range(levels):
         ns_k = scenario.ns * (2 ** k)
         sols.append(solve(with_resolution(scenario, ns_k)))

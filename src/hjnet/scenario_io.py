@@ -198,6 +198,8 @@ def parse_scenario(text, name="scenario", ns=None, horizon=None, cfl=None):
     if cfl is not None:
         run.cfl = float(cfl)
         run.dt = None
+    if run.ns < 2:
+        raise ScenarioParseError("ns must be at least 2")
 
     vertices = []
     for lineno, line in sections["vertices"]:

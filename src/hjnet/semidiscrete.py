@@ -16,7 +16,7 @@ the module.
 
 The vertex transforms, the certificate and the comparison march the arc
 transforms they need, up to all 2E, as one stack on the arc solver's
-batched kernel, keeping only the current rows and the right-end traces.
+stepper, in place, keeping only the current rows and the right-end traces.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arc_solver import (Grid2D, _ArcStack, _arc_theta, _lf_step, constrained,
-                         free, max_subsolution)
+from .arc_solver import (Grid2D, _ArcStepper, _arc_theta, constrained, free,
+                         max_subsolution)
 from .errors import GridMismatchError, ValidationError
 from .network import incident_arcs, reverse_arc_id
 from .slope_cap import TimeSeries, apply_g
@@ -113,16 +113,19 @@ def _arc_transform_traces(traces, network, hams, ids, thetas=None):
             reverse_arc_id(aid)))
         rows.append((g, left.datum, _arc_theta(hams[aid], g, left, free(),
                                                grid, th)))
-    u, datum, theta = (np.array(col) for col in zip(*rows))
-    tab = _ArcStack([hams[aid] for aid in ids], grid.ns)
-    half_theta = 0.5 * theta[:, None]
-    out = np.empty((len(ids), grid.nt + 1))
-    out[:, 0] = u[:, -1]
+    init, datum, theta = (np.array(col) for col in zip(*rows))
+    step = _ArcStepper([hams[aid] for aid in ids], grid.ns, theta, grid.dt)
+    u = init[step.order]
+    datum = datum[step.order].T.copy()     # [time, stack row]
+    out = np.empty((grid.nt + 1, len(ids)))
+    out[0] = u[:, -1]
     for k in range(grid.nt):
-        u = _lf_step(tab, u, half_theta, grid.dt)[0]
-        u[:, 0] = np.minimum(u[:, 0], datum[:, k + 1])
-        out[:, k + 1] = u[:, -1]
-    return out
+        step(u, out=u)
+        np.minimum(u[:, 0], datum[k + 1], out=u[:, 0])
+        out[k + 1] = u[:, -1]
+    traces = np.empty((len(ids), grid.nt + 1))
+    traces[step.order] = out.T
+    return traces
 
 
 def f_x(traces, network, hams, x, thetas=None) -> np.ndarray:

@@ -151,6 +151,20 @@ def test_run_rejects_unknown_check(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--ns", "1"], "ns must be at least 2"),
+    (["--dump-slices", "0.5,abc"], "--dump-slices"),
+    (["--ns", "32", "--refine", "-1"], "--refine must be at least 0"),
+], ids=["ns-1", "slice-time-abc", "refine-negative"])
+def test_run_rejects_bad_flags_before_writing(tmp_path, capsys, flags,
+                                              message):
+    scn = _write(tmp_path, TRIPOD)
+    out = tmp_path / "o"
+    assert main(["run", "--scenario", scn, "--out", str(out), *flags]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_with_checks_none_skips_verification(tmp_path):
     scn = _write(tmp_path, TRIPOD)
     out = str(tmp_path / "nochecks")

@@ -9,7 +9,7 @@ import pytest
 import hjnet as hj
 from hjnet.errors import (CFLViolationError, GridMismatchError, HJNetError,
                           NonNegativeSlopeError, ValidationError)
-from hjnet import network_solver
+from hjnet import hamiltonians, network_solver
 from hjnet.hamiltonians import shift_hamiltonian
 from hjnet.network_solver import interior_bump
 
@@ -113,6 +113,43 @@ def test_missing_initial_datum_is_named():
     with pytest.raises(ValidationError,
                        match="edge 'e2' is missing its initial datum"):
         hj.validate_scenario(dataclasses.replace(sc, initial=initial))
+
+
+def test_too_few_space_cells_are_named():
+    sc = make_tripod(1)
+    with pytest.raises(ValidationError, match="ns must be at least 2"):
+        hj.validate_scenario(sc)
+    with pytest.raises(ValidationError, match="ns must be at least 2"):
+        hj.solve(sc)
+
+
+def test_calibration_needs_two_levels():
+    for levels in (1, 0, -1):
+        with pytest.raises(ValidationError, match="levels >= 2"):
+            hj.calibrate_epsilon(make_tripod(16), levels=levels)
+
+
+def test_repeated_checks_derive_no_invariant_again(monkeypatch):
+    # a shifted Hamiltonian is kept per (H, a), so a second run of a check
+    # on a negative-valued family meets the widths and minima it derived
+    calls = []
+    check_grid = hamiltonians._s_check_grid
+
+    def counted(H, s_grid=None, n=257):
+        calls.append(H.kind)
+        return check_grid(H, s_grid, n)
+
+    monkeypatch.setattr(hamiltonians, "_s_check_grid", counted)
+    sc = make_mixed(16)
+    assert sc.constants.shift == pytest.approx(0.500001, abs=1e-12)
+    lifted = {e: np.asarray(v) + 0.2 for e, v in sc.initial.items()}
+    for check in (lambda: network_solver.shift_check(sc, 1.0),
+                  lambda: network_solver.contraction_check(sc, lifted)):
+        first = check()
+        n = len(calls)
+        assert n > 0
+        assert check() == first
+        assert len(calls) == n
 
 
 def test_explicit_time_step_is_honored():
