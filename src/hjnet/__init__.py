@@ -16,11 +16,8 @@ from .arc_solver import (
     cone_solution,
     constrained,
     free,
-    glue_in_time,
     lipschitz_envelope_above,
-    lipschitz_envelope_below,
     max_subsolution,
-    min_merge,
     propagation_window,
     sup_convolution_t,
     subsolution_residual,
@@ -40,7 +37,6 @@ from .hamiltonians import (
     sampled_hamiltonian,
     sublevel_width,
     subsolution_level,
-    validate_inversion,
 )
 from .network import (
     Arc,
@@ -75,6 +71,6 @@ from .semidiscrete import (
     f_gamma,
     f_x,
 )
-from .slope_cap import Slope, TimeSeries, apply_g, apply_g_bruteforce, contact_set
+from .slope_cap import TimeSeries, apply_g, apply_g_bruteforce, contact_set
 
 __version__ = "0.1.0"

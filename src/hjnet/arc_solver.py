@@ -30,9 +30,9 @@ edges of every scenario it marches together), the certificate (all arc
 transforms) and the residual scans (whose Hhat is the stepper's).
 
 Also provided: the exact cone solution of w_t - M |w'| = 0 used as a
-finite-speed oracle, Lipschitz envelopes, t-partial sup-convolution, minimum
-merges, time gluing, residual scans, and the finite-speed window within
-which lateral data cannot reach an arc's interior.
+finite-speed oracle, the Lipschitz envelope from above, t-partial
+sup-convolution, residual scans, and the finite-speed window within which
+lateral data cannot reach an arc's interior.
 """
 
 from __future__ import annotations
@@ -46,8 +46,6 @@ from .errors import (
     CornerMismatchError,
     EmptySublevelError,
     GridMismatchError,
-    TimeMismatchError,
-    TraceMismatchError,
 )
 from .hamiltonians import (
     _Columns,
@@ -66,10 +64,7 @@ __all__ = [
     "max_subsolution",
     "cone_solution",
     "lipschitz_envelope_above",
-    "lipschitz_envelope_below",
     "sup_convolution_t",
-    "min_merge",
-    "glue_in_time",
     "subsolution_residual",
     "supersolution_residual",
     "propagation_window",
@@ -102,10 +97,6 @@ class Grid2D:
     def t_nodes(self):
         return self.t0 + self.dt * np.arange(self.nt + 1)
 
-    @property
-    def t_end(self):
-        return self.t0 + self.dt * self.nt
-
 
 @dataclass(frozen=True)
 class BoundaryMode:
@@ -134,14 +125,6 @@ class ArcField:
     right: BoundaryMode
     initial: np.ndarray
     theta: float | None = None
-    max_slope: float = 0.0
-
-    def trace(self, side):
-        idx = 0 if side == "left" else -1
-        return self.values[:, idx].copy()
-
-    def final(self):
-        return self.values[-1].copy()
 
 
 class _ArcStepper:
@@ -210,7 +193,7 @@ class _ArcStepper:
         np.subtract(u, self.tmp, out=out)
 
 
-def default_dissipation(H, initial, left=None, right=None, dt=None, slack=1.0):
+def default_dissipation(H, initial, left=None, right=None, dt=None):
     """Dissipation coefficient covering the run's expected slope range.
 
     The slope budget combines the stationary level of the initial datum with
@@ -228,7 +211,7 @@ def default_dissipation(H, initial, left=None, right=None, dt=None, slack=1.0):
         width = sublevel_width(H, level)
     except EmptySublevelError:
         width = gmax
-    return momentum_lipschitz(H, max(width, gmax) + slack)
+    return momentum_lipschitz(H, max(width, gmax) + 1.0)
 
 
 def _arc_theta(H, initial, left, right, grid, theta):
@@ -265,8 +248,6 @@ def max_subsolution(H, initial, left, right, grid, theta=None) -> ArcField:
     step = _ArcStepper([H], grid.ns, theta, grid.dt)
     values = np.empty((grid.nt + 1, grid.ns + 1))
     values[0] = initial
-    slopes = np.empty(grid.ns)
-    max_slope = float(np.max(np.abs(np.diff(initial)))) * grid.ns
     for k in range(grid.nt):
         u = values[k + 1]
         step(values[k:k + 1], out=u[None, :])
@@ -274,10 +255,8 @@ def max_subsolution(H, initial, left, right, grid, theta=None) -> ArcField:
             u[0] = min(u[0], left.datum[k + 1])
         if right.kind == "constrained":
             u[-1] = min(u[-1], right.datum[k + 1])
-        max_slope = max(max_slope,
-                        float(np.max(np.abs(step.pm[0], out=slopes))))
     return ArcField(grid=grid, values=values, left=left, right=right,
-                    initial=initial, theta=theta, max_slope=max_slope)
+                    initial=initial, theta=theta)
 
 
 def cone_solution(M, initial, left_datum, right_datum, grid) -> ArcField:
@@ -346,15 +325,6 @@ def lipschitz_envelope_above(values, n, dt=None, ds=None):
     return _lip_pass(out, n * dt, 0, np.maximum)
 
 
-def lipschitz_envelope_below(values, n, dt=None, ds=None):
-    """Largest n-Lipschitz function below the input; mirror of the above."""
-    if isinstance(values, ArcField):
-        dt = values.grid.dt if dt is None else dt
-        ds = values.grid.ds if ds is None else ds
-        values = values.values
-    return -lipschitz_envelope_above(-np.asarray(values, dtype=float), n, dt, ds)
-
-
 def sup_convolution_t(field: ArcField, delta) -> tuple[ArcField, float]:
     """t-partial sup-convolution u^d(s,t) = max_r u(s,r) - (r-t)^2 / (2 delta).
 
@@ -376,60 +346,6 @@ def sup_convolution_t(field: ArcField, delta) -> tuple[ArcField, float]:
     return replace(field, values=out), float(shift * grid.dt)
 
 
-def _same_grid(g1, g2):
-    return (g1.ns == g2.ns and g1.nt == g2.nt
-            and abs(g1.dt - g2.dt) <= 1e-12 * g1.dt
-            and abs(g1.t0 - g2.t0) <= 1e-9 * (1.0 + abs(g1.t0)))
-
-
-def min_merge(f1: ArcField, f2: ArcField) -> ArcField:
-    """Pointwise minimum of two fields on one grid (min of subsolutions)."""
-    if not _same_grid(f1.grid, f2.grid):
-        raise GridMismatchError("min_merge requires identical grids")
-
-    def merge_mode(a, b):
-        if a.kind == "constrained" and b.kind == "constrained":
-            return constrained(np.minimum(a.datum, b.datum))
-        return free()
-
-    return ArcField(grid=f1.grid, values=np.minimum(f1.values, f2.values),
-                    left=merge_mode(f1.left, f2.left),
-                    right=merge_mode(f1.right, f2.right),
-                    initial=np.minimum(f1.initial, f2.initial),
-                    theta=max(f1.theta or 0.0, f2.theta or 0.0),
-                    max_slope=max(f1.max_slope, f2.max_slope))
-
-
-def glue_in_time(early: ArcField, late: ArcField, tol=1e-12) -> ArcField:
-    """Concatenate two fields that meet at one time slice."""
-    ge, gl = early.grid, late.grid
-    if ge.ns != gl.ns or abs(ge.dt - gl.dt) > 1e-12 * ge.dt:
-        raise GridMismatchError("gluing requires matching ds and dt")
-    if abs(ge.t_end - gl.t0) > 1e-9 * (1.0 + abs(gl.t0)):
-        raise TimeMismatchError(
-            f"early field ends at {ge.t_end}, late starts at {gl.t0}")
-    scale = 1.0 + float(np.max(np.abs(early.values[-1])))
-    gap = float(np.max(np.abs(early.values[-1] - late.values[0])))
-    if gap > tol * scale:
-        raise TraceMismatchError(f"junction traces differ by {gap:.3e}")
-
-    def glue_mode(a, b):
-        if a.kind != b.kind:
-            return free()
-        if a.kind == "constrained":
-            return constrained(np.concatenate([a.datum, b.datum[1:]]))
-        return free()
-
-    grid = Grid2D(ge.ns, ge.t0, ge.dt, ge.nt + gl.nt)
-    return ArcField(grid=grid,
-                    values=np.vstack([early.values, late.values[1:]]),
-                    left=glue_mode(early.left, late.left),
-                    right=glue_mode(early.right, late.right),
-                    initial=early.initial,
-                    theta=max(early.theta or 0.0, late.theta or 0.0),
-                    max_slope=max(early.max_slope, late.max_slope))
-
-
 def _interior_residuals(u, H, theta, dt):
     """u_t + Hhat at the interior nodes of the rows u (nt+1, ns+1)."""
     if u.shape[0] == 1:
@@ -442,8 +358,9 @@ def _interior_residuals(u, H, theta, dt):
 def _field_residuals(field: ArcField, H, theta):
     if theta is None:
         theta = field.theta
-    if theta is None:
-        theta = momentum_lipschitz(H, field.max_slope + 1.0)
+    if theta is None:  # a hand-built field: cover its own largest slope
+        slope = np.max(np.abs(np.diff(field.values, axis=1))) * field.grid.ns
+        theta = momentum_lipschitz(H, float(slope) + 1.0)
     return _interior_residuals(field.values, H, theta, field.grid.dt)
 
 

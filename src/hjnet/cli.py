@@ -354,23 +354,36 @@ def _pl_min(vals, s, lo, hi):
     return float(min(cands))
 
 
+def _check_oracle_flags(args):
+    """Raise ValidationError for a flag the chosen oracle cannot run with."""
+    if args.oracle in ("refine", "hopflax"):
+        rules = [(args.scenario is not None,
+                  f"--oracle {args.oracle} needs --scenario")]
+    elif args.oracle == "g":
+        rules = [(args.length >= 1, "--length must be at least 1"),
+                 (args.dt > 0, "--dt must be positive")]
+    else:
+        rules = [(args.grid_ns >= 2, "--grid-ns must be at least 2"),
+                 (args.dt > 0, "--dt must be positive"),
+                 (args.nt >= 0, "--nt must be at least 0"),
+                 (args.speed > 0, "--speed must be positive")]
+    for ok, message in rules:
+        if not ok:
+            raise ValidationError(message)
+
+
+_ORACLES = {"g": _oracle_g, "cone": _oracle_cone, "refine": _oracle_refine,
+            "hopflax": _oracle_hopflax}
+
+
 def _cmd_oracle(args):
-    outdir = args.out
-    os.makedirs(outdir, exist_ok=True)
     try:
-        if args.oracle == "g":
-            return _oracle_g(args, outdir)
-        if args.oracle == "cone":
-            return _oracle_cone(args, outdir)
-        if args.oracle == "refine":
-            return _oracle_refine(args, outdir)
-        if args.oracle == "hopflax":
-            return _oracle_hopflax(args, outdir)
+        _check_oracle_flags(args)
+        os.makedirs(args.out, exist_ok=True)
+        return _ORACLES[args.oracle](args, args.out)
     except (ValidationError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    print(f"error: unknown oracle {args.oracle!r}", file=sys.stderr)
-    return 2
 
 
 def main(argv=None):
@@ -393,7 +406,7 @@ def main(argv=None):
 
     p_or = sub.add_parser("oracle", help="independent reference computations")
     p_or.add_argument("--oracle", required=True,
-                      choices=("g", "cone", "refine", "hopflax"))
+                      choices=tuple(_ORACLES))
     p_or.add_argument("--out", default="hjnet-out")
     p_or.add_argument("--scenario", default=None)
     p_or.add_argument("--ns", type=int, default=None)

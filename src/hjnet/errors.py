@@ -55,13 +55,5 @@ class GridMismatchError(ValidationError):
     """Two fields that must share a grid do not."""
 
 
-class TimeMismatchError(ValidationError):
-    """Gluing in time requires matching junction times."""
-
-
-class TraceMismatchError(ValidationError):
-    """Gluing in time requires matching traces at the junction."""
-
-
 class EmptySublevelError(HJNetError):
     """Requested sublevel set {p : H(s,p) <= M for all s} is empty."""

@@ -44,8 +44,6 @@ __all__ = [
     "momentum_minimizer",
 ]
 
-TOL_INV_SYMBOLIC = 1e-10
-TOL_INV_SAMPLED = 1e-6
 TOL_CONVEX = 1e-10
 
 _KINDS = ("quadratic", "abs", "sampled")
@@ -258,16 +256,12 @@ def _min_over_p(H, s):
     return evaluate(H, s, pstar)
 
 
-def c_gamma(H, s_grid=None, p_grid=None):
+def c_gamma(H, s_grid=None):
     """Critical value -max_s min_p H(s,p) on a check grid.
 
     Symbolic kinds use the closed-form per-s minimizer; the sampled kind
-    scans its momentum knots (p_grid overrides).
+    scans its momentum knots.
     """
-    if H.kind == "sampled" and p_grid is not None:
-        vals = _Columns([H], _s_check_grid(H, s_grid))(
-            np.asarray(p_grid, dtype=float)[:, None])
-        return -float(np.max(np.min(vals, axis=0)))
     return -float(np.max(_min_p_on(H, s_grid)))
 
 
@@ -429,26 +423,6 @@ def family_from_edges(network, per_edge):
         by_arc[arc.id] = H
         by_arc[arc.inverse_id] = reverse_hamiltonian(H)
     return HamiltonianFamily(by_arc)
-
-
-def validate_inversion(family, network, tol=None):
-    """Check H_rev(s,p) = H(1-s,-p) across all arc pairs on a probe grid."""
-    worst = 0.0
-    for arc in network.edge_arcs():
-        H = family[arc.id]
-        Hr = family[arc.inverse_id]
-        t = tol if tol is not None else (
-            TOL_INV_SAMPLED if H.kind == "sampled" else TOL_INV_SYMBOLIC)
-        s = np.linspace(0.0, 1.0, 41)
-        p = np.linspace(-3.0, 3.0, 25)
-        S, P = np.meshgrid(s, p, indexing="ij")
-        diff = np.max(np.abs(evaluate(Hr, S, P) - evaluate(H, 1.0 - S, -P)))
-        worst = max(worst, float(diff))
-        if diff > t:
-            raise ValueError(
-                f"inverse Hamiltonian of {arc.id} violates the reversal law "
-                f"(max deviation {diff:.3e} > {t:.1e})")
-    return worst
 
 
 def positive_shift(family, limiter, margin=1e-6):

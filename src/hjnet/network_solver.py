@@ -51,9 +51,8 @@ from .hamiltonians import (
     sublevel_width,
     subsolution_level,
 )
-from .network import validate_flux_limiter
+from .network import reverse_arc_id, validate_flux_limiter
 from .semidiscrete import VertexTraceSet, discr_residual
-from .slope_cap import TimeSeries
 
 __all__ = [
     "Scenario",
@@ -250,10 +249,7 @@ class NetworkSolution:
         """Values along an oriented arc; reverse arcs are s-reflections."""
         if arc_id in self.fields:
             return self.fields[arc_id]
-        return self.fields[arc_id[:-1] if arc_id.endswith("~") else arc_id + "~"][:, ::-1]
-
-    def vertex_series(self, x) -> TimeSeries:
-        return TimeSeries(self.grid.t0, self.grid.dt, self.vertex[x])
+        return self.fields[reverse_arc_id(arc_id)][:, ::-1]
 
     def trace_set(self, shifted=False) -> VertexTraceSet:
         t = self.grid.t_nodes() - self.grid.t0

@@ -30,6 +30,7 @@ with the offending line number.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,6 +86,15 @@ def _numbered(items, at):
     at[0] = None
 
 
+def _number(text, line, kind=float):
+    """One number of a scenario line; kind is float or int."""
+    try:
+        return kind(text)
+    except ValueError:
+        _fail(f"expected {'an integer' if kind is int else 'a number'}, "
+              f"got {text!r}", line)
+
+
 def _floats(text, line):
     try:
         return np.array([float(x) for x in text.split(",") if x != ""])
@@ -103,26 +113,24 @@ def _kv(tokens, line):
 
 
 def _edge_hamiltonian(kind, kv, line):
-    if kind == "abs":
-        return abs_hamiltonian(alpha=_floats(kv.get("alpha", "1"), line),
-                               beta=_floats(kv.get("beta", "0"), line),
-                               kappa=_floats(kv.get("kappa", "0"), line))
-    if kind == "quadratic":
-        return quadratic_hamiltonian(alpha=_floats(kv.get("alpha", "1"), line),
-                                     beta=_floats(kv.get("beta", "0"), line),
-                                     kappa=_floats(kv.get("kappa", "0"), line))
-    if kind == "sampled":
-        for key in ("pmin", "pmax", "npts", "slope", "values"):
-            if key not in kv:
-                _fail(f"sampled Hamiltonian needs {key}=", line)
-        p = np.linspace(float(kv["pmin"]), float(kv["pmax"]), int(kv["npts"]))
-        rows = [_floats(r, line) for r in kv["values"].split(";") if r]
-        table = np.vstack(rows)
-        s = np.linspace(0.0, 1.0, table.shape[0])
-        try:
-            return sampled_hamiltonian(s, p, table, float(kv["slope"]))
-        except ValueError as e:
-            _fail(str(e), line)
+    try:
+        if kind in ("abs", "quadratic"):
+            make = abs_hamiltonian if kind == "abs" else quadratic_hamiltonian
+            return make(**{c: _floats(kv.get(c, d), line) for c, d in
+                           (("alpha", "1"), ("beta", "0"), ("kappa", "0"))})
+        if kind == "sampled":
+            for key in ("pmin", "pmax", "npts", "slope", "values"):
+                if key not in kv:
+                    _fail(f"sampled Hamiltonian needs {key}=", line)
+            p = np.linspace(_number(kv["pmin"], line),
+                            _number(kv["pmax"], line),
+                            _number(kv["npts"], line, int))
+            table = np.vstack([_floats(r, line)
+                               for r in kv["values"].split(";") if r])
+            s = np.linspace(0.0, 1.0, table.shape[0])
+            return sampled_hamiltonian(s, p, table, _number(kv["slope"], line))
+    except ValueError as e:  # the constructors' checks of the coefficients
+        _fail(str(e), line)
     _fail(f"unknown Hamiltonian kind {kind!r}", line)
 
 
@@ -130,12 +138,12 @@ def _profile(tokens, ns, line):
     s = np.linspace(0.0, 1.0, ns + 1)
     kind, args = tokens[0], tokens[1:]
     if kind == "constant" and len(args) == 1:
-        return np.full(ns + 1, float(args[0]))
+        return np.full(ns + 1, _number(args[0], line))
     if kind == "linear" and len(args) == 2:
-        v0, v1 = float(args[0]), float(args[1])
+        v0, v1 = (_number(a, line) for a in args)
         return v0 + (v1 - v0) * s
     if kind == "bump" and len(args) == 3:
-        h, c, w = (float(a) for a in args)
+        h, c, w = (_number(a, line) for a in args)
         if not (0.0 < c - w and c + w < 1.0):
             _fail("bump support must lie strictly inside (0,1)", line)
         y = h * np.maximum(0.0, 1.0 - np.abs(s - c) / w)
@@ -180,13 +188,13 @@ def parse_scenario(text, name="scenario", ns=None, horizon=None, cfl=None):
             _fail("run entries are key = value", lineno)
         k, v = (x.strip() for x in line.split("=", 1))
         if k in ("T", "t", "horizon"):
-            run.horizon = float(v)
+            run.horizon = _number(v, lineno)
         elif k == "ns":
-            run.ns = int(v)
+            run.ns = _number(v, lineno, int)
         elif k == "dt":
-            run.dt = float(v)
+            run.dt = _number(v, lineno)
         elif k == "cfl":
-            run.cfl = float(v)
+            run.cfl = _number(v, lineno)
         elif k == "checks":
             run.checks = parse_checks(v, lineno)
         else:
@@ -204,10 +212,7 @@ def parse_scenario(text, name="scenario", ns=None, horizon=None, cfl=None):
     vertices = []
     for lineno, line in sections["vertices"]:
         vid, *coords = line.split()
-        try:
-            item = (vid, [float(x) for x in coords]) if coords else vid
-        except ValueError:
-            _fail("vertex coordinates must be numbers", lineno)
+        item = (vid, [_number(x, lineno) for x in coords]) if coords else vid
         vertices.append((lineno, item))
 
     edges = []
@@ -234,9 +239,9 @@ def parse_scenario(text, name="scenario", ns=None, horizon=None, cfl=None):
         if len(toks) != 2:
             _fail("limiter lines are: vertex value", lineno)
         if toks[0] == "default":
-            default_c = float(toks[1])
+            default_c = _number(toks[1], lineno)
         elif toks[0] in net.vertices:
-            limiter[toks[0]] = float(toks[1])
+            limiter[toks[0]] = _number(toks[1], lineno)
         else:
             _fail(f"unknown vertex {toks[0]!r} in limiter", lineno)
     for x in net.vertex_ids():
@@ -249,6 +254,8 @@ def parse_scenario(text, name="scenario", ns=None, horizon=None, cfl=None):
     initial = {eid: np.zeros(run.ns + 1) for _, (eid, _, _) in edges}
     for lineno, line in sections["initial"]:
         toks = line.split()
+        if len(toks) < 2:
+            _fail("initial lines are: edge profile [values ...]", lineno)
         if toks[0] not in initial:
             _fail(f"unknown edge {toks[0]!r} in initial", lineno)
         initial[toks[0]] = _profile(toks[1:], run.ns, lineno)
@@ -262,6 +269,5 @@ def parse_scenario(text, name="scenario", ns=None, horizon=None, cfl=None):
 def parse_scenario_file(path, **overrides):
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    import os
     name = os.path.splitext(os.path.basename(path))[0]
     return parse_scenario(text, name=name, **overrides)

@@ -28,7 +28,6 @@ from .errors import NonNegativeSlopeError
 
 __all__ = [
     "TimeSeries",
-    "Slope",
     "apply_g",
     "apply_g_bruteforce",
     "contact_set",
@@ -60,20 +59,7 @@ class TimeSeries:
         return self.values.size
 
 
-@dataclass(frozen=True)
-class Slope:
-    """A strictly negative time-slope bound."""
-
-    a: float
-
-    def __post_init__(self):
-        if not self.a < 0:
-            raise NonNegativeSlopeError(f"slope must be negative, got {self.a}")
-
-
 def _slope_value(a) -> float:
-    if isinstance(a, Slope):
-        return a.a
     a = float(a)
     if not a < 0:
         raise NonNegativeSlopeError(f"slope must be negative, got {a}")

@@ -5,13 +5,7 @@ import pytest
 
 import hjnet as hj
 from hjnet.arc_solver import _Columns
-from hjnet.errors import (
-    CFLViolationError,
-    CornerMismatchError,
-    GridMismatchError,
-    TimeMismatchError,
-    TraceMismatchError,
-)
+from hjnet.errors import CFLViolationError, CornerMismatchError
 
 
 H1 = hj.abs_hamiltonian(kappa=1.0)  # |p| + 1
@@ -152,6 +146,18 @@ def test_residuals_of_handmade_fields():
     assert hj.supersolution_residual(steep, H1) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_handmade_field_without_theta_covers_its_own_slopes():
+    H = hj.quadratic_hamiltonian()  # momentum_lipschitz(H, M) = 2 M
+    grid = hj.Grid2D(20, 0.0, 0.005, 10)
+    vals = np.random.default_rng(3).normal(size=(11, 21))
+    fld = hj.ArcField(grid, vals, hj.free(), hj.free(), vals[0])
+    slope = np.max(np.abs(np.diff(vals, axis=1))) * grid.ns
+    own = hj.momentum_lipschitz(H, slope + 1.0)
+    for residual in (hj.subsolution_residual, hj.supersolution_residual):
+        assert residual(fld, H) == residual(fld, H, theta=own)
+        assert residual(fld, H) != residual(fld, H, theta=2.0)
+
+
 def test_time_slices_stay_below_the_datum_level():
     # slices of the evolved field satisfy the stationary inequality at the
     # initial datum's level, up to grid wobble
@@ -216,8 +222,6 @@ def test_envelope_step_ramps_at_slope_n():
     env = hj.lipschitz_envelope_above(vals, n=2.0, dt=0.1)
     expect = np.maximum(vals, 1.0 - 2.0 * 0.1 * np.maximum(0, 5 - np.arange(11)))
     assert np.allclose(env, expect, atol=1e-14)
-    below = hj.lipschitz_envelope_below(vals, n=2.0, dt=0.1)
-    assert np.all(below <= vals + 1e-14)
 
 
 def test_envelope_converges_from_above():
@@ -264,67 +268,6 @@ def test_sup_convolution_shift_bounded_by_lipschitz_budget():
         for delta in (0.05, 0.2):
             _, tdelta = hj.sup_convolution_t(fld, delta)
             assert tdelta <= delta * ell + grid.dt + 1e-12
-
-
-def _field_from(grid, fn, theta=1.0):
-    s, t = grid.s_nodes(), grid.t_nodes()
-    vals = fn(s[None, :], t[:, None]) * np.ones((grid.nt + 1, grid.ns + 1))
-    return hj.ArcField(grid, vals, hj.free(), hj.free(), vals[0], theta=theta)
-
-
-def test_min_merge_ordered_inputs_and_idempotence():
-    grid = hj.Grid2D(20, 0.0, 0.02, 10)
-    f1 = _field_from(grid, lambda s, t: -t)
-    f2 = _field_from(grid, lambda s, t: 1.0 + s - t)
-    merged = hj.min_merge(f1, f2)
-    assert np.array_equal(merged.values, f1.values)
-    again = hj.min_merge(f1, f1)
-    assert np.array_equal(again.values, f1.values)
-    other = hj.ArcField(hj.Grid2D(10, 0.0, 0.02, 10), np.zeros((11, 11)),
-                        hj.free(), hj.free(), np.zeros(11), theta=1.0)
-    with pytest.raises(GridMismatchError):
-        hj.min_merge(f1, other)
-
-
-def test_min_merge_keeps_subsolution_residual():
-    grid = hj.Grid2D(40, 0.0, 0.0125, 40)
-    f1 = _field_from(grid, lambda s, t: -t + 0.0 * s)
-    f2 = _field_from(grid, lambda s, t: s - 1.0 - 2.0 * t)
-    r1 = hj.subsolution_residual(f1, H1)
-    r2 = hj.subsolution_residual(f2, H1)
-    merged = hj.min_merge(f1, f2)
-    assert hj.subsolution_residual(merged, H1) <= max(r1, r2) + 1e-9
-
-
-def test_glue_in_time_roundtrip_and_errors():
-    grid, theta = fo_grid(40, T=1.0)
-    t = grid.t_nodes()
-    fld = hj.max_subsolution(H1, np.linspace(0, 1, 41),
-                             hj.constrained(-1.0 * t), hj.free(), grid,
-                             theta=theta)
-    half = grid.nt // 2
-    early = hj.ArcField(hj.Grid2D(40, 0.0, grid.dt, half),
-                        fld.values[:half + 1].copy(), fld.left, fld.right,
-                        fld.initial, theta=theta)
-    lgrid = hj.Grid2D(40, t[half], grid.dt, grid.nt - half)
-    late = hj.ArcField(lgrid, fld.values[half:].copy(), fld.left, fld.right,
-                       fld.values[half].copy(), theta=theta)
-    early = hj.ArcField(early.grid, early.values, hj.free(), hj.free(),
-                        early.initial, theta=theta)
-    late = hj.ArcField(late.grid, late.values, hj.free(), hj.free(),
-                       late.initial, theta=theta)
-    glued = hj.glue_in_time(early, late)
-    assert np.array_equal(glued.values, fld.values)
-
-    off_time = hj.ArcField(hj.Grid2D(40, t[half] + 0.1, grid.dt, 2),
-                           late.values[:3].copy(), hj.free(), hj.free(),
-                           late.initial, theta=theta)
-    with pytest.raises(TimeMismatchError):
-        hj.glue_in_time(early, off_time)
-    bumped = hj.ArcField(late.grid, late.values + 1e-6, hj.free(), hj.free(),
-                         late.initial + 1e-6, theta=theta)
-    with pytest.raises(TraceMismatchError):
-        hj.glue_in_time(early, bumped)
 
 
 def test_restarted_march_replays_identically():

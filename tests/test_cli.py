@@ -103,6 +103,36 @@ def test_network_errors_carry_the_line_of_their_vertex_or_edge(old, new):
     assert str(err.value).startswith(f"line {line}: ")
 
 
+SAMPLED_E3 = ("e3 x3 x0 sampled pmin=-2 pmax=2 npts=abc slope=5 "
+              "values=2,1,0,1,2")
+
+
+@pytest.mark.parametrize("old,new", [
+    ("default -1", "default abc"),
+    ("T = 1.0", "T = abc"),
+    ("ns = 60", "ns = 2.5"),
+    ("e1 constant 0", "e1 linear 0 x"),
+    ("e1 constant 0", "e1"),
+    ("e3 x3 x0 abs alpha=1 beta=0 kappa=1", SAMPLED_E3),
+    ("e3 x3 x0 abs alpha=1 beta=0 kappa=1",
+     "e3 x3 x0 abs alpha=0 beta=0 kappa=1"),
+], ids=["limiter-abc", "horizon-abc", "ns-2.5", "linear-x", "bare-initial",
+        "sampled-npts-abc", "alpha-0"])
+def test_bad_values_are_parse_errors_with_their_line(tmp_path, capsys, old,
+                                                     new):
+    text = TRIPOD.replace(old, new)
+    line = next(i for i, ln in enumerate(text.splitlines(), start=1)
+                if ln == new)
+    with pytest.raises(ScenarioParseError) as err:
+        parse_scenario(text)
+    assert err.value.line == line
+    out = tmp_path / "o"
+    assert main(["run", "--scenario", _write(tmp_path, text),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: line {line}: ")
+    assert not out.exists()
+
+
 def test_parse_rejects_ids_with_commas():
     with pytest.raises(ValidationError, match="'e,1'"):
         parse_scenario(TRIPOD.replace("e1 x1 x0", "e,1 x1 x0")
@@ -229,6 +259,23 @@ def test_oracle_g_and_cone(tmp_path):
     assert len(lines) == 401
     assert main(["oracle", "--oracle", "cone", "--out", out, "--seed", "2",
                  "--grid-ns", "10", "--nt", "10", "--dt", "0.05"]) == 0
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--oracle", "refine"], "--oracle refine needs --scenario"),
+    (["--oracle", "hopflax"], "--oracle hopflax needs --scenario"),
+    (["--oracle", "cone", "--grid-ns", "1"], "--grid-ns must be at least 2"),
+    (["--oracle", "cone", "--speed", "0"], "--speed must be positive"),
+    (["--oracle", "g", "--length", "0"], "--length must be at least 1"),
+    (["--oracle", "g", "--dt", "0"], "--dt must be positive"),
+], ids=["refine-no-scenario", "hopflax-no-scenario", "cone-grid-ns-1",
+        "cone-speed-0", "g-length-0", "g-dt-0"])
+def test_oracle_rejects_bad_flags_before_writing(tmp_path, capsys, flags,
+                                                 message):
+    out = tmp_path / "o"
+    assert main(["oracle", *flags, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_oracle_refine_and_hopflax(tmp_path):

@@ -10,7 +10,6 @@ from hjnet.hamiltonians import (
     global_min,
     momentum_minimizer,
     shift_hamiltonian,
-    validate_inversion,
 )
 
 
@@ -238,7 +237,12 @@ def test_family_reversal_law_validated():
     fam = hj.family_from_edges(
         net, {"e": hj.quadratic_hamiltonian(beta=0.3,
                                             kappa=np.linspace(0.0, 1.0, 7))})
-    assert validate_inversion(fam, net) <= 1e-10
+    S, P = np.meshgrid(np.linspace(0.0, 1.0, 41), np.linspace(-3.0, 3.0, 25),
+                       indexing="ij")
+    for arc in net.edge_arcs():
+        dev = np.abs(hj.evaluate(fam[arc.inverse_id], S, P)
+                     - hj.evaluate(fam[arc.id], 1.0 - S, -P))
+        assert np.max(dev) <= 1e-10
 
 
 def test_shift_hamiltonian_sampled():
@@ -256,7 +260,6 @@ def test_sampled_constants():
     assert hj.momentum_lipschitz(H, 1.5) == pytest.approx(1.0, abs=1e-12)
     assert hj.momentum_lipschitz(H, 5.0) == pytest.approx(1.0, abs=1e-12)
     assert hj.c_gamma(H) == -1.0
-    assert hj.c_gamma(H, p_grid=np.linspace(-2.0, 2.0, 33)) == -1.0
     assert hj.sublevel_width(H, 2.0) == pytest.approx(1.0, abs=1e-9)
     r = hj.reverse_hamiltonian(H)
     s = np.linspace(0.0, 1.0, 9)

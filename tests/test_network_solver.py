@@ -491,5 +491,3 @@ def test_solution_reverse_field_accessor():
     sc = make_path(40)
     sol = hj.solve(sc)
     assert np.array_equal(sol.field("a~"), sol.fields["a"][:, ::-1])
-    ts = sol.vertex_series("v1")
-    assert ts.values.shape == (sol.grid.nt + 1,)

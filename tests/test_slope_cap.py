@@ -5,7 +5,6 @@ import pytest
 
 from hjnet.errors import NonNegativeSlopeError
 from hjnet.slope_cap import (
-    Slope,
     TimeSeries,
     apply_g,
     apply_g_bruteforce,
@@ -48,8 +47,6 @@ def test_nonnegative_slope_rejected():
         apply_g(series([1.0, 2.0]), 0.0)
     with pytest.raises(NonNegativeSlopeError):
         apply_g_bruteforce(series([1.0, 2.0]), 0.5)
-    with pytest.raises(NonNegativeSlopeError):
-        Slope(1.0)
 
 
 def test_matches_bruteforce_bitwise_on_dyadic_series():
