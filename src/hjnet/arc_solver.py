@@ -21,13 +21,14 @@ Boundary handling:
 
 One stepper does every march: ``_ArcStepper``, built once per march on an
 (R, ns + 1) stack of arc rows of any kinds with per-row theta, orders the
-rows so that each kind is one contiguous slice, allocates its slope,
-momentum and Hhat buffers once, and writes each step's update, interior
-nodes and both state-constraint endpoint candidates, into an array the
-caller passes in (the rows themselves allowed); the caller applies the
-sides.  It serves ``max_subsolution`` (R = 1), the network solver (all
-edges of every scenario it marches together), the certificate (all arc
-transforms) and the residual scans (whose Hhat is the stepper's).
+rows so that each kind (each momentum-knot vector, for the sampled kind) is
+one contiguous slice, allocates its slope, momentum and Hhat buffers once,
+and writes each step's update, interior nodes and both state-constraint
+endpoint candidates, into an array the caller passes in (the rows themselves
+allowed); the caller applies the sides.  It serves ``max_subsolution``
+(R = 1), the network solver (all edges of every scenario it marches
+together), the certificate (all arc transforms) and the residual scans
+(whose Hhat is the stepper's).
 
 Also provided: the exact cone solution of w_t - M |w'| = 0 used as a
 finite-speed oracle, the Lipschitz envelope from above, t-partial
@@ -49,8 +50,8 @@ from .errors import (
 )
 from .hamiltonians import (
     _Columns,
+    _grid_coefficients,
     momentum_lipschitz,
-    momentum_minimizer,
     sublevel_width,
     subsolution_level,
 )
@@ -130,24 +131,23 @@ class ArcField:
 class _ArcStepper:
     """One monotone scheme step for a stack of arc rows, built once per march.
 
-    The stack holds its rows grouped by kind (sampled ones sharing a knot
-    count): stack row r is ``hams[order[r]]``, so each group is one slice of
+    The stack holds its rows grouped by kind (sampled ones by their momentum
+    knots): stack row r is ``hams[order[r]]``, so each group is one slice of
     rows and its column table reads and writes views.  theta is one scalar
     or one value per Hamiltonian; a single Hamiltonian may serve ``rows``
     rows.  The slope, momentum, Hhat and scratch buffers, and every view of
-    them a step touches, are made here and reused by every step.
+    them a step touches, are made here and reused by every step; the end
+    minimizers and column coefficients are the ones each Hamiltonian keeps.
     """
 
     def __init__(self, hams, ns, theta, dt, rows=None):
-        s = np.linspace(0.0, 1.0, ns + 1)
         groups = {}
         for i, H in enumerate(hams):
-            key = (H.kind, 0 if H.p_knots is None else H.p_knots.size)
+            key = (H.kind, None if H.p_knots is None else tuple(H.p_knots))
             groups.setdefault(key, []).append(i)
         self.order = np.array([i for idx in groups.values() for i in idx])
         # momentum minimizers of the rows at s = 0 and at s = 1
-        self.p_star = np.stack([momentum_minimizer(H, [0.0, 1.0])
-                                for H in hams])[self.order].T.copy()
+        self.p_star = np.array([hams[i]._p_ends for i in self.order]).T.copy()
         half_theta = 0.5 * np.asarray(theta, dtype=float)
         self.half_theta = (half_theta[self.order, None] if half_theta.ndim
                            else half_theta)
@@ -164,8 +164,10 @@ class _ArcStepper:
         for idx, lo, hi in zip(groups.values(), bounds, bounds[1:]):
             # a lone group takes every row, however many one H serves
             sl = slice(lo, hi) if len(groups) > 1 else slice(None)
-            self.groups.append((_Columns([hams[i] for i in idx], s),
-                                p[sl], hh[sl], tmp[sl]))
+            grp = [hams[i] for i in idx]
+            cols = _Columns(grp, None,
+                            [_grid_coefficients(H, ns) for H in grp])
+            self.groups.append((cols, p[sl], hh[sl], tmp[sl]))
 
     def hhat(self, u):
         """Hhat of the rows u (R, ns+1), left in ``hh``, with the cell

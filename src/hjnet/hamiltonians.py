@@ -56,8 +56,10 @@ class ArcHamiltonian:
     Its arrays are never written in place (``replace`` makes a new object),
     so the invariants derived on the default check grid are cached on the
     object: min_p H behind ``c_gamma`` and ``global_min``, the
-    ``sublevel_width`` of every level asked for, and the
-    ``shift_hamiltonian`` copy of every shift asked for.
+    ``sublevel_width`` of every level asked for, the ``shift_hamiltonian``
+    copy of every shift asked for, the momentum minimizers at s = 0 and
+    s = 1, and the column coefficients on every ns-cell grid a march asks
+    for.
     """
 
     kind: str
@@ -84,12 +86,27 @@ class ArcHamiltonian:
     def _shifted(self):
         return {}
 
+    @cached_property
+    def _p_ends(self):
+        return momentum_minimizer(self, [0.0, 1.0])
+
+    @cached_property
+    def _on_grids(self):
+        return {}
+
+
+def _finite(**arrays):
+    for name, a in arrays.items():
+        if not np.all(np.isfinite(a)):
+            raise ValueError(f"{name} must be finite")
+
 
 def _make_knots(n, s_knots):
     if s_knots is not None:
         s = np.asarray(s_knots, dtype=float)
         if s.ndim != 1 or s.size != n:
             raise ValueError("s_knots must match coefficient length")
+        _finite(s_knots=s)
         if s[0] != 0.0 or s[-1] != 1.0 or np.any(np.diff(s) <= 0):
             raise ValueError("s_knots must increase from 0 to 1")
         return s
@@ -103,6 +120,7 @@ def _symbolic(kind, alpha, beta, kappa, s_knots):
         raise ValueError("coefficient arrays must share one s-knot grid")
     n = sizes.pop() if sizes else 2
     alpha, beta, kappa = (np.repeat(a, n) if a.size == 1 else a for a in arrs)
+    _finite(alpha=alpha, beta=beta, kappa=kappa)
     if np.min(alpha) <= 0:
         raise ValueError("alpha must be strictly positive (convexity/coercivity)")
     return ArcHamiltonian(kind=kind, s_knots=_make_knots(n, s_knots),
@@ -131,6 +149,8 @@ def sampled_hamiltonian(s_knots, p_knots, table, extension_slope):
     t = np.asarray(table, dtype=float)
     if t.shape != (s.size, p.size):
         raise ValueError("table shape must be (len(s_knots), len(p_knots))")
+    slope = float(extension_slope)
+    _finite(p_knots=p, table=t, extension_slope=slope)
     if p.size < 3:
         raise ValueError("need at least 3 momentum knots")
     if np.any(np.diff(p) <= 0):
@@ -139,7 +159,6 @@ def sampled_hamiltonian(s_knots, p_knots, table, extension_slope):
     d2 = np.diff(t, n=2, axis=1) / np.diff(p)[:-1].min() ** 2
     if np.min(d2) < -TOL_CONVEX * scale:
         raise ValueError("table is not convex in p")
-    slope = float(extension_slope)
     edge = np.diff(t, axis=1) / np.diff(p)
     if slope <= 0:
         raise ValueError("extension slope must be positive (coercivity)")
@@ -167,60 +186,90 @@ def _sampled_rows_at(H, s):
     return (1.0 - w)[:, None] * H.table[idx] + w[:, None] * H.table[idx + 1]
 
 
-class _Columns:
-    """H(s, p) of R same-kind Hamiltonians (sampled ones sharing a knot count)
-    at C fixed s columns, coefficients looked up once; takes momenta (R, C),
-    or any (N, C) when R = 1.  Given ``out`` (and, for the quadratic kind, a
-    scratch ``tmp`` of its shape) the values are written there."""
+def _coefficients(H, s):
+    """H's coefficients at the s columns: its (3, C) alpha, beta and kappa
+    rows, or the (C, K) table rows of the sampled kind."""
+    if H.kind == "sampled":
+        return _sampled_rows_at(H, s)
+    return np.array([np.interp(s, H.s_knots, getattr(H, c))
+                     for c in ("alpha", "beta", "kappa")])
 
-    def __init__(self, hams, s):
-        s = np.asarray(s, dtype=float)
+
+def _grid_coefficients(H, ns):
+    """``_coefficients`` on the ns-cell grid, derived once per (H, ns)."""
+    if ns not in H._on_grids:
+        H._on_grids[ns] = _coefficients(H, np.linspace(0.0, 1.0, ns + 1))
+    return H._on_grids[ns]
+
+
+class _Columns:
+    """H(s, p) of R same-kind Hamiltonians (sampled ones sharing their
+    momentum knots) at C fixed s columns, coefficients looked up once; takes
+    momenta (R, C), or any (N, C) when R = 1.  ``coefs`` holds each
+    Hamiltonian's ``_coefficients`` at s when the caller keeps them.  Given
+    ``out`` (and a scratch ``tmp`` of its shape) the values are written
+    there."""
+
+    def __init__(self, hams, s, coefs=None):
+        if coefs is None:
+            s = np.asarray(s, dtype=float)
+            coefs = [_coefficients(H, s) for H in hams]
         self.kind = hams[0].kind
         if self.kind == "sampled":
-            self.rows = np.array([_sampled_rows_at(H, s) for H in hams])
-            self.pk = np.array([H.p_knots for H in hams])
+            # cell j of row r at column c is entry (r C + c)(K - 1) + j of
+            # the flat tables of the cells' left and right ends
+            pk = hams[0].p_knots
+            rows = np.array(coefs)
+            self.lo, self.hi, self.inner = pk[0], pk[-1], pk[1:-1]
+            self.k0, self.dk = pk[:-1], np.diff(pk)
+            self.t0, self.t1 = rows[..., :-1].ravel(), rows[..., 1:].ravel()
+            self.base = (pk.size - 1) * np.arange(rows.shape[0] * rows.shape[1]
+                                                  ).reshape(rows.shape[:2])
             self.ext = np.array([[H.extension_slope] for H in hams])
-            self.r = np.arange(len(hams))[:, None]
-            self.c = np.arange(s.size)
+            self.shape = self.base.shape
         else:
-            self.a, self.b, self.k = (
-                np.array([np.interp(s, H.s_knots, getattr(H, c)) for H in hams])
-                for c in ("alpha", "beta", "kappa"))
+            self.a, self.b, self.k = (np.array([c[i] for c in coefs])
+                                      for i in range(3))
+            self.shape = self.a.shape
 
     def __call__(self, p, out=None, tmp=None):
-        if self.kind == "sampled":
-            if out is None:
-                return self._sampled(p)
-            out[...] = self._sampled(p)
-            return out
         if out is None:
-            out = np.empty(np.broadcast_shapes(self.a.shape, np.shape(p)))
-        if self.kind == "quadratic":  # a p p + b p + k
-            tmp = np.empty_like(out) if tmp is None else tmp
-            np.multiply(self.a, p, out=out)
-            out *= p
-            np.multiply(self.b, p, out=tmp)
-            out += tmp
-        else:                         # a |p - b| + k
+            out = np.empty(np.broadcast_shapes(self.shape, np.shape(p)))
+        if self.kind == "abs":        # a |p - b| + k
             np.subtract(p, self.b, out=out)
             np.abs(out, out=out)
             out *= self.a
+            out += self.k
+            return out
+        tmp = np.empty_like(out) if tmp is None else tmp
+        if self.kind == "sampled":
+            return self._sampled(p, out, tmp)
+        np.multiply(self.a, p, out=out)  # a p p + b p + k
+        out *= p
+        np.multiply(self.b, p, out=tmp)
+        out += tmp
         out += self.k
         return out
 
-    def _sampled(self, p):
-        # counting the knots at or below the clipped p locates its cell as
-        # a right-sided searchsorted would, for every element at once
-        pk, r, c = self.pk, self.r, self.c
-        lo, hi = pk[:, :1], pk[:, -1:]
-        pc = np.minimum(np.maximum(p, lo), hi)
-        j = np.minimum(np.sum(pk[:, None, :] <= pc[..., None], axis=-1),
-                       pk.shape[1] - 1) - 1
-        k0, k1 = pk[r, j], pk[r, j + 1]
-        w = (pc - k0) / (k1 - k0)
-        vals = (1.0 - w) * self.rows[r, c, j] + w * self.rows[r, c, j + 1]
-        return vals + self.ext * (np.maximum(p - hi, 0.0)
-                                  + np.maximum(lo - p, 0.0))
+    def _sampled(self, p, out, pc):
+        # (1 - w) A + w B on the cell of the clipped momentum pc, whose index
+        # counts the interior knots at or below it, plus the extension
+        # slope times |p - pc|
+        np.maximum(p, self.lo, out=pc)
+        np.minimum(pc, self.hi, out=pc)
+        j = self.inner.searchsorted(pc, side="right")
+        w = pc - self.k0.take(j)
+        w /= self.dk.take(j)
+        j += self.base
+        np.subtract(1.0, w, out=out)
+        out *= self.t0.take(j)
+        w *= self.t1.take(j)
+        out += w
+        pc -= p
+        np.abs(pc, out=pc)
+        pc *= self.ext
+        out += pc
+        return out
 
 
 def evaluate(H, s, p):

@@ -123,12 +123,15 @@ class Scenario:
 
 
 def validate_scenario(sc: Scenario):
-    """Grid size, limiter admissibility, datum shape, vertex consistency of
-    the datum."""
+    """Grid size, time step, limiter admissibility, datum shape, vertex
+    consistency of the datum."""
     if sc.ns < 2:
         raise ValidationError("ns must be at least 2")
-    if sc.horizon <= 0:
-        raise ValidationError("horizon must be positive")
+    if not (np.isfinite(sc.horizon) and sc.horizon > 0):
+        raise ValidationError(
+            f"horizon must be finite and positive, got {sc.horizon}")
+    if sc.dt is not None and not (np.isfinite(sc.dt) and sc.dt > 0):
+        raise ValidationError(f"dt must be finite and positive, got {sc.dt}")
     rep = validate_flux_limiter(sc.network, sc.limiter_values(),
                                 sc.hamiltonians.by_arc)
     if not rep.ok:

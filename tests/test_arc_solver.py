@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 import hjnet as hj
-from hjnet.arc_solver import _Columns
+from hjnet import hamiltonians
+from hjnet.arc_solver import _ArcStepper, _Columns
 from hjnet.errors import CFLViolationError, CornerMismatchError
+
+from conftest import make_comb
 
 
 H1 = hj.abs_hamiltonian(kappa=1.0)  # |p| + 1
@@ -384,3 +387,34 @@ def test_split_point_min_bound_for_capped_traces():
     rhs = np.minimum(cap(v.values[:, -1]), cap(w.values[:, -1]))
     eps = 3.0 * (1.0 + 2.0) * (grid.ds + grid.dt)
     assert np.all(lhs >= rhs - eps)
+
+
+def test_a_second_stepper_derives_no_grid_data_again(monkeypatch):
+    sc = make_comb(3)
+    hams = [sc.hamiltonians[a.id] for a in sc.network.edge_arcs()]
+    assert {H.kind for H in hams} == {"abs", "quadratic", "sampled"}
+    calls = []
+
+    def counting(f):
+        def counted(*args):
+            calls.append(f.__name__)
+            return f(*args)
+        return counted
+
+    for name in ("momentum_minimizer", "_sampled_rows_at"):
+        monkeypatch.setattr(hamiltonians, name,
+                            counting(getattr(hamiltonians, name)))
+    first = _ArcStepper(hams, 32, 1.0, 0.01)
+    assert calls.count("momentum_minimizer") == len(hams)
+    assert calls.count("_sampled_rows_at") > 0
+    n = len(calls)
+    second = _ArcStepper(hams, 32, 1.0, 0.01)
+    assert len(calls) == n
+    assert np.array_equal(second.p_star, first.p_star)
+    # another grid derives its table rows, but not the end minimizers
+    _ArcStepper(hams, 16, 1.0, 0.01)
+    assert calls[n:] and set(calls[n:]) == {"_sampled_rows_at"}
+    for cols, *_ in second.groups:
+        arrays = ((cols.t0, cols.t1, cols.base, cols.ext)
+                  if cols.kind == "sampled" else (cols.a, cols.b, cols.k))
+        assert all(a.flags.c_contiguous for a in arrays), cols.kind

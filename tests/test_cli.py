@@ -116,8 +116,10 @@ SAMPLED_E3 = ("e3 x3 x0 sampled pmin=-2 pmax=2 npts=abc slope=5 "
     ("e3 x3 x0 abs alpha=1 beta=0 kappa=1", SAMPLED_E3),
     ("e3 x3 x0 abs alpha=1 beta=0 kappa=1",
      "e3 x3 x0 abs alpha=0 beta=0 kappa=1"),
+    ("e3 x3 x0 abs alpha=1 beta=0 kappa=1",
+     "e3 x3 x0 abs alpha=nan beta=0 kappa=1"),
 ], ids=["limiter-abc", "horizon-abc", "ns-2.5", "linear-x", "bare-initial",
-        "sampled-npts-abc", "alpha-0"])
+        "sampled-npts-abc", "alpha-0", "alpha-nan"])
 def test_bad_values_are_parse_errors_with_their_line(tmp_path, capsys, old,
                                                      new):
     text = TRIPOD.replace(old, new)
@@ -192,6 +194,25 @@ def test_run_rejects_bad_flags_before_writing(tmp_path, capsys, flags,
     out = tmp_path / "o"
     assert main(["run", "--scenario", scn, "--out", str(out), *flags]) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("run, flags, field", [
+    ("T = nan", [], "horizon"),
+    ("T = inf", [], "horizon"),
+    ("T = 1.0", ["--t-final", "nan"], "horizon"),
+    ("T = 1.0\ndt = 0", [], "dt"),
+    ("T = 1.0\ndt = nan", [], "dt"),
+    ("T = 1.0\ndt = -0.01", [], "dt"),
+], ids=["T-nan", "T-inf", "t-final-nan", "dt-0", "dt-nan", "dt-negative"])
+def test_run_rejects_a_non_finite_or_non_positive_time_step_or_horizon(
+        tmp_path, capsys, run, flags, field):
+    scn = _write(tmp_path, TRIPOD.replace("T = 1.0", run))
+    out = tmp_path / "o"
+    assert main(["run", "--scenario", scn, "--out", str(out), *flags]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: {field} must be finite and positive")
     assert not out.exists()
 
 

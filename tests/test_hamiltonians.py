@@ -266,3 +266,32 @@ def test_sampled_constants():
     q = np.linspace(-1.5, 1.5, 7)
     assert np.max(np.abs(hj.evaluate(r, s[:, None], q[None, :])
                          - hj.evaluate(H, 1.0 - s[:, None], -q[None, :]))) < 1e-12
+
+
+def _table(centre=1.0):
+    """|p| + 1 on five knots at two s knots, its value at (0, 0) replaced."""
+    p = np.linspace(-2.0, 2.0, 5)
+    table = np.tile(np.abs(p) + 1.0, (2, 1))
+    table[0, 2] = centre
+    return p, table
+
+
+@pytest.mark.parametrize("make, name", [
+    (lambda: hj.abs_hamiltonian(alpha=np.nan), "alpha"),
+    (lambda: hj.abs_hamiltonian(beta=[0.0, np.inf]), "beta"),
+    (lambda: hj.quadratic_hamiltonian(kappa=np.inf), "kappa"),
+    (lambda: hj.quadratic_hamiltonian(alpha=[1.0, 1.0, 1.0],
+                                      s_knots=[0.0, np.nan, 1.0]), "s_knots"),
+    (lambda: hj.sampled_hamiltonian([0.0, 1.0], [-2.0, -1.0, 0.0, 1.0, np.inf],
+                                    _table()[1], 2.0), "p_knots"),
+    (lambda: hj.sampled_hamiltonian([0.0, 1.0], *_table(np.nan), 2.0),
+     "table"),
+    (lambda: hj.sampled_hamiltonian([0.0, 1.0], *_table(), np.nan),
+     "extension_slope"),
+    (lambda: hj.sampled_hamiltonian([0.0, 1.0], *_table(), np.inf),
+     "extension_slope"),
+], ids=["abs-alpha-nan", "abs-beta-inf", "quadratic-kappa-inf",
+        "s-knot-nan", "p-knot-inf", "table-nan", "slope-nan", "slope-inf"])
+def test_constructors_reject_non_finite_data(make, name):
+    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+        make()

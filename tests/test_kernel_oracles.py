@@ -3,7 +3,8 @@
 max_subsolution, the network solver and the vertex transforms march on one
 stepper over stacks of arc rows grouped by kind; these tests rebuild them
 from scalar evaluations, arc by arc in the callers' order, and require
-equality bit for bit.
+equality bit for bit.  The sampled kind's column lookup is checked the same
+way against a scalar search over each row's own momentum knots.
 """
 
 import dataclasses
@@ -13,11 +14,32 @@ import numpy as np
 import pytest
 
 import hjnet as hj
-from hjnet.hamiltonians import momentum_minimizer
+from hjnet.arc_solver import _ArcStepper
+from hjnet.hamiltonians import _Columns, momentum_minimizer
 from hjnet.semidiscrete import (VertexTraceSet, _arc_transform_traces,
                                 arc_initial, f_gamma, f_x, f_x_selected)
 
 from conftest import make_comb, make_mixed
+
+
+def scalar_sampled(H, s, p):
+    """A sampled H at one (s, p), in scalar arithmetic: the table row
+    interpolated in s, the cell of the clipped p found by a right-sided
+    search over the row's own knots, and the extension term as the sum of
+    the distances beyond either end."""
+    sk, pk, tab = H.s_knots, H.p_knots, H.table
+    i = min(max(int(np.searchsorted(sk, s, side="right")) - 1, 0), sk.size - 2)
+    s0, s1 = float(sk[i]), float(sk[i + 1])
+    ws = (s - s0) / (s1 - s0) if s1 > s0 else 0.0
+    lo, hi = float(pk[0]), float(pk[-1])
+    pc = min(max(p, lo), hi)
+    j = min(int(np.searchsorted(pk, pc, side="right")), pk.size - 1) - 1
+    a, b = ((1.0 - ws) * float(tab[i, k]) + ws * float(tab[i + 1, k])
+            for k in (j, j + 1))
+    k0, k1 = float(pk[j]), float(pk[j + 1])
+    w = (pc - k0) / (k1 - k0)
+    return ((1.0 - w) * a + w * b
+            + H.extension_slope * (max(p - hi, 0.0) + max(lo - p, 0.0)))
 
 
 def scalar_step(H, u, grid, theta):
@@ -103,6 +125,27 @@ def _sampled():
     return hj.sampled_hamiltonian([0.0, 0.6, 1.0], p, table, edge + 0.5)
 
 
+def _same_knots():
+    """Sampled Hamiltonians on one knot vector: _sampled(), one with
+    another table, and the reversal of _sampled(), whose knots hold -0.0
+    where the others hold 0.0."""
+    H = _sampled()
+    p = H.p_knots
+    table = np.array([[1.5], [1.1]]) * np.abs(p - 0.5) + [[0.3], [0.8]]
+    other = hj.sampled_hamiltonian([0.0, 1.0], p, table, 2.0)
+    return [H, other, hj.reverse_hamiltonian(H)]
+
+
+def _probes(H):
+    """Every knot, both zeros, points inside the cells, beyond both ends and
+    at both infinities."""
+    pk = H.p_knots
+    inside = pk[:-1] + np.array([0.1, 0.5, 0.9])[:, None] * np.diff(pk)
+    return np.concatenate([pk, [0.0, -0.0], inside.ravel(),
+                           [pk[0] - 0.7, pk[-1] + 0.7, pk[0] - 1e9,
+                            pk[-1] + 1e9, -np.inf, np.inf]])
+
+
 KINDS = {
     "abs": lambda: hj.abs_hamiltonian(
         alpha=[1.0, 1.8, 1.2], beta=[0.3, -0.2, 0.1], kappa=[0.5, 1.0, 0.7]),
@@ -164,8 +207,9 @@ def test_vertex_transforms_equal_per_arc_min_and_argmin(planned):
 
 
 @pytest.mark.parametrize("make", [lambda: make_comb(0, horizon=0.1),
-                                  lambda: make_mixed(16)],
-                         ids=["comb", "mixed"])
+                                  lambda: make_mixed(16),
+                                  lambda: _two_knot_sets(16)],
+                         ids=["comb", "mixed", "two-knot-sets"])
 def test_arc_transforms_of_interleaved_kinds_equal_scalar_marches(make):
     sc = make()
     sol = hj.solve(sc)
@@ -206,3 +250,70 @@ def test_network_march_of_interleaved_kinds_equals_scalar_marches():
                 assert np.array_equal(sol.fields[e], f), (sc.name, e)
             for x, v in vertex.items():
                 assert np.array_equal(sol.vertex[x], v), (sc.name, x)
+
+
+def test_sampled_columns_equal_the_scalar_lookup():
+    hams = _same_knots()
+    assert hams[2].p_knots.tobytes() != hams[0].p_knots.tobytes()
+    probes = _probes(hams[0])
+    s = np.linspace(0.0, 1.0, 11)
+
+    def want(H, sv, pv):
+        return scalar_sampled(H, float(sv), float(pv))
+
+    # (R, C): each block of rows takes the next probes, cycling through them
+    p = np.resize(probes, (len(hams), s.size * 4)).reshape(-1, s.size)
+    for lo in range(0, p.shape[0], len(hams)):
+        q = p[lo:lo + len(hams)]
+        got = _Columns(hams, s)(q)
+        ref = [[want(H, sv, pv) for sv, pv in zip(s, row)]
+               for H, row in zip(hams, q)]
+        assert np.array_equal(got, ref)
+        out, tmp = np.empty_like(q), np.empty_like(q)
+        assert _Columns(hams, s)(q, out=out, tmp=tmp) is out
+        assert np.array_equal(out, ref)
+    for H in hams:
+        cols = _Columns([H], s)
+        # (N, C) with R = 1, and the (n, 1) column every column sees
+        grid = np.broadcast_to(probes[:, None], (probes.size, s.size))
+        ref = [[want(H, sv, pv) for sv in s] for pv in probes]
+        for q in (grid.copy(), probes[:, None]):
+            assert np.array_equal(cols(q), ref)
+        for pv in probes:              # a scalar momentum
+            assert np.array_equal(cols(pv)[0], [want(H, sv, pv) for sv in s])
+            assert hj.evaluate(H, 0.3, pv) == want(H, 0.3, pv)
+
+
+def _two_knot_sets(ns, horizon=0.1):
+    """make_mixed with e5 sampled on other knots than e3's (as many of
+    them), limiters redrawn below the new critical values."""
+    sc = make_mixed(ns, horizon=horizon)
+    p = np.linspace(-2.0, 2.0, 9)
+    table = np.array([0.7, 1.1])[:, None] * (p[None, :] + 0.2) ** 2 + 0.6
+    edge = float(np.max(np.abs(np.diff(table, axis=1) / np.diff(p))))
+    per = {a.id: sc.hamiltonians[a.id] for a in sc.network.edge_arcs()}
+    per["e5"] = hj.sampled_hamiltonian([0.0, 1.0], p, table, edge + 0.5)
+    fam = hj.family_from_edges(sc.network, per)
+    lim = {x: min(hj.c_gamma(fam[a.id])
+                  for a in hj.incident_arcs(sc.network, x)) - 0.2
+           for x in sc.network.vertex_ids()}
+    return dataclasses.replace(sc, hamiltonians=fam, limiter=lim,
+                               name="two-knot-sets")
+
+
+def test_network_march_on_two_knot_vectors_equals_scalar_marches():
+    sc = _two_knot_sets(24)
+    params = hj.plan_solve(sc)
+    hams = [sc.constants.hamiltonians[a.id] for a in sc.network.edge_arcs()]
+    step = _ArcStepper(hams, params.ns, 1.0, params.dt)
+    knots = sorted(tuple(np.r_[cols.lo, cols.inner, cols.hi])
+                   for cols, *_ in step.groups if cols.kind == "sampled")
+    assert knots == sorted({tuple(H.p_knots) for H in hams
+                            if H.kind == "sampled"})
+    assert len(knots) == 2
+    fields, vertex = scalar_network(sc, params)
+    sol = hj.solve(sc, params)
+    for e, f in fields.items():
+        assert np.array_equal(sol.fields[e], f), e
+    for x, v in vertex.items():
+        assert np.array_equal(sol.vertex[x], v), x
