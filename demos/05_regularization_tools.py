@@ -1,13 +1,14 @@
 """Regularization helpers: envelopes, sup-convolution, the cone oracle.
 
-Three smaller tools back the solver's theory-facing checks:
+Three standalone tools from the well-posedness theory; the solver itself
+calls none of them:
 
 * Lipschitz envelopes squeeze any gridded function between n-Lipschitz
   approximants from above and below, converging uniformly as n grows;
 * the t-partial sup-convolution turns a field into a time-Lipschitz one
   while shifting optimizers by at most O(sqrt(delta));
 * the exact cone solution of w_t - M |w'| = 0 bounds how far differences
-  of solutions can travel, which is where the gluing window comes from.
+  of solutions can travel, which is what the finite-speed window bounds.
 """
 
 import numpy as np
@@ -31,7 +32,7 @@ print("\n--- t-partial sup-convolution of a decaying field ---")
 grid = hj.Grid2D(10, 0.0, 0.02, 100)
 t = grid.t_nodes()
 vals = np.broadcast_to(-t[:, None], (101, 11)).copy()
-fld = hj.ArcField(grid, vals, hj.free(), hj.free(), vals[0], theta=1.0)
+fld = hj.ArcField(grid, vals, theta=1.0)
 for delta in (0.04, 0.16):
     out, tdelta = hj.sup_convolution_t(fld, delta)
     inner = out.values[t >= delta, :]
@@ -50,7 +51,7 @@ reached = s[cone.values[k] > 0.0]
 print(f"at t = {t[k]:.3f} the spike from (0, {t[6]:.3f}) has reached "
       f"s <= {reached.max():.3f} (cone slope 1)")
 H = hj.abs_hamiltonian(kappa=1.0)
-print(f"merge window for |p|+1: {hj.propagation_window(H, 1.0)} (= 1/36)")
+print(f"finite-speed window for |p|+1: {hj.propagation_window(H, 1.0)} (= 1/36)")
 Hq = hj.quadratic_hamiltonian()
 for L in (2.0, 4.0, 8.0):
     print(f"  quadratic arc, slope budget {L}: window "

@@ -41,7 +41,6 @@ from .hamiltonians import (
 from .network import (
     Arc,
     Network,
-    Vertex,
     build_network,
     incident_arcs,
     validate_flux_limiter,

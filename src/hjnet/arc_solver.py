@@ -28,7 +28,8 @@ endpoint candidates, into an array the caller passes in (the rows themselves
 allowed); the caller applies the sides.  It serves ``max_subsolution``
 (R = 1), the network solver (all edges of every scenario it marches
 together), the certificate (all arc transforms) and the residual scans
-(whose Hhat is the stepper's).
+(whose Hhat is the stepper's).  A marched field is an ``ArcField``: its grid,
+its values and the dissipation theta it was marched with.
 
 Also provided: the exact cone solution of w_t - M |w'| = 0 used as a
 finite-speed oracle, the Lipschitz envelope from above, t-partial
@@ -85,8 +86,9 @@ class Grid2D:
     def __post_init__(self):
         if self.ns < 2:
             raise ValueError("need at least 2 space cells")
-        if self.dt <= 0 or self.nt < 0:
-            raise ValueError("need dt > 0 and nt >= 0")
+        if not (np.isfinite(self.t0) and np.isfinite(self.dt) and self.dt > 0
+                and self.nt >= 0):
+            raise ValueError("need finite t0, finite dt > 0 and nt >= 0")
 
     @property
     def ds(self):
@@ -118,13 +120,11 @@ def constrained(datum) -> BoundaryMode:
 
 @dataclass(eq=False)
 class ArcField:
-    """Gridded u(s,t) on one arc; values indexed [time, space]."""
+    """Gridded u(s,t) on one arc; values indexed [time, space]; theta is the
+    dissipation it was marched with, if any."""
 
     grid: Grid2D
     values: np.ndarray
-    left: BoundaryMode
-    right: BoundaryMode
-    initial: np.ndarray
     theta: float | None = None
 
 
@@ -216,6 +216,15 @@ def default_dissipation(H, initial, left=None, right=None, dt=None):
     return momentum_lipschitz(H, max(width, gmax) + 1.0)
 
 
+def _check_monotone(dt, theta, ds, edge=None):
+    """The step restriction dt * theta <= ds, up to a relative 1e-12;
+    a violation names the edge when one is given."""
+    if dt * theta > ds * (1.0 + 1e-12):
+        where = "" if edge is None else f"edge {edge!r}: "
+        raise CFLViolationError(
+            f"{where}dt*theta = {dt * theta:.3e} exceeds ds = {ds:.3e}")
+
+
 def _arc_theta(H, initial, left, right, grid, theta):
     """Check one arc's data against its grid; returns its dissipation."""
     if initial.shape != (grid.ns + 1,):
@@ -223,9 +232,7 @@ def _arc_theta(H, initial, left, right, grid, theta):
     if theta is None:
         theta = default_dissipation(H, initial, left, right, dt=grid.dt)
     theta = float(theta)
-    if grid.dt * theta > grid.ds * (1.0 + 1e-12):
-        raise CFLViolationError(
-            f"dt*theta = {grid.dt * theta:.3e} exceeds ds = {grid.ds:.3e}")
+    _check_monotone(grid.dt, theta, grid.ds)
     for bm, end in ((left, initial[0]), (right, initial[-1])):
         if bm.kind != "constrained":
             continue
@@ -257,8 +264,7 @@ def max_subsolution(H, initial, left, right, grid, theta=None) -> ArcField:
             u[0] = min(u[0], left.datum[k + 1])
         if right.kind == "constrained":
             u[-1] = min(u[-1], right.datum[k + 1])
-    return ArcField(grid=grid, values=values, left=left, right=right,
-                    initial=initial, theta=theta)
+    return ArcField(grid=grid, values=values, theta=theta)
 
 
 def cone_solution(M, initial, left_datum, right_datum, grid) -> ArcField:
@@ -290,8 +296,7 @@ def cone_solution(M, initial, left_datum, right_datum, grid) -> ArcField:
         cr = np.where((1.0 - s)[:, None] <= back[None, :], rdat[None, :],
                       -np.inf).max(axis=1)
         values[k] = np.maximum(row, np.maximum(cl, cr))
-    return ArcField(grid=grid, values=values, left=constrained(ldat),
-                    right=constrained(rdat), initial=initial, theta=M)
+    return ArcField(grid=grid, values=values, theta=M)
 
 
 def _lip_pass(values, step, axis, combine):
@@ -379,7 +384,7 @@ def supersolution_residual(field, H, theta=None) -> float:
 
 
 def propagation_window(H, lipschitz_bound) -> float:
-    """Safe merge window: half the strict finite-speed bound.
+    """Finite-speed window: half the strict finite-speed bound.
 
     With M the momentum-Lipschitz constant over the slope bound (floored at
     3), differences of solutions sharing initial data stay confined for

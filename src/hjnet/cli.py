@@ -25,6 +25,7 @@ import numpy as np
 from .arc_solver import Grid2D, cone_solution
 from .errors import HJNetError, ValidationError
 from .network_solver import (
+    _EPS_FACTOR,
     NetworkSolution,
     calibrate_epsilon,
     plan_solve,
@@ -174,9 +175,13 @@ def _dump_slices(solution, outdir, times):
 def _slice_times(text):
     """The times of --dump-slices (comma-separated), or [] without it."""
     try:
-        return [float(x) for x in (text or "").split(",") if x]
+        times = [float(x) for x in (text or "").split(",") if x]
     except ValueError as e:
         raise ValidationError(f"--dump-slices: {e}") from e
+    for t in times:
+        if not np.isfinite(t):
+            raise ValidationError(f"--dump-slices: times must be finite, got {t}")
+    return times
 
 
 def _report(solution, rep, refine_details, elapsed, outdir):
@@ -205,10 +210,11 @@ def _report(solution, rep, refine_details, elapsed, outdir):
 
 def _cmd_run(args):
     try:
-        scenario, run = parse_scenario_file(
+        scenario, checks = parse_scenario_file(
             args.scenario, ns=args.ns, horizon=args.t_final, cfl=args.cfl)
         params = plan_solve(scenario)
-        checks = run.checks if args.checks is None else parse_checks(args.checks)
+        if args.checks is not None:
+            checks = parse_checks(args.checks)
         if args.refine < 0:
             raise ValidationError("--refine must be at least 0")
         times = _slice_times(args.dump_slices)
@@ -229,7 +235,7 @@ def _cmd_run(args):
     if args.refine:
         C, details = calibrate_epsilon(scenario, levels=args.refine + 1)
         g = solution.grid
-        eps = 3.0 * C * (g.ds + g.dt)
+        eps = _EPS_FACTOR * C * (g.ds + g.dt)
         refine_details = {"C": C, "levels": details}
 
     rep = None
@@ -361,11 +367,14 @@ def _check_oracle_flags(args):
                   f"--oracle {args.oracle} needs --scenario")]
     elif args.oracle == "g":
         rules = [(args.length >= 1, "--length must be at least 1"),
+                 (np.isfinite(args.dt), "--dt must be finite"),
                  (args.dt > 0, "--dt must be positive")]
     else:
         rules = [(args.grid_ns >= 2, "--grid-ns must be at least 2"),
+                 (np.isfinite(args.dt), "--dt must be finite"),
                  (args.dt > 0, "--dt must be positive"),
                  (args.nt >= 0, "--nt must be at least 0"),
+                 (np.isfinite(args.speed), "--speed must be finite"),
                  (args.speed > 0, "--speed must be positive")]
     for ok, message in rules:
         if not ok:

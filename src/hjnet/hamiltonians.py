@@ -45,6 +45,7 @@ __all__ = [
 ]
 
 TOL_CONVEX = 1e-10
+_WIDTH_TOL = 1e-12    # relative slack of the empty-sublevel test
 
 _KINDS = ("quadratic", "abs", "sampled")
 
@@ -54,12 +55,11 @@ class ArcHamiltonian:
     """Evaluable Hamiltonian on one arc, parametrized on s in [0,1].
 
     Its arrays are never written in place (``replace`` makes a new object),
-    so the invariants derived on the default check grid are cached on the
-    object: min_p H behind ``c_gamma`` and ``global_min``, the
-    ``sublevel_width`` of every level asked for, the ``shift_hamiltonian``
-    copy of every shift asked for, the momentum minimizers at s = 0 and
-    s = 1, and the column coefficients on every ns-cell grid a march asks
-    for.
+    so the invariants derived on the check grid are cached on the object:
+    min_p H behind ``c_gamma`` and ``global_min``, the ``sublevel_width`` of
+    every level asked for, the ``shift_hamiltonian`` copy of every shift
+    asked for, the momentum minimizers at s = 0 and s = 1, and the column
+    coefficients on every ns-cell grid a march asks for.
     """
 
     kind: str
@@ -279,10 +279,9 @@ def evaluate(H, s, p):
     return float(out) if out.ndim == 0 else out
 
 
-def _s_check_grid(H, s_grid=None, n=257):
-    if s_grid is not None:
-        return _check_s(np.asarray(s_grid, dtype=float))
-    return np.union1d(H.s_knots, np.linspace(0.0, 1.0, n))
+def _s_check_grid(H):
+    """The s-knots joined with 257 uniform nodes."""
+    return np.union1d(H.s_knots, np.linspace(0.0, 1.0, 257))
 
 
 def momentum_minimizer(H, s):
@@ -305,24 +304,18 @@ def _min_over_p(H, s):
     return evaluate(H, s, pstar)
 
 
-def c_gamma(H, s_grid=None):
-    """Critical value -max_s min_p H(s,p) on a check grid.
+def c_gamma(H):
+    """Critical value -max_s min_p H(s,p) on the check grid.
 
     Symbolic kinds use the closed-form per-s minimizer; the sampled kind
     scans its momentum knots.
     """
-    return -float(np.max(_min_p_on(H, s_grid)))
+    return -float(np.max(H._min_p))
 
 
-def global_min(H, s_grid=None):
+def global_min(H):
     """min over (s,p) of H on the check grid."""
-    return float(np.min(_min_p_on(H, s_grid)))
-
-
-def _min_p_on(H, s_grid):
-    if s_grid is None:
-        return H._min_p
-    return _min_over_p(H, _s_check_grid(H, s_grid))
+    return float(np.min(H._min_p))
 
 
 def reverse_hamiltonian(H):
@@ -368,16 +361,15 @@ def subsolution_level(H, w0):
     return float(np.max(evaluate(H, mids, slopes)))
 
 
-def sublevel_width(H, M, s_grid=None, tol=1e-12):
-    """max{|p| : H(s,p) <= M for every s}, by bisection.
+def sublevel_width(H, M):
+    """max{|p| : H(s,p) <= M for every s on the check grid}, by bisection.
 
     Convexity in p makes {p : max_s H(s,p) <= M} an interval; coercivity
     bounds it.  Raises EmptySublevelError when the interval is empty.
     """
-    key = (M, tol)
-    if s_grid is None and key in H._widths:
-        return H._widths[key]
-    s = _s_check_grid(H, s_grid)
+    if M in H._widths:
+        return H._widths[M]
+    s = _s_check_grid(H)
     cols = _Columns([H], s)
 
     def umax(p):
@@ -402,7 +394,7 @@ def sublevel_width(H, M, s_grid=None, tol=1e-12):
                 lo = m1
         p0 = 0.5 * (lo + hi)
         v0 = umax(p0)
-        if v0 > M + tol * (1.0 + abs(M)):
+        if v0 > M + _WIDTH_TOL * (1.0 + abs(M)):
             raise EmptySublevelError(f"sublevel at M={M} is empty (min {v0})")
 
     def root(direction):
@@ -427,8 +419,7 @@ def sublevel_width(H, M, s_grid=None, tol=1e-12):
         return inside
 
     width = max(abs(root(+1.0)), abs(root(-1.0)))
-    if s_grid is None:
-        H._widths[key] = width
+    H._widths[M] = width
     return width
 
 

@@ -1,4 +1,4 @@
-"""Compact embedded networks: vertices, oriented arc pairs, incidence.
+"""Compact networks: vertex ids, oriented arc pairs, incidence.
 
 Arcs are purely combinatorial and parametrized on [0,1]; geometry only
 enters through the per-arc Hamiltonians.  Every undirected edge expands to
@@ -21,7 +21,6 @@ from .errors import (
 from .hamiltonians import c_gamma
 
 __all__ = [
-    "Vertex",
     "Arc",
     "Network",
     "build_network",
@@ -31,6 +30,7 @@ __all__ = [
 ]
 
 _REV = "~"
+_LIMITER_TOL = 1e-12  # c_x may exceed min c_gamma by this much
 
 
 def reverse_arc_id(arc_id: str) -> str:
@@ -48,12 +48,6 @@ def _csv_safe(kind, ident):
 
 
 @dataclass(frozen=True)
-class Vertex:
-    id: str
-    coords: tuple | None = None  # decorative embedding, I/O only
-
-
-@dataclass(frozen=True)
 class Arc:
     id: str
     start: str  # gamma(0)
@@ -63,7 +57,7 @@ class Arc:
 
 @dataclass(frozen=True)
 class Network:
-    vertices: dict = field(default_factory=dict)
+    vertices: frozenset = frozenset()
     arcs: dict = field(default_factory=dict)
 
     def vertex_ids(self):
@@ -80,7 +74,7 @@ class Network:
         return self.arcs[arc_id]
 
     def incidence(self):
-        """Arc ids ending at each vertex, in incident_arcs order, in one pass."""
+        """Arc ids ending at each vertex, sorted by arc id, in one pass."""
         into = {x: [] for x in self.vertex_ids()}
         for aid in self.arc_ids():
             into[self.arcs[aid].end].append(aid)
@@ -90,25 +84,21 @@ class Network:
 def build_network(vertices, edges) -> Network:
     """Build and validate a network.
 
-    vertices: iterable of vertex ids, or (id, coords) pairs.
+    vertices: iterable of vertex ids.
     edges: iterable of (edge_id, start_vertex, end_vertex); each edge yields
     the oriented arc pair (edge_id, edge_id + '~').
     """
-    vdict = {}
+    vids = set()
     for v in vertices:
-        if isinstance(v, (tuple, list)):
-            vid, coords = v[0], tuple(float(c) for c in v[1])
-        else:
-            vid, coords = v, None
-        vid = _csv_safe("vertex", str(vid))
-        if vid in vdict:
+        vid = _csv_safe("vertex", str(v))
+        if vid in vids:
             raise DuplicateIdError(f"duplicate vertex id {vid!r}")
-        vdict[vid] = Vertex(vid, coords)
+        vids.add(vid)
 
     arcs = {}
     for eid, u, v in edges:
         eid, u, v = _csv_safe("edge", str(eid)), str(u), str(v)
-        if u not in vdict or v not in vdict:
+        if u not in vids or v not in vids:
             raise UnknownVertexError(f"edge {eid!r} references unknown vertex")
         if u == v:
             raise LoopEdgeError(f"edge {eid!r} is a loop at {u!r}; loops are unsupported")
@@ -120,11 +110,11 @@ def build_network(vertices, edges) -> Network:
         arcs[eid] = Arc(eid, u, v, rid)
         arcs[rid] = Arc(rid, v, u, eid)
 
-    if not vdict:
+    if not vids:
         raise DisconnectedNetworkError("network has no vertices")
     seen = set()
-    stack = [next(iter(sorted(vdict)))]
-    adj = {vid: set() for vid in vdict}
+    stack = [min(vids)]
+    adj = {vid: set() for vid in vids}
     for a in arcs.values():
         adj[a.start].add(a.end)
     while stack:
@@ -133,11 +123,11 @@ def build_network(vertices, edges) -> Network:
             continue
         seen.add(x)
         stack.extend(adj[x] - seen)
-    if seen != set(vdict):
-        missing = sorted(set(vdict) - seen)
+    if seen != vids:
+        missing = sorted(vids - seen)
         raise DisconnectedNetworkError(f"network is disconnected; unreachable: {missing}")
 
-    return Network(vertices=vdict, arcs=arcs)
+    return Network(vertices=frozenset(vids), arcs=arcs)
 
 
 def incident_arcs(net: Network, x) -> list:
@@ -145,7 +135,7 @@ def incident_arcs(net: Network, x) -> list:
     x = str(x)
     if x not in net.vertices:
         raise UnknownVertexError(f"unknown vertex {x!r}")
-    return [net.arcs[a] for a in net.arc_ids() if net.arcs[a].end == x]
+    return [net.arcs[a] for a in net.incidence()[x]]
 
 
 @dataclass(frozen=True)
@@ -169,15 +159,15 @@ class LimiterReport:
         return [e for e in self.entries if not e.ok]
 
 
-def validate_flux_limiter(net, limiter, hams, tol=1e-12) -> LimiterReport:
+def validate_flux_limiter(net, limiter, hams) -> LimiterReport:
     """Check c_x <= min over incident arcs of c_gamma, vertex by vertex."""
     entries = []
     cgam = {aid: c_gamma(hams[aid]) for aid in net.arcs}
-    for x in net.vertex_ids():
+    for x, into in net.incidence().items():
         if x not in limiter:
             raise UnknownVertexError(f"flux limiter missing vertex {x!r}")
-        inc = incident_arcs(net, x)
-        cmin = min(cgam[a.id] for a in inc)
+        cmin = min(cgam[aid] for aid in into)
         margin = limiter[x] - cmin
-        entries.append(LimiterEntry(x, limiter[x], cmin, margin, margin <= tol))
+        entries.append(LimiterEntry(x, limiter[x], cmin, margin,
+                                    margin <= _LIMITER_TOL))
     return LimiterReport(entries)

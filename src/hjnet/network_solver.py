@@ -35,7 +35,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .arc_solver import Grid2D, _ArcStepper, _interior_residuals
+from .arc_solver import (Grid2D, _ArcStepper, _check_monotone,
+                         _interior_residuals)
 from .errors import (
     CFLViolationError,
     GridMismatchError,
@@ -74,6 +75,12 @@ __all__ = [
     "restart_check",
     "interior_bump",
 ]
+
+_EPS_FACTOR = 3.0      # a scheme tolerance: this times C (ds + dt)
+_RESID_TOL = 1e-9      # interior residual of the discrete equation
+_TRACE_TOL = 1e-12     # vertex continuity and inverse-arc consistency
+_CONTRACTION_SLACK = 1e-11  # roundoff allowed in ordering and contraction
+_SHIFT_TOL = 1e-12     # relative to 1 + sup |u|
 
 
 @dataclass(frozen=True)
@@ -127,6 +134,8 @@ def validate_scenario(sc: Scenario):
     consistency of the datum."""
     if sc.ns < 2:
         raise ValidationError("ns must be at least 2")
+    if not np.isfinite(sc.t0):
+        raise ValidationError(f"t0 must be finite, got {sc.t0}")
     if not (np.isfinite(sc.horizon) and sc.horizon > 0):
         raise ValidationError(
             f"horizon must be finite and positive, got {sc.horizon}")
@@ -183,10 +192,9 @@ class SolveParams:
     dt: float
     nt: int
     theta: dict            # edge id -> dissipation coefficient
-    width_beyond_table: bool = False  # a sampled table's p-range bound the width
 
 
-def plan_solve(scenario: Scenario, others=(), cfl=None) -> SolveParams:
+def plan_solve(scenario: Scenario, others=()) -> SolveParams:
     """Choose dissipation and time step.
 
     ``others`` lists scenarios that must run on the very same grid (for
@@ -203,14 +211,9 @@ def plan_solve(scenario: Scenario, others=(), cfl=None) -> SolveParams:
             raise ValidationError("comparable scenarios must share ns")
     ds = 1.0 / scenario.ns
     budgets = {}
-    width_clipped = False
     for sc in scens:
         for arc in sc.network.edge_arcs():
-            H = sc.hamiltonians[arc.id]
             width = sc.constants.l_bound[arc.id]
-            if H.kind == "sampled" and width >= max(abs(H.p_knots[0]),
-                                                    abs(H.p_knots[-1])) - 1e-12:
-                width_clipped = True  # coercivity proxy decided the width
             gmax = float(np.max(np.abs(np.diff(sc.initial[arc.id])))) * sc.ns
             budgets[arc.id] = max(budgets.get(arc.id, 0.0), width, gmax)
     theta = {arc.id: momentum_lipschitz(scenario.hamiltonians[arc.id],
@@ -218,22 +221,20 @@ def plan_solve(scenario: Scenario, others=(), cfl=None) -> SolveParams:
              for arc in scenario.network.edge_arcs()}
     th_max = max(theta.values())
     dt_cap = ds / th_max
-    want = scenario.cfl if cfl is None else cfl
     if scenario.dt is not None:
         if scenario.dt > dt_cap * (1.0 + 1e-12):
             raise CFLViolationError(
                 f"requested dt {scenario.dt} exceeds {dt_cap:.3e}")
         dt0 = scenario.dt
-    elif want is not None:
-        if not 0 < want <= 1:
+    elif scenario.cfl is not None:
+        if not 0 < scenario.cfl <= 1:
             raise ValidationError("cfl must lie in (0, 1]")
-        dt0 = want * dt_cap
+        dt0 = scenario.cfl * dt_cap
     else:
         dt0 = dt_cap
     T = scenario.horizon
     nt = max(1, int(np.ceil(T / dt0 - 1e-9)))
-    return SolveParams(ns=scenario.ns, dt=T / nt, nt=nt, theta=theta,
-                       width_beyond_table=width_clipped)
+    return SolveParams(ns=scenario.ns, dt=T / nt, nt=nt, theta=theta)
 
 
 @dataclass(eq=False)
@@ -314,10 +315,7 @@ def solve_ensemble(scenarios, params: SolveParams) -> list:
             if a.id not in params.theta:
                 raise ValidationError(f"params carry no theta for edge {a.id!r}")
             th = float(params.theta[a.id])
-            if dt * th > grid.ds * (1.0 + 1e-12):
-                raise CFLViolationError(
-                    f"edge {a.id!r}: dt*theta = {dt * th:.3e} exceeds "
-                    f"ds = {grid.ds:.3e}")
+            _check_monotone(dt, th, grid.ds, a.id)
             hams.append(const.hamiltonians[a.id])
             init.append(g)
             theta.append(th)
@@ -386,7 +384,7 @@ def solve_ensemble(scenarios, params: SolveParams) -> list:
 def default_epsilon(solution: NetworkSolution) -> float:
     """Fallback scheme tolerance when no refinement calibration is at hand."""
     g = solution.grid
-    return 3.0 * (1.0 + solution.constants.m0) * (g.ds + g.dt)
+    return _EPS_FACTOR * (1.0 + solution.constants.m0) * (g.ds + g.dt)
 
 
 @dataclass(frozen=True)
@@ -428,8 +426,8 @@ class VerifyReport:
         raise KeyError(name)
 
 
-def verify(solution: NetworkSolution, eps_scheme=None, resid_tol=1e-9,
-           trace_tol=1e-12, checks=None) -> VerifyReport:
+def verify(solution: NetworkSolution, eps_scheme=None,
+           checks=None) -> VerifyReport:
     """Run the verification battery on a finished solution.
 
     All PDE-level checks run in the normalized (positive-Hamiltonian) frame;
@@ -474,8 +472,8 @@ def verify(solution: NetworkSolution, eps_scheme=None, resid_tol=1e-9,
                     -float(np.min(res, initial=np.inf)))
             if r > worst:
                 worst, wit = r, {"edge": arc.id}
-        out.append(CheckResult("interior_residual", worst <= resid_tol,
-                               resid_tol - worst, wit))
+        out.append(CheckResult("interior_residual", worst <= _RESID_TOL,
+                               _RESID_TOL - worst, wit))
 
     if enabled("discr_certificate"):
         ts = VertexTraceSet(grid, shifted_vertex,
@@ -525,8 +523,8 @@ def verify(solution: NetworkSolution, eps_scheme=None, resid_tol=1e-9,
             worst = max(worst,
                         float(np.max(np.abs(f[:, 0] - solution.vertex[arc.start]))),
                         float(np.max(np.abs(f[:, -1] - solution.vertex[arc.end]))))
-        out.append(CheckResult("vertex_continuity", worst <= trace_tol,
-                               trace_tol - worst))
+        out.append(CheckResult("vertex_continuity", worst <= _TRACE_TOL,
+                               _TRACE_TOL - worst))
 
     if enabled("inverse_consistency"):
         worst = 0.0
@@ -534,21 +532,25 @@ def verify(solution: NetworkSolution, eps_scheme=None, resid_tol=1e-9,
             d = np.max(np.abs(solution.field(arc.inverse_id)
                               - solution.fields[arc.id][:, ::-1]))
             worst = max(worst, float(d))
-        out.append(CheckResult("inverse_consistency", worst <= trace_tol,
-                               trace_tol - worst))
+        out.append(CheckResult("inverse_consistency", worst <= _TRACE_TOL,
+                               _TRACE_TOL - worst))
 
     if enabled("headroom"):
         # theta must cover the momentum-Lipschitz constant at the slopes the
         # march differenced (rows 0..nt-1), floored at ds around p = 0
-        worst, wit = np.inf, {}
+        worst, wit, beyond = np.inf, {}, False
         for arc in sc.network.edge_arcs():
+            H = sc.hamiltonians[arc.id]
             pm = np.diff(solution.fields[arc.id][:-1], axis=1)
             seen = float(np.max(np.abs(pm), initial=0.0)) * grid.ns
             room = params.theta[arc.id] - momentum_lipschitz(
-                sc.hamiltonians[arc.id], max(seen, grid.ds))
+                H, max(seen, grid.ds))
             if room < worst:
                 worst, wit = room, {"edge": arc.id, "slope_seen": seen}
-        wit["width_beyond_table"] = params.width_beyond_table
+            if H.kind == "sampled" and const.l_bound[arc.id] >= max(
+                    abs(H.p_knots[0]), abs(H.p_knots[-1])) - 1e-12:
+                beyond = True  # a sampled table's p-range bound the width
+        wit["width_beyond_table"] = beyond
         out.append(CheckResult("headroom", worst >= 0.0, worst, wit))
 
     return VerifyReport(out, eps)
@@ -560,8 +562,8 @@ def calibrate_epsilon(scenario: Scenario, levels=3):
     Solves at ns, 2 ns, 4 ns, ..., measures sup differences of consecutive
     levels on the coarser grid (linear interpolation in time), and returns
     (C, details) with C = max diff / (ds + dt) of the coarser level.  The
-    usable tolerance at a level is 3 * C * (ds + dt).  It takes at least two
-    levels.
+    usable tolerance at a level is _EPS_FACTOR * C * (ds + dt).  It takes at
+    least two levels.
     """
     if levels < 2:
         raise ValidationError(
@@ -602,8 +604,7 @@ class ContractionReport:
     ordered: bool | None    # u1 <= u2 everywhere, when g1 <= g2
 
 
-def contraction_check(scenario: Scenario, initial2: dict,
-                      slack=1e-11) -> ContractionReport:
+def contraction_check(scenario: Scenario, initial2: dict) -> ContractionReport:
     """Nonexpansiveness in the initial datum, on one shared grid."""
     sc2 = replace(scenario, initial={k: np.asarray(v, dtype=float)
                                      for k, v in initial2.items()})
@@ -616,10 +617,11 @@ def contraction_check(scenario: Scenario, initial2: dict,
     ordered = None
     if all(np.all(np.asarray(scenario.initial[e]) <= np.asarray(sc2.initial[e]))
            for e in scenario.initial):
-        ordered = all(np.all(u1.fields[e] <= u2.fields[e] + slack)
+        ordered = all(np.all(u1.fields[e] <= u2.fields[e] + _CONTRACTION_SLACK)
                       for e in u1.fields)
-    return ContractionReport(sup_diff=d, datum_gap=gap,
-                             ok=d <= gap + slack * (1.0 + gap), ordered=ordered)
+    return ContractionReport(
+        sup_diff=d, datum_gap=gap,
+        ok=d <= gap + _CONTRACTION_SLACK * (1.0 + gap), ordered=ordered)
 
 
 @dataclass(frozen=True)
@@ -629,7 +631,7 @@ class ShiftReport:
     ok: bool
 
 
-def shift_check(scenario: Scenario, a: float, tol=1e-12) -> ShiftReport:
+def shift_check(scenario: Scenario, a: float) -> ShiftReport:
     """Adding a to all Hamiltonians and subtracting it from the limiter
     must reproduce the solution minus a*(t-t0), to near machine accuracy.
 
@@ -652,16 +654,15 @@ def shift_check(scenario: Scenario, a: float, tol=1e-12) -> ShiftReport:
                                   - u1.fields[e])))
               for e in u1.fields)
     scale = 1.0 + max(float(np.max(np.abs(u1.fields[e]))) for e in u1.fields)
-    return ShiftReport(shift=a, max_dev=dev, ok=dev <= tol * scale)
+    return ShiftReport(shift=a, max_dev=dev, ok=dev <= _SHIFT_TOL * scale)
 
 
 def interior_bump(ns, height=1.0, center=0.5, halfwidth=0.25):
     """Datum perturbation vanishing at both arc endpoints."""
     s = np.linspace(0.0, 1.0, ns + 1)
-    y = np.maximum(0.0, 1.0 - np.abs(s - center) / halfwidth)
-    y[0] = 0.0
-    y[-1] = 0.0
-    return height * y
+    y = height * np.maximum(0.0, 1.0 - np.abs(s - center) / halfwidth)
+    y[0] = y[-1] = 0.0   # after scaling, so a negative height leaves +0 ends
+    return y
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@
 
     # comments start with '#'
     [vertices]
-    x0 0.0 0.0          # id, optional embedding coordinates
+    x0 0.0 0.0          # id, optional coordinates (numbers, otherwise unused)
     x1 1.0 0.0
     [edges]
     e1 x1 x0 abs alpha=1 beta=0 kappa=1
@@ -31,7 +31,6 @@ with the offending line number.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,20 +42,11 @@ from .hamiltonians import (
     sampled_hamiltonian,
 )
 from .network import build_network
-from .network_solver import CHECK_NAMES, Scenario
+from .network_solver import CHECK_NAMES, Scenario, interior_bump
 
-__all__ = ["RunOptions", "parse_checks", "parse_scenario", "parse_scenario_file"]
+__all__ = ["parse_checks", "parse_scenario", "parse_scenario_file"]
 
 _SECTIONS = ("vertices", "edges", "limiter", "initial", "run")
-
-
-@dataclass
-class RunOptions:
-    horizon: float = 1.0
-    ns: int = 100
-    dt: float | None = None
-    cfl: float | None = None
-    checks: tuple = CHECK_NAMES
 
 
 def _fail(msg, line):
@@ -146,9 +136,7 @@ def _profile(tokens, ns, line):
         h, c, w = (_number(a, line) for a in args)
         if not (0.0 < c - w and c + w < 1.0):
             _fail("bump support must lie strictly inside (0,1)", line)
-        y = h * np.maximum(0.0, 1.0 - np.abs(s - c) / w)
-        y[0] = y[-1] = 0.0
-        return y
+        return interior_bump(ns, h, c, w)
     if kind == "samples" and len(args) == 1:
         vals = _floats(args[0], line)
         if vals.size < 2:
@@ -158,7 +146,8 @@ def _profile(tokens, ns, line):
 
 
 def parse_scenario(text, name="scenario", ns=None, horizon=None, cfl=None):
-    """Parse scenario text; returns (Scenario, RunOptions).
+    """Parse scenario text; returns (Scenario, checks), checks the tuple of
+    check names of its ``checks =`` entry (all of them without one).
 
     ns / horizon / cfl override the file's [run] section (CLI flags).
     """
@@ -182,38 +171,37 @@ def parse_scenario(text, name="scenario", ns=None, horizon=None, cfl=None):
     if not sections["edges"]:
         raise ScenarioParseError("no [edges] section")
 
-    run = RunOptions()
+    run = {"horizon": 1.0, "ns": 100, "dt": None, "cfl": None}  # Scenario fields
+    checks = CHECK_NAMES
     for lineno, line in sections["run"]:
         if "=" not in line:
             _fail("run entries are key = value", lineno)
         k, v = (x.strip() for x in line.split("=", 1))
         if k in ("T", "t", "horizon"):
-            run.horizon = _number(v, lineno)
+            run["horizon"] = _number(v, lineno)
         elif k == "ns":
-            run.ns = _number(v, lineno, int)
-        elif k == "dt":
-            run.dt = _number(v, lineno)
-        elif k == "cfl":
-            run.cfl = _number(v, lineno)
+            run["ns"] = _number(v, lineno, int)
+        elif k in ("dt", "cfl"):
+            run[k] = _number(v, lineno)
         elif k == "checks":
-            run.checks = parse_checks(v, lineno)
+            checks = parse_checks(v, lineno)
         else:
             _fail(f"unknown run key {k!r}", lineno)
     if ns is not None:
-        run.ns = int(ns)
+        run["ns"] = int(ns)
     if horizon is not None:
-        run.horizon = float(horizon)
+        run["horizon"] = float(horizon)
     if cfl is not None:
-        run.cfl = float(cfl)
-        run.dt = None
-    if run.ns < 2:
+        run.update(cfl=float(cfl), dt=None)
+    if run["ns"] < 2:
         raise ScenarioParseError("ns must be at least 2")
 
     vertices = []
     for lineno, line in sections["vertices"]:
         vid, *coords = line.split()
-        item = (vid, [_number(x, lineno) for x in coords]) if coords else vid
-        vertices.append((lineno, item))
+        for x in coords:
+            _number(x, lineno)
+        vertices.append((lineno, vid))
 
     edges = []
     per_edge_h = {}
@@ -251,19 +239,18 @@ def parse_scenario(text, name="scenario", ns=None, horizon=None, cfl=None):
                     f"no flux limiter for vertex {x!r} and no default")
             limiter[x] = default_c
 
-    initial = {eid: np.zeros(run.ns + 1) for _, (eid, _, _) in edges}
+    initial = {eid: np.zeros(run["ns"] + 1) for _, (eid, _, _) in edges}
     for lineno, line in sections["initial"]:
         toks = line.split()
         if len(toks) < 2:
             _fail("initial lines are: edge profile [values ...]", lineno)
         if toks[0] not in initial:
             _fail(f"unknown edge {toks[0]!r} in initial", lineno)
-        initial[toks[0]] = _profile(toks[1:], run.ns, lineno)
+        initial[toks[0]] = _profile(toks[1:], run["ns"], lineno)
 
     scenario = Scenario(network=net, hamiltonians=fam, limiter=limiter,
-                        initial=initial, horizon=run.horizon, ns=run.ns,
-                        dt=run.dt, cfl=run.cfl, name=name)
-    return scenario, run
+                        initial=initial, name=name, **run)
+    return scenario, checks
 
 
 def parse_scenario_file(path, **overrides):

@@ -43,6 +43,8 @@ __all__ = [
     "discr_compare",
 ]
 
+_START_TOL = 1e-9  # relative: a trace's first value against the datum
+
 
 @dataclass(frozen=True)
 class VertexTraceSet:
@@ -57,7 +59,7 @@ class VertexTraceSet:
     traces: dict
     initial: dict
 
-    def validate(self, network, tol=1e-9):
+    def validate(self, network):
         nt, ns = self.grid.nt, self.grid.ns
         for x in network.vertex_ids():
             if x not in self.traces:
@@ -70,7 +72,7 @@ class VertexTraceSet:
                 raise GridMismatchError(f"initial datum of {arc.id!r} off the s-grid")
             for vid, val in ((arc.start, g[0]), (arc.end, g[-1])):
                 tv = self.traces[vid][0]
-                if abs(tv - val) > tol * (1.0 + abs(val)):
+                if abs(tv - val) > _START_TOL * (1.0 + abs(val)):
                     raise ValidationError(
                         f"trace at {vid!r} starts at {tv}, datum gives {val}")
         return self

@@ -45,8 +45,8 @@ class TimeSeries:
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", v)
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not (np.isfinite(self.t0) and np.isfinite(self.dt) and self.dt > 0):
+            raise ValueError("t0 must be finite and dt finite and positive")
         if v.ndim != 1 or v.size < 1:
             raise ValueError("values must be a nonempty 1-d array")
         if not np.all(np.isfinite(v)):

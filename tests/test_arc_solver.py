@@ -23,6 +23,14 @@ def fo_grid(ns, T=1.0, theta_base=1.0):
     return hj.Grid2D(ns, 0.0, dt, nt), theta
 
 
+@pytest.mark.parametrize("t0, dt", [(0.0, np.nan), (np.nan, 0.1),
+                                    (0.0, np.inf), (-np.inf, 0.1)],
+                         ids=["dt-nan", "t0-nan", "dt-inf", "t0-inf"])
+def test_grid_rejects_a_non_finite_start_or_step(t0, dt):
+    with pytest.raises(ValueError):
+        hj.Grid2D(4, t0, dt, 3)
+
+
 def test_flat_datum_decays_at_the_stationary_level():
     grid, theta = fo_grid(50)
     fld = hj.max_subsolution(H1, np.zeros(51), hj.free(), hj.free(), grid,
@@ -139,12 +147,11 @@ def test_produced_fields_solve_the_discrete_equation():
 def test_residuals_of_handmade_fields():
     grid = hj.Grid2D(20, 0.0, 0.02, 25)
     t = grid.t_nodes()
-    flat = hj.ArcField(grid, np.zeros((26, 21)), hj.free(), hj.free(),
-                       np.zeros(21), theta=1.0)
+    flat = hj.ArcField(grid, np.zeros((26, 21)), theta=1.0)
     assert hj.subsolution_residual(flat, H1) == pytest.approx(1.0, abs=1e-12)
     assert hj.supersolution_residual(flat, H1) == 0.0
     steep = hj.ArcField(grid, np.broadcast_to(-2.0 * t[:, None], (26, 21)).copy(),
-                        hj.free(), hj.free(), np.zeros(21), theta=1.0)
+                        theta=1.0)
     assert hj.subsolution_residual(steep, H1) == 0.0
     assert hj.supersolution_residual(steep, H1) == pytest.approx(1.0, abs=1e-12)
 
@@ -153,7 +160,7 @@ def test_handmade_field_without_theta_covers_its_own_slopes():
     H = hj.quadratic_hamiltonian()  # momentum_lipschitz(H, M) = 2 M
     grid = hj.Grid2D(20, 0.0, 0.005, 10)
     vals = np.random.default_rng(3).normal(size=(11, 21))
-    fld = hj.ArcField(grid, vals, hj.free(), hj.free(), vals[0])
+    fld = hj.ArcField(grid, vals)
     slope = np.max(np.abs(np.diff(vals, axis=1))) * grid.ns
     own = hj.momentum_lipschitz(H, slope + 1.0)
     for residual in (hj.subsolution_residual, hj.supersolution_residual):
@@ -241,8 +248,7 @@ def test_envelope_converges_from_above():
 
 def test_sup_convolution_constant_field():
     grid = hj.Grid2D(8, 0.0, 0.05, 10)
-    fld = hj.ArcField(grid, np.ones((11, 9)), hj.free(), hj.free(),
-                      np.ones(9), theta=1.0)
+    fld = hj.ArcField(grid, np.ones((11, 9)), theta=1.0)
     out, tdelta = hj.sup_convolution_t(fld, 0.1)
     assert np.array_equal(out.values, fld.values)
     assert tdelta == 0.0
@@ -252,7 +258,7 @@ def test_sup_convolution_linear_decay_gains_half_delta():
     grid = hj.Grid2D(8, 0.0, 0.05, 40)
     t = grid.t_nodes()
     vals = np.broadcast_to(-t[:, None], (41, 9)).copy()
-    fld = hj.ArcField(grid, vals, hj.free(), hj.free(), vals[0], theta=1.0)
+    fld = hj.ArcField(grid, vals, theta=1.0)
     delta = 8 * grid.dt  # optimizer t - delta lands on the grid
     out, tdelta = hj.sup_convolution_t(fld, delta)
     inner = out.values[8:, :]
@@ -267,7 +273,7 @@ def test_sup_convolution_shift_bounded_by_lipschitz_budget():
     for ell in (0.5, 1.0, 3.0):
         slopes = rng.uniform(-ell, ell, size=(80, 7))
         vals = np.vstack([np.zeros((1, 7)), np.cumsum(slopes * grid.dt, axis=0)])
-        fld = hj.ArcField(grid, vals, hj.free(), hj.free(), vals[0], theta=1.0)
+        fld = hj.ArcField(grid, vals, theta=1.0)
         for delta in (0.05, 0.2):
             _, tdelta = hj.sup_convolution_t(fld, delta)
             assert tdelta <= delta * ell + grid.dt + 1e-12

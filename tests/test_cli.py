@@ -2,6 +2,7 @@
 
 import filecmp
 import json
+import os
 
 import numpy as np
 import pytest
@@ -12,6 +13,9 @@ from hjnet.errors import ScenarioParseError, ValidationError
 from hjnet.scenario_io import parse_scenario
 
 from conftest import make_mixed
+
+TRIPOD_SCN = os.path.join(os.path.dirname(__file__), os.pardir, "demos",
+                          "scenarios", "tripod.scn")
 
 TRIPOD = """
 [vertices]
@@ -53,12 +57,12 @@ ns = 50
 
 
 def test_parse_scenario_builds_the_problem():
-    sc, run = parse_scenario(TRIPOD)
+    sc, _ = parse_scenario(TRIPOD)
     assert sorted(sc.network.vertices) == ["x0", "x1", "x2", "x3"]
     assert len(sc.network.arcs) == 6
     assert sc.limiter_values()["x0"] == -2.0
     assert sc.limiter_values()["x1"] == -1.0
-    assert run.ns == 60 and run.horizon == 1.0
+    assert sc.ns == 60 and sc.horizon == 1.0
     assert np.array_equal(sc.initial["e1"], np.zeros(61))
 
 
@@ -216,6 +220,36 @@ def test_run_rejects_a_non_finite_or_non_positive_time_step_or_horizon(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("times", ["nan", "inf", "nan,inf", "0.5,-inf"])
+def test_run_rejects_non_finite_slice_times_before_solving(tmp_path, capsys,
+                                                          times):
+    scn = _write(tmp_path, TRIPOD)
+    out = tmp_path / "o"
+    assert main(["run", "--scenario", scn, "--out", str(out),
+                 "--dump-slices", times]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: --dump-slices: times must be finite")
+    assert not out.exists()
+
+
+def test_negative_bump_writes_positive_zero_ends(tmp_path):
+    with open(TRIPOD_SCN, encoding="utf-8") as fh:
+        text = fh.read()
+    assert "e1 constant 0\n" in text
+    scn = _write(tmp_path, text.replace("e1 constant 0\n",
+                                        "e1 bump -0.2 0.5 0.25\n"))
+    out = tmp_path / "bump"
+    assert main(["run", "--scenario", scn, "--out", str(out),
+                 "--checks", "none"]) == 0
+    rows = [line.split(",") for line in
+            (out / "solution.csv").read_text().splitlines()[1:]]
+    first = [r for r in rows if r[0] == "e1" and r[2] == "0"]
+    assert first[0] == ["e1", "0", "0", "0"]
+    assert first[-1] == ["e1", "1", "0", "0"]
+    assert min(float(r[3]) for r in first) == pytest.approx(-0.2)
+
+
 def test_run_with_checks_none_skips_verification(tmp_path):
     scn = _write(tmp_path, TRIPOD)
     out = str(tmp_path / "nochecks")
@@ -293,6 +327,22 @@ def test_oracle_g_and_cone(tmp_path):
         "cone-speed-0", "g-length-0", "g-dt-0"])
 def test_oracle_rejects_bad_flags_before_writing(tmp_path, capsys, flags,
                                                  message):
+    out = tmp_path / "o"
+    assert main(["oracle", *flags, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--oracle", "g", "--dt", "inf"], "--dt must be finite"),
+    (["--oracle", "g", "--dt", "nan"], "--dt must be finite"),
+    (["--oracle", "cone", "--dt", "inf"], "--dt must be finite"),
+    (["--oracle", "cone", "--speed", "inf"], "--speed must be finite"),
+    (["--oracle", "cone", "--speed", "nan"], "--speed must be finite"),
+], ids=["g-dt-inf", "g-dt-nan", "cone-dt-inf", "cone-speed-inf",
+        "cone-speed-nan"])
+def test_oracle_rejects_non_finite_flags_before_writing(tmp_path, capsys,
+                                                        flags, message):
     out = tmp_path / "o"
     assert main(["oracle", *flags, "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"

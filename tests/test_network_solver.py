@@ -115,6 +115,13 @@ def test_missing_initial_datum_is_named():
         hj.validate_scenario(dataclasses.replace(sc, initial=initial))
 
 
+@pytest.mark.parametrize("t0", [np.nan, np.inf, -np.inf])
+def test_non_finite_start_time_is_named(t0):
+    sc = dataclasses.replace(make_tripod(20), t0=t0)
+    with pytest.raises(ValidationError, match="t0 must be finite"):
+        hj.validate_scenario(sc)
+
+
 def test_too_few_space_cells_are_named():
     sc = make_tripod(1)
     with pytest.raises(ValidationError, match="ns must be at least 2"):
@@ -135,9 +142,9 @@ def test_repeated_checks_derive_no_invariant_again(monkeypatch):
     calls = []
     check_grid = hamiltonians._s_check_grid
 
-    def counted(H, s_grid=None, n=257):
+    def counted(H):
         calls.append(H.kind)
-        return check_grid(H, s_grid, n)
+        return check_grid(H)
 
     monkeypatch.setattr(hamiltonians, "_s_check_grid", counted)
     sc = make_mixed(16)

@@ -49,6 +49,14 @@ def test_nonnegative_slope_rejected():
         apply_g_bruteforce(series([1.0, 2.0]), 0.5)
 
 
+@pytest.mark.parametrize("t0, dt", [(np.nan, np.nan), (0.0, np.nan),
+                                    (np.nan, 0.5), (0.0, np.inf)],
+                         ids=["both-nan", "dt-nan", "t0-nan", "dt-inf"])
+def test_series_rejects_a_non_finite_start_or_step(t0, dt):
+    with pytest.raises(ValueError):
+        TimeSeries(t0, dt, [1.0])
+
+
 def test_matches_bruteforce_bitwise_on_dyadic_series():
     # dyadic values and steps keep both evaluations exact in floating point,
     # so the recursion and the O(n^2) definition must agree bit for bit
