@@ -36,6 +36,7 @@ from .hamiltonians import (
     reverse_hamiltonian,
     sampled_hamiltonian,
     sublevel_width,
+    sublevel_widths,
     subsolution_level,
 )
 from .network import (

@@ -13,7 +13,6 @@ digits, so outputs are byte-stable across runs and round-trip exactly.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import sys
@@ -36,6 +35,8 @@ from .scenario_io import parse_checks, parse_scenario_file
 from .slope_cap import TimeSeries, apply_g, apply_g_bruteforce
 
 __all__ = ["main", "write_solution_csv", "load_solution_csv"]
+
+_CHUNK = 1 << 18    # bytes per read of the dump layout scan
 
 
 def _fmt(x):
@@ -92,16 +93,7 @@ def _read_u_blocks(path, kind, ids, size, ends):
     each in one contiguous run whose first and last rows hold the grid
     nodes ``ends`` (the text between the id and u)."""
     ids = set(ids)
-    runs = []
-    with open(path, "r", encoding="utf-8") as fh:
-        cols = _cells(fh.readline())
-        for key, grp in itertools.groupby(
-                fh, key=lambda line: line.partition(",")[0]):
-            n, first = 1, next(grp)
-            last = first
-            for n, last in enumerate(grp, start=2):
-                pass
-            runs.append((key, n, (_cells(first), _cells(last))))
+    cols, runs = _scan_runs(path)
     seen = set()
     for key, *_ in runs:
         if key in seen:
@@ -130,6 +122,82 @@ def _read_u_blocks(path, kind, ids, size, ends):
             for j, (key, *_) in enumerate(runs)}
 
 
+def _scan_runs(path):
+    """The header's cells and the runs of equal ids of a CSV file: (id,
+    rows, (first row's cells, last row's cells)) per run, in file order.
+
+    A row's id is its text up to the first comma (a row with no comma is
+    its own id, newline included), as ``str.partition`` cuts it.  Only the
+    first and last row of a run are decoded.
+    """
+    runs, head = [], None   # run: [id, rows, first row, last row], in bytes
+    with open(path, "rb") as fh:
+        for block in _line_blocks(fh):
+            if head is None and block:
+                i = block.find(b"\n") + 1 or len(block)
+                head, block = block[:i], block[i:]
+            if block:
+                _add_runs(runs, block)
+    return _cells((head or b"").decode()), [
+        (key.decode(), n, (_cells(first.decode()), _cells(last.decode())))
+        for key, n, first, last in runs]
+
+
+def _line_blocks(fh):
+    """A binary file as blocks of whole lines, read _CHUNK bytes at a time
+    and checked as a text-mode read checks them: the bytes must be UTF-8,
+    and CRLF and CR end a line as LF does.  Only the last block may lack
+    its final newline."""
+    tail = []   # the pieces of a line no chunk has ended yet
+    while True:
+        chunk = fh.read(_CHUNK)
+        cut = chunk.rfind(b"\n") + 1
+        if chunk and not cut:
+            tail.append(chunk)
+            continue
+        block, tail = b"".join([*tail, chunk[:cut]]), [chunk[cut:]]
+        if not block.isascii():
+            block.decode()      # raises UnicodeDecodeError
+        if b"\r" in block:
+            block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        yield block
+        if not chunk:
+            return
+
+
+def _add_runs(runs, block):
+    """Extend runs with the lines of block; a first line whose id is that
+    of the last run continues it."""
+    # a last line without its newline ends in 0xff, which UTF-8 never holds
+    whole = block.endswith(b"\n")
+    a = np.frombuffer(block if whole else block + b"\xff", dtype=np.uint8)
+    stop = np.flatnonzero(a == 10) + 1                  # past each newline
+    if not whole:
+        stop = np.append(stop, len(block))
+    start = np.concatenate(([0], stop[:-1]))
+    # line i + 1 starts a run unless its id equals line i's: walk the two
+    # lines byte by byte until they differ or both reach a comma or newline
+    new = np.zeros(start.size - 1, dtype=bool)
+    pairs, i, j = np.arange(start.size - 1), start[:-1], start[1:]
+    while pairs.size:
+        x, y = a[i], a[j]
+        same = x == y
+        new[pairs[~same]] = True
+        same &= (x != 44) & (x != 10)
+        pairs, i, j = pairs[same], i[same] + 1, j[same] + 1
+    firsts = np.concatenate(([0], np.flatnonzero(new) + 1)).tolist()
+    lasts = [f - 1 for f in firsts[1:]] + [start.size - 1]
+    for f, last in zip(firsts, lasts):
+        first = block[start[f]:stop[f]]
+        key = first.partition(b",")[0]
+        row = block[start[last]:stop[last]]
+        if f == 0 and runs and runs[-1][0] == key:
+            runs[-1][1] += last + 1
+            runs[-1][3] = row
+        else:
+            runs.append([key, last - f + 1, first, row])
+
+
 def _cells(line):
     """The text of a CSV line between its first and last comma."""
     return line.partition(",")[2].rpartition(",")[0]
@@ -138,9 +206,13 @@ def _cells(line):
 def load_solution_csv(outdir, scenario, params=None) -> NetworkSolution:
     """Re-import a dumped solution for verification round-trips.
 
-    Only the u column is parsed; the layout (one contiguous block of the
-    right length per scenario edge and vertex, starting and ending at the
-    grid's first and last nodes) is checked first.
+    The layout (one contiguous block of the right length per scenario edge
+    and vertex, starting and ending at the grid's first and last nodes) is
+    checked first, by a scan that reads each file in fixed-size byte chunks,
+    finds the runs of equal ids with numpy and decodes only each run's
+    first and last line.  Then only the u column is parsed, by one
+    ``np.loadtxt``.  LF, CRLF and CR line endings all read as in a
+    text-mode read.
     """
     if params is None:
         params = plan_solve(scenario)
@@ -368,7 +440,9 @@ def _check_oracle_flags(args):
     elif args.oracle == "g":
         rules = [(args.length >= 1, "--length must be at least 1"),
                  (np.isfinite(args.dt), "--dt must be finite"),
-                 (args.dt > 0, "--dt must be positive")]
+                 (args.dt > 0, "--dt must be positive"),
+                 (np.isfinite(args.slope), "--slope must be finite"),
+                 (args.slope < 0, "--slope must be negative")]
     else:
         rules = [(args.grid_ns >= 2, "--grid-ns must be at least 2"),
                  (np.isfinite(args.dt), "--dt must be finite"),

@@ -39,6 +39,7 @@ __all__ = [
     "positive_shift",
     "subsolution_level",
     "sublevel_width",
+    "sublevel_widths",
     "momentum_lipschitz",
     "global_min",
     "momentum_minimizer",
@@ -362,65 +363,115 @@ def subsolution_level(H, w0):
 
 
 def sublevel_width(H, M):
-    """max{|p| : H(s,p) <= M for every s on the check grid}, by bisection.
+    """max{|p| : H(s,p) <= M for every s on the check grid}, by bisection:
+    the one-Hamiltonian case of ``sublevel_widths``.
 
     Convexity in p makes {p : max_s H(s,p) <= M} an interval; coercivity
     bounds it.  Raises EmptySublevelError when the interval is empty.
     """
-    if M in H._widths:
-        return H._widths[M]
-    s = _s_check_grid(H)
-    cols = _Columns([H], s)
+    return sublevel_widths([H], M)[0]
+
+
+def sublevel_widths(hams, M):
+    """The ``sublevel_width`` of every Hamiltonian in hams at the one level
+    M, in their order, bisected together.
+
+    Rows of one kind (sampled ones sharing their momentum knots) on one
+    check grid share one ``_Columns``, and each row runs the probes a search
+    of its own would run, so every width is bitwise the one-row width.
+    Widths already derived at M are read from each Hamiltonian's cache and
+    new ones are stored there.  When a sublevel is empty, raises the
+    EmptySublevelError of the first such Hamiltonian in hams.
+    """
+    groups = {}
+    for H in {id(H): H for H in hams if M not in H._widths}.values():
+        s = _s_check_grid(H)
+        key = (H.kind, None if H.p_knots is None else tuple(H.p_knots),
+               tuple(s))
+        groups.setdefault(key, (s, []))[1].append(H)
+    failed = {}
+    for s, grp in groups.values():
+        for H, width in zip(grp, _bisect_widths(grp, s, M)):
+            if isinstance(width, str):
+                failed[id(H)] = width
+            else:
+                H._widths[M] = width
+    for H in hams:
+        if id(H) in failed:
+            raise EmptySublevelError(failed[id(H)])
+    return [H._widths[M] for H in hams]
+
+
+def _bisect_widths(hams, s, M):
+    """Widths of same-kind Hamiltonians on one check grid s, with the
+    message of its EmptySublevelError in place of a failed row's width.
+    Arrays hold the rows' search states; rows that have finished are masked
+    out of every update."""
+    cols = _Columns(hams, s)
 
     def umax(p):
-        return float(np.max(cols(p)))
+        """max_s H(s, p) of every row at momenta p (..., R)."""
+        return np.max(cols(p[..., None]), axis=-1)
 
-    # candidate interior point: best per-s minimizer under the uniform max
-    cands = np.unique(momentum_minimizer(H, s))
-    vals = np.max(cols(cands[:, None]), axis=1)
-    i0 = int(np.argmin(vals))
-    p0, v0 = float(cands[i0]), float(vals[i0])
-    if v0 > M:
+    # candidate interior point: best per-s minimizer under the uniform max;
+    # rows with fewer candidates repeat theirs, which keeps the first argmin
+    cands = [np.unique(momentum_minimizer(H, s)) for H in hams]
+    pad = np.array([np.resize(c, max(map(len, cands))) for c in cands]).T
+    vals = np.empty(pad.shape)
+    slab = max(1, (1 << 20) // (len(hams) * s.size))  # values per call
+    for j in range(0, len(pad), slab):
+        vals[j:j + slab] = umax(pad[j:j + slab])
+    rows = np.arange(len(hams))
+    i0 = np.argmin(vals, axis=0)
+    p0, v0 = pad[i0, rows], vals[i0, rows]
+    empty = np.zeros(len(hams), dtype=bool)
+    tern = v0 > M
+    if tern.any():
         # convex in p: ternary search around the candidate set
-        lo, hi = float(cands.min()) - 1.0, float(cands.max()) + 1.0
+        lo, hi = pad.min(axis=0) - 1.0, pad.max(axis=0) + 1.0
+        live = tern
         for _ in range(200):
             m1 = lo + (hi - lo) / 3.0
             m2 = hi - (hi - lo) / 3.0
-            if m1 == lo and m2 == hi:  # bracket stopped moving
+            live = live & ((m1 != lo) | (m2 != hi))  # bracket stopped moving
+            if not live.any():
                 break
-            if umax(m1) <= umax(m2):
-                hi = m2
-            else:
-                lo = m1
-        p0 = 0.5 * (lo + hi)
-        v0 = umax(p0)
-        if v0 > M + _WIDTH_TOL * (1.0 + abs(M)):
-            raise EmptySublevelError(f"sublevel at M={M} is empty (min {v0})")
+            u1, u2 = umax(np.array([m1, m2]))
+            left = u1 <= u2
+            hi = np.where(live & left, m2, hi)
+            lo = np.where(live & ~left, m1, lo)
+        p0 = np.where(tern, 0.5 * (lo + hi), p0)
+        v0 = np.where(tern, umax(p0), v0)
+        empty = tern & (v0 > M + _WIDTH_TOL * (1.0 + abs(M)))
 
-    def root(direction):
-        step = 1.0
-        inside, outside = p0, p0 + direction * step
-        while umax(outside) <= M:
-            inside = outside
-            step *= 2.0
-            outside = p0 + direction * step
-            if step > 1e12:
-                raise EmptySublevelError("coercivity violated: no outer bound")
-        for _ in range(100):
-            mid = 0.5 * (inside + outside)
-            # outside always fails the test: once mid rounds to an end,
-            # inside can no longer move
-            if mid == inside or mid == outside:
-                break
-            if umax(mid) <= M:
-                inside = mid
-            else:
-                outside = mid
-        return inside
-
-    width = max(abs(root(+1.0)), abs(root(-1.0)))
-    H._widths[M] = width
-    return width
+    # both directions at once: row 0 searches above p0, row 1 below
+    direction = np.array([[1.0], [-1.0]])
+    step = np.ones((2, len(hams)))
+    inside, outside = np.tile(p0, (2, 1)), p0 + direction * step
+    unbounded = np.zeros(len(hams), dtype=bool)
+    live = np.tile(~empty, (2, 1))
+    while live.any():
+        grow = live & (umax(outside) <= M)
+        inside = np.where(grow, outside, inside)
+        step[grow] *= 2.0
+        outside = np.where(grow, p0 + direction * step, outside)
+        live = grow & (step <= 1e12)
+        unbounded |= (grow & ~live).any(axis=0)
+    live = np.tile(~(empty | unbounded), (2, 1))
+    for _ in range(100):
+        mid = 0.5 * (inside + outside)
+        # outside always fails the test: once mid rounds to an end, inside
+        # can no longer move
+        live &= (mid != inside) & (mid != outside)
+        if not live.any():
+            break
+        ok = umax(mid) <= M
+        inside = np.where(live & ok, mid, inside)
+        outside = np.where(live & ~ok, mid, outside)
+    width = np.maximum(np.abs(inside[0]), np.abs(inside[1]))
+    return [f"sublevel at M={M} is empty (min {float(v)})" if e
+            else "coercivity violated: no outer bound" if u else float(w)
+            for e, u, v, w in zip(empty, unbounded, v0, width)]
 
 
 def momentum_lipschitz(H, M_bound):

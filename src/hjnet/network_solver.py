@@ -49,7 +49,7 @@ from .hamiltonians import (
     momentum_lipschitz,
     positive_shift,
     shift_hamiltonian,
-    sublevel_width,
+    sublevel_widths,
     subsolution_level,
 )
 from .network import reverse_arc_id, validate_flux_limiter
@@ -122,10 +122,11 @@ class Scenario:
         """
         fam, a, lim = positive_shift(self.hamiltonians, self.limiter_values())
         m0s = compute_m0(replace(self, hamiltonians=fam, limiter=lim))
+        arcs = self.network.edge_arcs()
+        widths = sublevel_widths([fam[arc.id] for arc in arcs], m0s)
         return SolveConstants(
             shift=a, m0=m0s,
-            l_bound={arc.id: sublevel_width(fam[arc.id], m0s)
-                     for arc in self.network.edge_arcs()},
+            l_bound={arc.id: w for arc, w in zip(arcs, widths)},
             hamiltonians=fam, limiter=lim)
 
 

@@ -323,8 +323,9 @@ def test_oracle_g_and_cone(tmp_path):
     (["--oracle", "cone", "--speed", "0"], "--speed must be positive"),
     (["--oracle", "g", "--length", "0"], "--length must be at least 1"),
     (["--oracle", "g", "--dt", "0"], "--dt must be positive"),
+    (["--oracle", "g", "--slope", "0"], "--slope must be negative"),
 ], ids=["refine-no-scenario", "hopflax-no-scenario", "cone-grid-ns-1",
-        "cone-speed-0", "g-length-0", "g-dt-0"])
+        "cone-speed-0", "g-length-0", "g-dt-0", "g-slope-0"])
 def test_oracle_rejects_bad_flags_before_writing(tmp_path, capsys, flags,
                                                  message):
     out = tmp_path / "o"
@@ -339,8 +340,11 @@ def test_oracle_rejects_bad_flags_before_writing(tmp_path, capsys, flags,
     (["--oracle", "cone", "--dt", "inf"], "--dt must be finite"),
     (["--oracle", "cone", "--speed", "inf"], "--speed must be finite"),
     (["--oracle", "cone", "--speed", "nan"], "--speed must be finite"),
+    (["--oracle", "g", "--slope=-inf"], "--slope must be finite"),
+    (["--oracle", "g", "--slope", "inf"], "--slope must be finite"),
+    (["--oracle", "g", "--slope", "nan"], "--slope must be finite"),
 ], ids=["g-dt-inf", "g-dt-nan", "cone-dt-inf", "cone-speed-inf",
-        "cone-speed-nan"])
+        "cone-speed-nan", "g-slope-minus-inf", "g-slope-inf", "g-slope-nan"])
 def test_oracle_rejects_non_finite_flags_before_writing(tmp_path, capsys,
                                                         flags, message):
     out = tmp_path / "o"

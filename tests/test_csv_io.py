@@ -3,11 +3,13 @@ exact round trip and its layout errors."""
 
 import dataclasses
 import os
+import re
 
 import numpy as np
 import pytest
 
 import hjnet as hj
+import hjnet.cli as cli
 from hjnet.cli import _dump_slices, load_solution_csv, write_solution_csv
 from hjnet.errors import ValidationError
 from hjnet.network_solver import NetworkSolution
@@ -164,3 +166,130 @@ def test_loader_rejects_a_dump_of_another_time_grid(tmp_path):
                        match=r"solution\.csv: edge 'e1' runs from s,t = 0,0 "
                              r"to 1,2, but the grid from 0,0 to 1,4$"):
         load_solution_csv(out, longer, params)
+
+
+def prefix_scenario(ns=4):
+    """A path whose edge ids e1, e10, e100 and vertex ids x1, x10, x100
+    prefix one another."""
+    edges = ("e1", "e10", "e100")
+    net = hj.build_network(["x", "x1", "x10", "x100"],
+                           [("e1", "x", "x1"), ("e10", "x1", "x10"),
+                            ("e100", "x10", "x100")])
+    H = hj.abs_hamiltonian(kappa=1.0)
+    fam = hj.family_from_edges(net, {e: H for e in edges})
+    s = np.linspace(0.0, 1.0, ns + 1)
+    return hj.Scenario(net, fam, {x: -1.0 for x in net.vertex_ids()},
+                       {e: 0.1 * np.minimum(s, 1.0 - s) for e in edges},
+                       horizon=0.25, ns=ns, name="prefix")
+
+
+def _dump(sc, tmp_path, name=None, edit=None):
+    """Solve sc and dump it; edit(bytes) rewrites the file called name."""
+    sol = hj.solve(sc)
+    out = tmp_path / "dump"
+    write_solution_csv(sol, str(out))
+    if edit is not None:
+        path = out / name
+        path.write_bytes(edit(path.read_bytes()))
+    return sol, str(out)
+
+
+def _assert_round_trip(sol, out):
+    back = load_solution_csv(out, sol.scenario, sol.params)
+    for eid, values in sol.fields.items():
+        assert back.fields[eid].tobytes() == values.tobytes(), eid
+    for x, trace in sol.vertex.items():
+        assert back.vertex[x].tobytes() == trace.astype(float).tobytes(), x
+
+
+def _relabel_last(old, new):
+    """The last row of id old relabelled as id new."""
+    def edit(data):
+        lines = data.splitlines(keepends=True)
+        i = max(i for i, ln in enumerate(lines) if ln.startswith(old + b","))
+        lines[i] = new + lines[i][len(old):]
+        return b"".join(lines)
+    return edit
+
+
+def _insert(n, line):
+    def edit(data):
+        lines = data.splitlines(keepends=True)
+        return b"".join(lines[:n] + [line] + lines[n:])
+    return edit
+
+
+def _replace(n, line):
+    def edit(data):
+        lines = data.splitlines(keepends=True)
+        return b"".join(lines[:n] + [line] + lines[n + 1:])
+    return edit
+
+
+def _crlf(data):
+    return data.replace(b"\n", b"\r\n")
+
+
+def test_loader_keeps_ids_that_prefix_one_another_apart(tmp_path):
+    _assert_round_trip(*_dump(prefix_scenario(), tmp_path))
+
+
+@pytest.mark.parametrize("name,edit,message", [
+    ("solution.csv", _relabel_last(b"e1", b"e10"),
+     "solution.csv: edge 'e1' has 14 rows, expected 15"),
+    ("vertex_traces.csv", _relabel_last(b"x1", b"x10"),
+     "vertex_traces.csv: vertex 'x1' has 2 rows, expected 3"),
+    ("solution.csv", lambda d: d.replace(b"\ne10,", b"\ne100,", 1),
+     "solution.csv: rows of edge 'e100' are not contiguous"),
+], ids=["e1-row-as-e10", "x1-row-as-x10", "e10-row-as-e100"])
+def test_loader_names_an_id_whose_row_took_a_longer_id(tmp_path, name, edit,
+                                                       message):
+    sol, out = _dump(prefix_scenario(), tmp_path, name, edit)
+    with pytest.raises(ValidationError, match=re.escape(message) + "$"):
+        load_solution_csv(out, sol.scenario, sol.params)
+
+
+@pytest.mark.parametrize("name", ["solution.csv", "vertex_traces.csv"])
+@pytest.mark.parametrize("edit", [lambda d: d[:-1], _crlf],
+                         ids=["no-final-newline", "crlf"])
+def test_loader_reads_crlf_and_a_last_line_without_its_newline(tmp_path, name,
+                                                               edit):
+    _assert_round_trip(*_dump(make_tripod(16), tmp_path, name, edit))
+
+
+@pytest.mark.parametrize("name,edit,message", [
+    ("solution.csv", _insert(10, b"\n"), "solution.csv: unknown edge '\\n'"),
+    ("solution.csv", lambda d: _insert(10, b"\r\n")(_crlf(d)),
+     "solution.csv: unknown edge '\\n'"),
+    ("solution.csv", _replace(10, b"0.5\n"),
+     "solution.csv: unknown edge '0.5\\n'"),
+    # a last line with no comma and no newline is its own id, here x3's
+    ("vertex_traces.csv", lambda d: d + b"x3",
+     "vertex_traces.csv: vertex 'x3' has 36 rows, expected 35"),
+], ids=["blank-line", "crlf-blank-line", "no-comma", "no-comma-last-line"])
+def test_loader_names_blank_and_comma_free_lines(tmp_path, name, edit,
+                                                 message):
+    sol, out = _dump(make_tripod(16), tmp_path, name, edit)
+    with pytest.raises(ValidationError, match=re.escape(message) + "$"):
+        load_solution_csv(out, sol.scenario, sol.params)
+
+
+@pytest.mark.parametrize("shift", [-1, 0, 1])
+@pytest.mark.parametrize("crlf", [False, True], ids=["lf", "crlf"])
+def test_loader_joins_runs_across_chunk_boundaries(tmp_path, monkeypatch,
+                                                   shift, crlf):
+    # the first chunk ends at e1's last newline (shift 0), one byte before
+    # it (between CR and LF with crlf) or one byte after it
+    sol, out = _dump(make_tripod(16), tmp_path, "solution.csv",
+                     _crlf if crlf else None)
+    data = (tmp_path / "dump" / "solution.csv").read_bytes()
+    boundary = data.index(b"\ne2,") + 1
+    monkeypatch.setattr(cli, "_CHUNK", boundary + shift)
+    _assert_round_trip(sol, out)
+    # a blank line right at the boundary is still its own run
+    path = tmp_path / "dump" / "solution.csv"
+    path.write_bytes(data[:boundary] + data[boundary - 1 - crlf:boundary]
+                     + data[boundary:])
+    with pytest.raises(ValidationError,
+                       match=re.escape("solution.csv: unknown edge '\\n'")):
+        load_solution_csv(out, sol.scenario, sol.params)

@@ -14,6 +14,9 @@ from hjnet.hamiltonians import (
     shift_hamiltonian,
 )
 
+from conftest import make_comb, make_mixed
+from test_pins import WIDTHS
+
 
 @pytest.fixture
 def habs():
@@ -220,6 +223,85 @@ def test_invariants_are_derived_once_per_hamiltonian(monkeypatch):
     assert calls["min_over_p"] == 3
     with pytest.raises(EmptySublevelError):
         hj.sublevel_width(raised, -5.0)
+
+
+def _parabolas(centers):
+    """Sampled (p - c)^2 on the knots -1.5, -0.5, 0.5, 1.5, c moving
+    linearly in s through centers."""
+    p = np.array([-1.5, -0.5, 0.5, 1.5])
+    table = (p[None, :] - np.array(centers)[:, None]) ** 2
+    edge = float(np.max(np.abs(np.diff(table, axis=1) / np.diff(p))))
+    return hj.sampled_hamiltonian(np.linspace(0.0, 1.0, len(centers)), p,
+                                  table, edge + 0.5)
+
+
+def _mixed_batch(M):
+    """The pinned width Hamiltonians, each shifted so that its pinned level
+    is M, every arc of make_mixed(48) and make_comb(0..3), and two sampled
+    ones on one knot vector: the first has fewer per-s minimizers (-0.5 and
+    0.5) than the second, and max_s H is lower between them (0.5 at p = 0,
+    1 at either), so it takes the ternary search at level 0.75."""
+    hams = [shift_hamiltonian(make(), M - level)
+            for _, make, level, _ in WIDTHS]
+    hams += [shift_hamiltonian(_parabolas([-0.5, 0.5]), M - 0.75),
+             _parabolas([-1.5, -0.5, 0.5])]
+    for sc in [make_mixed(48)] + [make_comb(seed) for seed in range(4)]:
+        hams += [sc.hamiltonians[a] for a in sc.hamiltonians.arcs()]
+    return hams
+
+
+def test_batched_widths_equal_the_one_row_widths():
+    M = 3.0
+    hams = _mixed_batch(M)
+    # the ternary cases keep every per-s minimizer above M
+    for tern in (hams[[w[0] for w in WIDTHS].index("ternary")],
+                 hams[len(WIDTHS)]):
+        s = np.union1d(tern.s_knots, np.linspace(0.0, 1.0, 257))
+        cands = np.unique(momentum_minimizer(tern, s))
+        assert hj.evaluate(tern, s, cands[:, None]).max(axis=1).min() > M
+    one = [hj.sublevel_width(dataclasses.replace(H), M) for H in hams]
+    batch = hj.sublevel_widths([dataclasses.replace(H) for H in hams], M)
+    assert [w.hex() for w in batch] == [w.hex() for w in one]
+    assert all(type(w) is float for w in batch)
+
+
+def test_batched_widths_raise_the_first_empty_sublevel():
+    ok = hj.abs_hamiltonian(kappa=0.5)
+    quad = hj.quadratic_hamiltonian(kappa=2.0)
+    tern = hj.abs_hamiltonian(alpha=1.0, beta=[-1.0, 0.3, 1.0], kappa=0.0)
+    messages = []
+    for H in (quad, tern):
+        with pytest.raises(EmptySublevelError) as err:
+            hj.sublevel_width(dataclasses.replace(H), 0.9)
+        messages.append(str(err.value))
+    for batch, want in (([ok, quad, tern], messages[0]),
+                        ([tern, ok, quad], messages[1])):
+        with pytest.raises(EmptySublevelError) as err:
+            hj.sublevel_widths([dataclasses.replace(H) for H in batch], 0.9)
+        assert str(err.value) == want
+
+
+def test_batched_widths_read_and_fill_the_width_cache(monkeypatch):
+    rows = []
+    columns = hamiltonians._Columns
+
+    def counted(hams, s, coefs=None):
+        rows.append(len(hams))
+        return columns(hams, s, coefs)
+
+    monkeypatch.setattr(hamiltonians, "_Columns", counted)
+    known = hj.abs_hamiltonian(alpha=2.0, kappa=0.5)
+    new = hj.abs_hamiltonian(alpha=1.5, kappa=0.25)
+    w_known = hj.sublevel_width(known, 2.0)
+    assert rows == [1]
+    widths = hj.sublevel_widths([known, new, new, known], 2.0)
+    # one group of one row: the cached row and the repeat are not redone
+    assert rows == [1, 1]
+    w_new = new._widths[2.0]
+    assert widths == [w_known, w_new, w_new, w_known]
+    assert hj.sublevel_widths([new, known], 2.0) == [w_new, w_known]
+    assert rows == [1, 1]
+    assert hj.sublevel_width(dataclasses.replace(new), 2.0) == w_new
 
 
 def test_momentum_lipschitz(habs, hquad):

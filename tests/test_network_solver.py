@@ -31,22 +31,27 @@ def test_m0_joins_datum_level_and_limiter():
 
 def test_normalization_is_derived_once_per_scenario(monkeypatch):
     calls = Counter()
+    batches = []
 
     def counted(name):
         fn = getattr(network_solver, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
+            if name == "sublevel_widths":
+                batches.append(len(args[0]))
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("positive_shift", "sublevel_width"):
+    for name in ("positive_shift", "sublevel_widths"):
         monkeypatch.setattr(network_solver, name, counted(name))
     sc = make_mixed(12)
     n_edges = len(sc.network.edge_arcs())
     sol = hj.solve(sc, hj.plan_solve(sc))
     hj.verify(sol)
-    assert calls == {"positive_shift": 1, "sublevel_width": n_edges}
+    # one batch per Scenario object, covering every edge
+    assert calls == {"positive_shift": 1, "sublevel_widths": 1}
+    assert batches == [n_edges]
     assert sol.constants is sc.constants
 
     # a changed input is a new object with its own record
@@ -57,7 +62,8 @@ def test_normalization_is_derived_once_per_scenario(monkeypatch):
              for a, H in sc.hamiltonians.by_arc.items()}))
     assert lowered.constants.shift == pytest.approx(sc.constants.shift + 0.5,
                                                     abs=1e-12)
-    assert calls == {"positive_shift": 2, "sublevel_width": 2 * n_edges}
+    assert calls == {"positive_shift": 2, "sublevel_widths": 2}
+    assert batches == [n_edges, n_edges]
 
 
 def test_tripod_closed_form():
