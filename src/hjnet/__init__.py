@@ -16,10 +16,8 @@ from .arc_solver import (
     cone_solution,
     constrained,
     free,
-    lipschitz_envelope_above,
     max_subsolution,
     propagation_window,
-    sup_convolution_t,
     subsolution_residual,
     supersolution_residual,
 )

@@ -32,14 +32,13 @@ together), the certificate (all arc transforms) and the residual scans
 its values and the dissipation theta it was marched with.
 
 Also provided: the exact cone solution of w_t - M |w'| = 0 used as a
-finite-speed oracle, the Lipschitz envelope from above, t-partial
-sup-convolution, residual scans, and the finite-speed window within which
-lateral data cannot reach an arc's interior.
+finite-speed oracle, residual scans, and the finite-speed window within
+which lateral data cannot reach an arc's interior.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,8 +64,6 @@ __all__ = [
     "constrained",
     "max_subsolution",
     "cone_solution",
-    "lipschitz_envelope_above",
-    "sup_convolution_t",
     "subsolution_residual",
     "supersolution_residual",
     "propagation_window",
@@ -297,60 +294,6 @@ def cone_solution(M, initial, left_datum, right_datum, grid) -> ArcField:
                       -np.inf).max(axis=1)
         values[k] = np.maximum(row, np.maximum(cl, cr))
     return ArcField(grid=grid, values=values, theta=M)
-
-
-def _lip_pass(values, step, axis, combine):
-    out = np.array(values, dtype=float, copy=True)
-    out = np.moveaxis(out, axis, 0)
-    for j in range(1, out.shape[0]):
-        out[j] = combine(out[j], out[j - 1] - step)
-    for j in range(out.shape[0] - 2, -1, -1):
-        out[j] = combine(out[j], out[j + 1] - step)
-    return np.moveaxis(out, 0, axis)
-
-
-def lipschitz_envelope_above(values, n, dt=None, ds=None):
-    """Smallest n-Lipschitz (grid l1 metric) function above the input.
-
-    1-d inputs are series with spacing dt; 2-d inputs are [time, space]
-    fields with spacings (dt, ds); an ArcField brings its own spacings.  The
-    metric separates, so two sweeps give the exact discrete Pasch-Hausdorff
-    envelope.
-    """
-    if isinstance(values, ArcField):
-        dt = values.grid.dt if dt is None else dt
-        ds = values.grid.ds if ds is None else ds
-        values = values.values
-    values = np.asarray(values, dtype=float)
-    if dt is None:
-        raise ValueError("envelope needs the time spacing dt")
-    if values.ndim == 1:
-        return _lip_pass(values, n * dt, 0, np.maximum)
-    if ds is None:
-        raise ValueError("2-d envelope needs ds")
-    out = _lip_pass(values, n * ds, 1, np.maximum)
-    return _lip_pass(out, n * dt, 0, np.maximum)
-
-
-def sup_convolution_t(field: ArcField, delta) -> tuple[ArcField, float]:
-    """t-partial sup-convolution u^d(s,t) = max_r u(s,r) - (r-t)^2 / (2 delta).
-
-    Returns the transformed field and the measured maximal shift
-    T_delta = max |r*(s,t) - t| of the optimizing time.
-    """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    grid = field.grid
-    t = grid.t_nodes()
-    pen = (t[None, :] - t[:, None]) ** 2 / (2.0 * delta)  # [t, r]
-    out = np.empty_like(field.values)
-    shift = 0
-    for i in range(grid.ns + 1):
-        cand = field.values[:, i][None, :] - pen  # [t, r]
-        rstar = np.argmax(cand, axis=1)
-        out[:, i] = cand[np.arange(t.size), rstar]
-        shift = max(shift, int(np.max(np.abs(rstar - np.arange(t.size)))))
-    return replace(field, values=out), float(shift * grid.dt)
 
 
 def _interior_residuals(u, H, theta, dt):

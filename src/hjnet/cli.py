@@ -145,9 +145,9 @@ def _scan_runs(path):
 
 def _line_blocks(fh):
     """A binary file as blocks of whole lines, read _CHUNK bytes at a time
-    and checked as a text-mode read checks them: the bytes must be UTF-8,
-    and CRLF and CR end a line as LF does.  Only the last block may lack
-    its final newline."""
+    and checked as a text-mode read checks them: the bytes must be UTF-8
+    (ValidationError naming the file otherwise), and CRLF and CR end a line
+    as LF does.  Only the last block may lack its final newline."""
     tail = []   # the pieces of a line no chunk has ended yet
     while True:
         chunk = fh.read(_CHUNK)
@@ -157,7 +157,10 @@ def _line_blocks(fh):
             continue
         block, tail = b"".join([*tail, chunk[:cut]]), [chunk[cut:]]
         if not block.isascii():
-            block.decode()      # raises UnicodeDecodeError
+            try:
+                block.decode()
+            except UnicodeDecodeError as e:
+                raise ValidationError(f"{fh.name}: {e}") from e
         if b"\r" in block:
             block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
         yield block

@@ -78,7 +78,7 @@ __all__ = [
 
 _EPS_FACTOR = 3.0      # a scheme tolerance: this times C (ds + dt)
 _RESID_TOL = 1e-9      # interior residual of the discrete equation
-_TRACE_TOL = 1e-12     # vertex continuity and inverse-arc consistency
+_TRACE_TOL = 1e-12     # vertex continuity
 _CONTRACTION_SLACK = 1e-11  # roundoff allowed in ordering and contraction
 _SHIFT_TOL = 1e-12     # relative to 1 + sup |u|
 
@@ -406,7 +406,6 @@ CHECK_NAMES = (
     "time_lipschitz",
     "space_lipschitz",
     "vertex_continuity",
-    "inverse_consistency",
     "headroom",
 )
 
@@ -434,127 +433,106 @@ def verify(solution: NetworkSolution, eps_scheme=None,
     All PDE-level checks run in the normalized (positive-Hamiltonian) frame;
     slope checks and the vertex certificate then transfer to the original
     problem by the exact shift identity.  ``checks`` selects a subset of
-    CHECK_NAMES; an unknown name raises ValidationError.
+    CHECK_NAMES; an unknown name raises ValidationError.  The edge checks
+    share one pass over the edges, which normalizes one field at a time.
     """
     if checks is not None:
         unknown = [c for c in checks if c not in CHECK_NAMES]
         if unknown:
             raise ValidationError(f"unknown check {unknown[0]!r}")
+    want = set(CHECK_NAMES if checks is None else checks)
     sc = solution.scenario
     params = solution.params
     const = solution.constants
     fam, a, lim, m0s = const.hamiltonians, const.shift, const.limiter, const.m0
     grid = solution.grid
     eps = default_epsilon(solution) if eps_scheme is None else float(eps_scheme)
-    want = None if checks is None else set(checks)
+    out = {}
 
-    def enabled(name):
-        return want is None or name in want
-
-    t_rel = grid.t_nodes() - grid.t0
-    out = []
-    shifted_fields = {eid: solution.fields[eid] - a * t_rel[:, None]
-                      for eid in solution.fields}
-    shifted_vertex = {x: solution.vertex[x] - a * t_rel
-                      for x in solution.vertex}
-
-    if enabled("limiter"):
+    if "limiter" in want:
         rep = validate_flux_limiter(sc.network, sc.limiter_values(),
                                     sc.hamiltonians.by_arc)
         worst = max((e.margin for e in rep.entries), default=0.0)
-        out.append(CheckResult("limiter", rep.ok, -worst))
+        out["limiter"] = CheckResult("limiter", rep.ok, -worst)
 
-    if enabled("interior_residual"):
-        worst, wit = 0.0, {}
-        for arc in sc.network.edge_arcs():
-            res = _interior_residuals(shifted_fields[arc.id], fam[arc.id],
-                                      params.theta[arc.id], grid.dt)
-            r = max(0.0, float(np.max(res, initial=-np.inf)),
-                    -float(np.min(res, initial=np.inf)))
-            if r > worst:
-                worst, wit = r, {"edge": arc.id}
-        out.append(CheckResult("interior_residual", worst <= _RESID_TOL,
-                               _RESID_TOL - worst, wit))
-
-    if enabled("discr_certificate"):
-        ts = VertexTraceSet(grid, shifted_vertex,
-                            {eid: shifted_fields[eid][0] for eid in shifted_fields})
+    if want & {"discr_certificate", "vertex_slope"}:
+        ts = solution.trace_set(shifted=True)
+    if "discr_certificate" in want:
         rep = discr_residual(ts, sc.network, fam, lim, eps, thetas=params.theta)
         wit = {e.vertex: e.residual for e in rep.entries if not e.ok}
-        out.append(CheckResult("discr_certificate", rep.ok, eps - rep.worst, wit))
+        out["discr_certificate"] = CheckResult(
+            "discr_certificate", rep.ok, eps - rep.worst, wit)
 
-    if enabled("vertex_slope"):
+    if "vertex_slope" in want:
         worst, wit = -np.inf, {}
-        for x, tr in shifted_vertex.items():
+        for x, tr in ts.traces.items():
             if grid.nt == 0:
                 continue
             excess = float(np.max(np.diff(tr) / grid.dt - lim[x]))
             if excess > worst:
                 worst, wit = excess, {"vertex": x}
         worst = max(worst, 0.0) if worst == -np.inf else worst
-        out.append(CheckResult("vertex_slope", worst <= eps, eps - worst, wit))
+        out["vertex_slope"] = CheckResult("vertex_slope", worst <= eps,
+                                          eps - worst, wit)
 
-    if enabled("time_monotone"):
-        if min(global_min(H) for H in sc.hamiltonians.by_arc.values()) > 0:
-            worst = max(float(np.max(np.diff(f, axis=0))) / grid.dt
-                        for f in solution.fields.values()) if grid.nt else 0.0
-            out.append(CheckResult("time_monotone", worst <= eps, eps - worst))
-        else:
-            out.append(CheckResult("time_monotone", True, 0.0,
-                                   {"skipped": "Hamiltonians not positive"}))
-
-    if enabled("time_lipschitz"):
-        worst = 0.0
-        if grid.nt:
-            worst = max(float(np.max(-np.diff(f, axis=0) / grid.dt)) - m0s
-                        for f in shifted_fields.values())
-        out.append(CheckResult("time_lipschitz", worst <= eps, eps - worst))
-
-    if enabled("space_lipschitz"):
-        worst = -np.inf
-        for arc in sc.network.edge_arcs():
-            sl = np.max(np.abs(np.diff(solution.fields[arc.id], axis=1))) * grid.ns
-            worst = max(worst, float(sl) - const.l_bound[arc.id])
-        out.append(CheckResult("space_lipschitz", worst <= eps, eps - worst))
-
-    if enabled("vertex_continuity"):
-        worst = 0.0
-        for arc in sc.network.edge_arcs():
-            f = solution.fields[arc.id]
-            worst = max(worst,
-                        float(np.max(np.abs(f[:, 0] - solution.vertex[arc.start]))),
-                        float(np.max(np.abs(f[:, -1] - solution.vertex[arc.end]))))
-        out.append(CheckResult("vertex_continuity", worst <= _TRACE_TOL,
-                               _TRACE_TOL - worst))
-
-    if enabled("inverse_consistency"):
-        worst = 0.0
-        for arc in sc.network.edge_arcs():
-            d = np.max(np.abs(solution.field(arc.inverse_id)
-                              - solution.fields[arc.id][:, ::-1]))
-            worst = max(worst, float(d))
-        out.append(CheckResult("inverse_consistency", worst <= _TRACE_TOL,
-                               _TRACE_TOL - worst))
-
-    if enabled("headroom"):
-        # theta must cover the momentum-Lipschitz constant at the slopes the
-        # march differenced (rows 0..nt-1), floored at ds around p = 0
-        worst, wit, beyond = np.inf, {}, False
-        for arc in sc.network.edge_arcs():
+    # one pass over the edges feeds every edge check; time_monotone reads the
+    # original field, and only with every Hamiltonian positive
+    t_rel = grid.t_nodes() - grid.t0
+    positive = min(global_min(H) for H in sc.hamiltonians.by_arc.values()) > 0
+    resid, resid_wit = 0.0, {}
+    rise = lip = 0.0 if grid.nt == 0 else -np.inf
+    space, cont = -np.inf, 0.0
+    room, room_wit, beyond = np.inf, {}, False
+    for arc in sc.network.edge_arcs():
+        f = solution.fields[arc.id]
+        g = f - a * t_rel[:, None] if a else f     # the normalized field
+        if "interior_residual" in want:
+            res = _interior_residuals(g, fam[arc.id], params.theta[arc.id],
+                                      grid.dt)
+            r = max(0.0, float(np.max(res, initial=-np.inf)),
+                    -float(np.min(res, initial=np.inf)))
+            if r > resid:
+                resid, resid_wit = r, {"edge": arc.id}
+        if grid.nt and want & {"time_monotone", "time_lipschitz"}:
+            d_t = np.diff(g, axis=0)
+            lip = max(lip, float(np.max(-d_t / grid.dt)) - m0s)
+            if positive:
+                up = d_t if g is f else np.diff(f, axis=0)
+                rise = max(rise, float(np.max(up)) / grid.dt)
+        if want & {"space_lipschitz", "headroom"}:
+            # slope maxima per time row, all rows for the Lipschitz bound
+            # and the rows the march differenced (0..nt-1) for headroom
+            row_max = np.max(np.abs(np.diff(f, axis=1)), axis=1)
+            space = max(space, float(np.max(row_max) * grid.ns)
+                        - const.l_bound[arc.id])
+            # theta must cover the momentum-Lipschitz constant at those
+            # slopes, floored at ds around p = 0
             H = sc.hamiltonians[arc.id]
-            pm = np.diff(solution.fields[arc.id][:-1], axis=1)
-            seen = float(np.max(np.abs(pm), initial=0.0)) * grid.ns
-            room = params.theta[arc.id] - momentum_lipschitz(
+            seen = float(np.max(row_max[:-1], initial=0.0)) * grid.ns
+            spare = params.theta[arc.id] - momentum_lipschitz(
                 H, max(seen, grid.ds))
-            if room < worst:
-                worst, wit = room, {"edge": arc.id, "slope_seen": seen}
+            if spare < room:
+                room, room_wit = spare, {"edge": arc.id, "slope_seen": seen}
             if H.kind == "sampled" and const.l_bound[arc.id] >= max(
                     abs(H.p_knots[0]), abs(H.p_knots[-1])) - 1e-12:
                 beyond = True  # a sampled table's p-range bound the width
-        wit["width_beyond_table"] = beyond
-        out.append(CheckResult("headroom", worst >= 0.0, worst, wit))
+        cont = max(cont,
+                   float(np.max(np.abs(f[:, 0] - solution.vertex[arc.start]))),
+                   float(np.max(np.abs(f[:, -1] - solution.vertex[arc.end]))))
 
-    return VerifyReport(out, eps)
+    out["interior_residual"] = CheckResult(
+        "interior_residual", resid <= _RESID_TOL, _RESID_TOL - resid, resid_wit)
+    out["time_monotone"] = CheckResult("time_monotone", rise <= eps, eps - rise) \
+        if positive else CheckResult("time_monotone", True, 0.0,
+                                     {"skipped": "Hamiltonians not positive"})
+    out["time_lipschitz"] = CheckResult("time_lipschitz", lip <= eps, eps - lip)
+    out["space_lipschitz"] = CheckResult("space_lipschitz", space <= eps,
+                                         eps - space)
+    out["vertex_continuity"] = CheckResult(
+        "vertex_continuity", cont <= _TRACE_TOL, _TRACE_TOL - cont)
+    room_wit["width_beyond_table"] = beyond
+    out["headroom"] = CheckResult("headroom", room >= 0.0, room, room_wit)
+    return VerifyReport([out[c] for c in CHECK_NAMES if c in want], eps)
 
 
 def calibrate_epsilon(scenario: Scenario, levels=3):

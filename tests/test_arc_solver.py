@@ -219,66 +219,6 @@ def test_cone_solution_matches_reversed_scan():
             assert best == fld.values[k, i]
 
 
-def test_envelope_fixed_point():
-    rng = np.random.default_rng(9)
-    vals = np.cumsum(rng.uniform(-0.1, 0.1, size=40))
-    env = hj.lipschitz_envelope_above(vals, n=10.0, dt=0.05)
-    assert np.array_equal(env, vals)  # already 2-Lipschitz << 10
-
-
-def test_envelope_step_ramps_at_slope_n():
-    vals = np.zeros(11)
-    vals[5:] = 1.0
-    env = hj.lipschitz_envelope_above(vals, n=2.0, dt=0.1)
-    expect = np.maximum(vals, 1.0 - 2.0 * 0.1 * np.maximum(0, 5 - np.arange(11)))
-    assert np.allclose(env, expect, atol=1e-14)
-
-
-def test_envelope_converges_from_above():
-    rng = np.random.default_rng(15)
-    field = rng.normal(size=(30, 25))
-    errs = []
-    for n in (2.0, 8.0, 32.0, 128.0, 512.0):
-        env = hj.lipschitz_envelope_above(field, n, dt=0.05, ds=0.04)
-        assert np.all(env >= field - 1e-12)
-        errs.append(np.max(env - field))
-    assert all(b <= a + 1e-12 for a, b in zip(errs, errs[1:]))
-    assert errs[-1] < errs[0]
-
-
-def test_sup_convolution_constant_field():
-    grid = hj.Grid2D(8, 0.0, 0.05, 10)
-    fld = hj.ArcField(grid, np.ones((11, 9)), theta=1.0)
-    out, tdelta = hj.sup_convolution_t(fld, 0.1)
-    assert np.array_equal(out.values, fld.values)
-    assert tdelta == 0.0
-
-
-def test_sup_convolution_linear_decay_gains_half_delta():
-    grid = hj.Grid2D(8, 0.0, 0.05, 40)
-    t = grid.t_nodes()
-    vals = np.broadcast_to(-t[:, None], (41, 9)).copy()
-    fld = hj.ArcField(grid, vals, theta=1.0)
-    delta = 8 * grid.dt  # optimizer t - delta lands on the grid
-    out, tdelta = hj.sup_convolution_t(fld, delta)
-    inner = out.values[8:, :]
-    expect = -t[8:, None] + delta / 2.0
-    assert np.max(np.abs(inner - expect)) < 1e-12
-    assert tdelta == pytest.approx(delta, abs=grid.dt)
-
-
-def test_sup_convolution_shift_bounded_by_lipschitz_budget():
-    rng = np.random.default_rng(21)
-    grid = hj.Grid2D(6, 0.0, 0.02, 80)
-    for ell in (0.5, 1.0, 3.0):
-        slopes = rng.uniform(-ell, ell, size=(80, 7))
-        vals = np.vstack([np.zeros((1, 7)), np.cumsum(slopes * grid.dt, axis=0)])
-        fld = hj.ArcField(grid, vals, theta=1.0)
-        for delta in (0.05, 0.2):
-            _, tdelta = hj.sup_convolution_t(fld, delta)
-            assert tdelta <= delta * ell + grid.dt + 1e-12
-
-
 def test_restarted_march_replays_identically():
     grid, theta = fo_grid(30, T=0.5)
     g = np.linspace(0.0, 0.5, 31)

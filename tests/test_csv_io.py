@@ -274,6 +274,14 @@ def test_loader_names_blank_and_comma_free_lines(tmp_path, name, edit,
         load_solution_csv(out, sol.scenario, sol.params)
 
 
+@pytest.mark.parametrize("name", ["solution.csv", "vertex_traces.csv"])
+def test_loader_names_the_file_of_a_byte_that_is_not_utf8(tmp_path, name):
+    sol, out = _dump(make_tripod(16), tmp_path, name, _replace(10, b"\xff\n"))
+    with pytest.raises(ValidationError,
+                       match=re.escape(name) + ": 'utf-8' codec can't decode"):
+        load_solution_csv(out, sol.scenario, sol.params)
+
+
 @pytest.mark.parametrize("shift", [-1, 0, 1])
 @pytest.mark.parametrize("crlf", [False, True], ids=["lf", "crlf"])
 def test_loader_joins_runs_across_chunk_boundaries(tmp_path, monkeypatch,

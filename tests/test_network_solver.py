@@ -185,6 +185,13 @@ def test_verify_rejects_unknown_check_names():
         hj.verify(sol, checks=["headroom", "window"])
     assert [c.name for c in hj.verify(sol, checks=["headroom"]).checks] \
         == ["headroom"]
+    # the check that compared each reverse arc with its own reflection is gone
+    with pytest.raises(ValidationError, match="inverse_consistency"):
+        hj.verify(sol, checks=["inverse_consistency"])
+    # a subset comes back once per check, in battery order
+    picked = ["headroom", "limiter", "time_lipschitz", "limiter", "headroom"]
+    assert [c.name for c in hj.verify(sol, checks=picked).checks] \
+        == ["limiter", "time_lipschitz", "headroom"]
 
 
 def test_verify_flags_forced_vertex_slope():
@@ -289,6 +296,19 @@ def test_headroom_flags_underdissipated_arc():
     assert not head.ok and head.margin < 0.0
     assert head.witness["edge"] == "b"
     assert head.witness["width_beyond_table"] is False
+
+
+def test_headroom_reads_only_the_rows_the_march_differenced():
+    # no step differences the last time row, so a kink put there moves the
+    # space-slope bound but not the headroom
+    sol = hj.solve(make_path(40))
+    f = sol.fields["a"].copy()
+    f[-1, 20] += 1.0
+    kinked = dataclasses.replace(sol, fields={**sol.fields, "a": f})
+    pair = ["headroom", "space_lipschitz"]
+    before, after = hj.verify(sol, checks=pair), hj.verify(kinked, checks=pair)
+    assert after["headroom"] == before["headroom"]
+    assert after["space_lipschitz"].margin < before["space_lipschitz"].margin
 
 
 def test_solve_rejects_nonnegative_shifted_limiter():
@@ -458,14 +478,15 @@ def test_cyclic_network_solves_and_verifies():
 
 
 def test_core_checks_hold_on_randomized_scenarios():
-    # certificate, interior residuals, vertex slope cap and continuity are
-    # robust across mixed Hamiltonian kinds and rough piecewise-linear data;
+    # certificate, interior residuals, vertex slope cap, continuity, the
+    # space-slope bound and the dissipation headroom are robust across mixed
+    # Hamiltonian kinds and rough piecewise-linear data;
     # the time-monotonicity check is exercised separately since dissipative
     # schemes transiently overshoot at under-resolved convex datum kinks
     from conftest import random_scenario
     rng = np.random.default_rng(4242)
     core = ("interior_residual", "discr_certificate", "vertex_slope",
-            "vertex_continuity", "inverse_consistency", "limiter")
+            "vertex_continuity", "space_lipschitz", "headroom", "limiter")
     for trial in range(8):
         sc = random_scenario(rng, "tripod" if trial % 2 else "path", 64)
         rep = hj.verify(hj.solve(sc), checks=core)

@@ -3,7 +3,8 @@
 The digests and hex values were taken from the scalar-loop implementation
 the batched marching kernel replaced; the kernel must reproduce every bit.
 The margins digests were retaken when the headroom check replaced the window
-check; every other check row kept its margin bit for bit.  The CSV digests
+check, and again when the inverse_consistency check was retired; every other
+check row kept its margin bit for bit.  The CSV digests
 were taken from the per-cell writer the row-template writer replaced.
 """
 
@@ -70,7 +71,7 @@ PINS = {
         "vertex":
             "5c062d6d434e73fb26f94cef24df293c2549ab90ac5298a9e85d8559e304881a",
         "margins":
-            "739ff66799e586860b86dc822027b99616ee396afe5e593a881c1a03fdb6faa4",
+            "a6ece101de5953932d3d8428407b1f39eb7c9c1a540b912ef42c037b7e18bea5",
         "transforms":
             "de00c0164fae10cc81b01adf8669585e31a950538e172e593349cc72503ae561",
         "transforms_default":
@@ -82,7 +83,7 @@ PINS = {
         "vertex":
             "18434e1d6adeabb8bb0a26cbc9cb7873534844eef9947e38c9dfc1718a022c4b",
         "margins":
-            "ccf8ea199afa49d18f2ccd14127da9c8db0b74b56f6c4813a2dd4734978ae39e",
+            "b142e22fe7f0e02da59d98ecaf2a43280dfa09da210aca441200a46d3e5bbc7d",
         "transforms":
             "0f61fbf39708c7c4b1abcd09c6172451caf8185ad095576f5210b355ea874821",
         "transforms_default":
@@ -94,7 +95,7 @@ PINS = {
         "vertex":
             "1516eb5c8ca614e4ab8ce158f97a17b178a5d234bcfbc63f71001bd40ccf77ec",
         "margins":
-            "94da0f1e9e29f6456578b1c95567f25c1fac09bcfae936adcc85372ee7243228",
+            "06398f269cca9ae99e84af9670e2bd6806d441b47667c6667842e1a2a2106794",
         "transforms":
             "edb2f3520f63fb19a3ee7927cce0d873b7a5055581a5207e66739154514829c4",
         "transforms_default":
