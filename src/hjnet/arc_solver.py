@@ -214,12 +214,31 @@ def default_dissipation(H, initial, left=None, right=None, dt=None):
 
 
 def _check_monotone(dt, theta, ds, edge=None):
-    """The step restriction dt * theta <= ds, up to a relative 1e-12;
-    a violation names the edge when one is given."""
-    if dt * theta > ds * (1.0 + 1e-12):
+    """The step restriction dt * theta <= ds, up to a relative 1e-12, which
+    a NaN theta fails; a violation names the edge when one is given."""
+    if not dt * theta <= ds * (1.0 + 1e-12):
         where = "" if edge is None else f"edge {edge!r}: "
         raise CFLViolationError(
             f"{where}dt*theta = {dt * theta:.3e} exceeds ds = {ds:.3e}")
+
+
+def _check_arcs(grid, theta, sides):
+    """Check a stack of arcs against its grid: dt * theta <= ds at every
+    theta, and every constrained side, a (datum, end) pair, with its datum
+    on the time grid and starting at or above ``end``, the initial datum's
+    value at that side.  Returns the data stacked, (len(sides), nt+1)."""
+    for th in np.atleast_1d(theta):
+        _check_monotone(grid.dt, float(th), grid.ds)
+    if any(d.shape != (grid.nt + 1,) for d, _ in sides):
+        raise GridMismatchError("constrained datum must live on the full time grid")
+    data = np.array([d for d, _ in sides]).reshape(len(sides), grid.nt + 1)
+    ends = np.array([end for _, end in sides], dtype=float)
+    low = data[:, 0] < ends - 1e-9 * (1.0 + np.abs(ends))
+    if low.any():
+        i = int(np.argmax(low))
+        raise CornerMismatchError(f"lateral datum at t0 ({data[i, 0]}) "
+                                  f"below initial endpoint ({ends[i]})")
+    return data
 
 
 def _arc_theta(H, initial, left, right, grid, theta):
@@ -229,15 +248,9 @@ def _arc_theta(H, initial, left, right, grid, theta):
     if theta is None:
         theta = default_dissipation(H, initial, left, right, dt=grid.dt)
     theta = float(theta)
-    _check_monotone(grid.dt, theta, grid.ds)
-    for bm, end in ((left, initial[0]), (right, initial[-1])):
-        if bm.kind != "constrained":
-            continue
-        if bm.datum.shape != (grid.nt + 1,):
-            raise GridMismatchError("constrained datum must live on the full time grid")
-        if bm.datum[0] < end - 1e-9 * (1.0 + abs(float(end))):
-            raise CornerMismatchError(
-                f"lateral datum at t0 ({bm.datum[0]}) below initial endpoint ({end})")
+    _check_arcs(grid, theta, [(bm.datum, end) for bm, end in
+                              ((left, initial[0]), (right, initial[-1]))
+                              if bm.kind == "constrained"])
     return theta
 
 

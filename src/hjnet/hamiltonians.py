@@ -59,8 +59,10 @@ class ArcHamiltonian:
     so the invariants derived on the check grid are cached on the object:
     min_p H behind ``c_gamma`` and ``global_min``, the ``sublevel_width`` of
     every level asked for, the ``shift_hamiltonian`` copy of every shift
-    asked for, the momentum minimizers at s = 0 and s = 1, and the column
-    coefficients on every ns-cell grid a march asks for.
+    asked for, the momentum minimizers at s = 0 and s = 1, the column
+    coefficients on every ns-cell grid a march asks for, and, for the
+    sampled kind, the knot columns and slope maxima behind
+    ``momentum_lipschitz``.
     """
 
     kind: str
@@ -94,6 +96,15 @@ class ArcHamiltonian:
     @cached_property
     def _on_grids(self):
         return {}
+
+    @cached_property
+    def _knot_cells(self):
+        """Sampled kind: its columns at the s-knots, and per momentum cell
+        [p_j, p_j+1] the largest |slope| over the s-knots."""
+        cols = _Columns([self], self.s_knots)
+        slopes = np.diff(cols(self.p_knots[:, None]), axis=0) \
+            / np.diff(self.p_knots)[:, None]
+        return cols, np.max(np.abs(slopes), axis=1)
 
 
 def _finite(**arrays):
@@ -475,21 +486,35 @@ def _bisect_widths(hams, s, M):
 
 
 def momentum_lipschitz(H, M_bound):
-    """Lipschitz constant of p -> H(s,p) on |p| <= M_bound, uniform in s."""
-    if M_bound <= 0:
-        raise ValueError("M_bound must be positive")
+    """Lipschitz constant of p -> H(s,p) on |p| <= M_bound, uniform in s.
+
+    The sampled kind takes the slopes between the s-knot rows at the knots
+    in [-M_bound, M_bound] and at the bound itself; the knot cells are read
+    from the cached slope maxima, and only the cells the bound cuts are
+    evaluated, at the cut.
+    """
+    if not (np.isfinite(M_bound) and M_bound > 0):
+        raise ValueError(f"M_bound must be finite and positive, got {M_bound}")
     if H.kind == "quadratic":
         return float(2.0 * np.max(H.alpha) * M_bound + np.max(np.abs(H.beta)))
     if H.kind == "abs":
         return float(np.max(H.alpha))
     pk = H.p_knots
     lo, hi = max(pk[0], -M_bound), min(pk[-1], M_bound)
-    grid = np.union1d(pk[(pk >= lo) & (pk <= hi)], [lo, hi])
     best = float(H.extension_slope) if (M_bound > pk[-1] or -M_bound < pk[0]) else 0.0
-    if grid.size >= 2:
-        vals = _Columns([H], H.s_knots)(grid[:, None])
-        best = max(best, float(np.max(np.abs(np.diff(vals, axis=0)
-                                             / np.diff(grid)[:, None]))))
+    cols, cells = H._knot_cells
+    # knots a..b-1 lie in [lo, hi]: the cells between them are cached, and
+    # the cells that lo and hi cut are evaluated at the cut
+    a, b = pk.searchsorted(lo), pk.searchsorted(hi, side="right")
+    cuts = [sorted((lo, hi))] if a >= b else [(lo, pk[a]), (pk[b - 1], hi)]
+    ends = np.array([c for c in cuts if c[0] != c[1]])
+    seen = [cells[a:b - 1]] if a < b - 1 else []
+    if ends.size:
+        vals = cols(ends.reshape(-1, 1)).reshape(len(ends), 2, -1)
+        seen.append(np.max(np.abs((vals[:, 1] - vals[:, 0])
+                                  / (ends[:, 1] - ends[:, 0])[:, None]), axis=1))
+    if seen:
+        best = max(best, float(np.max(np.concatenate(seen))))
     return best
 
 

@@ -52,7 +52,7 @@ from .hamiltonians import (
     sublevel_widths,
     subsolution_level,
 )
-from .network import reverse_arc_id, validate_flux_limiter
+from .network import validate_flux_limiter
 from .semidiscrete import VertexTraceSet, discr_residual
 
 __all__ = [
@@ -250,12 +250,6 @@ class NetworkSolution:
     def constants(self) -> SolveConstants:
         return self.scenario.constants
 
-    def field(self, arc_id):
-        """Values along an oriented arc; reverse arcs are s-reflections."""
-        if arc_id in self.fields:
-            return self.fields[arc_id]
-        return self.fields[reverse_arc_id(arc_id)][:, ::-1]
-
     def trace_set(self, shifted=False) -> VertexTraceSet:
         t = self.grid.t_nodes() - self.grid.t0
         a = self.constants.shift if shifted else 0.0
@@ -433,14 +427,21 @@ def verify(solution: NetworkSolution, eps_scheme=None,
     All PDE-level checks run in the normalized (positive-Hamiltonian) frame;
     slope checks and the vertex certificate then transfer to the original
     problem by the exact shift identity.  ``checks`` selects a subset of
-    CHECK_NAMES; an unknown name raises ValidationError.  The edge checks
-    share one pass over the edges, which normalizes one field at a time.
+    CHECK_NAMES; an unknown name, or a field or vertex trace that is not
+    finite, raises ValidationError.  The edge checks share one pass over the
+    edges, which normalizes one field at a time.
     """
     if checks is not None:
         unknown = [c for c in checks if c not in CHECK_NAMES]
         if unknown:
             raise ValidationError(f"unknown check {unknown[0]!r}")
     want = set(CHECK_NAMES if checks is None else checks)
+    for eid, f in solution.fields.items():
+        if not np.isfinite(f).all():
+            raise ValidationError(f"field of edge {eid!r} is not finite")
+    for x, tr in solution.vertex.items():
+        if not np.isfinite(tr).all():
+            raise ValidationError(f"trace at vertex {x!r} is not finite")
     sc = solution.scenario
     params = solution.params
     const = solution.constants

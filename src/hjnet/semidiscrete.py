@@ -14,9 +14,11 @@ and the residual of that identity is the solver's convergence certificate.
 A discrete comparison harness for sub/supersolution trace sets rounds out
 the module.
 
-The vertex transforms, the certificate and the comparison march the arc
-transforms they need, up to all 2E, as one stack on the arc solver's
-stepper, in place, keeping only the current rows and the right-end traces.
+The vertex transforms, the certificate and the comparison set up, check and
+march the arc transforms they need, up to all 2E, as one stack on the arc
+solver's stepper, in place, keeping only the current rows and the right-end
+traces; the certificate and the comparison then cap every vertex's minimum
+in one recursion over time.
 """
 
 from __future__ import annotations
@@ -25,11 +27,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arc_solver import (Grid2D, _ArcStepper, _arc_theta, constrained, free,
-                         max_subsolution)
+from .arc_solver import (Grid2D, _ArcStepper, _check_arcs, constrained,
+                         default_dissipation, free, max_subsolution)
 from .errors import GridMismatchError, ValidationError
 from .network import incident_arcs, reverse_arc_id
-from .slope_cap import TimeSeries, apply_g
+from .slope_cap import _cap_columns
 
 __all__ = [
     "VertexTraceSet",
@@ -104,20 +106,28 @@ def f_gamma(traces, network, hams, arc_id, theta=None):
 
 
 def _arc_transform_traces(traces, network, hams, ids, thetas=None):
-    """Right-end traces (len(ids), nt+1) of the arc transforms of ids, each
-    arc checked and given its dissipation as f_gamma would."""
+    """Right-end traces (len(ids), nt+1) of the arc transforms of ids.
+
+    The arcs' data are stacked and checked together, with the checks and
+    errors of ``f_gamma``: the datum on the s-grid, dt * theta <= ds, the
+    start trace on the time grid and at or above the datum's start.  An arc
+    that ``thetas`` does not cover gets ``default_dissipation``.
+    """
     grid = traces.grid
-    rows = []
-    for aid in ids:
-        g = arc_initial(traces, aid)
-        left = constrained(traces.traces[network.arc(aid).start])
+    init = [arc_initial(traces, aid) for aid in ids]
+    if any(g.shape != (grid.ns + 1,) for g in init):
+        raise GridMismatchError("initial datum must be sampled on the s-grid")
+    left = [np.asarray(traces.traces[network.arc(aid).start], dtype=float)
+            for aid in ids]
+    theta = []
+    for aid, g, d in zip(ids, init, left):
         th = None if thetas is None else thetas.get(aid, thetas.get(
             reverse_arc_id(aid)))
-        rows.append((g, left.datum, _arc_theta(hams[aid], g, left, free(),
-                                               grid, th)))
-    init, datum, theta = (np.array(col) for col in zip(*rows))
+        theta.append(float(default_dissipation(
+            hams[aid], g, constrained(d), dt=grid.dt) if th is None else th))
+    datum = _check_arcs(grid, theta, [(d, g[0]) for d, g in zip(left, init)])
     step = _ArcStepper([hams[aid] for aid in ids], grid.ns, theta, grid.dt)
-    u = init[step.order]
+    u = np.array(init)[step.order]
     datum = datum[step.order].T.copy()     # [time, stack row]
     out = np.empty((grid.nt + 1, len(ids)))
     out[0] = u[:, -1]
@@ -144,17 +154,19 @@ def f_x_selected(traces, network, hams, x, thetas=None):
 
 
 def _capped_transforms(traces, network, hams, limiter, thetas):
-    """cap_{c_x}[F_x[u]] at every vertex x, from one march of all arcs."""
-    grid = traces.grid
+    """cap_{c_x}[F_x[u]] at every vertex x, from one march of all arcs.
+
+    Every vertex's minimum is one reduceat row, and all rows are capped at
+    once by the recursion ``apply_g`` runs.
+    """
     into = network.incidence()
     per_arc = _arc_transform_traces(
         traces, network, hams, [aid for ids in into.values() for aid in ids],
         thetas)
-    bounds = np.cumsum([0] + [len(ids) for ids in into.values()])
-    return {x: apply_g(TimeSeries(grid.t0, grid.dt,
-                                  np.min(per_arc[lo:hi], axis=0)),
-                       limiter[x]).values
-            for x, lo, hi in zip(into, bounds, bounds[1:])}
+    starts = np.cumsum([0] + [len(ids) for ids in into.values()])[:-1]
+    g = np.minimum.reduceat(per_arc, starts, axis=0).T.copy()  # [time, vertex]
+    _cap_columns(g, [limiter[x] for x in into], traces.grid.dt)
+    return {x: g[:, i] for i, x in enumerate(into)}
 
 
 @dataclass(frozen=True)

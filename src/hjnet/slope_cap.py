@@ -15,7 +15,8 @@ error of its own.  The O(n^2) direct form is kept as an independent oracle.
 In the network solver the slope is a vertex flux limiter (negative after the
 positivity normalization), and the solver applies the one-step recursion
 online to the vertex candidates, so its traces never rise faster than the
-limiter; the certificate applies the transform to whole traces.
+limiter; the certificate caps the whole traces of every vertex at once with
+the recursion ``apply_g`` runs.
 """
 
 from __future__ import annotations
@@ -66,18 +67,27 @@ def _slope_value(a) -> float:
     return a
 
 
+def _cap_columns(values, slopes, dt):
+    """The one-step recursion on every column of values [time, column] at
+    once, column j at slope slopes[j]; caps values in place and returns it.
+
+    G[k] is np.minimum(G[k-1] + a*dt, psi[k]), which on a tie keeps psi[k],
+    signed zeros included.
+    """
+    step = np.array([_slope_value(a) for a in slopes]) * dt
+    if not np.all(np.isfinite(values)):
+        raise ValueError("values must be finite")
+    acc = np.empty_like(step)
+    for k in range(1, len(values)):
+        np.add(values[k - 1], step, out=acc)
+        np.minimum(acc, values[k], out=values[k])
+    return values
+
+
 def apply_g(psi: TimeSeries, a) -> TimeSeries:
     """Slope-cap transform via the exact one-step recursion."""
-    aa = _slope_value(a)
-    v = psi.values
-    out = np.empty_like(v)
-    step = aa * psi.dt
-    acc = v[0]
-    out[0] = acc
-    for k in range(1, v.size):
-        acc = min(v[k], acc + step)
-        out[k] = acc
-    return TimeSeries(psi.t0, psi.dt, out)
+    out = _cap_columns(psi.values[:, None].copy(), [a], psi.dt)
+    return TimeSeries(psi.t0, psi.dt, out[:, 0])
 
 
 def apply_g_bruteforce(psi: TimeSeries, a) -> TimeSeries:

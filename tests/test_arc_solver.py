@@ -69,6 +69,9 @@ def test_cfl_violation_raises():
     with pytest.raises(CFLViolationError):
         hj.max_subsolution(H1, np.zeros(51), hj.free(), hj.free(), grid,
                            theta=1.0)
+    with pytest.raises(CFLViolationError, match="nan"):
+        hj.max_subsolution(H1, np.zeros(51), hj.free(), hj.free(), grid,
+                           theta=float("nan"))
 
 
 def test_corner_mismatch_raises():

@@ -10,7 +10,7 @@ import pytest
 import hjnet as hj
 from hjnet.cli import load_solution_csv, main, write_solution_csv
 from hjnet.errors import ScenarioParseError, ValidationError
-from hjnet.scenario_io import parse_scenario
+from hjnet.scenario_io import parse_scenario, parse_scenario_file
 
 from conftest import make_mixed
 
@@ -280,6 +280,33 @@ def test_dumped_solution_roundtrips_through_verify(tmp_path):
     original = {c["name"]: c["ok"] for c in report["checks"]}
     roundtrip = {c.name: c.ok for c in rep2.checks}
     assert original == roundtrip
+
+
+def test_mixed_scenario_passes_the_checks_that_hold_on_it(tmp_path):
+    # one arc of each Hamiltonian kind; the time checks and space_lipschitz
+    # still fail on valid input, so they are left out
+    scn = os.path.join(os.path.dirname(TRIPOD_SCN), "mixed.scn")
+    assert main(["run", "--scenario", scn, "--out",
+                 str(tmp_path / "mixed")]) == 0
+
+
+@pytest.mark.parametrize("row, name", [("e1,0.1875,0,", "edge 'e1'"),
+                                       ("x1,0.", "vertex 'x1'")])
+def test_verify_rejects_a_non_finite_value_read_back(tmp_path, row, name):
+    out = tmp_path / "nan"
+    assert main(["run", "--scenario", TRIPOD_SCN, "--ns", "16",
+                 "--out", str(out)]) == 0
+    csv = "solution.csv" if row.startswith("e") else "vertex_traces.csv"
+    lines = (out / csv).read_text().splitlines(keepends=True)
+    k = next(i for i, line in enumerate(lines) if line.startswith(row))
+    lines[k] = lines[k].rsplit(",", 1)[0] + ",nan\n"
+    (out / csv).write_text("".join(lines))
+    sc, _ = parse_scenario_file(TRIPOD_SCN, ns=16)
+    reloaded = load_solution_csv(str(out), sc)
+    with pytest.raises(ValidationError, match=f"{name} is not finite"):
+        hj.verify(reloaded)
+    with pytest.raises(ValidationError, match=f"{name} is not finite"):
+        hj.verify(reloaded, checks=["limiter"])
 
 
 def test_reload_rebuilds_the_solve_constants(tmp_path):

@@ -311,6 +311,61 @@ def test_momentum_lipschitz(habs, hquad):
     assert hj.momentum_lipschitz(H, 3.0) == 2.0
 
 
+def _full_scan_lipschitz(H, M_bound):
+    """The sampled kind's constant from every knot in [-M, M] and the bound
+    itself, all evaluated at once: the oracle of the cached cell slopes."""
+    pk = H.p_knots
+    lo, hi = max(pk[0], -M_bound), min(pk[-1], M_bound)
+    grid = np.union1d(pk[(pk >= lo) & (pk <= hi)], [lo, hi])
+    best = (float(H.extension_slope) if M_bound > pk[-1] or -M_bound < pk[0]
+            else 0.0)
+    if grid.size >= 2:
+        vals = hamiltonians._Columns([H], H.s_knots)(grid[:, None])
+        best = max(best, float(np.max(np.abs(np.diff(vals, axis=0)
+                                             / np.diff(grid)[:, None]))))
+    return best
+
+
+def _random_table(rng):
+    """A convex sampled H on uniform momentum knots; the knots straddle 0 or
+    lie on one side of it."""
+    k, rows = int(rng.integers(3, 10)), int(rng.integers(2, 5))
+    u, v = rng.uniform(0.1, 4.0), rng.uniform(0.5, 4.0)
+    p = np.linspace(*[(-u, v), (u, u + v), (-u - v, -u)][rng.integers(3)], k)
+    a = rng.uniform(0.2, 2.0, rows)[:, None]
+    b = rng.uniform(0.0, 1.5, rows)[:, None]
+    c = rng.uniform(-1.0, 1.0, rows)[:, None]
+    table = a * (p - c) ** 2 + b * np.abs(p - c) + rng.uniform(-1.0, 1.0)
+    edge = np.diff(table, axis=1) / np.diff(p)
+    slope = max(edge[:, -1].max(), -edge[:, 0].min(), 0.0) + rng.uniform(0.1, 1.0)
+    return hj.sampled_hamiltonian(np.linspace(0.0, 1.0, rows), p, table, slope)
+
+
+def test_sampled_lipschitz_reads_cell_slopes_bitwise_like_a_full_scan():
+    rng = np.random.default_rng(13)
+    for _ in range(200):
+        H = _random_table(rng)
+        ends = np.abs(H.p_knots)
+        bounds = [1e-3 * ends.min(), 0.5 * np.abs(H.p_knots[1]),
+                  *rng.uniform(0.0, 1.5 * ends.max(), 4),
+                  *(0.5 * (ends[:-1] + ends[1:])),        # between knots
+                  *ends,                                  # on every knot
+                  *np.nextafter(ends, 0.0), *np.nextafter(ends, np.inf),
+                  1.5 * ends.max(), 1e3]                  # beyond the ends
+        for M in bounds:
+            if M > 0:
+                assert (hj.momentum_lipschitz(H, float(M)).hex()
+                        == _full_scan_lipschitz(H, float(M)).hex()), (H, M)
+
+
+@pytest.mark.parametrize("M", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+def test_momentum_lipschitz_rejects_a_bound_that_is_not_finite_and_positive(
+        M, habs, hquad):
+    for H in (habs, hquad, hj.sampled_hamiltonian([0.0, 1.0], *_table(), 2.0)):
+        with pytest.raises(ValueError, match="M_bound must be finite and"):
+            hj.momentum_lipschitz(H, M)
+
+
 def test_momentum_minimizer():
     assert momentum_minimizer(hj.abs_hamiltonian(beta=0.7), 0.3)[0] == 0.7
     assert momentum_minimizer(hj.quadratic_hamiltonian(beta=-2.0), 0.5)[0] == 1.0

@@ -386,6 +386,10 @@ def test_ensemble_rejects_members_off_its_grid():
                                               "e2": 2.0 * params.theta["e2"]})
     with pytest.raises(CFLViolationError, match="edge 'e2'"):
         hj.solve_ensemble([sc], fast)
+    unset = dataclasses.replace(params, theta={**params.theta,
+                                               "e2": float("nan")})
+    with pytest.raises(CFLViolationError, match="edge 'e2': dt\\*theta = nan"):
+        hj.solve_ensemble([sc], unset)
     bad = dataclasses.replace(sc, limiter={**sc.limiter, "x0": 0.5})
     with pytest.raises(NonNegativeSlopeError, match="vertex 'x0'"):
         hj.solve_ensemble([sc, bad], params)
@@ -519,9 +523,3 @@ def test_resolution_change_resamples_the_datum():
     fine = hj.with_resolution(sc, 80)
     assert fine.ns == 80
     assert fine.initial["e1"].shape == (81,)
-
-
-def test_solution_reverse_field_accessor():
-    sc = make_path(40)
-    sol = hj.solve(sc)
-    assert np.array_equal(sol.field("a~"), sol.fields["a"][:, ::-1])

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 import hjnet as hj
+from hjnet import semidiscrete
+from hjnet.errors import (CFLViolationError, CornerMismatchError,
+                          GridMismatchError, NonNegativeSlopeError)
 from hjnet.semidiscrete import (
     VertexTraceSet,
     arc_initial,
@@ -13,8 +16,9 @@ from hjnet.semidiscrete import (
     f_x,
     f_x_selected,
 )
+from hjnet.slope_cap import TimeSeries, apply_g
 
-from conftest import make_path, make_tripod
+from conftest import dyadic_series, make_mixed, make_path, make_tripod
 
 
 H1 = hj.abs_hamiltonian(kappa=1.0)
@@ -228,3 +232,131 @@ def test_resolving_arcs_from_converged_traces_replays_the_fields():
             hj.constrained(sol.vertex[arc.end]),
             sol.grid, theta=sol.params.theta[arc.id])
         assert np.array_equal(re.values, sol.fields[arc.id])
+
+
+def _error_of(call):
+    with pytest.raises(Exception) as err:
+        call()
+    return err.type, str(err.value)
+
+
+def _tripod_with(sol, traces=None, initial=None):
+    ts = sol.trace_set()
+    return VertexTraceSet(sol.grid, {**ts.traces, **(traces or {})},
+                          {**ts.initial, **(initial or {})})
+
+
+def test_stacked_arc_checks_raise_what_the_bad_arc_raises_alone():
+    sc = make_tripod(24)
+    sol = hj.solve(sc)
+    net, fam, lim = sc.network, sc.hamiltonians, sc.limiter_values()
+    th = sol.params.theta
+    x1 = sol.vertex["x1"]
+    cases = [   # (trace set, thetas, error of e1, which starts at x1, alone)
+        (_tripod_with(sol, traces={"x1": x1 - 1e-6}), th, CornerMismatchError),
+        (_tripod_with(sol), {**th, "e1": 2.0 * sol.grid.ds / sol.grid.dt},
+         CFLViolationError),
+        # a NaN theta fails the step check and hides no other arc's failure
+        (_tripod_with(sol), {**th, "e1": float("nan"),
+                             "e2": 2.0 * sol.grid.ds / sol.grid.dt},
+         CFLViolationError),
+        (_tripod_with(sol, traces={"x1": x1[:-1]}), th, GridMismatchError),
+        (_tripod_with(sol, initial={"e1": sol.fields["e1"][0][:-1]}), th,
+         GridMismatchError),
+    ]
+    for ts, thetas, kind in cases:
+        alone = _error_of(lambda: f_gamma(ts, net, fam, "e1", theta=thetas["e1"]))
+        assert alone[0] is kind
+        assert _error_of(lambda: f_x(ts, net, fam, "x0", thetas=thetas)) == alone
+        assert _error_of(lambda: discr_residual(
+            ts, net, fam, lim, 0.1, thetas=thetas)) == alone
+    ts = sol.trace_set()
+    for x in ("x0", "x2"):
+        bad = {**lim, x: 0.25}
+        assert _error_of(lambda: discr_residual(ts, net, fam, bad, 0.1,
+                                                thetas=th)) == (
+            NonNegativeSlopeError, "slope must be negative, got 0.25")
+
+
+def test_arcs_without_a_given_theta_get_the_default_dissipation():
+    sc = make_tripod(24)
+    sol = hj.solve(sc)
+    ts, net, fam = sol.trace_set(), sc.network, sc.hamiltonians
+    alone = np.min([f_gamma(ts, net, fam, arc.id, theta=th).values[:, -1]
+                    for arc, th in zip(hj.incident_arcs(net, "x0"),
+                                       (None, sol.params.theta["e2"], None))],
+                   axis=0)
+    assert np.array_equal(f_x(ts, net, fam, "x0",
+                              thetas={"e2": sol.params.theta["e2"]}), alone)
+    derived = np.min([f_gamma(ts, net, fam, arc.id).values[:, -1]
+                      for arc in hj.incident_arcs(net, "x0")], axis=0)
+    assert np.array_equal(f_x(ts, net, fam, "x0"), derived)
+
+
+def _cap_by_scalar_loop(psi, a, dt):
+    # the cap's one-step recursion in Python floats, one vertex at a time:
+    # the oracle for the stacked caps; min keeps psi[k] on a tie
+    out, acc = [psi[0]], psi[0]
+    for v in psi[1:]:
+        acc = min(v, acc + a * dt)
+        out.append(acc)
+    return np.array(out)
+
+
+def _caps_one_vertex_at_a_time(ts, net, fam, lim, thetas):
+    ids = [a.id for x in net.vertex_ids() for a in hj.incident_arcs(net, x)]
+    per_arc = dict(zip(ids, semidiscrete._arc_transform_traces(
+        ts, net, fam, ids, thetas)))
+    return {x: _cap_by_scalar_loop(np.min(
+        [per_arc[a.id] for a in hj.incident_arcs(net, x)], axis=0),
+        lim[x], ts.grid.dt) for x in net.vertex_ids()}
+
+
+def test_stacked_caps_equal_a_scalar_loop_bitwise_on_random_traces():
+    rng = np.random.default_rng(4)
+    sol = hj.solve(make_mixed(24))
+    const, base = sol.constants, sol.trace_set(shifted=True)
+    net, fam = sol.scenario.network, const.hamiltonians
+    for _ in range(5):
+        noise = {x: np.concatenate([[0.0], rng.normal(0.0, 0.05, v.size - 1)])
+                 for x, v in base.traces.items()}
+        ts = VertexTraceSet(base.grid,
+                            {x: v + noise[x] for x, v in base.traces.items()},
+                            base.initial)
+        got = semidiscrete._capped_transforms(ts, net, fam, const.limiter,
+                                              sol.params.theta)
+        want = _caps_one_vertex_at_a_time(ts, net, fam, const.limiter,
+                                          sol.params.theta)
+        for x in net.vertex_ids():
+            assert got[x].tobytes() == want[x].tobytes(), x
+
+
+def test_stacked_caps_and_apply_g_keep_ties_and_signed_zeros(monkeypatch):
+    # dyadic transforms that fall at the limiter's rate, give or take a few
+    # ulps of the grid, tie the cap with the series all along; where both
+    # are zero, -0.0 against 0.0 shows which of the two a tie keeps
+    rng = np.random.default_rng(9)
+    net = make_mixed(8).network
+    into = {x: [a.id for a in hj.incident_arcs(net, x)]
+            for x in net.vertex_ids()}
+    ids = [aid for x in into for aid in into[x]]
+    grid = hj.Grid2D(8, 0.0, 2.0 ** -6, 200)
+    lim = {x: -float(rng.integers(1, 4)) / 4.0 for x in into}
+    k = np.arange(grid.nt + 1)
+    for _ in range(30):
+        rows = np.array([lim[x] * grid.dt * (k - rng.integers(grid.nt))
+                         + dyadic_series(rng, k.size, 2.0 ** -8, 2)
+                         * (rng.random(k.size) < 0.1)
+                         for x in into for _ in into[x]])
+        rows[rows == 0.0] *= rng.choice([1.0, -1.0], np.sum(rows == 0.0))
+        monkeypatch.setattr(semidiscrete, "_arc_transform_traces",
+                            lambda *args, rows=rows: rows)
+        got = semidiscrete._capped_transforms(
+            VertexTraceSet(grid, {}, {}), net, None, lim, None)
+        by_arc = dict(zip(ids, rows))
+        for x in into:
+            psi = np.min([by_arc[aid] for aid in into[x]], axis=0)
+            want = _cap_by_scalar_loop(psi, lim[x], grid.dt).tobytes()
+            assert got[x].tobytes() == want, x
+            assert apply_g(TimeSeries(0.0, grid.dt, psi),
+                           lim[x]).values.tobytes() == want, x
