@@ -12,24 +12,25 @@ comparison, equivariance and ordering statements exact at the grid level.
 
 Boundary handling:
 
-* constrained side: explicit update, then clip to min(update, datum); the
-  discrete rendering of "largest subsolution with trace at most the datum".
+* constrained side: explicit update, then clip to min(datum, update), which
+  keeps the update on a tie; the discrete rendering of "largest subsolution
+  with trace at most the datum".
 * free side: state constraint; the endpoint follows the one-sided interior
   slope pushed through the *monotone branch* of H (slope clipped at the
   per-s momentum minimizer), so no information enters from outside and the
   update stays order-preserving.
 
-One stepper does every march: ``_ArcStepper``, built once per march on an
+One stepper takes every step: ``_ArcStepper``, built once per march on an
 (R, ns + 1) stack of arc rows of any kinds with per-row theta, orders the
 rows so that each kind (each momentum-knot vector, for the sampled kind) is
 one contiguous slice, allocates its slope, momentum and Hhat buffers once,
 and writes each step's update, interior nodes and both state-constraint
 endpoint candidates, into an array the caller passes in (the rows themselves
-allowed); the caller applies the sides.  It serves ``max_subsolution``
-(R = 1), the network solver (all edges of every scenario it marches
-together), the certificate (all arc transforms) and the residual scans
-(whose Hhat is the stepper's).  A marched field is an ``ArcField``: its grid,
-its values and the dissipation theta it was marched with.
+allowed); the caller applies the sides.  Two loops march it: the network
+solver's, and ``_march_arcs`` for any stack of arcs with lateral data, of
+which ``max_subsolution`` is the one-arc case and the certificate's arc
+transforms one call.  The residual scans read its Hhat.  A marched field is
+an ``ArcField``: its grid, its values and the theta it was marched with.
 
 Also provided: the exact cone solution of w_t - M |w'| = 0 used as a
 finite-speed oracle, residual scans, and the finite-speed window within
@@ -47,6 +48,7 @@ from .errors import (
     CornerMismatchError,
     EmptySublevelError,
     GridMismatchError,
+    ValidationError,
 )
 from .hamiltonians import (
     _Columns,
@@ -69,6 +71,8 @@ __all__ = [
     "propagation_window",
     "default_dissipation",
 ]
+
+_START_TOL = 1e-9  # relative: two vertex values that must agree at t0
 
 
 @dataclass(frozen=True)
@@ -197,14 +201,15 @@ def default_dissipation(H, initial, left=None, right=None, dt=None):
 
     The slope budget combines the stationary level of the initial datum with
     the lateral data's time-Lipschitz constants, widened to the sublevel
-    width those imply, plus headroom.
+    width those imply, plus headroom.  A side is a BoundaryMode, a datum
+    series, or None for a free side.
     """
     initial = np.asarray(initial, dtype=float)
     level = subsolution_level(H, initial)
-    for bm in (left, right):
-        if bm is not None and bm.kind == "constrained" and bm.datum.size > 1 \
-                and dt is not None:
-            level = max(level, float(np.max(np.abs(np.diff(bm.datum)))) / dt)
+    for side in (left, right):
+        datum = getattr(side, "datum", side)
+        if datum is not None and datum.size > 1 and dt is not None:
+            level = max(level, float(np.max(np.abs(np.diff(datum)))) / dt)
     gmax = float(np.max(np.abs(np.diff(initial)))) * (initial.size - 1)
     try:
         width = sublevel_width(H, level)
@@ -222,36 +227,54 @@ def _check_monotone(dt, theta, ds, edge=None):
             f"{where}dt*theta = {dt * theta:.3e} exceeds ds = {ds:.3e}")
 
 
-def _check_arcs(grid, theta, sides):
-    """Check a stack of arcs against its grid: dt * theta <= ds at every
-    theta, and every constrained side, a (datum, end) pair, with its datum
-    on the time grid and starting at or above ``end``, the initial datum's
-    value at that side.  Returns the data stacked, (len(sides), nt+1)."""
-    for th in np.atleast_1d(theta):
-        _check_monotone(grid.dt, float(th), grid.ds)
-    if any(d.shape != (grid.nt + 1,) for d, _ in sides):
-        raise GridMismatchError("constrained datum must live on the full time grid")
-    data = np.array([d for d, _ in sides]).reshape(len(sides), grid.nt + 1)
-    ends = np.array([end for _, end in sides], dtype=float)
-    low = data[:, 0] < ends - 1e-9 * (1.0 + np.abs(ends))
-    if low.any():
-        i = int(np.argmax(low))
-        raise CornerMismatchError(f"lateral datum at t0 ({data[i, 0]}) "
-                                  f"below initial endpoint ({ends[i]})")
-    return data
+def _march_arcs(hams, init, left, right, grid, theta, record):
+    """March a stack of arcs; returns the columns ``record`` picks (an index
+    or a slice) of every arc at every step, (R, nt+1, ...), and the thetas
+    marched with, both in the callers' order.
 
-
-def _arc_theta(H, initial, left, right, grid, theta):
-    """Check one arc's data against its grid; returns its dissipation."""
-    if initial.shape != (grid.ns + 1,):
+    Per arc: an initial datum on the s-grid, a left and a right datum on the
+    time grid (None: a free side), a theta (None: ``default_dissipation``).
+    The stack is checked as a whole, with the errors one bad arc raises
+    alone.  After each step a constrained end is clipped to min(datum,
+    update), which keeps the update on a tie.
+    """
+    init = [np.asarray(g, dtype=float) for g in init]
+    sides = [[None if d is None else np.asarray(d, dtype=float) for d in lr]
+             for lr in zip(left, right)]
+    data = [d for lr in sides for d in lr if d is not None]
+    if any(g.shape != (grid.ns + 1,) for g in init):
         raise GridMismatchError("initial datum must be sampled on the s-grid")
-    if theta is None:
-        theta = default_dissipation(H, initial, left, right, dt=grid.dt)
-    theta = float(theta)
-    _check_arcs(grid, theta, [(bm.datum, end) for bm, end in
-                              ((left, initial[0]), (right, initial[-1]))
-                              if bm.kind == "constrained"])
-    return theta
+    for what, arrays in (("initial", init), ("lateral", data)):
+        if arrays and not np.isfinite(
+                np.concatenate([d.ravel() for d in arrays])).all():
+            raise ValidationError(f"{what} datum must be finite")
+    theta = [float(default_dissipation(H, g, *lr, dt=grid.dt)
+                   if th is None else th)
+             for H, g, lr, th in zip(hams, init, sides, theta)]
+    for th in theta:
+        _check_monotone(grid.dt, th, grid.ds)
+    if any(d.shape != (grid.nt + 1,) for d in data):
+        raise GridMismatchError("constrained datum must live on the full time grid")
+    free = np.full(grid.nt + 1, np.inf)   # a clip that keeps every update
+    dat = np.array([[free if d is None else d for d in lr] for lr in sides])
+    at0, g_end = dat[:, :, 0], np.array([g[::grid.ns] for g in init])
+    low = at0 < g_end - _START_TOL * (1.0 + np.abs(g_end))
+    if low.any():
+        raise CornerMismatchError(f"lateral datum at t0 ({at0[low][0]}) "
+                                  f"below initial endpoint ({g_end[low][0]})")
+    step = _ArcStepper(hams, grid.ns, theta, grid.dt)
+    u = np.array(init)[step.order]
+    dat = dat[step.order].transpose(2, 0, 1).copy()   # [time, row, end]
+    ends, kept = u[:, ::grid.ns], u[:, record]
+    rec = np.empty((grid.nt + 1,) + kept.shape)
+    rec[0] = kept
+    for k in range(1, grid.nt + 1):
+        step(u, out=u)
+        np.minimum(dat[k], ends, out=ends)
+        rec[k] = kept
+    out = np.empty((len(init), grid.nt + 1) + kept.shape[1:])
+    out[step.order] = rec.swapaxes(0, 1)
+    return out, theta
 
 
 def max_subsolution(H, initial, left, right, grid, theta=None) -> ArcField:
@@ -260,21 +283,11 @@ def max_subsolution(H, initial, left, right, grid, theta=None) -> ArcField:
     initial is sampled on the s-grid; left/right are BoundaryMode.  The
     returned field solves the discrete equation exactly at interior nodes,
     matches the initial datum exactly at t0, and keeps constrained traces at
-    or below their datum.
+    or below their datum.  It is the one-arc case of the stack march.
     """
-    initial = np.asarray(initial, dtype=float)
-    theta = _arc_theta(H, initial, left, right, grid, theta)
-    step = _ArcStepper([H], grid.ns, theta, grid.dt)
-    values = np.empty((grid.nt + 1, grid.ns + 1))
-    values[0] = initial
-    for k in range(grid.nt):
-        u = values[k + 1]
-        step(values[k:k + 1], out=u[None, :])
-        if left.kind == "constrained":
-            u[0] = min(u[0], left.datum[k + 1])
-        if right.kind == "constrained":
-            u[-1] = min(u[-1], right.datum[k + 1])
-    return ArcField(grid=grid, values=values, theta=theta)
+    values, theta = _march_arcs([H], [initial], [left.datum], [right.datum],
+                                grid, [theta], slice(None))
+    return ArcField(grid=grid, values=values[0], theta=theta[0])
 
 
 def cone_solution(M, initial, left_datum, right_datum, grid) -> ArcField:

@@ -6,8 +6,9 @@
     hjnet oracle --oracle g|cone|refine|hopflax [--scenario ...] [--out ...]
 
 Exit codes: 0 all enabled checks passed; 1 a check or oracle comparison
-failed; 2 scenario parse/validation errors.  CSV numbers use 17 significant
-digits, so outputs are byte-stable across runs and round-trip exactly.
+failed; 2 scenario parse, validation, planning or solve errors.  CSV
+numbers use 17 significant digits, so outputs are byte-stable across runs
+and round-trip exactly.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ import numpy as np
 from .arc_solver import Grid2D, cone_solution
 from .errors import HJNetError, ValidationError
 from .network_solver import (
-    _EPS_FACTOR,
     NetworkSolution,
     calibrate_epsilon,
+    default_epsilon,
     plan_solve,
     solve,
     verify,
@@ -293,35 +294,31 @@ def _cmd_run(args):
         if args.refine < 0:
             raise ValidationError("--refine must be at least 0")
         times = _slice_times(args.dump_slices)
-    except (ValidationError, OSError) as e:
+    except (HJNetError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    outdir = args.out
-    os.makedirs(outdir, exist_ok=True)
     t_start = time.perf_counter()
+    refine_details = None
+    eps = None
     try:
         solution = solve(scenario, params)
+        if args.refine:
+            C, details = calibrate_epsilon(scenario, levels=args.refine + 1)
+            eps = default_epsilon(solution, C)
+            refine_details = {"C": C, "levels": details}
     except HJNetError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-
-    refine_details = None
-    eps = None
-    if args.refine:
-        C, details = calibrate_epsilon(scenario, levels=args.refine + 1)
-        g = solution.grid
-        eps = _EPS_FACTOR * C * (g.ds + g.dt)
-        refine_details = {"C": C, "levels": details}
 
     rep = None
     if checks:
         rep = verify(solution, eps_scheme=eps, checks=checks)
 
-    write_solution_csv(solution, outdir)
+    write_solution_csv(solution, args.out)
     if times:
-        _dump_slices(solution, outdir, times)
+        _dump_slices(solution, args.out, times)
     doc = _report(solution, rep, refine_details, time.perf_counter() - t_start,
-                  outdir)
+                  args.out)
     for c in doc["checks"]:
         state = "PASS" if c["ok"] else "FAIL"
         print(f"{state} {c['name']} (margin {c['margin']:.3e})")
@@ -467,7 +464,7 @@ def _cmd_oracle(args):
         _check_oracle_flags(args)
         os.makedirs(args.out, exist_ok=True)
         return _ORACLES[args.oracle](args, args.out)
-    except (ValidationError, OSError) as e:
+    except (HJNetError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -35,7 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .arc_solver import (Grid2D, _ArcStepper, _check_monotone,
+from .arc_solver import (_START_TOL, Grid2D, _ArcStepper, _check_monotone,
                          _interior_residuals)
 from .errors import (
     CFLViolationError,
@@ -161,7 +161,7 @@ def validate_scenario(sc: Scenario):
             raise ValidationError(f"initial datum of edge {arc.id!r} not finite")
         for vid, val in ((arc.start, g[0]), (arc.end, g[-1])):
             ref = at_vertex.setdefault(vid, val)
-            if abs(ref - val) > 1e-9 * (1.0 + abs(ref)):
+            if abs(ref - val) > _START_TOL * (1.0 + abs(ref)):
                 raise ValidationError(
                     f"initial datum inconsistent at vertex {vid!r}: "
                     f"{ref} vs {val}")
@@ -169,12 +169,14 @@ def validate_scenario(sc: Scenario):
 
 
 def with_resolution(sc: Scenario, ns: int) -> Scenario:
-    """Resample the (piecewise-linear) initial datum onto a new s-grid."""
+    """Resample the (piecewise-linear) initial datum onto a new s-grid; a
+    given time step scales with ds, so dt/ds stays as it was."""
     s_old = np.linspace(0.0, 1.0, sc.ns + 1)
     s_new = np.linspace(0.0, 1.0, ns + 1)
     g = {eid: np.interp(s_new, s_old, np.asarray(arr, dtype=float))
          for eid, arr in sc.initial.items()}
-    return replace(sc, ns=ns, initial=g)
+    dt = None if sc.dt is None else sc.dt * (sc.ns / ns)
+    return replace(sc, ns=ns, initial=g, dt=dt)
 
 
 def compute_m0(sc: Scenario) -> float:
@@ -251,9 +253,8 @@ class NetworkSolution:
         return self.scenario.constants
 
     def trace_set(self, shifted=False) -> VertexTraceSet:
-        t = self.grid.t_nodes() - self.grid.t0
-        a = self.constants.shift if shifted else 0.0
-        traces = {x: v - a * t for x, v in self.vertex.items()}
+        lift = _time_shift(self.constants.shift if shifted else 0.0, self.grid)
+        traces = {x: v - lift for x, v in self.vertex.items()}
         init = {eid: self.fields[eid][0].copy() for eid in self.fields}
         return VertexTraceSet(self.grid, traces, init)
 
@@ -365,10 +366,10 @@ def solve_ensemble(scenarios, params: SolveParams) -> list:
         f = [fields[row[r0 + i]] for i in range(len(edges))]
         v = vtr[v0:v0 + len(vids)]
         if shift_a != 0.0:
-            tshift = shift_a * (np.arange(nt + 1) * dt)
+            lift = _time_shift(shift_a, grid)
             for fi in f:
-                fi += tshift[:, None]
-            v += tshift
+                fi += lift[:, None]
+            v += lift
         sols.append(NetworkSolution(
             scenario=sc, params=params, grid=grid,
             fields={a.id: f[i] for i, a in enumerate(edges)},
@@ -376,10 +377,19 @@ def solve_ensemble(scenarios, params: SolveParams) -> list:
     return sols
 
 
-def default_epsilon(solution: NetworkSolution) -> float:
-    """Fallback scheme tolerance when no refinement calibration is at hand."""
+def _time_shift(a, grid):
+    """a (t - t0) on the grid's time nodes, as a (k dt): the one expression
+    of the positivity shift's lift, so it does not depend on t0."""
+    return a * (np.arange(grid.nt + 1) * grid.dt)
+
+
+def default_epsilon(solution: NetworkSolution, C=None) -> float:
+    """Scheme tolerance _EPS_FACTOR * C * (ds + dt) on the solution's grid;
+    C from a refinement calibration, else the fallback 1 + m0."""
     g = solution.grid
-    return _EPS_FACTOR * (1.0 + solution.constants.m0) * (g.ds + g.dt)
+    if C is None:
+        C = 1.0 + solution.constants.m0
+    return _EPS_FACTOR * C * (g.ds + g.dt)
 
 
 @dataclass(frozen=True)
@@ -478,7 +488,7 @@ def verify(solution: NetworkSolution, eps_scheme=None,
 
     # one pass over the edges feeds every edge check; time_monotone reads the
     # original field, and only with every Hamiltonian positive
-    t_rel = grid.t_nodes() - grid.t0
+    lift = _time_shift(a, grid)
     positive = min(global_min(H) for H in sc.hamiltonians.by_arc.values()) > 0
     resid, resid_wit = 0.0, {}
     rise = lip = 0.0 if grid.nt == 0 else -np.inf
@@ -486,7 +496,7 @@ def verify(solution: NetworkSolution, eps_scheme=None,
     room, room_wit, beyond = np.inf, {}, False
     for arc in sc.network.edge_arcs():
         f = solution.fields[arc.id]
-        g = f - a * t_rel[:, None] if a else f     # the normalized field
+        g = f - lift[:, None] if a else f     # the normalized field
         if "interior_residual" in want:
             res = _interior_residuals(g, fam[arc.id], params.theta[arc.id],
                                       grid.dt)
@@ -542,8 +552,8 @@ def calibrate_epsilon(scenario: Scenario, levels=3):
     Solves at ns, 2 ns, 4 ns, ..., measures sup differences of consecutive
     levels on the coarser grid (linear interpolation in time), and returns
     (C, details) with C = max diff / (ds + dt) of the coarser level.  The
-    usable tolerance at a level is _EPS_FACTOR * C * (ds + dt).  It takes at
-    least two levels.
+    usable tolerance at a level is ``default_epsilon(solution, C)``.  It
+    takes at least two levels.
     """
     if levels < 2:
         raise ValidationError(
@@ -629,8 +639,8 @@ def shift_check(scenario: Scenario, a: float) -> ShiftReport:
     if (p2.ns, p2.dt, p2.nt) != (params.ns, params.dt, params.nt):
         raise ValidationError("shifted run landed on a different grid")
     u1, u2 = solve_ensemble([scenario, sc2], params)
-    t_rel = u1.grid.t_nodes() - u1.grid.t0
-    dev = max(float(np.max(np.abs(u2.fields[e] + a * t_rel[:, None]
+    lift = _time_shift(a, u1.grid)
+    dev = max(float(np.max(np.abs(u2.fields[e] + lift[:, None]
                                   - u1.fields[e])))
               for e in u1.fields)
     scale = 1.0 + max(float(np.max(np.abs(u1.fields[e]))) for e in u1.fields)

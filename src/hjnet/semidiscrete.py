@@ -14,11 +14,11 @@ and the residual of that identity is the solver's convergence certificate.
 A discrete comparison harness for sub/supersolution trace sets rounds out
 the module.
 
-The vertex transforms, the certificate and the comparison set up, check and
-march the arc transforms they need, up to all 2E, as one stack on the arc
-solver's stepper, in place, keeping only the current rows and the right-end
-traces; the certificate and the comparison then cap every vertex's minimum
-in one recursion over time.
+The vertex transforms, the certificate and the comparison march the arc
+transforms they need, up to all 2E, as one call of the arc solver's stack
+march, which checks them as ``f_gamma`` checks one and keeps only their
+right-end traces; the certificate and the comparison then cap every
+vertex's minimum in one recursion over time.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arc_solver import (Grid2D, _ArcStepper, _check_arcs, constrained,
-                         default_dissipation, free, max_subsolution)
+from .arc_solver import (_START_TOL, Grid2D, _march_arcs, constrained, free,
+                         max_subsolution)
 from .errors import GridMismatchError, ValidationError
 from .network import incident_arcs, reverse_arc_id
 from .slope_cap import _cap_columns
@@ -44,8 +44,6 @@ __all__ = [
     "discr_residual",
     "discr_compare",
 ]
-
-_START_TOL = 1e-9  # relative: a trace's first value against the datum
 
 
 @dataclass(frozen=True)
@@ -98,46 +96,24 @@ def f_gamma(traces, network, hams, arc_id, theta=None):
     return max_subsolution(
         hams[arc_id],
         arc_initial(traces, arc_id),
-        constrained(np.asarray(traces.traces[arc.start], dtype=float)),
+        constrained(traces.traces[arc.start]),
         free(),
         traces.grid,
-        theta=None if theta is None else float(theta),
+        theta=theta,
     )
 
 
 def _arc_transform_traces(traces, network, hams, ids, thetas=None):
-    """Right-end traces (len(ids), nt+1) of the arc transforms of ids.
-
-    The arcs' data are stacked and checked together, with the checks and
-    errors of ``f_gamma``: the datum on the s-grid, dt * theta <= ds, the
-    start trace on the time grid and at or above the datum's start.  An arc
-    that ``thetas`` does not cover gets ``default_dissipation``.
-    """
-    grid = traces.grid
-    init = [arc_initial(traces, aid) for aid in ids]
-    if any(g.shape != (grid.ns + 1,) for g in init):
-        raise GridMismatchError("initial datum must be sampled on the s-grid")
-    left = [np.asarray(traces.traces[network.arc(aid).start], dtype=float)
-            for aid in ids]
-    theta = []
-    for aid, g, d in zip(ids, init, left):
-        th = None if thetas is None else thetas.get(aid, thetas.get(
-            reverse_arc_id(aid)))
-        theta.append(float(default_dissipation(
-            hams[aid], g, constrained(d), dt=grid.dt) if th is None else th))
-    datum = _check_arcs(grid, theta, [(d, g[0]) for d, g in zip(left, init)])
-    step = _ArcStepper([hams[aid] for aid in ids], grid.ns, theta, grid.dt)
-    u = np.array(init)[step.order]
-    datum = datum[step.order].T.copy()     # [time, stack row]
-    out = np.empty((grid.nt + 1, len(ids)))
-    out[0] = u[:, -1]
-    for k in range(grid.nt):
-        step(u, out=u)
-        np.minimum(u[:, 0], datum[k + 1], out=u[:, 0])
-        out[k + 1] = u[:, -1]
-    traces = np.empty((len(ids), grid.nt + 1))
-    traces[step.order] = out.T
-    return traces
+    """Right-end traces (len(ids), nt+1) of the arc transforms of ids, from
+    one march of them all, checked with the errors of ``f_gamma``.  An arc
+    that ``thetas`` does not cover gets ``default_dissipation``."""
+    thetas = {} if thetas is None else thetas
+    return _march_arcs(
+        [hams[aid] for aid in ids], [arc_initial(traces, aid) for aid in ids],
+        [traces.traces[network.arc(aid).start] for aid in ids],
+        [None] * len(ids), traces.grid,
+        [thetas.get(aid, thetas.get(reverse_arc_id(aid))) for aid in ids],
+        -1)[0]
 
 
 def f_x(traces, network, hams, x, thetas=None) -> np.ndarray:

@@ -6,7 +6,8 @@ import pytest
 import hjnet as hj
 from hjnet import hamiltonians
 from hjnet.arc_solver import _ArcStepper, _Columns
-from hjnet.errors import CFLViolationError, CornerMismatchError
+from hjnet.errors import (CFLViolationError, CornerMismatchError,
+                          ValidationError)
 
 from conftest import make_comb
 
@@ -80,6 +81,32 @@ def test_corner_mismatch_raises():
     with pytest.raises(CornerMismatchError):
         hj.max_subsolution(H1, np.zeros(51), hj.constrained(datum), hj.free(),
                            grid, theta=theta)
+
+
+@pytest.mark.parametrize("side, at", [("initial", 0), ("initial", 7),
+                                      ("left", 0), ("left", 3), ("right", 0),
+                                      ("right", -1)])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_data_raise_a_validation_error(side, at, bad):
+    grid, theta = fo_grid(16, T=0.25)
+    data = {"initial": np.zeros(17), "left": np.zeros(grid.nt + 1),
+            "right": np.zeros(grid.nt + 1)}
+    data[side][at] = bad
+    with pytest.raises(ValidationError, match=("initial" if side == "initial"
+                                               else "lateral")):
+        hj.max_subsolution(H1, data["initial"], hj.constrained(data["left"]),
+                           hj.constrained(data["right"]), grid, theta=theta)
+
+
+def test_a_clip_that_ties_keeps_the_scheme_update():
+    # H = |p| leaves a flat zero datum at +0.0; the data hold -0.0, so a
+    # tie shows which of the two the clip keeps
+    grid, theta = fo_grid(8, T=0.25)
+    datum = np.full(grid.nt + 1, -0.0)
+    fld = hj.max_subsolution(hj.abs_hamiltonian(), np.zeros(9),
+                             hj.constrained(datum), hj.constrained(datum),
+                             grid, theta=theta)
+    assert not np.signbit(fld.values).any()
 
 
 def _dyadic_pair(rng, ns, nt):

@@ -332,6 +332,32 @@ def test_refine_calibrates_epsilon(tmp_path):
         * (1.0 / 40 + report["constants"]["dt"]), rel=1e-12)
 
 
+@pytest.mark.parametrize("argv", [
+    ["run"],
+    ["run", "--refine", "1"],
+    ["oracle", "--oracle", "refine"],
+    ["oracle", "--oracle", "hopflax"],
+], ids=["run", "run-refine", "oracle-refine", "oracle-hopflax"])
+def test_a_time_step_over_the_cfl_cap_exits_2_before_writing(tmp_path, capsys,
+                                                             argv):
+    scn = _write(tmp_path, TRIPOD.replace("T = 1.0", "T = 1.0\ndt = 1.0"))
+    out = tmp_path / "o"
+    assert main([*argv, "--scenario", scn, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: requested dt 1.0 exceeds")
+    assert argv[0] == "oracle" or not out.exists()
+
+
+def test_refine_keeps_a_given_time_step_in_ratio_with_ds(tmp_path):
+    scn = _write(tmp_path, TRIPOD.replace("T = 1.0", "T = 1.0\ndt = 0.012"))
+    out = tmp_path / "ref"
+    assert main(["run", "--scenario", scn, "--out", str(out),
+                 "--refine", "1"]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["ok"] and report["refine"]["C"] > 0.0
+
+
 def test_oracle_g_and_cone(tmp_path):
     out = str(tmp_path / "og")
     assert main(["oracle", "--oracle", "g", "--out", out, "--seed", "5",

@@ -1,10 +1,12 @@
 """Scalar oracles for the marching stepper.
 
-max_subsolution, the network solver and the vertex transforms march on one
-stepper over stacks of arc rows grouped by kind; these tests rebuild them
-from scalar evaluations, arc by arc in the callers' order, and require
-equality bit for bit.  The sampled kind's column lookup is checked the same
-way against a scalar search over each row's own momentum knots.
+max_subsolution and the vertex transforms go through one arc march, and it
+and the network solver step with one stepper over stacks of arc rows
+grouped by kind; these tests rebuild them from scalar evaluations, arc by
+arc in the callers' order, and require equality bit for bit (the arc
+marches byte for byte, so signed zeros count).  The sampled kind's column
+lookup is checked the same way against a scalar search over each row's own
+momentum knots.
 """
 
 import dataclasses
@@ -176,8 +178,8 @@ def test_max_subsolution_equals_scalar_loop(kind, sides):
         return hj.free() if datum is None else hj.constrained(datum)
 
     fld = hj.max_subsolution(H, g, mode(left), mode(right), grid, theta=theta)
-    assert np.array_equal(fld.values,
-                          scalar_march(H, g, left, right, grid, theta))
+    assert fld.values.tobytes() == scalar_march(H, g, left, right, grid,
+                                                theta).tobytes()
 
 
 @pytest.mark.parametrize("planned", [True, False],
@@ -228,7 +230,7 @@ def test_arc_transforms_of_interleaved_kinds_equal_scalar_marches(make):
         want = scalar_march(fam[aid], arc_initial(ts, aid),
                             ts.traces[sc.network.arc(aid).start], None,
                             sol.grid, th)[:, -1]
-        assert np.array_equal(row, want), aid
+        assert row.tobytes() == want.tobytes(), aid
 
 
 def test_network_march_of_interleaved_kinds_equals_scalar_marches():

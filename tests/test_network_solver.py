@@ -523,3 +523,32 @@ def test_resolution_change_resamples_the_datum():
     fine = hj.with_resolution(sc, 80)
     assert fine.ns == 80
     assert fine.initial["e1"].shape == (81,)
+
+
+def test_resolution_change_keeps_a_given_time_step_in_ratio_with_ds():
+    sc = dataclasses.replace(make_tripod(40), dt=0.02)
+    assert hj.with_resolution(make_tripod(40), 80).dt is None
+    assert hj.with_resolution(sc, 40).dt == 0.02
+    for ns in (80, 160):
+        fine = hj.with_resolution(sc, ns)
+        assert fine.dt == 0.02 * 40 / ns
+        hj.plan_solve(fine)             # still under the step restriction
+    C, details = hj.calibrate_epsilon(sc, levels=3)
+    assert C > 0.0 and [d["ns"] for d in details] == [40, 80]
+
+
+def test_verify_margins_do_not_depend_on_the_start_time():
+    # the positivity shift's lift a (t - t0) is computed as a (k dt) wherever
+    # it is added or taken off, so no margin moves with t0
+    base = make_mixed(24)
+    assert base.constants.shift > 0
+    runs = []
+    for t0 in (0.0, 0.3, 1.7):
+        sol = hj.solve(dataclasses.replace(base, t0=t0))
+        runs.append((sol, [(c.name, np.float64(c.margin).tobytes())
+                           for c in hj.verify(sol).checks]))
+    (first, margins), *others = runs
+    for sol, m in others:
+        assert m == margins
+        for e, f in first.fields.items():
+            assert sol.fields[e].tobytes() == f.tobytes(), e

@@ -6,7 +6,8 @@ import pytest
 import hjnet as hj
 from hjnet import semidiscrete
 from hjnet.errors import (CFLViolationError, CornerMismatchError,
-                          GridMismatchError, NonNegativeSlopeError)
+                          GridMismatchError, NonNegativeSlopeError,
+                          ValidationError)
 from hjnet.semidiscrete import (
     VertexTraceSet,
     arc_initial,
@@ -173,7 +174,6 @@ def test_trace_set_validation():
     ts.validate(sc.network)
     bad = {x: v.copy() for x, v in ts.traces.items()}
     bad["x0"] = bad["x0"] + 1.0
-    from hjnet.errors import ValidationError
     with pytest.raises(ValidationError):
         VertexTraceSet(sol.grid, bad, ts.initial).validate(sc.network)
 
@@ -276,6 +276,17 @@ def test_stacked_arc_checks_raise_what_the_bad_arc_raises_alone():
         assert _error_of(lambda: discr_residual(ts, net, fam, bad, 0.1,
                                                 thetas=th)) == (
             NonNegativeSlopeError, "slope must be negative, got 0.25")
+
+
+def test_a_non_finite_trace_raises_the_same_error_in_every_transform():
+    net, fam, ts, grid, th = single_edge_traces(4, 2.4, lambda t: -t)
+    assert grid.nt == 12
+    ts.traces["a"][3] = np.nan
+    alone = _error_of(lambda: f_gamma(ts, net, fam, "e", theta=th))
+    assert alone == (ValidationError, "lateral datum must be finite")
+    assert _error_of(lambda: f_x(ts, net, fam, "b", thetas={"e": th})) == alone
+    assert _error_of(lambda: discr_residual(
+        ts, net, fam, {"a": -1.0, "b": -1.0}, 0.1, thetas={"e": th})) == alone
 
 
 def test_arcs_without_a_given_theta_get_the_default_dissipation():
