@@ -21,16 +21,16 @@ Boundary handling:
   update stays order-preserving.
 
 One stepper takes every step: ``_ArcStepper``, built once per march on an
-(R, ns + 1) stack of arc rows of any kinds with per-row theta, orders the
-rows so that each kind (each momentum-knot vector, for the sampled kind) is
-one contiguous slice, allocates its slope, momentum and Hhat buffers once,
-and writes each step's update, interior nodes and both state-constraint
-endpoint candidates, into an array the caller passes in (the rows themselves
-allowed); the caller applies the sides.  Two loops march it: the network
-solver's, and ``_march_arcs`` for any stack of arcs with lateral data, of
-which ``max_subsolution`` is the one-arc case and the certificate's arc
-transforms one call.  The residual scans read its Hhat.  A marched field is
-an ``ArcField``: its grid, its values and the theta it was marched with.
+(R, ns + 1) stack of arc rows of any kinds with per-row theta, groups the
+rows by kind (by momentum-knot vector, for the sampled kind) and steps them
+on flat buffers, rows back to back, one contiguous call per stencil
+operation; the entries straddling two rows are junk, overwritten by the end
+clip or zeroed.  It writes each step's update, end candidates included, into
+a C-contiguous array the caller passes in (the rows themselves allowed); the
+caller applies the sides.  Two loops march it: the network solver's, and
+``_march_arcs`` for any stack of arcs with lateral data (``max_subsolution``
+and the certificate's arc transforms).  The residual scans read its Hhat.
+A marched field is an ``ArcField``: its grid, values and marching theta.
 
 Also provided: the exact cone solution of w_t - M |w'| = 0 used as a
 finite-speed oracle, residual scans, and the finite-speed window within
@@ -132,13 +132,12 @@ class ArcField:
 class _ArcStepper:
     """One monotone scheme step for a stack of arc rows, built once per march.
 
-    The stack holds its rows grouped by kind (sampled ones by their momentum
-    knots): stack row r is ``hams[order[r]]``, so each group is one slice of
-    rows and its column table reads and writes views.  theta is one scalar
-    or one value per Hamiltonian; a single Hamiltonian may serve ``rows``
-    rows.  The slope, momentum, Hhat and scratch buffers, and every view of
-    them a step touches, are made here and reused by every step; the end
-    minimizers and column coefficients are the ones each Hamiltonian keeps.
+    Stack row r is ``hams[order[r]]``, rows grouped by kind (sampled ones by
+    momentum knots); theta is a scalar or one value per Hamiltonian, and one
+    Hamiltonian may serve ``rows`` rows.  The rows of C = ns + 1 nodes lie
+    back to back in flat buffers.  The end clip overwrites the momenta that
+    straddle two rows, and the dissipation term is +0.0 at both row ends, so
+    an end node keeps H at its clipped slope exactly.
     """
 
     def __init__(self, hams, ns, theta, dt, rows=None):
@@ -149,17 +148,17 @@ class _ArcStepper:
         self.order = np.array([i for idx in groups.values() for i in idx])
         # momentum minimizers of the rows at s = 0 and at s = 1
         self.p_star = np.array([hams[i]._p_ends for i in self.order]).T.copy()
-        half_theta = 0.5 * np.asarray(theta, dtype=float)
-        self.half_theta = (half_theta[self.order, None] if half_theta.ndim
-                           else half_theta)
+        n, c = len(hams) if rows is None else rows, ns + 1
+        half = 0.5 * np.asarray(theta, dtype=float)
+        self.half_theta = (half if not half.ndim else np.broadcast_to(
+            half[self.order, None], (n, c)).reshape(-1)[1:-1])
         self.ns, self.dt = ns, dt
-        n = len(hams) if rows is None else rows
-        self.pm = pm = np.empty((n, ns))
-        p = np.empty((n, ns + 1))
-        self.hh = hh = np.empty((n, ns + 1))
-        self.tmp = tmp = np.empty((n, ns + 1))
-        self._views = (pm[:, :-1], pm[:, 1:], p[:, 1:-1], hh[:, 1:-1],
-                       tmp[:, 1:-1], pm[:, 0], p[:, 0], pm[:, -1], p[:, -1])
+        self.pm = pm = np.empty(n * c - 1)
+        p, self.hh, tmp = bufs = np.empty((3, n, c))   # as rows
+        fp, self._hh, self.tmp = bufs.reshape(3, -1)   # the same, flat
+        self._views = (pm[:-1], pm[1:], fp[1:-1], self.tmp[1:-1],
+                       tmp[:, ::ns], pm[::c], fp[::c], pm[ns - 1::c],
+                       fp[ns::c])
         bounds = np.cumsum([0] + [len(idx) for idx in groups.values()])
         self.groups = []
         for idx, lo, hi in zip(groups.values(), bounds, bounds[1:]):
@@ -168,15 +167,15 @@ class _ArcStepper:
             grp = [hams[i] for i in idx]
             cols = _Columns(grp, None,
                             [_grid_coefficients(H, ns) for H in grp])
-            self.groups.append((cols, p[sl], hh[sl], tmp[sl]))
+            self.groups.append((cols, p[sl], self.hh[sl], tmp[sl]))
 
     def hhat(self, u):
-        """Hhat of the rows u (R, ns+1), left in ``hh``, with the cell
-        slopes left in ``pm``.  At the ends Hhat is H at the one-sided slope
-        clipped to the monotone branch (p <= p* at s = 0, p >= p* at s = 1).
-        """
-        pm_lo, pm_hi, p_mid, hh_mid, d, pm_0, p_0, pm_n, p_n = self._views
-        np.subtract(u[:, 1:], u[:, :-1], out=self.pm)
+        """Hhat of the rows u (R, ns+1) in ``hh``, the cell slopes flat in
+        ``pm``; at the ends, H at the one-sided slope clipped to the monotone
+        branch (p <= p* at s = 0, p >= p* at s = 1)."""
+        pm_lo, pm_hi, p_mid, d, d_ends, pm_0, p_0, pm_n, p_n = self._views
+        flat = u.reshape(-1)
+        np.subtract(flat[1:], flat[:-1], out=self.pm)
         self.pm *= self.ns
         np.add(pm_lo, pm_hi, out=p_mid)
         p_mid *= 0.5
@@ -186,14 +185,18 @@ class _ArcStepper:
             cols(q, out=h, tmp=t)
         np.subtract(pm_hi, pm_lo, out=d)
         d *= self.half_theta
-        hh_mid -= d
+        d_ends.fill(0.0)
+        self._hh -= self.tmp
         return self.hh
 
     def __call__(self, u, out):
-        """Write the update of the rows u into out (u itself allowed);
-        columns 0 and ns hold the state-constraint candidates."""
-        np.multiply(self.hhat(u), self.dt, out=self.tmp)
-        np.subtract(u, self.tmp, out=out)
+        """Write the update of the rows u into out (u itself allowed, both
+        C-contiguous); columns 0 and ns hold the state-constraint candidates."""
+        if not (u.flags.c_contiguous and out.flags.c_contiguous):
+            raise ValueError("the rows and out must be C-contiguous")
+        self.hhat(u)
+        np.multiply(self._hh, self.dt, out=self.tmp)
+        np.subtract(u.reshape(-1), self.tmp, out=out.reshape(-1))
 
 
 def default_dissipation(H, initial, left=None, right=None, dt=None):

@@ -394,3 +394,107 @@ def test_a_second_stepper_derives_no_grid_data_again(monkeypatch):
         arrays = ((cols.t0, cols.t1, cols.base, cols.ext)
                   if cols.kind == "sampled" else (cols.a, cols.b, cols.k))
         assert all(a.flags.c_contiguous for a in arrays), cols.kind
+
+
+def _four_kinds():
+    """An abs, a quadratic and two sampled Hamiltonians on different
+    momentum knots, all s-dependent."""
+    sampled = []
+    for p, a in ((np.linspace(-3.0, 3.0, 9), [0.6, 0.8, 0.5]),
+                 (np.linspace(-2.0, 2.5, 7), [1.1, 0.7, 0.9])):
+        table = np.array(a)[:, None] * (p[None, :] + 0.2) ** 2 + 0.6
+        edge = float(np.max(np.abs(np.diff(table, axis=1) / np.diff(p))))
+        sampled.append(hj.sampled_hamiltonian([0.0, 0.5, 1.0], p, table,
+                                              edge + 0.5))
+    return [hj.abs_hamiltonian(alpha=[1.0, 2.0, 1.5], beta=[0.0, 0.4, -0.2],
+                               kappa=-0.5),
+            hj.quadratic_hamiltonian(alpha=[0.5, 1.2], beta=[0.2, -0.4],
+                                     kappa=[0.6, 1.1]), *sampled]
+
+
+def _offset_rows(rng, n, ns):
+    """n random rows, each lifted by +1e6 or -1e6, so that every stencil
+    entry straddling two rows of a stack is large junk."""
+    lift = rng.choice([-1e6, 1e6], size=n)[:, None]
+    return lift + rng.normal(scale=0.5, size=(n, ns + 1))
+
+
+def _step_alone(H, row, ns, theta, dt):
+    one = np.empty((1, ns + 1))
+    _ArcStepper([H], ns, theta, dt)(row[None, :].copy(), out=one)
+    return one[0]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_each_row_of_a_stacked_step_is_that_row_stepped_alone(seed):
+    rng = np.random.default_rng(seed)
+    kinds = _four_kinds()
+    ns, dt = int(rng.integers(2, 40)), 1e-3
+    hams = [kinds[k] for k in rng.permutation(
+        np.r_[0:4, rng.integers(0, 4, size=int(rng.integers(0, 9)))])]
+    theta = rng.uniform(0.5, 8.0, size=len(hams))
+    rows = _offset_rows(rng, len(hams), ns)
+    step = _ArcStepper(hams, ns, theta, dt)
+    u = rows[step.order]
+    out = np.empty_like(u)
+    step(u, out=out)
+    for r, i in enumerate(step.order):
+        alone = _step_alone(hams[i], rows[i], ns, theta[i], dt)
+        assert out[r].tobytes() == alone.tobytes(), (seed, r)
+    # the rows= form: one Hamiltonian serving every row
+    for H in kinds:
+        th = float(rng.uniform(0.5, 8.0))
+        u = _offset_rows(rng, 5, ns)
+        out = np.empty_like(u)
+        _ArcStepper([H], ns, th, dt, rows=5)(u, out=out)
+        for r in range(5):
+            alone = _step_alone(H, u[r], ns, th, dt)
+            assert out[r].tobytes() == alone.tobytes(), (seed, H.kind, r)
+
+
+def test_end_nodes_hold_h_at_the_clipped_slope_without_dissipation():
+    rng = np.random.default_rng(11)
+    hams = _four_kinds()
+    ns = 16
+    step = _ArcStepper(hams, ns, rng.uniform(1.0, 4.0, size=4), 1e-3)
+    u = _offset_rows(rng, 4, ns)
+    hh = step.hhat(u)
+    for r, i in enumerate(step.order):
+        H = hams[i]
+        p0 = min((u[r, 1] - u[r, 0]) * ns, H._p_ends[0])
+        pn = max((u[r, ns] - u[r, ns - 1]) * ns, H._p_ends[1])
+        assert hh[r, 0].hex() == hj.evaluate(H, 0.0, p0).hex(), H.kind
+        assert hh[r, ns].hex() == hj.evaluate(H, 1.0, pn).hex(), H.kind
+    # H = |p - 1/4| is exactly +0.0 at both clipped end slopes, so the end
+    # values -0.0 of the rows stay -0.0 through the update
+    H = hj.abs_hamiltonian(beta=0.25)
+    u = np.array([[-0.0, 0.5, 1.25, 0.5, -0.0]] * 3) + [[-1e6], [0.0], [1e6]]
+    u[1, ::4] = -0.0
+    step = _ArcStepper([H] * 3, 4, [1.0, 2.0, 3.0], 1e-3)
+    out = np.empty_like(u)
+    step(u, out=out)
+    assert not np.signbit(step.hh[:, ::4]).any()
+    assert np.signbit(out[1, ::4]).all()
+    # a column table writing -0.0 everywhere: the ends keep it, so the
+    # dissipation term there is +0.0 whatever junk the stencil straddled
+    step.groups = [(lambda q, out, tmp: out.fill(-0.0), *views)
+                   for _, *views in step.groups]
+    hh = step.hhat(u)
+    assert np.signbit(hh[:, ::4]).all()
+    assert (hh[:, 1:-1] != 0.0).all()
+
+
+def test_a_step_rejects_rows_or_output_that_are_not_c_contiguous():
+    hams = _four_kinds()
+    step = _ArcStepper(hams, 8, 1.0, 1e-3)
+    u = np.random.default_rng(0).normal(size=(4, 9))
+    wide = np.zeros((4, 18))
+    for rows, out in ((np.asfortranarray(u), np.empty((4, 9))),
+                      (u, wide[:, ::2]), (u, np.empty((9, 4)).T)):
+        with pytest.raises(ValueError, match="C-contiguous"):
+            step(rows, out=out)
+    assert not wide.any()
+    out = np.empty((4, 9))
+    step(u, out=out)
+    step(u, out=u)
+    assert u.tobytes() == out.tobytes()
