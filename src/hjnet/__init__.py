@@ -13,7 +13,6 @@ from .arc_solver import (
     ArcField,
     BoundaryMode,
     Grid2D,
-    cone_solution,
     constrained,
     free,
     max_subsolution,

@@ -20,26 +20,29 @@ Boundary handling:
   per-s momentum minimizer), so no information enters from outside and the
   update stays order-preserving.
 
-One stepper takes every step: ``_ArcStepper``, built once per march on an
-(R, ns + 1) stack of arc rows of any kinds with per-row theta, groups the
-rows by kind (by momentum-knot vector, for the sampled kind) and steps them
-on flat buffers, rows back to back, one contiguous call per stencil
-operation; the entries straddling two rows are junk, overwritten by the end
-clip or zeroed.  It writes each step's update, end candidates included, into
-a C-contiguous array the caller passes in (the rows themselves allowed); the
-caller applies the sides.  Two loops march it: the network solver's, and
-``_march_arcs`` for any stack of arcs with lateral data (``max_subsolution``
-and the certificate's arc transforms).  The residual scans read its Hhat.
-A marched field is an ``ArcField``: its grid, values and marching theta.
+One stepper takes every step: ``_ArcStepper``, built once per march or
+scan on an (R, ns + 1) stack of arc rows of any kinds with per-row theta.
+It groups the rows by kind (by momentum-knot vector, for the sampled kind)
+and is bound to its state: an array of its own that a march seeds, or the
+caller's C-contiguous rows, which a residual scan binds without a copy.
+All of its views and each kind group's evaluator are bound at
+construction, and it has one stencil: ``advance()`` steps the state in
+place on flat buffers, rows back to back, one contiguous call per stencil
+operation (the entries straddling two rows are junk, overwritten by the end
+clip or zeroed), and ``hhat()``, its first half, is what the residual scans
+read.  The caller applies the sides.  Two loops march it: the network
+solver's, and ``_march_arcs`` for any stack of arcs with lateral data
+(``max_subsolution`` and the certificate's arc transforms).  A marched
+field is an ``ArcField``: its grid, values and marching theta.
 
-Also provided: the exact cone solution of w_t - M |w'| = 0 used as a
-finite-speed oracle, residual scans, and the finite-speed window within
-which lateral data cannot reach an arc's interior.
+Also provided: residual scans, and the finite-speed window within which
+lateral data cannot reach an arc's interior.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -65,7 +68,6 @@ __all__ = [
     "free",
     "constrained",
     "max_subsolution",
-    "cone_solution",
     "subsolution_residual",
     "supersolution_residual",
     "propagation_window",
@@ -130,17 +132,24 @@ class ArcField:
 
 
 class _ArcStepper:
-    """One monotone scheme step for a stack of arc rows, built once per march.
+    """One monotone scheme step for a stack of arc rows, bound to its state.
 
     Stack row r is ``hams[order[r]]``, rows grouped by kind (sampled ones by
-    momentum knots); theta is a scalar or one value per Hamiltonian, and one
-    Hamiltonian may serve ``rows`` rows.  The rows of C = ns + 1 nodes lie
-    back to back in flat buffers.  The end clip overwrites the momenta that
-    straddle two rows, and the dissipation term is +0.0 at both row ends, so
-    an end node keeps H at its clipped slope exactly.
+    momentum knots); theta is a scalar or one value per Hamiltonian.  The
+    state is the (R, ns + 1) C-contiguous stack the stepper works on: for a
+    march, an array of its own that the caller seeds; given ``state``, the
+    caller's rows, bound without a copy, which one Hamiltonian with a
+    scalar theta may serve.
+    Every view of the flat buffers, rows back to back, and each kind group's
+    evaluator are bound here, once.  ``advance()`` steps the state in place,
+    columns 0 and ns holding the state-constraint candidates for the caller
+    to clip; ``hhat()``, its first half, returns Hhat of the state.  The end
+    clip overwrites the momenta that straddle two rows, and the dissipation
+    term is +0.0 at both row ends, so an end node keeps H at its clipped
+    slope exactly.
     """
 
-    def __init__(self, hams, ns, theta, dt, rows=None):
+    def __init__(self, hams, ns, theta, dt, state=None):
         groups = {}
         for i, H in enumerate(hams):
             key = (H.kind, None if H.p_knots is None else tuple(H.p_knots))
@@ -148,18 +157,26 @@ class _ArcStepper:
         self.order = np.array([i for idx in groups.values() for i in idx])
         # momentum minimizers of the rows at s = 0 and at s = 1
         self.p_star = np.array([hams[i]._p_ends for i in self.order]).T.copy()
-        n, c = len(hams) if rows is None else rows, ns + 1
+        c = ns + 1
+        if state is None:
+            state = np.empty((len(hams), c))
+        elif not state.flags.c_contiguous:
+            raise ValueError("the state must be C-contiguous")
+        self.state, n = state, state.shape[0]
+        pm = np.empty(n * c)      # the cell slopes, then the kinds' scratch
+        p, tmp, hh = bufs = np.empty((3, n, c))
+        fp, ft, fh = bufs.reshape(3, -1)
+        # the momenta fp[1:] over the differences ft[:-1], one contiguous
+        # block that the factors [0.5; theta/2] scale; its two entries at
+        # the stack's ends are overwritten after, and start at 0.0 so that
+        # the first step scales no garbage
+        fp[-1] = ft[0] = 0.0
+        pair = bufs.reshape(-1)[1:2 * n * c - 1].reshape(2, -1)
         half = 0.5 * np.asarray(theta, dtype=float)
-        self.half_theta = (half if not half.ndim else np.broadcast_to(
-            half[self.order, None], (n, c)).reshape(-1)[1:-1])
-        self.ns, self.dt = ns, dt
-        self.pm = pm = np.empty(n * c - 1)
-        p, self.hh, tmp = bufs = np.empty((3, n, c))   # as rows
-        fp, self._hh, self.tmp = bufs.reshape(3, -1)   # the same, flat
-        self._views = (pm[:-1], pm[1:], fp[1:-1], self.tmp[1:-1],
-                       tmp[:, ::ns], pm[::c], fp[::c], pm[ns - 1::c],
-                       fp[ns::c])
-        bounds = np.cumsum([0] + [len(idx) for idx in groups.values()])
+        factor = np.empty((2, n * c - 1 if half.ndim else 1))
+        factor[0] = 0.5
+        factor[1] = np.repeat(half[self.order], c)[:-1] if half.ndim else half
+        bounds = list(accumulate(map(len, groups.values()), initial=0))
         self.groups = []
         for idx, lo, hi in zip(groups.values(), bounds, bounds[1:]):
             # a lone group takes every row, however many one H serves
@@ -167,36 +184,43 @@ class _ArcStepper:
             grp = [hams[i] for i in idx]
             cols = _Columns(grp, None,
                             [_grid_coefficients(H, ns) for H in grp])
-            self.groups.append((cols, p[sl], self.hh[sl], tmp[sl]))
+            self.groups.append(
+                (cols, cols.bind(p[sl], hh[sl], pm.reshape(n, c)[sl])))
+        evaluators = [ev for _, ev in self.groups]
+        u = state.reshape(-1)
+        u_lo, u_hi, slopes = u[:-1], u[1:], pm[:-1]
+        pm_lo, pm_hi, p_mid, d = pm[:-2], pm[1:-1], fp[1:-1], ft[1:-1]
+        pm_0, pm_n, p_0, p_n = slopes[::c], slopes[ns - 1::c], fp[::c], fp[ns::c]
+        p_star_0, p_star_n = self.p_star
+        d_ends = tmp[:, ::ns]
+        # 0-d arrays: cheaper operands for a ufunc than Python numbers
+        ns_f, dt_f = np.array(float(ns)), np.array(float(dt))
 
-    def hhat(self, u):
-        """Hhat of the rows u (R, ns+1) in ``hh``, the cell slopes flat in
-        ``pm``; at the ends, H at the one-sided slope clipped to the monotone
-        branch (p <= p* at s = 0, p >= p* at s = 1)."""
-        pm_lo, pm_hi, p_mid, d, d_ends, pm_0, p_0, pm_n, p_n = self._views
-        flat = u.reshape(-1)
-        np.subtract(flat[1:], flat[:-1], out=self.pm)
-        self.pm *= self.ns
-        np.add(pm_lo, pm_hi, out=p_mid)
-        p_mid *= 0.5
-        np.minimum(pm_0, self.p_star[0], out=p_0)
-        np.maximum(pm_n, self.p_star[1], out=p_n)
-        for cols, q, h, t in self.groups:
-            cols(q, out=h, tmp=t)
-        np.subtract(pm_hi, pm_lo, out=d)
-        d *= self.half_theta
-        d_ends.fill(0.0)
-        self._hh -= self.tmp
-        return self.hh
+        def hhat():
+            """Hhat of the state, rows (R, ns+1); at the ends, H at the
+            one-sided slope clipped to the monotone branch (p <= p* at
+            s = 0, p >= p* at s = 1)."""
+            np.subtract(u_hi, u_lo, slopes)
+            np.multiply(slopes, ns_f, slopes)
+            np.add(pm_lo, pm_hi, p_mid)
+            np.subtract(pm_hi, pm_lo, d)
+            np.multiply(pair, factor, pair)
+            np.minimum(pm_0, p_star_0, out=p_0)
+            np.maximum(pm_n, p_star_n, out=p_n)
+            for evaluate in evaluators:
+                evaluate()
+            d_ends.fill(0.0)
+            np.subtract(fh, ft, fh)
+            return hh
 
-    def __call__(self, u, out):
-        """Write the update of the rows u into out (u itself allowed, both
-        C-contiguous); columns 0 and ns hold the state-constraint candidates."""
-        if not (u.flags.c_contiguous and out.flags.c_contiguous):
-            raise ValueError("the rows and out must be C-contiguous")
-        self.hhat(u)
-        np.multiply(self._hh, self.dt, out=self.tmp)
-        np.subtract(u.reshape(-1), self.tmp, out=out.reshape(-1))
+        def advance():
+            """Step the state in place."""
+            hhat()
+            np.multiply(fh, dt_f, ft)
+            np.subtract(u, ft, u)
+
+        # no closure holds self, so the buffers go with the last reference
+        self.hh, self.hhat, self.advance = hh, hhat, advance
 
 
 def default_dissipation(H, initial, left=None, right=None, dt=None):
@@ -266,13 +290,14 @@ def _march_arcs(hams, init, left, right, grid, theta, record):
         raise CornerMismatchError(f"lateral datum at t0 ({at0[low][0]}) "
                                   f"below initial endpoint ({g_end[low][0]})")
     step = _ArcStepper(hams, grid.ns, theta, grid.dt)
-    u = np.array(init)[step.order]
+    u, advance = step.state, step.advance
+    np.stack([init[i] for i in step.order], out=u)
     dat = dat[step.order].transpose(2, 0, 1).copy()   # [time, row, end]
     ends, kept = u[:, ::grid.ns], u[:, record]
     rec = np.empty((grid.nt + 1,) + kept.shape)
     rec[0] = kept
     for k in range(1, grid.nt + 1):
-        step(u, out=u)
+        advance()
         np.minimum(dat[k], ends, out=ends)
         rec[k] = kept
     out = np.empty((len(init), grid.nt + 1) + kept.shape[1:])
@@ -293,44 +318,12 @@ def max_subsolution(H, initial, left, right, grid, theta=None) -> ArcField:
     return ArcField(grid=grid, values=values[0], theta=theta[0])
 
 
-def cone_solution(M, initial, left_datum, right_datum, grid) -> ArcField:
-    """Exact solution of w_t - M |w'| = 0 from full parabolic-boundary data.
-
-    w(s,t) is the maximum of the boundary values over all boundary points
-    (s*, t*) within the backward cone |s - s*| <= M (t - t*).
-    """
-    if M <= 0:
-        raise ValueError("cone speed M must be positive")
-    initial = np.asarray(initial, dtype=float)
-    ldat = np.asarray(getattr(left_datum, "values", left_datum), dtype=float)
-    rdat = np.asarray(getattr(right_datum, "values", right_datum), dtype=float)
-    if initial.shape != (grid.ns + 1,) or ldat.shape != (grid.nt + 1,) \
-            or rdat.shape != (grid.nt + 1,):
-        raise GridMismatchError("cone data must live on the grid")
-    s = grid.s_nodes()
-    t = grid.t_nodes()
-    # the formula is a brute force; evaluate it directly so any reordered
-    # scan over the boundary reproduces it bit for bit
-    dist = np.abs(s[:, None] - s[None, :])  # (i, j)
-    values = np.empty((grid.nt + 1, grid.ns + 1))
-    for k in range(grid.nt + 1):
-        back = M * (t[k] - t)               # (l,) ; negative for l > k
-        row = np.where(dist <= M * (t[k] - t[0]), initial[None, :],
-                       -np.inf).max(axis=1)
-        cl = np.where(s[:, None] <= back[None, :], ldat[None, :],
-                      -np.inf).max(axis=1)
-        cr = np.where((1.0 - s)[:, None] <= back[None, :], rdat[None, :],
-                      -np.inf).max(axis=1)
-        values[k] = np.maximum(row, np.maximum(cl, cr))
-    return ArcField(grid=grid, values=values, theta=M)
-
-
 def _interior_residuals(u, H, theta, dt):
-    """u_t + Hhat at the interior nodes of the rows u (nt+1, ns+1)."""
+    """u_t + Hhat at the interior nodes of the C-contiguous rows u
+    (nt+1, ns+1)."""
     if u.shape[0] == 1:
         return np.zeros((0, max(u.shape[1] - 2, 0)))
-    hh = _ArcStepper([H], u.shape[1] - 1, theta, dt,
-                     rows=u.shape[0] - 1).hhat(u[:-1])
+    hh = _ArcStepper([H], u.shape[1] - 1, theta, dt, state=u[:-1]).hhat()
     return np.diff(u[:, 1:-1], axis=0) / dt + hh[:, 1:-1]
 
 
@@ -340,7 +333,8 @@ def _field_residuals(field: ArcField, H, theta):
     if theta is None:  # a hand-built field: cover its own largest slope
         slope = np.max(np.abs(np.diff(field.values, axis=1))) * field.grid.ns
         theta = momentum_lipschitz(H, float(slope) + 1.0)
-    return _interior_residuals(field.values, H, theta, field.grid.dt)
+    return _interior_residuals(np.ascontiguousarray(field.values), H, theta,
+                               field.grid.dt)
 
 
 def subsolution_residual(field, H, theta=None) -> float:

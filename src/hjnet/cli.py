@@ -3,7 +3,7 @@
     hjnet run --scenario tripod.scn --out results [--t-final 2] [--ns 200]
               [--cfl 0.9] [--checks all|none|a,b,c] [--refine 2]
               [--dump-slices 0.5,1.0]
-    hjnet oracle --oracle g|cone|refine|hopflax [--scenario ...] [--out ...]
+    hjnet oracle --oracle g|refine|hopflax [--scenario ...] [--out ...]
 
 Exit codes: 0 all enabled checks passed; 1 a check or oracle comparison
 failed; 2 scenario parse, validation, planning or solve errors.  CSV
@@ -22,7 +22,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .arc_solver import Grid2D, cone_solution
+from .arc_solver import Grid2D
 from .errors import HJNetError, ValidationError
 from .network_solver import (
     NetworkSolution,
@@ -346,52 +346,24 @@ def _oracle_g(args, outdir):
     return 0 if same else 1
 
 
-def _oracle_cone(args, outdir):
-    rng = np.random.default_rng(args.seed)
-    grid = Grid2D(args.grid_ns, 0.0, args.dt, args.nt)
-    initial = rng.normal(size=grid.ns + 1)
-    left = rng.normal(size=grid.nt + 1)
-    right = rng.normal(size=grid.nt + 1)
-    left[0] = right[0] = 0.0
-    fld = cone_solution(args.speed, initial, left, right, grid)
-    # independent brute force over every boundary point
-    s = grid.s_nodes()
-    t = grid.t_nodes()
-    worst = 0.0
-    for k in range(grid.nt + 1):
-        for i in range(grid.ns + 1):
-            best = -np.inf
-            for j in range(grid.ns + 1):
-                if abs(s[i] - s[j]) <= args.speed * (t[k] - t[0]):
-                    best = max(best, initial[j])
-            for l in range(grid.nt + 1):
-                if t[l] <= t[k]:
-                    if s[i] <= args.speed * (t[k] - t[l]):
-                        best = max(best, left[l])
-                    if 1.0 - s[i] <= args.speed * (t[k] - t[l]):
-                        best = max(best, right[l])
-            worst = max(worst, abs(best - fld.values[k, i]))
-    _write_csv(os.path.join(outdir, "cone.csv"), ["arc_id", "t", "s", "u"],
-               (("cone", t[k], s[i], fld.values[k, i])
-                for k in range(grid.nt + 1) for i in range(grid.ns + 1)))
-    print(f"{'PASS' if worst == 0.0 else 'FAIL'} cone oracle (max dev {worst:.3e})")
-    return 0 if worst == 0.0 else 1
-
-
 def _oracle_refine(args, outdir):
     scenario, _ = parse_scenario_file(args.scenario, ns=args.ns,
                                       horizon=args.t_final, cfl=args.cfl)
     C, details = calibrate_epsilon(scenario, levels=max(2, args.refine + 1))
-    rows = []
-    prev = None
-    for lvl, d in enumerate(details):
-        order = float("nan") if prev is None else np.log2(prev / d["diff"])
-        rows.append((str(lvl), d["ns"], d["dt"], d["diff"], order))
-        prev = d["diff"]
+    diffs = np.array([d["diff"] for d in details])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        orders = np.log2(diffs[:-1] / diffs[1:])
+    rows = [(str(lvl), d["ns"], d["dt"], d["diff"], order)
+            for lvl, (d, order) in enumerate(zip(details, [np.nan, *orders]))]
     _write_csv(os.path.join(outdir, "refine.csv"),
                ["level", "ns", "dt", "diff", "order"], rows)
-    print(f"PASS refine oracle (C = {C:.6g})")
-    return 0
+    # a level difference that does not shrink has an order <= 0, or nan
+    # when it and the one before are both 0
+    ok = bool(np.all(orders > 0))
+    shown = ", ".join(f"{o:.3g}" for o in orders) or "n/a"
+    print(f"{'PASS' if ok else 'FAIL'} refine oracle (C = {C:.6g}, "
+          f"order {shown})")
+    return 0 if ok else 1
 
 
 def _oracle_hopflax(args, outdir):
@@ -437,25 +409,18 @@ def _check_oracle_flags(args):
     if args.oracle in ("refine", "hopflax"):
         rules = [(args.scenario is not None,
                   f"--oracle {args.oracle} needs --scenario")]
-    elif args.oracle == "g":
+    else:
         rules = [(args.length >= 1, "--length must be at least 1"),
                  (np.isfinite(args.dt), "--dt must be finite"),
                  (args.dt > 0, "--dt must be positive"),
                  (np.isfinite(args.slope), "--slope must be finite"),
                  (args.slope < 0, "--slope must be negative")]
-    else:
-        rules = [(args.grid_ns >= 2, "--grid-ns must be at least 2"),
-                 (np.isfinite(args.dt), "--dt must be finite"),
-                 (args.dt > 0, "--dt must be positive"),
-                 (args.nt >= 0, "--nt must be at least 0"),
-                 (np.isfinite(args.speed), "--speed must be finite"),
-                 (args.speed > 0, "--speed must be positive")]
     for ok, message in rules:
         if not ok:
             raise ValidationError(message)
 
 
-_ORACLES = {"g": _oracle_g, "cone": _oracle_cone, "refine": _oracle_refine,
+_ORACLES = {"g": _oracle_g, "refine": _oracle_refine,
             "hopflax": _oracle_hopflax}
 
 
@@ -500,9 +465,6 @@ def main(argv=None):
     p_or.add_argument("--length", type=int, default=512)
     p_or.add_argument("--dt", type=float, default=0.0078125)
     p_or.add_argument("--slope", type=float, default=-1.0)
-    p_or.add_argument("--grid-ns", type=int, default=24)
-    p_or.add_argument("--nt", type=int, default=24)
-    p_or.add_argument("--speed", type=float, default=1.0)
     p_or.set_defaults(func=_cmd_oracle)
 
     args = parser.parse_args(argv)

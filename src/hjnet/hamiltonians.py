@@ -21,7 +21,7 @@ forward arcs extends uniquely to the inverse arcs.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -220,7 +220,7 @@ class _Columns:
     momenta (R, C), or any (N, C) when R = 1.  ``coefs`` holds each
     Hamiltonian's ``_coefficients`` at s when the caller keeps them.  Given
     ``out`` (and a scratch ``tmp`` of its shape) the values are written
-    there."""
+    there; ``bind`` fixes all three for repeated calls."""
 
     def __init__(self, hams, s, coefs=None):
         if coefs is None:
@@ -247,21 +247,32 @@ class _Columns:
     def __call__(self, p, out=None, tmp=None):
         if out is None:
             out = np.empty(np.broadcast_shapes(self.shape, np.shape(p)))
-        if self.kind == "abs":        # a |p - b| + k
-            np.subtract(p, self.b, out=out)
-            np.abs(out, out=out)
-            out *= self.a
-            out += self.k
-            return out
-        tmp = np.empty_like(out) if tmp is None else tmp
-        if self.kind == "sampled":
-            return self._sampled(p, out, tmp)
-        np.multiply(self.a, p, out=out)  # a p p + b p + k
-        out *= p
-        np.multiply(self.b, p, out=tmp)
-        out += tmp
-        out += self.k
+        if tmp is None and self.kind != "abs":
+            tmp = np.empty_like(out)
+        self.bind(p, out, tmp)()
         return out
+
+    def bind(self, p, out, tmp):
+        """A call without arguments that writes H at the momenta p into out,
+        with tmp as scratch (the abs kind takes none); a stepper binds its
+        buffers once and calls it every step."""
+        if self.kind == "sampled":
+            return partial(self._sampled, p, out, tmp)
+        a, b, k = self.a, self.b, self.k
+        if self.kind == "abs":        # a |p - b| + k
+            def evaluate():
+                np.subtract(p, b, out)
+                np.absolute(out, out)
+                np.multiply(out, a, out)
+                np.add(out, k, out)
+        else:                         # a p p + b p + k
+            def evaluate():
+                np.multiply(a, p, out)
+                np.multiply(out, p, out)
+                np.multiply(b, p, tmp)
+                np.add(out, tmp, out)
+                np.add(out, k, out)
+        return evaluate
 
     def _sampled(self, p, out, pc):
         # (1 - w) A + w B on the cell of the clipped momentum pc, whose index
@@ -273,15 +284,14 @@ class _Columns:
         w = pc - self.k0.take(j)
         w /= self.dk.take(j)
         j += self.base
-        np.subtract(1.0, w, out=out)
+        np.subtract(1.0, w, out)
         out *= self.t0.take(j)
         w *= self.t1.take(j)
         out += w
         pc -= p
-        np.abs(pc, out=pc)
+        np.absolute(pc, pc)
         pc *= self.ext
         out += pc
-        return out
 
 
 def evaluate(H, s, p):

