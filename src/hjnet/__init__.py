@@ -35,6 +35,7 @@ from .hamiltonians import (
     sublevel_width,
     sublevel_widths,
     subsolution_level,
+    subsolution_levels,
 )
 from .network import (
     Arc,

@@ -292,13 +292,16 @@ def _march_arcs(hams, init, left, right, grid, theta, record):
     step = _ArcStepper(hams, grid.ns, theta, grid.dt)
     u, advance = step.state, step.advance
     np.stack([init[i] for i in step.order], out=u)
-    dat = dat[step.order].transpose(2, 0, 1).copy()   # [time, row, end]
-    ends, kept = u[:, ::grid.ns], u[:, record]
+    dat = dat[step.order].transpose(2, 1, 0).copy()   # [time, end, row]
+    # one 1-D call per end column: numpy takes its slow n-d path on the
+    # strided (R, 2) view of both ends
+    u_0, u_n, kept = u[:, 0], u[:, grid.ns], u[:, record]
     rec = np.empty((grid.nt + 1,) + kept.shape)
     rec[0] = kept
     for k in range(1, grid.nt + 1):
         advance()
-        np.minimum(dat[k], ends, out=ends)
+        np.minimum(dat[k, 0], u_0, out=u_0)
+        np.minimum(dat[k, 1], u_n, out=u_n)
         rec[k] = kept
     out = np.empty((len(init), grid.nt + 1) + kept.shape[1:])
     out[step.order] = rec.swapaxes(0, 1)

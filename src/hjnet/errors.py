@@ -25,6 +25,10 @@ class DisconnectedNetworkError(ValidationError):
     """The undirected graph is not connected."""
 
 
+class EmptyNetworkError(ValidationError):
+    """The network has no edges, so no arc carries an equation."""
+
+
 class UnknownVertexError(ValidationError):
     """A vertex id does not exist in the network."""
 

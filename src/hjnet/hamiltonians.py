@@ -38,6 +38,7 @@ __all__ = [
     "reverse_hamiltonian",
     "positive_shift",
     "subsolution_level",
+    "subsolution_levels",
     "sublevel_width",
     "sublevel_widths",
     "momentum_lipschitz",
@@ -57,12 +58,14 @@ class ArcHamiltonian:
 
     Its arrays are never written in place (``replace`` makes a new object),
     so the invariants derived on the check grid are cached on the object:
-    min_p H behind ``c_gamma`` and ``global_min``, the ``sublevel_width`` of
-    every level asked for, the ``shift_hamiltonian`` copy of every shift
-    asked for, the momentum minimizers at s = 0 and s = 1, the column
-    coefficients on every ns-cell grid a march asks for, and, for the
-    sampled kind, the knot columns and slope maxima behind
-    ``momentum_lipschitz``.
+    min_p H and the two floats ``c_gamma`` and ``global_min`` read from it,
+    the ``sublevel_width`` of every level asked for, the
+    ``shift_hamiltonian`` copy of every shift asked for, the momentum
+    minimizers at s = 0 and s = 1, the column coefficients at the nodes of
+    every ns-cell grid a march asks for and at the cell midpoints of every
+    datum grid a subsolution level asks for, and behind
+    ``momentum_lipschitz`` max alpha and max |beta| of the symbolic kinds
+    or the knot columns and slope maxima of the sampled kind.
     """
 
     kind: str
@@ -82,6 +85,14 @@ class ArcHamiltonian:
         return _min_over_p(self, _s_check_grid(self))
 
     @cached_property
+    def _c_gamma(self):
+        return -float(np.max(self._min_p))
+
+    @cached_property
+    def _global_min(self):
+        return float(np.min(self._min_p))
+
+    @cached_property
     def _widths(self):
         return {}
 
@@ -96,6 +107,11 @@ class ArcHamiltonian:
     @cached_property
     def _on_grids(self):
         return {}
+
+    @cached_property
+    def _coef_max(self):
+        """Symbolic kinds: max alpha and max |beta| over the s-knots."""
+        return float(np.max(self.alpha)), float(np.max(np.abs(self.beta)))
 
     @cached_property
     def _knot_cells(self):
@@ -207,11 +223,14 @@ def _coefficients(H, s):
                      for c in ("alpha", "beta", "kappa")])
 
 
-def _grid_coefficients(H, ns):
-    """``_coefficients`` on the ns-cell grid, derived once per (H, ns)."""
-    if ns not in H._on_grids:
-        H._on_grids[ns] = _coefficients(H, np.linspace(0.0, 1.0, ns + 1))
-    return H._on_grids[ns]
+def _grid_coefficients(H, ns, mid=False):
+    """``_coefficients`` at the nodes of the ns-cell grid, or at its cell
+    midpoints, derived once per (H, ns, mid)."""
+    key = (ns, mid)
+    if key not in H._on_grids:
+        s = (np.arange(ns) + 0.5) / ns if mid else np.linspace(0.0, 1.0, ns + 1)
+        H._on_grids[key] = _coefficients(H, s)
+    return H._on_grids[key]
 
 
 class _Columns:
@@ -332,12 +351,12 @@ def c_gamma(H):
     Symbolic kinds use the closed-form per-s minimizer; the sampled kind
     scans its momentum knots.
     """
-    return -float(np.max(H._min_p))
+    return H._c_gamma
 
 
 def global_min(H):
     """min over (s,p) of H on the check grid."""
-    return float(np.min(H._min_p))
+    return H._global_min
 
 
 def reverse_hamiltonian(H):
@@ -368,19 +387,42 @@ def shift_hamiltonian(H, a):
 
 
 def subsolution_level(H, w0):
-    """Smallest m with H(s, w0') <= m a.e., rendered on the grid.
+    """Smallest m with H(s, w0') <= m a.e., rendered on the grid: the
+    one-pair case of ``subsolution_levels``.
 
     w0 is sampled on a uniform s-grid; the a.e. condition becomes the maximum
     of H evaluated at cell midpoints with forward-difference slopes, matching
     the upwind stencil of the marching scheme.
     """
-    w0 = np.asarray(w0, dtype=float)
-    if w0.ndim != 1 or w0.size < 2:
-        raise ValueError("need at least 2 samples of the datum")
-    n = w0.size - 1
-    slopes = np.diff(w0) * n
-    mids = (np.arange(n) + 0.5) / n
-    return float(np.max(evaluate(H, mids, slopes)))
+    return subsolution_levels([H], [w0])[0]
+
+
+def subsolution_levels(hams, data):
+    """The ``subsolution_level`` of every pair (H, w0) of hams and data, in
+    their order.
+
+    Rows of one kind (sampled ones sharing their momentum knots) and one
+    datum length share one ``_Columns`` call on their stacked slopes, at the
+    midpoint coefficients each Hamiltonian caches per datum length, so every
+    level is bitwise its one-pair level.  A datum that is not 1-D with at
+    least 2 samples raises ValueError.
+    """
+    data = [np.asarray(w0, dtype=float) for w0 in data]
+    groups = {}
+    for i, (H, w0) in enumerate(zip(hams, data)):
+        if w0.ndim != 1 or w0.size < 2:
+            raise ValueError("need at least 2 samples of the datum")
+        key = (H.kind, None if H.p_knots is None else tuple(H.p_knots),
+               w0.size)
+        groups.setdefault(key, []).append(i)
+    levels = np.empty(len(data))
+    for idx in groups.values():
+        n = data[idx[0]].size - 1
+        slopes = np.diff([data[i] for i in idx], axis=1) * n
+        cols = _Columns([hams[i] for i in idx], None,
+                        [_grid_coefficients(hams[i], n, mid=True) for i in idx])
+        levels[idx] = np.max(cols(slopes), axis=1)
+    return levels.tolist()
 
 
 def sublevel_width(H, M):
@@ -506,9 +548,10 @@ def momentum_lipschitz(H, M_bound):
     if not (np.isfinite(M_bound) and M_bound > 0):
         raise ValueError(f"M_bound must be finite and positive, got {M_bound}")
     if H.kind == "quadratic":
-        return float(2.0 * np.max(H.alpha) * M_bound + np.max(np.abs(H.beta)))
+        a_max, b_max = H._coef_max
+        return float(2.0 * a_max * M_bound + b_max)
     if H.kind == "abs":
-        return float(np.max(H.alpha))
+        return H._coef_max[0]
     pk = H.p_knots
     lo, hi = max(pk[0], -M_bound), min(pk[-1], M_bound)
     best = float(H.extension_slope) if (M_bound > pk[-1] or -M_bound < pk[0]) else 0.0

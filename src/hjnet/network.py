@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from .errors import (
     DisconnectedNetworkError,
     DuplicateIdError,
+    EmptyNetworkError,
     LoopEdgeError,
     UnknownVertexError,
     ValidationError,
@@ -112,6 +113,8 @@ def build_network(vertices, edges) -> Network:
 
     if not vids:
         raise DisconnectedNetworkError("network has no vertices")
+    if not arcs:
+        raise EmptyNetworkError("network has no edges")
     seen = set()
     stack = [min(vids)]
     adj = {vid: set() for vid in vids}

@@ -21,7 +21,10 @@ Everything runs on a normalized family with strictly positive Hamiltonians
 the output is corrected back by u -> u + a (t - t0).  ``Scenario.constants``
 derives that normalization, with the slope budget m0 and the space-slope
 bounds taken on it, once per Scenario object; planning, solving, verifying
-and reloading all read that one record.
+and reloading all read that one record.  Beside it a Scenario keeps its
+validation, its limiter report and its datum slope maxima, so planning
+validates and budgets each object once and ``verify`` reports the limiter
+from the same record.
 
 The verification battery re-derives the certificate of the semidiscrete
 vertex system, interior scheme residuals, slope bounds, vertex continuity
@@ -50,9 +53,9 @@ from .hamiltonians import (
     positive_shift,
     shift_hamiltonian,
     sublevel_widths,
-    subsolution_level,
+    subsolution_levels,
 )
-from .network import validate_flux_limiter
+from .network import LimiterReport, validate_flux_limiter
 from .semidiscrete import VertexTraceSet, discr_residual
 
 __all__ = [
@@ -112,14 +115,13 @@ class Scenario:
     def limiter_values(self):
         return dict(self.limiter)
 
+    # The cached records below depend on the scenario alone and are derived
+    # once per Scenario object; a changed input means a new object
+    # (``replace``), which derives its own.
+
     @cached_property
     def constants(self) -> SolveConstants:
-        """Positivity shift, slope budget and space-slope bounds.
-
-        They depend on the scenario alone and are derived once per Scenario
-        object; a changed input means a new object (``replace``), which
-        derives its own.
-        """
+        """Positivity shift, slope budget and space-slope bounds."""
         fam, a, lim = positive_shift(self.hamiltonians, self.limiter_values())
         m0s = compute_m0(replace(self, hamiltonians=fam, limiter=lim))
         arcs = self.network.edge_arcs()
@@ -129,10 +131,28 @@ class Scenario:
             l_bound={arc.id: w for arc, w in zip(arcs, widths)},
             hamiltonians=fam, limiter=lim)
 
+    @cached_property
+    def limiter_report(self) -> LimiterReport:
+        """c_x against min c_gamma at every vertex, violated or not."""
+        return validate_flux_limiter(self.network, self.limiter_values(),
+                                     self.hamiltonians.by_arc)
+
+    @cached_property
+    def validation(self) -> LimiterReport:
+        """The report of ``validate_scenario``; an invalid scenario caches
+        nothing and raises again on every read."""
+        return validate_scenario(self)
+
+    @cached_property
+    def datum_slopes(self) -> dict:
+        """Edge id -> the largest |slope| of its initial datum."""
+        return {arc.id: float(np.max(np.abs(np.diff(self.initial[arc.id]))))
+                * self.ns for arc in self.network.edge_arcs()}
+
 
 def validate_scenario(sc: Scenario):
     """Grid size, time step, limiter admissibility, datum shape, vertex
-    consistency of the datum."""
+    consistency of the datum; ``Scenario.validation`` keeps the result."""
     if sc.ns < 2:
         raise ValidationError("ns must be at least 2")
     if not np.isfinite(sc.t0):
@@ -142,8 +162,7 @@ def validate_scenario(sc: Scenario):
             f"horizon must be finite and positive, got {sc.horizon}")
     if sc.dt is not None and not (np.isfinite(sc.dt) and sc.dt > 0):
         raise ValidationError(f"dt must be finite and positive, got {sc.dt}")
-    rep = validate_flux_limiter(sc.network, sc.limiter_values(),
-                                sc.hamiltonians.by_arc)
+    rep = sc.limiter_report
     if not rep.ok:
         bad = rep.failures()[0]
         raise ValidationError(
@@ -170,7 +189,11 @@ def validate_scenario(sc: Scenario):
 
 def with_resolution(sc: Scenario, ns: int) -> Scenario:
     """Resample the (piecewise-linear) initial datum onto a new s-grid; a
-    given time step scales with ds, so dt/ds stays as it was."""
+    given time step scales with ds, so dt/ds stays as it was.  At the
+    scenario's own ns it returns the scenario itself, whose cached records
+    a refinement study's first level then reuses."""
+    if ns == sc.ns:
+        return sc
     s_old = np.linspace(0.0, 1.0, sc.ns + 1)
     s_new = np.linspace(0.0, 1.0, ns + 1)
     g = {eid: np.interp(s_new, s_old, np.asarray(arr, dtype=float))
@@ -181,8 +204,9 @@ def with_resolution(sc: Scenario, ns: int) -> Scenario:
 
 def compute_m0(sc: Scenario) -> float:
     """Time-slope budget: datum stationary level joined with max |c_x|."""
-    level = max(subsolution_level(sc.hamiltonians[a.id], sc.initial[a.id])
-                for a in sc.network.edge_arcs())
+    arcs = sc.network.edge_arcs()
+    level = max(subsolution_levels([sc.hamiltonians[a.id] for a in arcs],
+                                   [sc.initial[a.id] for a in arcs]))
     cmax = max(abs(c) for c in sc.limiter_values().values())
     return max(level, cmax)
 
@@ -209,16 +233,16 @@ def plan_solve(scenario: Scenario, others=()) -> SolveParams:
     """
     scens = [scenario, *others]
     for sc in scens:
-        validate_scenario(sc)
+        sc.validation               # raises ValidationError on bad input
         if sc.ns != scenario.ns:
             raise ValidationError("comparable scenarios must share ns")
     ds = 1.0 / scenario.ns
     budgets = {}
     for sc in scens:
         for arc in sc.network.edge_arcs():
-            width = sc.constants.l_bound[arc.id]
-            gmax = float(np.max(np.abs(np.diff(sc.initial[arc.id])))) * sc.ns
-            budgets[arc.id] = max(budgets.get(arc.id, 0.0), width, gmax)
+            budgets[arc.id] = max(budgets.get(arc.id, 0.0),
+                                  sc.constants.l_bound[arc.id],
+                                  sc.datum_slopes[arc.id])
     theta = {arc.id: momentum_lipschitz(scenario.hamiltonians[arc.id],
                                         budgets[arc.id] + 1.0) * (1.0 + ds)
              for arc in scenario.network.edge_arcs()}
@@ -464,8 +488,7 @@ def verify(solution: NetworkSolution, eps_scheme=None,
     out = {}
 
     if "limiter" in want:
-        rep = validate_flux_limiter(sc.network, sc.limiter_values(),
-                                    sc.hamiltonians.by_arc)
+        rep = sc.limiter_report
         worst = max((e.margin for e in rep.entries), default=0.0)
         out["limiter"] = CheckResult("limiter", rep.ok, -worst)
 

@@ -5,7 +5,8 @@ import pytest
 
 import hjnet as hj
 from hjnet import hamiltonians
-from hjnet.arc_solver import _ArcStepper, _Columns, _field_residuals
+from hjnet.arc_solver import (_ArcStepper, _Columns, _field_residuals,
+                              _march_arcs)
 from hjnet.errors import (CFLViolationError, CornerMismatchError,
                           ValidationError)
 
@@ -433,6 +434,46 @@ def test_each_row_of_a_stacked_step_is_that_row_stepped_alone(seed):
         for r in range(5):
             alone = _step_alone(H, rows[r], ns, th, dt)
             assert u[r].tobytes() == alone.tobytes(), (seed, H.kind, r)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_a_stack_march_clips_each_end_as_one_row_marched_alone(seed):
+    # every arc of a stack, rows regrouped by kind, with free sides, falling
+    # data and -0.0 data, marches bitwise as a stepper of its own whose ends
+    # are clipped to min(datum, update) after every step
+    rng = np.random.default_rng(seed)
+    kinds = _four_kinds()
+    grid = hj.Grid2D(int(rng.integers(2, 30)), 0.0, 1e-3, 40)
+    hams = [kinds[k] for k in rng.integers(0, 4, size=7)]
+    theta = list(rng.uniform(8.0, 12.0, size=len(hams)))
+    init = [np.cumsum(rng.uniform(-1.0, 1.0, size=grid.ns + 1)) / grid.ns
+            for _ in hams]
+    sides = []
+    for g in init:
+        lr = []
+        for end in (0, -1):
+            pick = rng.integers(3)
+            if pick == 2:
+                lr.append(None)
+            elif pick == 1:                # a -0.0 datum on a +0.0 end
+                g[end] = 0.0
+                lr.append(np.full(grid.nt + 1, -0.0))
+            else:                          # falling at a rate of order 1
+                lr.append(g[end] + np.cumsum(
+                    rng.uniform(-2.0, 0.5, size=grid.nt + 1) * grid.dt))
+                lr[-1][0] = g[end]
+        sides.append(lr)
+    out, _ = _march_arcs(hams, init, *zip(*sides), grid, theta, slice(None))
+    for i, H in enumerate(hams):
+        step = _ArcStepper([H], grid.ns, theta[i], grid.dt)
+        u = step.state[0]
+        u[:] = init[i]
+        for k in range(1, grid.nt + 1):
+            step.advance()
+            for end, d in zip((0, -1), sides[i]):
+                if d is not None:
+                    u[end] = np.minimum(d[k], u[end])
+            assert out[i, k].tobytes() == u.tobytes(), (seed, i, k)
 
 
 def test_end_nodes_hold_h_at_the_clipped_slope_without_dissipation(

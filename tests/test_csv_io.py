@@ -106,6 +106,22 @@ def test_loader_returns_the_written_doubles(tmp_path):
         assert back.vertex[x].tobytes() == trace.astype(float).tobytes(), x
 
 
+def test_verify_reports_a_violated_limiter_of_a_loaded_dump(tmp_path):
+    sc = make_tripod(16)
+    sol = hj.solve(sc)
+    out = str(tmp_path / "rt")
+    write_solution_csv(sol, out)
+    # the same dump read against a limiter above min c_gamma = -1 at x0
+    raised = dataclasses.replace(sc, limiter=dict(sc.limiter, x0=-0.75))
+    with pytest.raises(ValidationError, match="flux limiter exceeds"):
+        hj.validate_scenario(raised)
+    back = load_solution_csv(out, raised, sol.params)
+    rep = hj.verify(back)
+    assert not rep["limiter"].ok
+    assert rep["limiter"].margin == pytest.approx(-0.25, abs=1e-12)
+    assert hj.verify(back, checks=["limiter"])["limiter"] == rep["limiter"]
+
+
 def _drop_last(lines, n):
     return lines[:-n]
 

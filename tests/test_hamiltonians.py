@@ -156,6 +156,124 @@ def test_subsolution_level_monotone_in_slopes(habs):
     assert hj.subsolution_level(habs, steeper) >= hj.subsolution_level(habs, base)
 
 
+def _old_level(H, w0):
+    """The one-pair level as it was computed before the batch: H at the cell
+    midpoints and forward-difference slopes, through ``evaluate``."""
+    n = w0.size - 1
+    mids = (np.arange(n) + 0.5) / n
+    return float(np.max(hj.evaluate(H, mids, np.diff(w0) * n)))
+
+
+def _level_rows(rng):
+    """Every kind, s-dependent: an abs and a quadratic row, two sampled rows
+    sharing their momentum knots and one on knots of its own, and a sampled
+    row whose datum slopes leave its table; data on three grid lengths."""
+    p = np.linspace(-3.0, 3.0, 9)
+    sampled = []
+    for knots, a in ((p, [0.6, 0.8, 0.5]), (p, [1.1, 0.7, 0.9]),
+                     (np.linspace(-2.0, 2.5, 7), [0.9, 1.3, 0.4])):
+        table = np.array(a)[:, None] * (knots[None, :] + 0.2) ** 2 + 0.6
+        edge = float(np.max(np.abs(np.diff(table, axis=1) / np.diff(knots))))
+        sampled.append(hj.sampled_hamiltonian([0.0, 0.5, 1.0], knots, table,
+                                              edge + 0.5))
+    hams = [hj.abs_hamiltonian(alpha=[1.0, 2.0, 1.5], beta=[0.0, 0.4, -0.2],
+                               kappa=-0.5),
+            hj.quadratic_hamiltonian(alpha=[0.5, 1.2], beta=[0.2, -0.4],
+                                     kappa=[0.6, 1.1]),
+            *sampled, sampled[0]]
+    hams = hams + [dataclasses.replace(H) for H in hams]
+    data = [np.cumsum(rng.normal(scale=0.3, size=n + 1)) / n ** 0.5
+            for n in (8, 13, 24, 13, 8, 24, 13, 24, 8, 24, 13, 8)]
+    data[5] = data[5] * 40.0           # slopes past the sampled table's range
+    return hams, data
+
+
+def test_batched_levels_equal_the_per_pair_formula_bitwise():
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        hams, data = _level_rows(rng)
+        want = [_old_level(H, w0).hex() for H, w0 in zip(hams, data)]
+        batch = hj.subsolution_levels(hams, data)
+        assert all(type(m) is float for m in batch)
+        assert [m.hex() for m in batch] == want
+        fresh = [dataclasses.replace(H) for H in hams]
+        assert [hj.subsolution_level(H, w0).hex()
+                for H, w0 in zip(fresh, data)] == want
+        # the same pairs in reverse order, on warm midpoint caches
+        assert [m.hex() for m in hj.subsolution_levels(hams[::-1],
+                                                       data[::-1])] \
+            == want[::-1]
+    assert hj.subsolution_levels([], []) == []
+
+
+def test_batched_levels_share_one_call_per_kind_knots_and_length(
+        monkeypatch):
+    rows = []
+    columns = hamiltonians._Columns
+
+    def counted(hams, s, coefs=None):
+        rows.append(len(hams))
+        return columns(hams, s, coefs)
+
+    monkeypatch.setattr(hamiltonians, "_Columns", counted)
+    hams, data = _level_rows(np.random.default_rng(4))
+    hj.subsolution_levels(hams, data)
+    groups = {(H.kind, None if H.p_knots is None else tuple(H.p_knots),
+               w0.size) for H, w0 in zip(hams, data)}
+    assert len(rows) == len(groups) and sum(rows) == len(hams)
+    # midpoint coefficients are derived once per (H, n)
+    derived = []
+    coefficients = hamiltonians._coefficients
+
+    def counted_coefs(H, s):
+        derived.append(len(s))
+        return coefficients(H, s)
+
+    monkeypatch.setattr(hamiltonians, "_coefficients", counted_coefs)
+    hj.subsolution_levels(hams, data)
+    assert derived == []
+    H = dataclasses.replace(hams[0])
+    hj.subsolution_levels([H, H], [data[0], data[0] + 1.0])
+    assert derived == [data[0].size - 1]
+
+
+def test_batched_levels_reject_a_short_datum(habs, hquad):
+    for bad in (np.array([1.0]), np.zeros((2, 3)), np.float64(2.0)):
+        with pytest.raises(ValueError, match="at least 2 samples"):
+            hj.subsolution_levels([habs, hquad], [np.zeros(5), bad])
+        with pytest.raises(ValueError, match="at least 2 samples"):
+            hj.subsolution_level(hquad, bad)
+
+
+def test_cached_scalars_equal_their_uncached_formulas_bitwise():
+    rng = np.random.default_rng(11)
+    hams, _ = _level_rows(rng)
+    hams += [_random_table(rng) for _ in range(20)]
+    hams += [hj.quadratic_hamiltonian(alpha=rng.uniform(0.2, 2.0, 4),
+                                      beta=rng.uniform(-2.0, 2.0, 4),
+                                      kappa=rng.uniform(-1.0, 1.0, 4))
+             for _ in range(10)]
+    hams += [hj.abs_hamiltonian(alpha=rng.uniform(0.2, 2.0, 3),
+                                beta=rng.uniform(-2.0, 2.0, 3),
+                                kappa=rng.uniform(-1.0, 1.0, 3))
+             for _ in range(10)]
+    for H in hams:
+        mins = hamiltonians._min_over_p(H, hamiltonians._s_check_grid(H))
+        for _ in range(2):            # derived, then read from the cache
+            assert hj.c_gamma(H).hex() == (-float(np.max(mins))).hex()
+            assert global_min(H).hex() == float(np.min(mins)).hex()
+            assert type(hj.c_gamma(H)) is float
+            assert type(global_min(H)) is float
+        if H.kind == "sampled":
+            continue
+        for M in (1e-3, 0.7, 1.0, 3.0, float(rng.uniform(0.0, 50.0)), 1e6):
+            want = (float(2.0 * np.max(H.alpha) * M + np.max(np.abs(H.beta)))
+                    if H.kind == "quadratic" else float(np.max(H.alpha)))
+            got = hj.momentum_lipschitz(H, M)
+            assert type(got) is float and got.hex() == want.hex(), (H, M)
+            assert hj.momentum_lipschitz(H, np.float64(M)).hex() == want.hex()
+
+
 def test_sublevel_width(habs, hquad):
     assert hj.sublevel_width(habs, 2.0) == pytest.approx(1.0, abs=1e-9)
     assert hj.sublevel_width(hquad, 9.0) == pytest.approx(3.0, abs=1e-9)

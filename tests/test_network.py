@@ -6,6 +6,8 @@ import hjnet as hj
 from hjnet.errors import (
     DisconnectedNetworkError,
     DuplicateIdError,
+    EmptyNetworkError,
+    HJNetError,
     LoopEdgeError,
     UnknownVertexError,
     ValidationError,
@@ -46,6 +48,19 @@ def test_duplicate_ids_rejected():
 def test_disconnected_rejected():
     with pytest.raises(DisconnectedNetworkError):
         hj.build_network(["a", "b", "c", "d"], [("e", "a", "b")])
+
+
+def test_a_network_without_edges_is_rejected_with_its_cause():
+    for vertices in (["a"], ["a", "b"]):
+        with pytest.raises(EmptyNetworkError, match="no edges"):
+            hj.build_network(vertices, [])
+    assert issubclass(EmptyNetworkError, ValidationError)
+    assert issubclass(EmptyNetworkError, HJNetError)
+    # the checks that come first still name their own cause
+    with pytest.raises(DuplicateIdError):
+        hj.build_network(["a", "a"], [])
+    with pytest.raises(DisconnectedNetworkError, match="no vertices"):
+        hj.build_network([], [])
 
 
 def test_incident_arcs_orientation():

@@ -537,6 +537,60 @@ def test_resolution_change_keeps_a_given_time_step_in_ratio_with_ds():
     assert C > 0.0 and [d["ns"] for d in details] == [40, 80]
 
 
+def _count_calls(monkeypatch, *names):
+    """Count the calls network_solver makes to the named functions."""
+    calls = Counter()
+    for name in names:
+        def counted(*args, _fn=getattr(network_solver, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(network_solver, name, counted)
+    return calls
+
+
+def test_equal_resolution_is_the_scenario_itself(monkeypatch):
+    sc = dataclasses.replace(make_tripod(40), dt=0.02)
+    assert hj.with_resolution(sc, sc.ns) is sc
+    fine = hj.with_resolution(sc, 2 * sc.ns)
+    assert fine is not sc and fine.ns == 2 * sc.ns
+    assert hj.with_resolution(fine, fine.ns) is fine
+    # level 0 of a refinement study reuses the scenario's cached records
+    hj.plan_solve(sc)
+    calls = _count_calls(monkeypatch, "positive_shift", "validate_flux_limiter")
+    hj.calibrate_epsilon(sc, levels=2)
+    assert calls == {"positive_shift": 1, "validate_flux_limiter": 1}
+
+
+def test_a_scenario_is_validated_and_budgeted_once(monkeypatch):
+    calls = _count_calls(monkeypatch, "validate_flux_limiter", "compute_m0")
+    sc = make_mixed(12)
+    params = hj.plan_solve(sc)
+    assert hj.plan_solve(sc) == params
+    assert hj.validate_scenario(sc) is sc.limiter_report
+    rep = hj.verify(hj.solve(sc, params))
+    assert rep["limiter"].ok
+    assert calls == {"validate_flux_limiter": 1, "compute_m0": 1}
+    assert sc.datum_slopes == {
+        a.id: float(np.max(np.abs(np.diff(sc.initial[a.id])))) * sc.ns
+        for a in sc.network.edge_arcs()}
+
+
+def test_a_replaced_invalid_scenario_still_raises_from_plan_solve():
+    sc = make_tripod(20)
+    hj.plan_solve(sc)
+    bad_limiter = dataclasses.replace(sc, limiter=dict(sc.limiter, x0=0.5))
+    bad_datum = dataclasses.replace(
+        sc, initial=dict(sc.initial, e2=np.zeros(sc.ns)))
+    for bad, match in ((bad_limiter, "flux limiter exceeds"),
+                       (bad_datum, "must have 21 samples")):
+        for _ in range(2):              # a failure caches nothing
+            with pytest.raises(ValidationError, match=match):
+                hj.plan_solve(bad)
+        with pytest.raises(ValidationError, match=match):
+            hj.plan_solve(sc, others=[bad])
+    assert not bad_limiter.limiter_report.ok
+
+
 def test_verify_margins_do_not_depend_on_the_start_time():
     # the positivity shift's lift a (t - t0) is computed as a (k dt) wherever
     # it is added or taken off, so no margin moves with t0
