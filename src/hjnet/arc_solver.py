@@ -30,10 +30,11 @@ construction, and it has one stencil: ``advance()`` steps the state in
 place on flat buffers, rows back to back, one contiguous call per stencil
 operation (the entries straddling two rows are junk, overwritten by the end
 clip or zeroed), and ``hhat()``, its first half, is what the residual scans
-read.  The caller applies the sides.  Two loops march it: the network
-solver's, and ``_march_arcs`` for any stack of arcs with lateral data
-(``max_subsolution`` and the certificate's arc transforms).  A marched
-field is an ``ArcField``: its grid, values and marching theta.
+read.  One loop, ``_march``, marches it and its end groups: a network
+vertex, capped at v + c_x dt, or a constrained side of an arc with lateral
+data (``max_subsolution`` and the certificate's arc transforms), capped at
+its datum.  A marched field is an ``ArcField``: its grid, values and
+marching theta.
 
 Also provided: residual scans, and the finite-speed window within which
 lateral data cannot reach an arc's interior.
@@ -142,8 +143,8 @@ class _ArcStepper:
     scalar theta may serve.
     Every view of the flat buffers, rows back to back, and each kind group's
     evaluator are bound here, once.  ``advance()`` steps the state in place,
-    columns 0 and ns holding the state-constraint candidates for the caller
-    to clip; ``hhat()``, its first half, returns Hhat of the state.  The end
+    columns 0 and ns holding the state-constraint candidates that ``_march``
+    clips; ``hhat()``, its first half, returns Hhat of the state.  The end
     clip overwrites the momenta that straddle two rows, and the dissipation
     term is +0.0 at both row ends, so an end node keeps H at its clipped
     slope exactly.
@@ -254,6 +255,49 @@ def _check_monotone(dt, theta, ds, edge=None):
             f"{where}dt*theta = {dt * theta:.3e} exceeds ds = {ds:.3e}")
 
 
+def _march(hams, init, theta, grid, ends, limit, record):
+    """March rows ``hams[i]`` from ``init[i]`` with ``theta[i]``; returns
+    the columns ``record`` picks (an index or a slice) of every row at every
+    step, (R, nt+1, ...) in stack order, and ``row``: caller row i is row[i].
+
+    An end group is a list of (row, column) nodes that share one value after
+    each step: min(limit, its smallest node).  ``limit`` is an (nt+1, groups)
+    table of given limits, or one slope c per group for the limit v + c dt,
+    v the group's value a step before (at t0 its smallest node).
+    """
+    step = _ArcStepper(hams, grid.ns, theta, grid.dt)
+    u, advance = step.state, step.advance
+    np.stack([init[i] for i in step.order], out=u)
+    row = np.argsort(step.order)   # the stack row of each caller row
+    # the groups' nodes in the stack's flat block, group after group
+    group_of, r, c = np.array([(i, *n) for i, g in enumerate(ends) for n in g],
+                              dtype=int).reshape(-1, 3).T
+    gather = row[r] * u.shape[1] + c
+    starts = np.searchsorted(group_of, np.arange(len(ends)))  # first nodes
+    flat = u.reshape(-1)
+    at_ends = flat[gather]
+    vval = np.minimum.reduceat(at_ends, starts)
+    vnew = np.empty_like(at_ends)
+    grouped = gather.size > len(ends)   # else each node is its own group
+    vmin = np.empty_like(vval) if grouped else at_ends
+    cap, c_dt = limit.ndim == 1, limit * grid.dt
+    kept = u[:, record]
+    block = np.empty((len(hams), grid.nt + 1) + kept.shape[1:])
+    steps = block.swapaxes(0, 1)   # steps[k] is every row at step k
+    steps[0] = kept
+    for k in range(1, grid.nt + 1):
+        advance()
+        flat.take(gather, out=at_ends)
+        if grouped:
+            np.minimum.reduceat(at_ends, starts, out=vmin)
+        if cap:
+            np.add(vval, c_dt, vval)
+        np.minimum(vval if cap else limit[k], vmin, out=vval)
+        flat.put(gather, vval.take(group_of, out=vnew) if grouped else vval)
+        steps[k] = kept
+    return block, row
+
+
 def _march_arcs(hams, init, left, right, grid, theta, record):
     """March a stack of arcs; returns the columns ``record`` picks (an index
     or a slice) of every arc at every step, (R, nt+1, ...), and the thetas
@@ -262,8 +306,7 @@ def _march_arcs(hams, init, left, right, grid, theta, record):
     Per arc: an initial datum on the s-grid, a left and a right datum on the
     time grid (None: a free side), a theta (None: ``default_dissipation``).
     The stack is checked as a whole, with the errors one bad arc raises
-    alone.  After each step a constrained end is clipped to min(datum,
-    update), which keeps the update on a tie.
+    alone.  A constrained side is a one-node end group capped at its datum.
     """
     init = [np.asarray(g, dtype=float) for g in init]
     sides = [[None if d is None else np.asarray(d, dtype=float) for d in lr]
@@ -282,30 +325,17 @@ def _march_arcs(hams, init, left, right, grid, theta, record):
         _check_monotone(grid.dt, th, grid.ds)
     if any(d.shape != (grid.nt + 1,) for d in data):
         raise GridMismatchError("constrained datum must live on the full time grid")
-    free = np.full(grid.nt + 1, np.inf)   # a clip that keeps every update
-    dat = np.array([[free if d is None else d for d in lr] for lr in sides])
-    at0, g_end = dat[:, :, 0], np.array([g[::grid.ns] for g in init])
+    ends = [(i, j * grid.ns) for i, lr in enumerate(sides)
+            for j, d in enumerate(lr) if d is not None]
+    limit = np.array(data).reshape(len(data), grid.nt + 1).T.copy()
+    at0, g_end = limit[0], np.array([init[i][c] for i, c in ends])
     low = at0 < g_end - _START_TOL * (1.0 + np.abs(g_end))
     if low.any():
         raise CornerMismatchError(f"lateral datum at t0 ({at0[low][0]}) "
                                   f"below initial endpoint ({g_end[low][0]})")
-    step = _ArcStepper(hams, grid.ns, theta, grid.dt)
-    u, advance = step.state, step.advance
-    np.stack([init[i] for i in step.order], out=u)
-    dat = dat[step.order].transpose(2, 1, 0).copy()   # [time, end, row]
-    # one 1-D call per end column: numpy takes its slow n-d path on the
-    # strided (R, 2) view of both ends
-    u_0, u_n, kept = u[:, 0], u[:, grid.ns], u[:, record]
-    rec = np.empty((grid.nt + 1,) + kept.shape)
-    rec[0] = kept
-    for k in range(1, grid.nt + 1):
-        advance()
-        np.minimum(dat[k, 0], u_0, out=u_0)
-        np.minimum(dat[k, 1], u_n, out=u_n)
-        rec[k] = kept
-    out = np.empty((len(init), grid.nt + 1) + kept.shape[1:])
-    out[step.order] = rec.swapaxes(0, 1)
-    return out, theta
+    block, row = _march(hams, init, theta, grid, [[e] for e in ends], limit,
+                        record)
+    return block[row], theta
 
 
 def max_subsolution(H, initial, left, right, grid, theta=None) -> ArcField:

@@ -248,15 +248,16 @@ def _dump_slices(solution, outdir, times):
                 fh.write(_fill(tpl, _fmt(t[k]), solution.fields[eid][k]))
 
 
-def _slice_times(text):
-    """The times of --dump-slices (comma-separated), or [] without it."""
+def _slice_times(text, t0, t1):
+    """The times of --dump-slices (comma-separated) in [t0, t1], or []."""
     try:
         times = [float(x) for x in (text or "").split(",") if x]
     except ValueError as e:
         raise ValidationError(f"--dump-slices: {e}") from e
     for t in times:
-        if not np.isfinite(t):
-            raise ValidationError(f"--dump-slices: times must be finite, got {t}")
+        if not t0 <= t <= t1:   # nan fails too
+            raise ValidationError(f"--dump-slices: times must be finite and in "
+                                  f"the span [{t0:g}, {t1:g}], got {t:g}")
     return times
 
 
@@ -293,7 +294,8 @@ def _cmd_run(args):
             checks = parse_checks(args.checks)
         if args.refine < 0:
             raise ValidationError("--refine must be at least 0")
-        times = _slice_times(args.dump_slices)
+        times = _slice_times(args.dump_slices, scenario.t0,
+                             scenario.t0 + scenario.horizon)
     except (HJNetError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -349,7 +351,7 @@ def _oracle_g(args, outdir):
 def _oracle_refine(args, outdir):
     scenario, _ = parse_scenario_file(args.scenario, ns=args.ns,
                                       horizon=args.t_final, cfl=args.cfl)
-    C, details = calibrate_epsilon(scenario, levels=max(2, args.refine + 1))
+    C, details = calibrate_epsilon(scenario, levels=args.refine + 1)
     diffs = np.array([d["diff"] for d in details])
     with np.errstate(divide="ignore", invalid="ignore"):
         orders = np.log2(diffs[:-1] / diffs[1:])
@@ -360,7 +362,7 @@ def _oracle_refine(args, outdir):
     # a level difference that does not shrink has an order <= 0, or nan
     # when it and the one before are both 0
     ok = bool(np.all(orders > 0))
-    shown = ", ".join(f"{o:.3g}" for o in orders) or "n/a"
+    shown = ", ".join(f"{o:.3g}" for o in orders)
     print(f"{'PASS' if ok else 'FAIL'} refine oracle (C = {C:.6g}, "
           f"order {shown})")
     return 0 if ok else 1
@@ -408,7 +410,9 @@ def _check_oracle_flags(args):
     """Raise ValidationError for a flag the chosen oracle cannot run with."""
     if args.oracle in ("refine", "hopflax"):
         rules = [(args.scenario is not None,
-                  f"--oracle {args.oracle} needs --scenario")]
+                  f"--oracle {args.oracle} needs --scenario"),
+                 (args.oracle != "refine" or args.refine >= 2,
+                  "--refine must be at least 2 for --oracle refine")]
     else:
         rules = [(args.length >= 1, "--length must be at least 1"),
                  (np.isfinite(args.dt), "--dt must be finite"),

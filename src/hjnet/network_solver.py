@@ -8,7 +8,7 @@ columns are state-constraint candidates; then every vertex x takes
 
 the one-step recursion of the slope-cap transform at the flux limiter c_x,
 applied online, and writes v[k+1] back to both ends of its edges, so all
-traces at a vertex agree exactly.
+traces at a vertex agree exactly; each vertex is one end group of ``_march``.
 
 One march serves one scenario or many: ``solve_ensemble`` stacks the edges
 of several scenarios on one grid into one array and their vertex groups into
@@ -38,8 +38,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .arc_solver import (_START_TOL, Grid2D, _ArcStepper, _check_monotone,
-                         _interior_residuals)
+from .arc_solver import (_START_TOL, Grid2D, _check_monotone,
+                         _interior_residuals, _march)
 from .errors import (
     CFLViolationError,
     GridMismatchError,
@@ -298,20 +298,19 @@ def solve(scenario: Scenario, params: SolveParams | None = None) -> NetworkSolut
 def solve_ensemble(scenarios, params: SolveParams) -> list:
     """March scenarios that share one grid together; one solution each.
 
-    The members' edges stack into one (sum E, ns+1) array, its rows grouped
-    by kind for the stepper, and their vertex groups into one min-reduction
-    over the stack's end nodes, so no vertex couples two members and every
-    member gets bitwise the solution it gets alone on ``params``.  Each
-    edge's field is a view of one (sum E, nt+1, ns+1) block.  Plan comparable runs
-    with ``plan_solve(sc, others=...)``; members may come from different
-    networks as long as ``params.theta`` covers every edge id.
+    The members' edges stack into one (sum E, ns+1) array and their
+    vertices into the march's end groups, so no vertex couples two members
+    and every member gets bitwise the solution it gets alone on ``params``.
+    Each edge's field is a view of one (sum E, nt+1, ns+1) block.  Plan
+    comparable runs with ``plan_solve(sc, others=...)``; members may come
+    from different networks as long as ``params.theta`` covers every edge.
     """
     scenarios = list(scenarios)
     if not scenarios:
         raise ValidationError("an ensemble needs at least one scenario")
     ns, dt, nt = params.ns, params.dt, params.nt
     grid = Grid2D(ns, scenarios[0].t0, dt, nt)
-    hams, init, theta, c_x = [], [], [], []
+    hams, init, theta, c_x, groups = [], [], [], [], []
     members = []
     for sc in scenarios:
         if sc.ns != ns or sc.t0 != grid.t0:
@@ -320,7 +319,8 @@ def solve_ensemble(scenarios, params: SolveParams) -> list:
                 f"ensemble grid (ns={ns}, t0={grid.t0})")
         const = sc.constants
         edges, vids = sc.network.edge_arcs(), sc.network.vertex_ids()
-        members.append((sc, edges, vids, len(init), len(c_x), const.shift))
+        r0 = len(init)
+        members.append((sc, edges, vids, r0, len(c_x), const.shift))
         for x in vids:
             if not const.limiter[x] < 0:
                 raise NonNegativeSlopeError(
@@ -339,54 +339,18 @@ def solve_ensemble(scenarios, params: SolveParams) -> list:
             hams.append(const.hamiltonians[a.id])
             init.append(g)
             theta.append(th)
-
-    # edge i marches as row[i] of the kind-grouped stack; the gather and the
-    # scatter address the stack's flat block: edge i's column 0 is first[i]
-    # (its reverse arc ends there) and its column ns is last[i]
-    step = _ArcStepper(hams, ns, theta, dt)
-    row = np.empty(len(hams), dtype=int)
-    row[step.order] = np.arange(len(hams))
-    first = row * (ns + 1)
-    last = first + ns
-    gather, group_len, start_ix, end_ix = [], [], [], []
-    for sc, edges, vids, r0, v0, _ in members:
-        pos = {a.id: last[r0 + i] for i, a in enumerate(edges)}
-        pos.update({a.inverse_id: first[r0 + i] for i, a in enumerate(edges)})
+        # an arc enters its end vertex at column ns, its reverse at column 0
+        pos = {a.id: (r0 + i, ns) for i, a in enumerate(edges)}
+        pos.update({a.inverse_id: (r0 + i, 0) for i, a in enumerate(edges)})
         into = sc.network.incidence()   # groups follow incident_arcs
-        for x in vids:
-            gather += [pos[aid] for aid in into[x]]
-            group_len.append(len(into[x]))
-        vix = {x: v0 + i for i, x in enumerate(vids)}
-        start_ix += [vix[a.start] for a in edges]
-        end_ix += [vix[a.end] for a in edges]
-    gather = np.array(gather)
-    starts = np.cumsum([0] + group_len[:-1])
-    scatter = np.concatenate([first, last])
-    scatter_ix = np.array(start_ix + end_ix)
+        groups += [[pos[aid] for aid in into[x]] for x in vids]
 
-    u, advance = step.state, step.advance
-    np.stack([init[i] for i in step.order], out=u)
-    flat = u.reshape(-1)
-    ends = flat[gather]
-    vmin = np.empty(len(c_x))
-    vnew = np.empty(scatter.size)
-    c_dt = np.array(c_x) * dt
-    fields = np.empty((len(hams), nt + 1, ns + 1))
-    steps = fields.transpose(1, 0, 2)   # steps[k] is every edge at step k
-    steps[0] = u
-    vval = np.minimum.reduceat(ends, starts)
-    for k in range(1, nt + 1):
-        advance()
-        flat.take(gather, out=ends)
-        np.minimum.reduceat(ends, starts, out=vmin)
-        np.add(vval, c_dt, vval)
-        np.minimum(vval, vmin, out=vval)
-        flat.put(scatter, vval.take(scatter_ix, out=vnew))
-        steps[k] = u
-    # each vertex's trace is read back at the first end gathered into it:
-    # that end's initial value at t0, then the capped value scattered there
-    vrow, vcol = np.divmod(gather[starts], ns + 1)
-    vtr = fields[vrow, :, vcol]
+    fields, row = _march(hams, init, theta, grid, groups, np.array(c_x),
+                         slice(None))
+    # each vertex's trace is read back at the first end of its group: that
+    # end's initial value at t0, then the capped value
+    vr, vc = np.array([g[0] for g in groups]).T
+    vtr = fields[row[vr], :, vc]
 
     sols = []
     for sc, edges, vids, r0, v0, shift_a in members:

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 import hjnet as hj
-from hjnet import hamiltonians
+from hjnet import arc_solver, hamiltonians, network_solver
 from hjnet.arc_solver import (_ArcStepper, _Columns, _field_residuals,
                               _march_arcs)
 from hjnet.errors import (CFLViolationError, CornerMismatchError,
                           ValidationError)
 
-from conftest import make_comb
+from conftest import make_comb, make_tripod
 
 
 H1 = hj.abs_hamiltonian(kappa=1.0)  # |p| + 1
@@ -534,3 +534,29 @@ def test_a_stepper_rejects_a_state_that_is_not_c_contiguous():
         step.advance()
         assert row.tobytes() == march.state[r].tobytes()
         assert row[0].tobytes() == (u[r] - hh[0] * 1e-3).tobytes()
+
+
+def test_the_network_march_and_the_lateral_data_marches_share_one_loop(
+        monkeypatch):
+    # rows marched per call of the one march loop
+    rows, march = [], arc_solver._march
+
+    def counted(hams, *args):
+        rows.append(len(hams))
+        return march(hams, *args)
+
+    for module in (arc_solver, network_solver):
+        monkeypatch.setattr(module, "_march", counted)
+    sc = make_tripod(16, horizon=0.25)
+    sol = hj.solve(sc)
+    assert rows == [3]                  # the three edges, one stack
+    grid = sol.grid
+    datum = hj.constrained(np.zeros(grid.nt + 1))
+    hj.max_subsolution(H1, np.zeros(17), datum, hj.free(), grid,
+                       theta=sol.params.theta["e1"])
+    assert rows == [3, 1]
+    const = sc.constants
+    hj.discr_residual(sol.trace_set(shifted=True), sc.network,
+                      const.hamiltonians, const.limiter, 1e-9,
+                      thetas=sol.params.theta)
+    assert rows == [3, 1, 6]            # every arc transform, one stack

@@ -170,6 +170,16 @@ def test_run_solves_and_reports(tmp_path):
     assert len(slices) == 1 + 2 * 3 * 61
 
 
+def test_slice_times_at_the_ends_of_the_span_are_kept(tmp_path):
+    scn = _write(tmp_path, TRIPOD)
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", scn, "--out", str(out), "--checks",
+                 "none", "--dump-slices", "1,0"]) == 0
+    rows = (out / "slices.csv").read_text().splitlines()[1:]
+    times = [float(t) for t in dict.fromkeys(r.split(",")[1] for r in rows)]
+    assert times == [pytest.approx(1.0, abs=1e-12), 0.0]
+
+
 def test_run_rejects_invalid_limiter(tmp_path):
     scn = _write(tmp_path, TRIPOD.replace("x0 -2", "x0 0"))
     assert main(["run", "--scenario", scn, "--out", str(tmp_path / "o")]) == 2
@@ -191,7 +201,8 @@ def test_run_rejects_unknown_check(tmp_path):
     (["--ns", "1"], "ns must be at least 2"),
     (["--dump-slices", "0.5,abc"], "--dump-slices"),
     (["--ns", "32", "--refine", "-1"], "--refine must be at least 0"),
-], ids=["ns-1", "slice-time-abc", "refine-negative"])
+    (["--dump-slices=-3,99"], "in the span [0, 1], got -3"),
+], ids=["ns-1", "slice-time-abc", "refine-negative", "slice-time-off-span"])
 def test_run_rejects_bad_flags_before_writing(tmp_path, capsys, flags,
                                               message):
     scn = _write(tmp_path, TRIPOD)
@@ -373,8 +384,12 @@ def test_oracle_g(tmp_path):
     (["--oracle", "g", "--length", "0"], "--length must be at least 1"),
     (["--oracle", "g", "--dt", "0"], "--dt must be positive"),
     (["--oracle", "g", "--slope", "0"], "--slope must be negative"),
+    (["--oracle", "refine", "--scenario", "any.scn", "--refine", "1"],
+     "--refine must be at least 2 for --oracle refine"),
+    (["--oracle", "refine", "--scenario", "any.scn", "--refine", "0"],
+     "--refine must be at least 2 for --oracle refine"),
 ], ids=["refine-no-scenario", "hopflax-no-scenario", "g-length-0",
-        "g-dt-0", "g-slope-0"])
+        "g-dt-0", "g-slope-0", "refine-1", "refine-0"])
 def test_oracle_rejects_bad_flags_before_writing(tmp_path, capsys, flags,
                                                  message):
     out = tmp_path / "o"

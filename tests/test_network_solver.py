@@ -328,10 +328,10 @@ def _ensemble_equals_solo_solves(members, params):
         assert sol.grid == alone.grid
         assert sorted(sol.fields) == sorted(alone.fields)
         assert sorted(sol.vertex) == sorted(alone.vertex)
-        for e in alone.fields:
-            assert np.array_equal(sol.fields[e], alone.fields[e]), (sc.name, e)
-        for x in alone.vertex:
-            assert np.array_equal(sol.vertex[x], alone.vertex[x]), (sc.name, x)
+        for e, f in alone.fields.items():
+            assert sol.fields[e].tobytes() == f.tobytes(), (sc.name, e)
+        for x, v in alone.vertex.items():
+            assert sol.vertex[x].tobytes() == v.tobytes(), (sc.name, x)
     return sols
 
 
