@@ -76,6 +76,7 @@ __all__ = [
 ]
 
 _START_TOL = 1e-9  # relative: two vertex values that must agree at t0
+_STEP_SLACK = 1e-12  # relative roundoff allowed over the step restriction
 
 
 @dataclass(frozen=True)
@@ -247,9 +248,10 @@ def default_dissipation(H, initial, left=None, right=None, dt=None):
 
 
 def _check_monotone(dt, theta, ds, edge=None):
-    """The step restriction dt * theta <= ds, up to a relative 1e-12, which
-    a NaN theta fails; a violation names the edge when one is given."""
-    if not dt * theta <= ds * (1.0 + 1e-12):
+    """The step restriction dt * theta <= ds, up to the relative
+    ``_STEP_SLACK``, which a NaN theta fails; a violation names the edge when
+    one is given."""
+    if not dt * theta <= ds * (1.0 + _STEP_SLACK):
         where = "" if edge is None else f"edge {edge!r}: "
         raise CFLViolationError(
             f"{where}dt*theta = {dt * theta:.3e} exceeds ds = {ds:.3e}")
@@ -351,13 +353,13 @@ def max_subsolution(H, initial, left, right, grid, theta=None) -> ArcField:
     return ArcField(grid=grid, values=values[0], theta=theta[0])
 
 
-def _interior_residuals(u, H, theta, dt):
+def _interior_residuals(u, u_t, H, theta, dt):
     """u_t + Hhat at the interior nodes of the C-contiguous rows u
-    (nt+1, ns+1)."""
+    (nt+1, ns+1), given their time quotient u_t = diff(u) / dt (nt, ns+1)."""
     if u.shape[0] == 1:
         return np.zeros((0, max(u.shape[1] - 2, 0)))
     hh = _ArcStepper([H], u.shape[1] - 1, theta, dt, state=u[:-1]).hhat()
-    return np.diff(u[:, 1:-1], axis=0) / dt + hh[:, 1:-1]
+    return u_t[:, 1:-1] + hh[:, 1:-1]
 
 
 def _field_residuals(field: ArcField, H, theta):
@@ -366,8 +368,8 @@ def _field_residuals(field: ArcField, H, theta):
     if theta is None:  # a hand-built field: cover its own largest slope
         slope = np.max(np.abs(np.diff(field.values, axis=1))) * field.grid.ns
         theta = momentum_lipschitz(H, float(slope) + 1.0)
-    return _interior_residuals(np.ascontiguousarray(field.values), H, theta,
-                               field.grid.dt)
+    u, dt = np.ascontiguousarray(field.values), field.grid.dt
+    return _interior_residuals(u, np.diff(u, axis=0) / dt, H, theta, dt)
 
 
 def subsolution_residual(field, H, theta=None) -> float:

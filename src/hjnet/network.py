@@ -10,6 +10,8 @@ between the same vertex pair are allowed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from types import MappingProxyType
 
 from .errors import (
     DisconnectedNetworkError,
@@ -61,25 +63,46 @@ class Network:
     vertices: frozenset = frozenset()
     arcs: dict = field(default_factory=dict)
 
+    # The orderings are derived once per Network object and handed out as
+    # tuples (the incidence as a read-only mapping of tuples), so no caller
+    # can change what the next one reads.
+
     def vertex_ids(self):
-        return sorted(self.vertices)
+        return self._vertex_ids
 
     def arc_ids(self):
-        return sorted(self.arcs)
+        return self._arc_ids
 
     def edge_arcs(self):
         """One representative (forward) arc per edge, sorted by id."""
-        return [self.arcs[a] for a in self.arc_ids() if not a.endswith(_REV)]
+        return self._edge_arcs
 
     def arc(self, arc_id):
         return self.arcs[arc_id]
 
     def incidence(self):
-        """Arc ids ending at each vertex, sorted by arc id, in one pass."""
-        into = {x: [] for x in self.vertex_ids()}
-        for aid in self.arc_ids():
+        """Arc ids ending at each vertex, sorted by arc id."""
+        return self._incidence
+
+    @cached_property
+    def _vertex_ids(self):
+        return tuple(sorted(self.vertices))
+
+    @cached_property
+    def _arc_ids(self):
+        return tuple(sorted(self.arcs))
+
+    @cached_property
+    def _edge_arcs(self):
+        return tuple(self.arcs[a] for a in self._arc_ids
+                     if not a.endswith(_REV))
+
+    @cached_property
+    def _incidence(self):
+        into = {x: [] for x in self._vertex_ids}
+        for aid in self._arc_ids:
             into[self.arcs[aid].end].append(aid)
-        return into
+        return MappingProxyType({x: tuple(ids) for x, ids in into.items()})
 
 
 def build_network(vertices, edges) -> Network:

@@ -22,9 +22,9 @@ the output is corrected back by u -> u + a (t - t0).  ``Scenario.constants``
 derives that normalization, with the slope budget m0 and the space-slope
 bounds taken on it, once per Scenario object; planning, solving, verifying
 and reloading all read that one record.  Beside it a Scenario keeps its
-validation, its limiter report and its datum slope maxima, so planning
-validates and budgets each object once and ``verify`` reports the limiter
-from the same record.
+validation, its limiter report and its datum slope maxima, so every march
+and every plan validates each object once, planning budgets it once and
+``verify`` reports the limiter from the same record.
 
 The verification battery re-derives the certificate of the semidiscrete
 vertex system, interior scheme residuals, slope bounds, vertex continuity
@@ -38,7 +38,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .arc_solver import (_START_TOL, Grid2D, _check_monotone,
+from .arc_solver import (_START_TOL, _STEP_SLACK, Grid2D, _check_monotone,
                          _interior_residuals, _march)
 from .errors import (
     CFLViolationError,
@@ -249,7 +249,7 @@ def plan_solve(scenario: Scenario, others=()) -> SolveParams:
     th_max = max(theta.values())
     dt_cap = ds / th_max
     if scenario.dt is not None:
-        if scenario.dt > dt_cap * (1.0 + 1e-12):
+        if scenario.dt > dt_cap * (1.0 + _STEP_SLACK):
             raise CFLViolationError(
                 f"requested dt {scenario.dt} exceeds {dt_cap:.3e}")
         dt0 = scenario.dt
@@ -301,6 +301,7 @@ def solve_ensemble(scenarios, params: SolveParams) -> list:
     The members' edges stack into one (sum E, ns+1) array and their
     vertices into the march's end groups, so no vertex couples two members
     and every member gets bitwise the solution it gets alone on ``params``.
+    Each member must fit ``params`` and pass ``Scenario.validation``.
     Each edge's field is a view of one (sum E, nt+1, ns+1) block.  Plan
     comparable runs with ``plan_solve(sc, others=...)``; members may come
     from different networks as long as ``params.theta`` covers every edge.
@@ -328,17 +329,14 @@ def solve_ensemble(scenarios, params: SolveParams) -> list:
                     f"positivity shift, got {const.limiter[x]}")
             c_x.append(const.limiter[x])
         for a in edges:
-            g = np.asarray(sc.initial[a.id], dtype=float)
-            if g.shape != (ns + 1,):
-                raise GridMismatchError(
-                    f"initial datum of edge {a.id!r} must have {ns + 1} samples")
             if a.id not in params.theta:
                 raise ValidationError(f"params carry no theta for edge {a.id!r}")
             th = float(params.theta[a.id])
             _check_monotone(dt, th, grid.ds, a.id)
             hams.append(const.hamiltonians[a.id])
-            init.append(g)
+            init.append(np.asarray(sc.initial[a.id], dtype=float))
             theta.append(th)
+        sc.validation               # raises ValidationError on bad input
         # an arc enters its end vertex at column ns, its reverse at column 0
         pos = {a.id: (r0 + i, ns) for i, a in enumerate(edges)}
         pos.update({a.inverse_id: (r0 + i, 0) for i, a in enumerate(edges)})
@@ -476,30 +474,38 @@ def verify(solution: NetworkSolution, eps_scheme=None,
         out["vertex_slope"] = CheckResult("vertex_slope", worst <= eps,
                                           eps - worst, wit)
 
-    # one pass over the edges feeds every edge check; time_monotone reads the
-    # original field, and only with every Hamiltonian positive
-    lift = _time_shift(a, grid)
+    # one pass over the edges feeds every edge check, each edge's time
+    # quotient computed once; time_monotone reads the original field, and
+    # only with every Hamiltonian positive.  The time checks gate on values,
+    # first order in the grid as eps is: the rise of u above its running
+    # minimum, and the drop of u_shifted + m0 t below its running maximum
+    # (the rise of its negative); the per-step rates go to the witness.
+    lift, down = _time_shift(a, grid), _time_shift(-m0s, grid)[:, None]
     positive = min(global_min(H) for H in sc.hamiltonians.by_arc.values()) > 0
+    timed = grid.nt and want & {"time_monotone", "time_lipschitz"}
     resid, resid_wit = 0.0, {}
-    rise = lip = 0.0 if grid.nt == 0 else -np.inf
+    rise = drop = rise_rate = lip_rate = 0.0 if grid.nt == 0 else -np.inf
     space, cont = -np.inf, 0.0
     room, room_wit, beyond = np.inf, {}, False
     for arc in sc.network.edge_arcs():
         f = solution.fields[arc.id]
         g = f - lift[:, None] if a else f     # the normalized field
+        if timed or "interior_residual" in want:
+            g_t = np.diff(g, axis=0) / grid.dt
         if "interior_residual" in want:
-            res = _interior_residuals(g, fam[arc.id], params.theta[arc.id],
-                                      grid.dt)
+            res = _interior_residuals(g, g_t, fam[arc.id],
+                                      params.theta[arc.id], grid.dt)
             r = max(0.0, float(np.max(res, initial=-np.inf)),
                     -float(np.min(res, initial=np.inf)))
             if r > resid:
                 resid, resid_wit = r, {"edge": arc.id}
-        if grid.nt and want & {"time_monotone", "time_lipschitz"}:
-            d_t = np.diff(g, axis=0)
-            lip = max(lip, float(np.max(-d_t / grid.dt)) - m0s)
+        if timed:
+            drop = max(drop, _rise(down - g))    # -(g + m0 t)
+            lip_rate = max(lip_rate, -float(np.min(g_t)) - m0s)
             if positive:
-                up = d_t if g is f else np.diff(f, axis=0)
-                rise = max(rise, float(np.max(up)) / grid.dt)
+                rise = max(rise, _rise(f))
+                up = g_t if g is f else np.diff(f, axis=0) / grid.dt
+                rise_rate = max(rise_rate, float(np.max(up)))
         if want & {"space_lipschitz", "headroom"}:
             # slope maxima per time row, all rows for the Lipschitz bound
             # and the rows the march differenced (0..nt-1) for headroom
@@ -523,10 +529,12 @@ def verify(solution: NetworkSolution, eps_scheme=None,
 
     out["interior_residual"] = CheckResult(
         "interior_residual", resid <= _RESID_TOL, _RESID_TOL - resid, resid_wit)
-    out["time_monotone"] = CheckResult("time_monotone", rise <= eps, eps - rise) \
+    out["time_monotone"] = CheckResult(
+        "time_monotone", rise <= eps, eps - rise, {"rate": rise_rate}) \
         if positive else CheckResult("time_monotone", True, 0.0,
                                      {"skipped": "Hamiltonians not positive"})
-    out["time_lipschitz"] = CheckResult("time_lipschitz", lip <= eps, eps - lip)
+    out["time_lipschitz"] = CheckResult("time_lipschitz", drop <= eps,
+                                        eps - drop, {"rate": lip_rate})
     out["space_lipschitz"] = CheckResult("space_lipschitz", space <= eps,
                                          eps - space)
     out["vertex_continuity"] = CheckResult(
@@ -534,6 +542,18 @@ def verify(solution: NetworkSolution, eps_scheme=None,
     room_wit["width_beyond_table"] = beyond
     out["headroom"] = CheckResult("headroom", room >= 0.0, room, room_wit)
     return VerifyReport([out[c] for c in CHECK_NAMES if c in want], eps)
+
+
+def _rise(u):
+    """max over columns and n of u^n - min_{m<=n} u^m for u (nt+1, ns+1),
+    scanning only the columns where u ever rises: elsewhere it is 0."""
+    cols = np.flatnonzero((np.diff(u, axis=0) > 0).any(axis=0))
+    if cols.size == 0:
+        return 0.0
+    if cols.size < u.shape[1]:
+        u = u[:, cols]
+    low = np.minimum.accumulate(u, 0)
+    return float(np.max(np.subtract(u, low, out=low)))
 
 
 def calibrate_epsilon(scenario: Scenario, levels=3):
@@ -700,8 +720,7 @@ def restart_check(scenario: Scenario, params: SolveParams | None = None):
     nt = params.nt
     half = nt // 2
     full = solve(scenario, params)
-    p1 = replace(params, nt=half)
-    sol1 = solve(replace(scenario, horizon=half * params.dt), p1)
+    sol1 = solve(scenario, replace(params, nt=half))
     g2 = {eid: sol1.fields[eid][-1].copy() for eid in sol1.fields}
     sc2 = replace(scenario, t0=scenario.t0 + half * params.dt,
                   horizon=(nt - half) * params.dt, initial=g2)

@@ -82,7 +82,20 @@ def arc_initial(traces: VertexTraceSet, arc_id) -> np.ndarray:
     """Initial datum along an oriented arc (reflected for reverse arcs)."""
     if arc_id in traces.initial:
         return np.asarray(traces.initial[arc_id], dtype=float)
-    return np.asarray(traces.initial[reverse_arc_id(arc_id)], dtype=float)[::-1]
+    rid = reverse_arc_id(arc_id)
+    if rid not in traces.initial:
+        edge = min(arc_id, rid, key=len)    # the forward arc's id
+        raise ValidationError(f"trace set has no initial datum for edge "
+                              f"{edge!r}")
+    return np.asarray(traces.initial[rid], dtype=float)[::-1]
+
+
+def _start_trace(traces, network, arc_id):
+    """The trace at the arc's start vertex, which its transform reads."""
+    x = network.arc(arc_id).start
+    if x not in traces.traces:
+        raise ValidationError(f"trace set has no trace for vertex {x!r}")
+    return traces.traces[x]
 
 
 def f_gamma(traces, network, hams, arc_id, theta=None):
@@ -92,11 +105,10 @@ def f_gamma(traces, network, hams, arc_id, theta=None):
     a state constraint; the field's right trace is what the vertex transform
     consumes.
     """
-    arc = network.arc(arc_id)
     return max_subsolution(
         hams[arc_id],
         arc_initial(traces, arc_id),
-        constrained(traces.traces[arc.start]),
+        constrained(_start_trace(traces, network, arc_id)),
         free(),
         traces.grid,
         theta=theta,
@@ -110,7 +122,7 @@ def _arc_transform_traces(traces, network, hams, ids, thetas=None):
     thetas = {} if thetas is None else thetas
     return _march_arcs(
         [hams[aid] for aid in ids], [arc_initial(traces, aid) for aid in ids],
-        [traces.traces[network.arc(aid).start] for aid in ids],
+        [_start_trace(traces, network, aid) for aid in ids],
         [None] * len(ids), traces.grid,
         [thetas.get(aid, thetas.get(reverse_arc_id(aid))) for aid in ids],
         -1)[0]

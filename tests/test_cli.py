@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import hjnet as hj
+import hjnet.cli as hj_cli
 from hjnet.cli import load_solution_csv, main, write_solution_csv
 from hjnet.errors import ScenarioParseError, ValidationError
 from hjnet.scenario_io import parse_scenario, parse_scenario_file
@@ -170,6 +171,25 @@ def test_run_solves_and_reports(tmp_path):
     assert len(slices) == 1 + 2 * 3 * 61
 
 
+def test_run_exits_1_when_an_enabled_check_fails(tmp_path, monkeypatch,
+                                                capsys):
+    # a negative tolerance fails every check gated on eps; the dump and the
+    # report are written all the same
+    real = hj_cli.verify
+    monkeypatch.setattr(hj_cli, "verify", lambda sol, eps_scheme=None,
+                        checks=None: real(sol, -1.0, checks))
+    scn = _write(tmp_path, TRIPOD)
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", scn, "--out", str(out), "--checks",
+                 "limiter,time_lipschitz"]) == 1
+    report = json.loads((out / "report.json").read_text())
+    assert not report["ok"]
+    assert [(c["name"], c["ok"]) for c in report["checks"]] == [
+        ("limiter", True), ("time_lipschitz", False)]
+    assert "FAIL time_lipschitz" in capsys.readouterr().out
+    assert (out / "solution.csv").exists()
+
+
 def test_slice_times_at_the_ends_of_the_span_are_kept(tmp_path):
     scn = _write(tmp_path, TRIPOD)
     out = tmp_path / "out"
@@ -294,8 +314,8 @@ def test_dumped_solution_roundtrips_through_verify(tmp_path):
 
 
 def test_mixed_scenario_passes_the_checks_that_hold_on_it(tmp_path):
-    # one arc of each Hamiltonian kind; the time checks and space_lipschitz
-    # still fail on valid input, so they are left out
+    # one arc of each Hamiltonian kind; space_lipschitz still fails on
+    # valid input, so it is left out
     scn = os.path.join(os.path.dirname(TRIPOD_SCN), "mixed.scn")
     assert main(["run", "--scenario", scn, "--out",
                  str(tmp_path / "mixed")]) == 0

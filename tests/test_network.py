@@ -88,6 +88,21 @@ def test_every_arc_is_incident_to_its_end():
     assert total == len(net.arcs)
 
 
+def test_orderings_are_derived_once_and_read_only():
+    net = tripod()
+    for order in (net.vertex_ids, net.arc_ids, net.edge_arcs, net.incidence):
+        assert order() is order()
+    assert net.vertex_ids() == ("x0", "x1", "x2", "x3")
+    assert [a.id for a in net.edge_arcs()] == ["e1", "e2", "e3"]
+    into = net.incidence()
+    assert into["x0"] == ("e1", "e2", "e3") and into["x1"] == ("e1~",)
+    with pytest.raises(TypeError):
+        into["x0"] = ()
+    with pytest.raises(AttributeError):
+        into["x0"].append("e1~")
+    assert net.incidence()["x0"] == ("e1", "e2", "e3")
+
+
 def test_multi_edges_allowed():
     net = hj.build_network(["a", "b"], [("e1", "a", "b"), ("e2", "a", "b")])
     assert len(net.arcs) == 4

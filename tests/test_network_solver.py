@@ -113,6 +113,17 @@ def test_solver_rejects_bad_inputs():
         hj.plan_solve(dataclasses.replace(sc, cfl=1.5))
 
 
+def test_cfl_scales_the_default_time_step():
+    sc = make_tripod(40)
+    full = hj.plan_solve(sc)
+    cap = (1.0 / sc.ns) / max(full.theta.values())
+    assert full.nt == int(np.ceil(sc.horizon / cap - 1e-9))
+    half = hj.plan_solve(dataclasses.replace(sc, cfl=0.5))
+    assert half.theta == full.theta
+    assert half.nt == int(np.ceil(sc.horizon / (0.5 * cap) - 1e-9))
+    assert half.dt == sc.horizon / half.nt and half.dt <= 0.5 * cap
+
+
 def test_missing_initial_datum_is_named():
     sc = make_tripod(20)
     initial = {e: v for e, v in sc.initial.items() if e != "e2"}
@@ -275,10 +286,12 @@ def test_restart_replays_byte_identically():
 
 
 def test_restart_at_odd_splits_replays_byte_identically():
-    # splits at step 101 of 202 (tripod), 140 of 280 (path, two kinds) and
-    # 27 of 55 (comb, all three kinds); no positivity shift in any of them
+    # splits at step 101 of 202 (tripod), 140 of 280 (path, two kinds),
+    # 27 of 55 (comb, all three kinds) and 0 of 1 (a first leg of no step);
+    # no positivity shift in any of them
     for sc, nt in ((make_tripod(100), 202), (make_path(40), 280),
-                   (make_comb(3), 55)):
+                   (make_comb(3), 55),
+                   (dataclasses.replace(make_tripod(24), horizon=0.03), 1)):
         params = hj.plan_solve(sc)
         assert params.nt == nt
         equal, worst = hj.restart_check(sc, params)
@@ -317,6 +330,24 @@ def test_solve_rejects_nonnegative_shifted_limiter():
     bad = dataclasses.replace(sc, limiter={**sc.limiter, "x0": 0.5})
     with pytest.raises(NonNegativeSlopeError, match="vertex 'x0'"):
         hj.solve(bad, params)
+
+
+def test_solve_on_given_params_validates_the_scenario():
+    # with params given, no plan_solve validates the scenario, so the march
+    # must; c_gamma is -1 at the tripod center, and -0.5 stays negative
+    sc = make_tripod(24)
+    params = hj.plan_solve(sc)
+    over = dataclasses.replace(sc, limiter={**sc.limiter, "x0": -0.5})
+    for march in (lambda: hj.solve(over, params),
+                  lambda: hj.solve_ensemble([sc, over], params)):
+        with pytest.raises(ValidationError,
+                           match="flux limiter exceeds min c_gamma at x0"):
+            march()
+    off = {e: v.copy() for e, v in sc.initial.items()}
+    off["e1"][-1] += 0.3            # e1 ends at x0
+    with pytest.raises(ValidationError,
+                       match="initial datum inconsistent at vertex 'x0'"):
+        hj.solve(dataclasses.replace(sc, initial=off), params)
 
 
 def _ensemble_equals_solo_solves(members, params):
@@ -483,18 +514,31 @@ def test_cyclic_network_solves_and_verifies():
 
 def test_core_checks_hold_on_randomized_scenarios():
     # certificate, interior residuals, vertex slope cap, continuity, the
-    # space-slope bound and the dissipation headroom are robust across mixed
-    # Hamiltonian kinds and rough piecewise-linear data;
-    # the time-monotonicity check is exercised separately since dissipative
-    # schemes transiently overshoot at under-resolved convex datum kinks
+    # space- and time-slope bounds and the dissipation headroom are robust
+    # across mixed Hamiltonian kinds and rough piecewise-linear data; the
+    # time checks gate on values, which the scheme's transient overshoot at
+    # under-resolved datum kinks moves by O(ds + dt) only
     from conftest import random_scenario
     rng = np.random.default_rng(4242)
     core = ("interior_residual", "discr_certificate", "vertex_slope",
-            "vertex_continuity", "space_lipschitz", "headroom", "limiter")
+            "vertex_continuity", "space_lipschitz", "headroom", "limiter",
+            "time_monotone", "time_lipschitz")
     for trial in range(8):
         sc = random_scenario(rng, "tripod" if trial % 2 else "path", 64)
         rep = hj.verify(hj.solve(sc), checks=core)
         assert rep.ok, (trial, [c.name for c in rep.checks if not c.ok])
+
+
+def test_rise_scans_only_rising_columns_and_matches_the_full_scan():
+    rng = np.random.default_rng(11)
+    falling = -np.cumsum(rng.uniform(0.0, 1.0, (9, 5)), axis=0)
+    assert network_solver._rise(falling) == 0.0
+    one_rising = falling.copy()
+    one_rising[:, 2] = falling[::-1, 2]
+    for u in (rng.standard_normal((9, 5)), one_rising,
+              np.cumsum(rng.standard_normal((40, 7)), axis=0)):
+        full = float(np.max(u - np.minimum.accumulate(u, 0)))
+        assert network_solver._rise(u) == full > 0.0
 
 
 def test_negative_hamiltonians_solve_through_the_positivity_shift():

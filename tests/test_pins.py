@@ -3,7 +3,8 @@
 The digests and hex values were taken from the scalar-loop implementation
 the batched marching kernel replaced; the kernel must reproduce every bit.
 The margins digests were retaken when the headroom check replaced the window
-check, and again when the inverse_consistency check was retired; every other
+check, again when the inverse_consistency check was retired, and again when
+the two time checks moved from per-step rates to value forms; every other
 check row kept its margin bit for bit.  The CSV digests
 were taken from the per-cell writer the row-template writer replaced.
 """
@@ -71,7 +72,7 @@ PINS = {
         "vertex":
             "5c062d6d434e73fb26f94cef24df293c2549ab90ac5298a9e85d8559e304881a",
         "margins":
-            "a6ece101de5953932d3d8428407b1f39eb7c9c1a540b912ef42c037b7e18bea5",
+            "23dc9a3498b6bc81bd82fb5224321a9575ff966c3ed6cb4d709e611f47db4461",
         "transforms":
             "de00c0164fae10cc81b01adf8669585e31a950538e172e593349cc72503ae561",
         "transforms_default":
@@ -83,7 +84,7 @@ PINS = {
         "vertex":
             "18434e1d6adeabb8bb0a26cbc9cb7873534844eef9947e38c9dfc1718a022c4b",
         "margins":
-            "b142e22fe7f0e02da59d98ecaf2a43280dfa09da210aca441200a46d3e5bbc7d",
+            "d314efafde9278c9cffe13de0f233015b8f65719fe15509199bdd1dc98d61b25",
         "transforms":
             "0f61fbf39708c7c4b1abcd09c6172451caf8185ad095576f5210b355ea874821",
         "transforms_default":
@@ -95,7 +96,7 @@ PINS = {
         "vertex":
             "1516eb5c8ca614e4ab8ce158f97a17b178a5d234bcfbc63f71001bd40ccf77ec",
         "margins":
-            "06398f269cca9ae99e84af9670e2bd6806d441b47667c6667842e1a2a2106794",
+            "faf7142805d7a3f1e73db95ce5768a030be7ee0a68a55d3c137ae647179c53d8",
         "transforms":
             "edb2f3520f63fb19a3ee7927cce0d873b7a5055581a5207e66739154514829c4",
         "transforms_default":

@@ -219,6 +219,10 @@ def test_comparison_of_trace_sets():
     rep = discr_compare(strict, ts, sc.network, sc.hamiltonians, lim, eps,
                         thetas=sol.params.theta)
     assert rep.ok and rep.margin >= -1e-12
+    # trace sets on two time grids do not compare
+    short = hj.solve(make_tripod(60, horizon=1.0)).trace_set()
+    with pytest.raises(GridMismatchError, match="share the time grid"):
+        discr_compare(ts, short, sc.network, sc.hamiltonians, lim, eps)
 
 
 def test_resolving_arcs_from_converged_traces_replays_the_fields():
@@ -300,6 +304,33 @@ def test_stacked_arc_checks_raise_what_the_bad_arc_raises_alone():
         assert _error_of(lambda: discr_residual(ts, net, fam, bad, 0.1,
                                                 thetas=th)) == (
             NonNegativeSlopeError, "slope must be negative, got 0.25")
+
+
+def test_a_trace_set_missing_a_trace_or_a_datum_is_named():
+    sol = hj.solve(make_tripod(24))
+    sc, full = sol.scenario, sol.trace_set()
+    net, fam, lim = sc.network, sc.hamiltonians, sc.limiter_values()
+    no_x1 = VertexTraceSet(sol.grid, {x: v for x, v in full.traces.items()
+                                      if x != "x1"}, full.initial)
+    no_e2 = VertexTraceSet(sol.grid, full.traces, {e: g for e, g in
+                                                   full.initial.items()
+                                                   if e != "e2"})
+    for ts, missing in ((no_x1, "no trace for vertex 'x1'"),
+                        (no_e2, "no initial datum for edge 'e2'")):
+        for call in (lambda: discr_residual(ts, net, fam, lim, 0.1),
+                     lambda: discr_compare(ts, full, net, fam, lim, 0.1),
+                     lambda: discr_compare(full, ts, net, fam, lim, 0.1),
+                     lambda: f_x(ts, net, fam, "x0"),
+                     lambda: f_x_selected(ts, net, fam, "x0")):
+            assert _error_of(call) == (ValidationError,
+                                       f"trace set has {missing}")
+    # an arc transform reads only its own datum and its start trace
+    with pytest.raises(ValidationError, match="vertex 'x1'"):
+        f_gamma(no_x1, net, fam, "e1")
+    with pytest.raises(ValidationError, match="edge 'e2'"):
+        f_gamma(no_e2, net, fam, "e2~")
+    assert f_gamma(no_e2, net, fam, "e1").values.shape == (
+        sol.grid.nt + 1, sol.grid.ns + 1)
 
 
 def test_a_non_finite_trace_raises_the_same_error_in_every_transform():
