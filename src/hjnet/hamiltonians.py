@@ -320,9 +320,26 @@ def evaluate(H, s, p):
     return float(out) if out.ndim == 0 else out
 
 
+def _sorted_distinct(a):
+    """The sorted distinct values of a 1-D float array, bit for bit what
+    numpy's ``unique`` returns: a default-kind sort, then each value that
+    differs from the one before it.  Numpy's set routines import numpy.ma
+    on their first call; this helper does not.
+
+    Callers pass only finite arrays (the constructors reject non-finite
+    input, and quadratic alpha > 0), so no NaN needs numpy's grouping.
+    """
+    a = np.sort(a)
+    keep = np.empty(a.shape, dtype=bool)
+    keep[:1] = True
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
+
+
 def _s_check_grid(H):
     """The s-knots joined with 257 uniform nodes."""
-    return np.union1d(H.s_knots, np.linspace(0.0, 1.0, 257))
+    return _sorted_distinct(np.concatenate((H.s_knots,
+                                            np.linspace(0.0, 1.0, 257))))
 
 
 def momentum_minimizer(H, s):
@@ -338,11 +355,9 @@ def momentum_minimizer(H, s):
 def _min_over_p(H, s):
     """min_p H(s,p) per s (vectorized)."""
     s = np.atleast_1d(s)
-    pstar = momentum_minimizer(H, s)
     if H.kind == "sampled":
-        rows = _sampled_rows_at(H, s)
-        return np.min(rows, axis=1)
-    return evaluate(H, s, pstar)
+        return np.min(_sampled_rows_at(H, s), axis=1)
+    return evaluate(H, s, momentum_minimizer(H, s))
 
 
 def c_gamma(H):
@@ -478,7 +493,7 @@ def _bisect_widths(hams, s, M):
 
     # candidate interior point: best per-s minimizer under the uniform max;
     # rows with fewer candidates repeat theirs, which keeps the first argmin
-    cands = [np.unique(momentum_minimizer(H, s)) for H in hams]
+    cands = [_sorted_distinct(momentum_minimizer(H, s)) for H in hams]
     pad = np.array([np.resize(c, max(map(len, cands))) for c in cands]).T
     vals = np.empty(pad.shape)
     slab = max(1, (1 << 20) // (len(hams) * s.size))  # values per call

@@ -18,13 +18,13 @@ runs they compare in one call.
 
 Everything runs on a normalized family with strictly positive Hamiltonians
 (adding a constant a to all of them and subtracting it from the limiter);
-the output is corrected back by u -> u + a (t - t0).  ``Scenario.constants``
-derives that normalization, with the slope budget m0 and the space-slope
-bounds taken on it, once per Scenario object; planning, solving, verifying
-and reloading all read that one record.  Beside it a Scenario keeps its
-validation, its limiter report and its datum slope maxima, so every march
-and every plan validates each object once, planning budgets it once and
-``verify`` reports the limiter from the same record.
+the output is corrected back by u -> u + a (t - t0).  ``Scenario.normalized``
+derives that normalization and ``Scenario.constants`` the slope budget m0
+and the space-slope bounds taken on it, once per Scenario object; planning,
+solving, verifying and reloading all read that one record.  Beside it a
+Scenario keeps its validation, its limiter report and its datum slope
+maxima, so every march and every plan validates each object once, planning
+budgets it once and ``verify`` reports the limiter from the same record.
 
 The verification battery re-derives the certificate of the semidiscrete
 vertex system, interior scheme residuals, slope bounds, vertex continuity
@@ -120,9 +120,15 @@ class Scenario:
     # (``replace``), which derives its own.
 
     @cached_property
+    def normalized(self):
+        """``positive_shift`` of the family and the limiter: the shifted
+        family, the shift a and the shifted c_x."""
+        return positive_shift(self.hamiltonians, self.limiter_values())
+
+    @cached_property
     def constants(self) -> SolveConstants:
         """Positivity shift, slope budget and space-slope bounds."""
-        fam, a, lim = positive_shift(self.hamiltonians, self.limiter_values())
+        fam, a, lim = self.normalized
         m0s = compute_m0(replace(self, hamiltonians=fam, limiter=lim))
         arcs = self.network.edge_arcs()
         widths = sublevel_widths([fam[arc.id] for arc in arcs], m0s)
@@ -318,16 +324,19 @@ def solve_ensemble(scenarios, params: SolveParams) -> list:
             raise GridMismatchError(
                 f"scenario {sc.name!r} (ns={sc.ns}, t0={sc.t0}) is off the "
                 f"ensemble grid (ns={ns}, t0={grid.t0})")
-        const = sc.constants
         edges, vids = sc.network.edge_arcs(), sc.network.vertex_ids()
-        r0 = len(init)
-        members.append((sc, edges, vids, r0, len(c_x), const.shift))
+        lim = sc.normalized[2]
         for x in vids:
-            if not const.limiter[x] < 0:
+            # a missing vertex is left to the validation's named error
+            if x in lim and not lim[x] < 0:
                 raise NonNegativeSlopeError(
                     f"flux limiter at vertex {x!r} must be negative after the "
-                    f"positivity shift, got {const.limiter[x]}")
-            c_x.append(const.limiter[x])
+                    f"positivity shift, got {lim[x]}")
+        sc.validation               # raises ValidationError on bad input
+        const = sc.constants
+        r0 = len(init)
+        members.append((sc, edges, vids, r0, len(c_x), const.shift))
+        c_x += [lim[x] for x in vids]
         for a in edges:
             if a.id not in params.theta:
                 raise ValidationError(f"params carry no theta for edge {a.id!r}")
@@ -336,7 +345,6 @@ def solve_ensemble(scenarios, params: SolveParams) -> list:
             hams.append(const.hamiltonians[a.id])
             init.append(np.asarray(sc.initial[a.id], dtype=float))
             theta.append(th)
-        sc.validation               # raises ValidationError on bad input
         # an arc enters its end vertex at column ns, its reverse at column 0
         pos = {a.id: (r0 + i, ns) for i, a in enumerate(edges)}
         pos.update({a.inverse_id: (r0 + i, 0) for i, a in enumerate(edges)})

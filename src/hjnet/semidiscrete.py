@@ -210,10 +210,21 @@ def discr_compare(sub, sup, network, hams, limiter, tolerance,
 
     Preconditions (checked, reported, and the comparison still evaluated):
     sub <= cap[F_x[sub]] + tol, sup >= cap[F_x[sup]] - tol at every vertex,
-    and ordered initial data on the arcs.
+    and ordered initial data on the arcs.  Both sets must hold a datum for
+    exactly the network's edges, or ValidationError names the first edge
+    that breaks this, before anything is marched.
     """
     if not (_same_time_grid(sub.grid, sup.grid)):
         raise GridMismatchError("trace sets must share the time grid")
+    # the initial gap reads both data of every edge either set holds
+    edges = {arc.id for arc in network.edge_arcs()}
+    for eid in sorted(edges | sub.initial.keys() | sup.initial.keys()):
+        if eid not in edges:
+            raise ValidationError(f"trace set has a datum for {eid!r}, "
+                                  "which is not an edge of the network")
+        if eid not in sub.initial or eid not in sup.initial:
+            raise ValidationError(
+                f"trace set has no initial datum for edge {eid!r}")
     gaps = {"sub": 0.0, "sup": 0.0, "initial": 0.0}
     fx_sub = _capped_transforms(sub, network, hams, limiter, thetas)
     fx_sup = _capped_transforms(sup, network, hams, limiter, thetas)

@@ -1,6 +1,10 @@
 """Hamiltonian kinds, derived constants, reversal and the positivity shift."""
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -552,3 +556,71 @@ def _table(centre=1.0):
 def test_constructors_reject_non_finite_data(make, name):
     with pytest.raises(ValueError, match=f"^{name} must be finite$"):
         make()
+
+
+@pytest.mark.parametrize("values", [
+    [0.75, -2.0, 0.25, 3.5, -1.0],
+    [1.0, 0.5, 1.0, 0.5, 0.5, 2.0, 1.0],
+    [0.0, -0.0],
+    [-0.0, 0.0],
+    [1.0, -0.0, 0.0, -0.0, 0.0],
+    [4.25],
+    [0.5, 0.5, 0.5, 0.5],
+], ids=["unsorted", "repeats", "zero-then-negative-zero",
+        "negative-zero-then-zero", "signed-zeros-and-more", "one", "all-equal"])
+def test_sorted_distinct_is_numpy_unique_bit_for_bit(values):
+    a = np.array(values)
+    got, want = hamiltonians._sorted_distinct(a), np.unique(a)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert np.array_equal(a, values)            # the input is left as it was
+
+
+def test_check_grids_and_width_candidates_are_numpy_unique_bit_for_bit():
+    grid = np.linspace(0.0, 1.0, 257)
+    for H in _mixed_batch(3.0):
+        s = hamiltonians._s_check_grid(H)
+        assert s.tobytes() == np.union1d(H.s_knots, grid).tobytes()
+        p = momentum_minimizer(H, s)
+        assert (hamiltonians._sorted_distinct(p).tobytes()
+                == np.unique(p).tobytes())
+
+
+_NO_MASKED_ARRAYS = """
+import sys, tempfile
+import numpy as np
+import hjnet as hj
+from hjnet.cli import load_solution_csv, write_solution_csv
+
+p = np.linspace(-2.0, 2.0, 5)
+table = np.array([np.abs(p) + 1.0, p ** 2 + 1.0])
+kinds = [hj.quadratic_hamiltonian(alpha=[1.0, 2.0], beta=[0.0, 0.5]),
+         hj.abs_hamiltonian(alpha=1.5, beta=[-0.5, 0.25], kappa=1.0),
+         hj.sampled_hamiltonian([0.0, 1.0], p, table, 5.0)]
+assert [hj.c_gamma(H) for H in kinds]
+assert all(w > 0 for w in hj.sublevel_widths(kinds, 4.0))
+
+net = hj.build_network(["x0", "x1", "x2", "x3"], [("e1", "x1", "x0"),
+                       ("e2", "x2", "x0"), ("e3", "x3", "x0")])
+H = hj.abs_hamiltonian(kappa=1.0)
+sc = hj.Scenario(net, hj.family_from_edges(net, dict.fromkeys(["e1", "e2", "e3"], H)),
+                 {"x0": -2.0, "x1": -1.0, "x2": -1.0, "x3": -1.0},
+                 {e: np.zeros(25) for e in ("e1", "e2", "e3")},
+                 horizon=0.5, ns=24, name="tripod")
+sol = hj.solve(sc, hj.plan_solve(sc))
+assert hj.verify(sol).ok
+with tempfile.TemporaryDirectory() as out:
+    write_solution_csv(sol, out)
+    back = load_solution_csv(out, sc, sol.params)
+assert back.fields["e1"].tobytes() == sol.fields["e1"].tobytes()
+assert "numpy.ma" not in sys.modules, "numpy.ma was imported"
+"""
+
+
+def test_no_hjnet_path_imports_masked_arrays(tmp_path):
+    # numpy's set routines import numpy.ma on their first call, which costs
+    # a fresh process several milliseconds; no step of a run may make one
+    src = Path(hj.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", _NO_MASKED_ARRAYS], env=env,
+                          cwd=tmp_path, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

@@ -8,7 +8,8 @@ import pytest
 
 import hjnet as hj
 from hjnet.errors import (CFLViolationError, GridMismatchError, HJNetError,
-                          NonNegativeSlopeError, ValidationError)
+                          NonNegativeSlopeError, UnknownVertexError,
+                          ValidationError)
 from hjnet import hamiltonians, network_solver
 from hjnet.hamiltonians import shift_hamiltonian
 from hjnet.network_solver import interior_bump
@@ -348,6 +349,24 @@ def test_solve_on_given_params_validates_the_scenario():
     with pytest.raises(ValidationError,
                        match="initial datum inconsistent at vertex 'x0'"):
         hj.solve(dataclasses.replace(sc, initial=off), params)
+
+
+def test_solve_on_given_params_names_a_missing_datum_or_limiter_vertex():
+    # the march validates before it derives the constants, which read every
+    # datum and every vertex's limiter
+    sc = make_tripod(24)
+    params = hj.plan_solve(sc)
+    no_e2 = dataclasses.replace(sc, initial={e: v for e, v in sc.initial.items()
+                                             if e != "e2"})
+    no_x2 = dataclasses.replace(sc, limiter={x: c for x, c in sc.limiter.items()
+                                             if x != "x2"})
+    for bad, err, match in (
+            (no_e2, ValidationError, "edge 'e2' is missing its initial datum"),
+            (no_x2, UnknownVertexError, "flux limiter missing vertex 'x2'")):
+        for march in (lambda: hj.plan_solve(bad), lambda: hj.solve(bad, params),
+                      lambda: hj.solve_ensemble([sc, bad], params)):
+            with pytest.raises(err, match=match):
+                march()
 
 
 def _ensemble_equals_solo_solves(members, params):

@@ -333,6 +333,30 @@ def test_a_trace_set_missing_a_trace_or_a_datum_is_named():
         sol.grid.nt + 1, sol.grid.ns + 1)
 
 
+def test_discr_compare_names_a_datum_off_the_network_before_marching(
+        monkeypatch):
+    sol = hj.solve(make_tripod(16))
+    sc, full = sol.scenario, sol.trace_set()
+    net, fam, lim = sc.network, sc.hamiltonians, sc.limiter_values()
+    extra = VertexTraceSet(sol.grid, full.traces,
+                           {**full.initial, "zz": full.initial["e1"]})
+
+    def no_march(*args, **kwargs):
+        raise AssertionError("marched before the data were checked")
+
+    monkeypatch.setattr(semidiscrete, "_march_arcs", no_march)
+    for sub, sup in ((extra, full), (full, extra), (extra, extra)):
+        with pytest.raises(ValidationError, match="datum for 'zz', which is "
+                                                  "not an edge of the network"):
+            discr_compare(sub, sup, net, fam, lim, 0.1)
+    no_e2 = VertexTraceSet(sol.grid, full.traces,
+                           {e: g for e, g in full.initial.items() if e != "e2"})
+    for sub, sup in ((no_e2, full), (full, no_e2)):
+        with pytest.raises(ValidationError, match="no initial datum for edge "
+                                                  "'e2'"):
+            discr_compare(sub, sup, net, fam, lim, 0.1)
+
+
 def test_a_non_finite_trace_raises_the_same_error_in_every_transform():
     net, fam, ts, grid, th = single_edge_traces(4, 2.4, lambda t: -t)
     assert grid.nt == 12
