@@ -32,8 +32,8 @@ from .hamiltonians import (
     quadratic_hamiltonian,
     reverse_hamiltonian,
     sampled_hamiltonian,
+    sublevel_interval,
     sublevel_width,
-    sublevel_widths,
     subsolution_level,
     subsolution_levels,
 )

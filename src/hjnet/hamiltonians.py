@@ -10,9 +10,11 @@ coercive in p, and locally Lipschitz in p:
 
 Coefficient functions are sampled arrays on an s-knot grid and interpolated
 linearly.  Restricting to these kinds keeps every derived constant (the
-critical value c_gamma, stationary-subsolution levels, sublevel widths,
-momentum Lipschitz constants) computable in closed form or by robust
-bisection instead of being estimated.
+critical value c_gamma, stationary-subsolution levels, sublevel sets and
+widths, momentum Lipschitz constants) computable in closed form instead of
+being estimated; at one s the sublevel set {p : H(s,p) <= M} is an interval
+whose ends are roots of a linear or quadratic equation, or the crossings of
+a piecewise-linear row.
 
 Orientation reversal obeys H_rev(s, p) = H(1 - s, -p), so a family defined on
 forward arcs extends uniquely to the inverse arcs.
@@ -39,15 +41,16 @@ __all__ = [
     "positive_shift",
     "subsolution_level",
     "subsolution_levels",
+    "sublevel_interval",
     "sublevel_width",
-    "sublevel_widths",
+    "cell_widths",
     "momentum_lipschitz",
     "global_min",
     "momentum_minimizer",
 ]
 
 TOL_CONVEX = 1e-10
-_WIDTH_TOL = 1e-12    # relative slack of the empty-sublevel test
+_LEVEL_SLACK = 1e-12  # relative roundoff allowed between a level and a minimum
 
 _KINDS = ("quadratic", "abs", "sampled")
 
@@ -59,13 +62,13 @@ class ArcHamiltonian:
     Its arrays are never written in place (``replace`` makes a new object),
     so the invariants derived on the check grid are cached on the object:
     min_p H and the two floats ``c_gamma`` and ``global_min`` read from it,
-    the ``sublevel_width`` of every level asked for, the
-    ``shift_hamiltonian`` copy of every shift asked for, the momentum
-    minimizers at s = 0 and s = 1, the column coefficients at the nodes of
-    every ns-cell grid a march asks for and at the cell midpoints of every
-    datum grid a subsolution level asks for, and behind
-    ``momentum_lipschitz`` max alpha and max |beta| of the symbolic kinds
-    or the knot columns and slope maxima of the sampled kind.
+    the ``sublevel_width`` of every level asked for and the ``cell_widths``
+    of every (ns, level), the ``shift_hamiltonian`` copy of every shift
+    asked for, the momentum minimizers at s = 0 and s = 1, the column
+    coefficients at the nodes of every ns-cell grid a march asks for and at
+    the cell midpoints of every datum grid a subsolution level asks for, and
+    behind ``momentum_lipschitz`` max alpha and max |beta| of the symbolic
+    kinds or the knot columns and slope maxima of the sampled kind.
     """
 
     kind: str
@@ -440,116 +443,92 @@ def subsolution_levels(hams, data):
     return levels.tolist()
 
 
+def sublevel_interval(H, s, M):
+    """The ends (lo, hi) of {p : H(s, p) <= M} at each node s, in closed form.
+
+    abs: beta -+ (M - kappa) / alpha.  quadratic: the roots of
+    alpha p^2 + beta p + kappa = M in the stable form q = -(beta + sign(beta)
+    sqrt(disc)) / 2, roots q / alpha and (kappa - M) / q.  sampled: the row
+    at s is piecewise linear and convex in p with the declared linear
+    extension, so each end lies on the segment (or extension) just outside
+    the first or last knot at or below M.  A node whose minimum exceeds M by
+    no more than ``_LEVEL_SLACK`` (the positivity shift rounds M and the
+    minima apart) gets its minimizer; one that misses M by more raises
+    EmptySublevelError, the first such node named.
+    """
+    s = _check_s(np.atleast_1d(s))
+    if H.kind == "sampled":
+        rows = _sampled_rows_at(H, s)
+        low = np.min(rows, axis=1)
+    else:
+        a, b, k = _coefficients(H, s)
+        low = k if H.kind == "abs" else k - b * b / (4.0 * a)
+    miss = low - M > _LEVEL_SLACK * (1.0 + abs(M))
+    if miss.any():
+        i = int(np.argmax(miss))
+        raise EmptySublevelError(f"sublevel at M={M} is empty at "
+                                 f"s={float(s[i])} (min {float(low[i])})")
+    level = np.maximum(low, M)
+    if H.kind == "sampled":
+        below = rows <= level[:, None]
+        first = np.argmax(below, axis=1)
+        last = below.shape[1] - 1 - np.argmax(below[:, ::-1], axis=1)
+        return (_crossing(H, rows, level, first, first - 1),
+                _crossing(H, rows, level, last, last + 1))
+    if H.kind == "abs":
+        r = (level - k) / a
+        return b - r, b + r
+    c = k - level
+    # disc may round below 0 at a level raised to the minimum
+    disc = np.maximum(b * b - 4.0 * a * c, 0.0)
+    q = -0.5 * (b + np.copysign(np.sqrt(disc), b))
+    # q = 0 only when beta = 0 = c, a double root at p = 0
+    r1, r2 = q / a, c / np.where(q == 0.0, 1.0, q)
+    return np.minimum(r1, r2), np.maximum(r1, r2)
+
+
+def _crossing(H, rows, level, at, out):
+    """Where each row rises through its level from knot ``at`` (at or below
+    it) toward knot ``out`` (above it), or along the extension when ``out``
+    is off the table."""
+    pk, n = H.p_knots, np.arange(rows.shape[0])
+    off = (out < 0) | (out >= pk.size)
+    far = np.clip(out, 0, pk.size - 1)
+    v = rows[n, at]
+    run = np.where(off, 1.0, np.abs(pk[far] - pk[at]))
+    rise = np.where(off, H.extension_slope, rows[n, far] - v)
+    return pk[at] + np.sign(out - at) * ((level - v) * run / rise)
+
+
 def sublevel_width(H, M):
-    """max{|p| : H(s,p) <= M for every s on the check grid}, by bisection:
-    the one-Hamiltonian case of ``sublevel_widths``.
+    """max{|p| : H(s,p) <= M for every s on the check grid}: the larger
+    |end| of [max_s lo(s), min_s hi(s)], the intersection of the
+    ``sublevel_interval``s, cached per level.
 
-    Convexity in p makes {p : max_s H(s,p) <= M} an interval; coercivity
-    bounds it.  Raises EmptySublevelError when the interval is empty.
+    Raises EmptySublevelError when a node's set or the intersection is empty.
     """
-    return sublevel_widths([H], M)[0]
+    if M not in H._widths:
+        lo, hi = sublevel_interval(H, _s_check_grid(H), M)
+        left, right = float(np.max(lo)), float(np.min(hi))
+        if left > right:
+            raise EmptySublevelError(
+                f"sublevel at M={M} is empty: the node sets do not meet "
+                f"({left} > {right})")
+        H._widths[M] = max(abs(left), abs(right))
+    return H._widths[M]
 
 
-def sublevel_widths(hams, M):
-    """The ``sublevel_width`` of every Hamiltonian in hams at the one level
-    M, in their order, bisected together.
-
-    Rows of one kind (sampled ones sharing their momentum knots) on one
-    check grid share one ``_Columns``, and each row runs the probes a search
-    of its own would run, so every width is bitwise the one-row width.
-    Widths already derived at M are read from each Hamiltonian's cache and
-    new ones are stored there.  When a sublevel is empty, raises the
-    EmptySublevelError of the first such Hamiltonian in hams.
+def cell_widths(H, ns, M):
+    """Per cell of the ns-cell grid, the larger of the pointwise widths
+    max(|lo|, |hi|) of {p : H(s, p) <= M} at its two nodes: the bound that
+    H(s, u_s) <= M puts on |u_s| in the cell.  Derived once per (H, ns, M).
     """
-    groups = {}
-    for H in {id(H): H for H in hams if M not in H._widths}.values():
-        s = _s_check_grid(H)
-        key = (H.kind, None if H.p_knots is None else tuple(H.p_knots),
-               tuple(s))
-        groups.setdefault(key, (s, []))[1].append(H)
-    failed = {}
-    for s, grp in groups.values():
-        for H, width in zip(grp, _bisect_widths(grp, s, M)):
-            if isinstance(width, str):
-                failed[id(H)] = width
-            else:
-                H._widths[M] = width
-    for H in hams:
-        if id(H) in failed:
-            raise EmptySublevelError(failed[id(H)])
-    return [H._widths[M] for H in hams]
-
-
-def _bisect_widths(hams, s, M):
-    """Widths of same-kind Hamiltonians on one check grid s, with the
-    message of its EmptySublevelError in place of a failed row's width.
-    Arrays hold the rows' search states; rows that have finished are masked
-    out of every update."""
-    cols = _Columns(hams, s)
-
-    def umax(p):
-        """max_s H(s, p) of every row at momenta p (..., R)."""
-        return np.max(cols(p[..., None]), axis=-1)
-
-    # candidate interior point: best per-s minimizer under the uniform max;
-    # rows with fewer candidates repeat theirs, which keeps the first argmin
-    cands = [_sorted_distinct(momentum_minimizer(H, s)) for H in hams]
-    pad = np.array([np.resize(c, max(map(len, cands))) for c in cands]).T
-    vals = np.empty(pad.shape)
-    slab = max(1, (1 << 20) // (len(hams) * s.size))  # values per call
-    for j in range(0, len(pad), slab):
-        vals[j:j + slab] = umax(pad[j:j + slab])
-    rows = np.arange(len(hams))
-    i0 = np.argmin(vals, axis=0)
-    p0, v0 = pad[i0, rows], vals[i0, rows]
-    empty = np.zeros(len(hams), dtype=bool)
-    tern = v0 > M
-    if tern.any():
-        # convex in p: ternary search around the candidate set
-        lo, hi = pad.min(axis=0) - 1.0, pad.max(axis=0) + 1.0
-        live = tern
-        for _ in range(200):
-            m1 = lo + (hi - lo) / 3.0
-            m2 = hi - (hi - lo) / 3.0
-            live = live & ((m1 != lo) | (m2 != hi))  # bracket stopped moving
-            if not live.any():
-                break
-            u1, u2 = umax(np.array([m1, m2]))
-            left = u1 <= u2
-            hi = np.where(live & left, m2, hi)
-            lo = np.where(live & ~left, m1, lo)
-        p0 = np.where(tern, 0.5 * (lo + hi), p0)
-        v0 = np.where(tern, umax(p0), v0)
-        empty = tern & (v0 > M + _WIDTH_TOL * (1.0 + abs(M)))
-
-    # both directions at once: row 0 searches above p0, row 1 below
-    direction = np.array([[1.0], [-1.0]])
-    step = np.ones((2, len(hams)))
-    inside, outside = np.tile(p0, (2, 1)), p0 + direction * step
-    unbounded = np.zeros(len(hams), dtype=bool)
-    live = np.tile(~empty, (2, 1))
-    while live.any():
-        grow = live & (umax(outside) <= M)
-        inside = np.where(grow, outside, inside)
-        step[grow] *= 2.0
-        outside = np.where(grow, p0 + direction * step, outside)
-        live = grow & (step <= 1e12)
-        unbounded |= (grow & ~live).any(axis=0)
-    live = np.tile(~(empty | unbounded), (2, 1))
-    for _ in range(100):
-        mid = 0.5 * (inside + outside)
-        # outside always fails the test: once mid rounds to an end, inside
-        # can no longer move
-        live &= (mid != inside) & (mid != outside)
-        if not live.any():
-            break
-        ok = umax(mid) <= M
-        inside = np.where(live & ok, mid, inside)
-        outside = np.where(live & ~ok, mid, outside)
-    width = np.maximum(np.abs(inside[0]), np.abs(inside[1]))
-    return [f"sublevel at M={M} is empty (min {float(v)})" if e
-            else "coercivity violated: no outer bound" if u else float(w)
-            for e, u, v, w in zip(empty, unbounded, v0, width)]
+    key = (ns, M)
+    if key not in H._widths:
+        lo, hi = sublevel_interval(H, np.linspace(0.0, 1.0, ns + 1), M)
+        w = np.maximum(np.abs(lo), np.abs(hi))
+        H._widths[key] = np.maximum(w[:-1], w[1:])
+    return H._widths[key]
 
 
 def momentum_lipschitz(H, M_bound):

@@ -48,11 +48,12 @@ from .errors import (
 )
 from .hamiltonians import (
     HamiltonianFamily,
+    cell_widths,
     global_min,
     momentum_lipschitz,
     positive_shift,
     shift_hamiltonian,
-    sublevel_widths,
+    sublevel_width,
     subsolution_levels,
 )
 from .network import LimiterReport, validate_flux_limiter
@@ -130,11 +131,10 @@ class Scenario:
         """Positivity shift, slope budget and space-slope bounds."""
         fam, a, lim = self.normalized
         m0s = compute_m0(replace(self, hamiltonians=fam, limiter=lim))
-        arcs = self.network.edge_arcs()
-        widths = sublevel_widths([fam[arc.id] for arc in arcs], m0s)
         return SolveConstants(
             shift=a, m0=m0s,
-            l_bound={arc.id: w for arc, w in zip(arcs, widths)},
+            l_bound={arc.id: sublevel_width(fam[arc.id], m0s)
+                     for arc in self.network.edge_arcs()},
             hamiltonians=fam, limiter=lim)
 
     @cached_property
@@ -493,7 +493,7 @@ def verify(solution: NetworkSolution, eps_scheme=None,
     timed = grid.nt and want & {"time_monotone", "time_lipschitz"}
     resid, resid_wit = 0.0, {}
     rise = drop = rise_rate = lip_rate = 0.0 if grid.nt == 0 else -np.inf
-    space, cont = -np.inf, 0.0
+    space, space_wit, cont = -np.inf, {}, 0.0
     room, room_wit, beyond = np.inf, {}, False
     for arc in sc.network.edge_arcs():
         f = solution.fields[arc.id]
@@ -515,15 +515,22 @@ def verify(solution: NetworkSolution, eps_scheme=None,
                 up = g_t if g is f else np.diff(f, axis=0) / grid.dt
                 rise_rate = max(rise_rate, float(np.max(up)))
         if want & {"space_lipschitz", "headroom"}:
-            # slope maxima per time row, all rows for the Lipschitz bound
-            # and the rows the march differenced (0..nt-1) for headroom
-            row_max = np.max(np.abs(np.diff(f, axis=1)), axis=1)
-            space = max(space, float(np.max(row_max) * grid.ns)
-                        - const.l_bound[arc.id])
+            # per cell the largest slope over the rows the march differenced
+            # (0..nt-1) for headroom, and over all rows against the
+            # pointwise sublevel widths at m0 for the Lipschitz bound
+            slopes = np.abs(np.diff(f, axis=1))
+            col = np.max(slopes[:-1], axis=0, initial=0.0)
+            if "space_lipschitz" in want:
+                excess = (np.maximum(col, slopes[-1]) * grid.ns
+                          - cell_widths(fam[arc.id], grid.ns, m0s))
+                i = int(np.argmax(excess))
+                if excess[i] > space:
+                    space = float(excess[i])
+                    space_wit = {"edge": arc.id, "s": (i + 0.5) / grid.ns}
             # theta must cover the momentum-Lipschitz constant at those
             # slopes, floored at ds around p = 0
             H = sc.hamiltonians[arc.id]
-            seen = float(np.max(row_max[:-1], initial=0.0)) * grid.ns
+            seen = float(np.max(col)) * grid.ns
             spare = params.theta[arc.id] - momentum_lipschitz(
                 H, max(seen, grid.ds))
             if spare < room:
@@ -544,7 +551,7 @@ def verify(solution: NetworkSolution, eps_scheme=None,
     out["time_lipschitz"] = CheckResult("time_lipschitz", drop <= eps,
                                         eps - drop, {"rate": lip_rate})
     out["space_lipschitz"] = CheckResult("space_lipschitz", space <= eps,
-                                         eps - space)
+                                         eps - space, space_wit)
     out["vertex_continuity"] = CheckResult(
         "vertex_continuity", cont <= _TRACE_TOL, _TRACE_TOL - cont)
     room_wit["width_beyond_table"] = beyond
@@ -645,8 +652,9 @@ def shift_check(scenario: Scenario, a: float) -> ShiftReport:
 
     Each run is planned on its own and must land on the same time grid; both
     then march on the original run's parameters.  The two plans' theta may
-    differ in the last bit (the sublevel-width bisection runs at levels a
-    apart), and one shared theta makes the identity exact for the scheme.
+    differ in the last bit (the sublevel widths are taken at levels a apart,
+    which round differently), and one shared theta makes the identity exact
+    for the scheme.
     """
     fam2 = HamiltonianFamily({aid: shift_hamiltonian(H, a)
                               for aid, H in scenario.hamiltonians.by_arc.items()})

@@ -158,6 +158,58 @@ def random_scenario(rng, kind, ns, horizon=1.0):
                        name=f"random-{kind}")
 
 
+def _rough_arc(rng, kind, negative):
+    """One arc's Hamiltonian with 2 or 3 s-knots of drawn coefficients or
+    table rows; ``negative`` lowers it until its minimum is below 0."""
+    n = int(rng.integers(2, 4))
+    s = np.array([0.0, float(rng.uniform(0.2, 0.8)), 1.0]) if n == 3 \
+        else np.array([0.0, 1.0])
+    drop = float(rng.uniform(1.6, 2.4)) if negative else 0.0
+    kappa = rng.uniform(0.3, 1.5, size=n) - drop
+    if kind == "sampled":
+        p = np.linspace(-3.0, 3.0, 9)
+        centre = rng.uniform(-0.8, 0.8, size=n)
+        table = (rng.uniform(0.4, 0.9, size=n)[:, None]
+                 * (p[None, :] - centre[:, None]) ** 2 + kappa[:, None])
+        edge = float(np.max(np.abs(np.diff(table, axis=1) / np.diff(p))))
+        return hj.sampled_hamiltonian(s, p, table, edge + 0.5)
+    make = hj.abs_hamiltonian if kind == "abs" else hj.quadratic_hamiltonian
+    return make(alpha=rng.uniform(0.5, 2.0 if kind == "abs" else 1.5, size=n),
+                beta=rng.uniform(-0.5, 0.5, size=n), kappa=kappa, s_knots=s)
+
+
+def rough_scenario(rng, ns, horizon=0.25):
+    """A cycle A-B-C-A with a multi-edge A-B and a pendant edge C-D.
+
+    Every kind appears, on arcs whose coefficients vary in s; one or two
+    of the five arcs go negative, so the positivity shift is non-zero; the
+    limiters lie below min c_gamma and the datum is piecewise linear
+    through drawn knots.
+    """
+    net = hj.build_network(["A", "B", "C", "D"],
+                           [("e1", "A", "B"), ("e2", "A", "B"), ("e3", "B", "C"),
+                            ("e4", "C", "A"), ("e5", "C", "D")])
+    arcs = net.edge_arcs()
+    kinds = ["abs", "quadratic", "sampled",
+             *rng.choice(["abs", "quadratic", "sampled"], size=2)]
+    kinds = [kinds[i] for i in rng.permutation(len(arcs))]
+    low = set(rng.choice(len(arcs), size=int(rng.integers(1, 3)),
+                         replace=False).tolist())
+    fam = hj.family_from_edges(net, {
+        arc.id: _rough_arc(rng, kind, i in low)
+        for i, (arc, kind) in enumerate(zip(arcs, kinds))})
+    lim = {x: min(hj.c_gamma(fam[a.id]) for a in hj.incident_arcs(net, x))
+           - float(rng.uniform(0.0, 0.8)) for x in net.vertex_ids()}
+    vval = {x: float(rng.uniform(-0.5, 0.5)) for x in net.vertex_ids()}
+    s = np.linspace(0.0, 1.0, ns + 1)
+    g = {}
+    for arc in arcs:
+        knots = rng.uniform(-0.4, 0.4, size=5)
+        knots[0], knots[-1] = vval[arc.start], vval[arc.end]
+        g[arc.id] = np.interp(s, np.linspace(0.0, 1.0, 5), knots)
+    return hj.Scenario(net, fam, lim, g, horizon=horizon, ns=ns, name="rough")
+
+
 @pytest.fixture(scope="session")
 def tripod_solutions():
     """Tripod solves at three refinement levels plus the fitted tolerance."""

@@ -11,6 +11,7 @@ import hjnet as hj
 import hjnet.cli as hj_cli
 from hjnet.cli import load_solution_csv, main, write_solution_csv
 from hjnet.errors import ScenarioParseError, ValidationError
+from hjnet.network_solver import CHECK_NAMES
 from hjnet.scenario_io import parse_scenario, parse_scenario_file
 
 from conftest import make_mixed
@@ -313,12 +314,16 @@ def test_dumped_solution_roundtrips_through_verify(tmp_path):
     assert original == roundtrip
 
 
-def test_mixed_scenario_passes_the_checks_that_hold_on_it(tmp_path):
-    # one arc of each Hamiltonian kind; space_lipschitz still fails on
-    # valid input, so it is left out
+def test_mixed_scenario_passes_the_whole_battery(tmp_path):
+    # one arc of each Hamiltonian kind, at its own ns (48) and at ns 96,
+    # where a space-slope bound taken over the intersection of the sublevel
+    # sets, not set by set, failed
     scn = os.path.join(os.path.dirname(TRIPOD_SCN), "mixed.scn")
-    assert main(["run", "--scenario", scn, "--out",
-                 str(tmp_path / "mixed")]) == 0
+    for extra in ([], ["--ns", "96"]):
+        out = tmp_path / f"mixed{len(extra)}"
+        assert main(["run", "--scenario", scn, "--out", str(out), *extra]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert [c["name"] for c in report["checks"]] == list(CHECK_NAMES)
 
 
 @pytest.mark.parametrize("row, name", [("e1,0.1875,0,", "edge 'e1'"),

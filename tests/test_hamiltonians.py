@@ -307,20 +307,100 @@ def test_sublevel_width_empty(hquad):
         hj.sublevel_width(hj.quadratic_hamiltonian(kappa=2.0), 1.0)
 
 
+def _sampled_rows():
+    """Three convex rows on nine knots in [-2, 2], the extension slope 7."""
+    p = np.linspace(-2.0, 2.0, 9)
+    rows = [(p - 0.3) ** 2 + 0.2, 0.5 * np.abs(p + 0.4) + 0.6, 1.5 * p ** 2]
+    return hj.sampled_hamiltonian([0.0, 0.3, 1.0], p, rows, 7.0)
+
+
+INTERVALS = {
+    "abs": (hj.abs_hamiltonian(alpha=[1.0, 2.5, 0.7], beta=[0.3, -0.6, 0.1],
+                               kappa=[0.4, 0.9, -0.2]), 1.5),
+    # beta = 0 at s = 1, where the stable form has no sign to take
+    "quadratic": (hj.quadratic_hamiltonian(
+        alpha=[0.5, 1.5, 1.0], beta=[0.8, -0.4, 0.0], kappa=[0.9, 0.6, 1.0]),
+        3.0),
+    "sampled": (_sampled_rows(), 1.0),
+    "sampled_beyond_table": (_sampled_rows(), 12.0),
+    # M = kappa with beta = 0: q = 0, a double root at p = 0 everywhere
+    "quadratic_double_root": (hj.quadratic_hamiltonian(
+        alpha=[1.0, 2.0], beta=0.0, kappa=0.7), 0.7),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INTERVALS))
+def test_sublevel_interval_ends_lie_on_the_level(name):
+    H, M = INTERVALS[name]
+    s = np.union1d(H.s_knots, np.linspace(0.0, 1.0, 41))
+    lo, hi = hj.sublevel_interval(H, s, M)
+    assert lo.shape == hi.shape == s.shape and np.all(lo <= hi)
+    for end in (lo, hi):
+        assert np.max(np.abs(hj.evaluate(H, s, end) - M)) <= 1e-12 * (1 + M)
+    # just outside each end H exceeds M; just inside it does not
+    d = 1e-6
+    assert np.all(hj.evaluate(H, s, lo - d) > M)
+    assert np.all(hj.evaluate(H, s, hi + d) > M)
+    wide = hi - lo > 2 * d
+    assert np.all(hj.evaluate(H, s[wide], lo[wide] + d) <= M)
+    assert np.all(hj.evaluate(H, s[wide], hi[wide] - d) <= M)
+    if name == "quadratic_double_root":
+        assert not wide.any() and np.all(lo == 0.0) and np.all(hi == 0.0)
+    if name == "sampled_beyond_table":
+        assert np.all(lo < H.p_knots[0]) and np.all(hi > H.p_knots[-1])
+
+
+@pytest.mark.parametrize("name", sorted(INTERVALS))
+def test_sublevel_width_matches_a_dense_scan_of_the_intersection(name):
+    H, M = INTERVALS[name]
+    w = hj.sublevel_width(dataclasses.replace(H), M)
+    dp = 2e-3
+    p = np.arange(-2000, 2001) * dp
+    s = hamiltonians._s_check_grid(H)
+    feas = np.all(hj.evaluate(H, s[:, None], p[None, :]) <= M + 1e-12, axis=0)
+    assert w == pytest.approx(np.max(np.abs(p[feas])), abs=dp)
+
+
+def test_a_quadratic_at_its_evaluated_minimum_is_a_point_not_empty():
+    # the discriminant may round below 0 at M = min H; the node still holds
+    # the minimizer, so a stationary datum with its limiter at c_gamma plans
+    rng = np.random.default_rng(3)
+    net = hj.build_network(["a", "b"], [("e", "a", "b")])
+    s = np.linspace(0.0, 1.0, 17)
+    rounded = 0
+    for _ in range(40):
+        a, b, k = rng.uniform(0.5, 1.5), rng.uniform(-0.5, 0.5), 1.0
+        H = hj.quadratic_hamiltonian(alpha=a, beta=b, kappa=k)
+        M = global_min(H)
+        rounded += b * b - 4.0 * a * (k - M) < 0.0
+        lo, hi = hj.sublevel_interval(H, s, M)
+        assert np.all(np.abs(lo + b / (2 * a)) <= 1e-7)
+        assert np.all(np.abs(hi + b / (2 * a)) <= 1e-7)
+        cg = hj.c_gamma(H)
+        sc = hj.Scenario(net, hj.family_from_edges(net, {"e": H}),
+                         {"a": cg, "b": cg}, {"e": -b / (2 * a) * s},
+                         horizon=0.1, ns=16)
+        assert hj.verify(hj.solve(sc)).ok
+    assert rounded > 0
+    with pytest.raises(EmptySublevelError, match="is empty at s=0.0 "):
+        hj.sublevel_interval(H, s, M - 1e-9)
+
+
 def test_invariants_are_derived_once_per_hamiltonian(monkeypatch):
-    calls = {"min_over_p": 0, "columns": 0}
-    min_over_p, columns = hamiltonians._min_over_p, hamiltonians._Columns
+    calls = {"min_over_p": 0, "interval": 0}
+    min_over_p = hamiltonians._min_over_p
+    interval = hamiltonians.sublevel_interval
 
     def counted_min(H, s):
         calls["min_over_p"] += 1
         return min_over_p(H, s)
 
-    def counted_columns(hams, s):
-        calls["columns"] += 1
-        return columns(hams, s)
+    def counted_interval(H, s, M):
+        calls["interval"] += 1
+        return interval(H, s, M)
 
     monkeypatch.setattr(hamiltonians, "_min_over_p", counted_min)
-    monkeypatch.setattr(hamiltonians, "_Columns", counted_columns)
+    monkeypatch.setattr(hamiltonians, "sublevel_interval", counted_interval)
     H = hj.abs_hamiltonian(alpha=[1.0, 2.0, 1.5], beta=[0.0, 0.4, -0.2],
                            kappa=-0.5)
     fresh = dataclasses.replace(H)
@@ -333,11 +413,11 @@ def test_invariants_are_derived_once_per_hamiltonian(monkeypatch):
     assert calls["min_over_p"] == 2
 
     w = hj.sublevel_width(H, 2.0)
-    n = calls["columns"]
-    assert hj.sublevel_width(H, 2.0) == w and calls["columns"] == n
+    assert calls["interval"] == 1
+    assert hj.sublevel_width(H, 2.0) == w and calls["interval"] == 1
     assert hj.sublevel_width(fresh, 2.0) == w
     assert hj.sublevel_width(H, 3.0) > w
-    assert calls["columns"] == n + 2
+    assert calls["interval"] == 3
 
     # a replaced Hamiltonian is a new object with its own invariants
     raised = shift_hamiltonian(H, 1.0)
@@ -360,9 +440,8 @@ def _parabolas(centers):
 def _mixed_batch(M):
     """The pinned width Hamiltonians, each shifted so that its pinned level
     is M, every arc of make_mixed(48) and make_comb(0..3), and two sampled
-    ones on one knot vector: the first has fewer per-s minimizers (-0.5 and
-    0.5) than the second, and max_s H is lower between them (0.5 at p = 0,
-    1 at either), so it takes the ternary search at level 0.75."""
+    parabolas on one knot vector whose centres move with s, so that no
+    per-s minimizer minimizes max_s H."""
     hams = [shift_hamiltonian(make(), M - level)
             for _, make, level, _ in WIDTHS]
     hams += [shift_hamiltonian(_parabolas([-0.5, 0.5]), M - 0.75),
@@ -372,57 +451,68 @@ def _mixed_batch(M):
     return hams
 
 
-def test_batched_widths_equal_the_one_row_widths():
+def test_widths_are_bitwise_those_a_fresh_copy_derives():
     M = 3.0
     hams = _mixed_batch(M)
-    # the ternary cases keep every per-s minimizer above M
-    for tern in (hams[[w[0] for w in WIDTHS].index("ternary")],
-                 hams[len(WIDTHS)]):
-        s = np.union1d(tern.s_knots, np.linspace(0.0, 1.0, 257))
-        cands = np.unique(momentum_minimizer(tern, s))
-        assert hj.evaluate(tern, s, cands[:, None]).max(axis=1).min() > M
-    one = [hj.sublevel_width(dataclasses.replace(H), M) for H in hams]
-    batch = hj.sublevel_widths([dataclasses.replace(H) for H in hams], M)
-    assert [w.hex() for w in batch] == [w.hex() for w in one]
-    assert all(type(w) is float for w in batch)
+    first = [hj.sublevel_width(H, M) for H in hams]
+    assert all(type(w) is float for w in first)
+    # read back from the cache, and derived afresh by a copy of each
+    assert [hj.sublevel_width(H, M) for H in hams] == first
+    fresh = [hj.sublevel_width(dataclasses.replace(H), M) for H in hams]
+    assert [w.hex() for w in fresh] == [w.hex() for w in first]
+    for H in hams[:4]:
+        cells = hamiltonians.cell_widths(H, 48, M)
+        assert hamiltonians.cell_widths(H, 48, M) is cells
+        again = hamiltonians.cell_widths(dataclasses.replace(H), 48, M)
+        assert again.tobytes() == cells.tobytes()
 
 
-def test_batched_widths_raise_the_first_empty_sublevel():
-    ok = hj.abs_hamiltonian(kappa=0.5)
+def test_sublevel_interval_raises_at_the_first_empty_node():
+    # kappa exceeds 1 from s = 0.25 on the way up to its peak at s = 0.5,
+    # and again from s = 0.875
+    H = hj.abs_hamiltonian(kappa=[0.5, 1.5, 0.5, 2.0],
+                           s_knots=[0.0, 0.5, 0.75, 1.0])
+    s = np.linspace(0.0, 1.0, 9)
+    with pytest.raises(EmptySublevelError,
+                       match=r"^sublevel at M=1.0 is empty at s=0.375 "):
+        hj.sublevel_interval(H, s, 1.0)
+    with pytest.raises(EmptySublevelError,
+                       match=r"^sublevel at M=1.0 is empty at s=0.875 "):
+        hj.sublevel_interval(H, s[6:], 1.0)
+    hj.sublevel_interval(H, s[5:7], 1.0)    # 0.625 and 0.75 are not empty
     quad = hj.quadratic_hamiltonian(kappa=2.0)
-    tern = hj.abs_hamiltonian(alpha=1.0, beta=[-1.0, 0.3, 1.0], kappa=0.0)
-    messages = []
-    for H in (quad, tern):
-        with pytest.raises(EmptySublevelError) as err:
-            hj.sublevel_width(dataclasses.replace(H), 0.9)
-        messages.append(str(err.value))
-    for batch, want in (([ok, quad, tern], messages[0]),
-                        ([tern, ok, quad], messages[1])):
-        with pytest.raises(EmptySublevelError) as err:
-            hj.sublevel_widths([dataclasses.replace(H) for H in batch], 0.9)
-        assert str(err.value) == want
+    ternary = hj.abs_hamiltonian(alpha=1.0, beta=[-1.0, 0.3, 1.0], kappa=0.0)
+    with pytest.raises(EmptySublevelError, match="is empty at s=0.0 "):
+        hj.sublevel_width(quad, 0.9)
+    # every node's set is non-empty, but they do not meet
+    with pytest.raises(EmptySublevelError, match="do not meet"):
+        hj.sublevel_width(ternary, 0.9)
+    assert 0.9 not in quad._widths and 0.9 not in ternary._widths
 
 
-def test_batched_widths_read_and_fill_the_width_cache(monkeypatch):
-    rows = []
-    columns = hamiltonians._Columns
+def test_sublevel_width_reads_and_fills_the_width_cache(monkeypatch):
+    calls = []
+    interval = hamiltonians.sublevel_interval
 
-    def counted(hams, s, coefs=None):
-        rows.append(len(hams))
-        return columns(hams, s, coefs)
+    def counted(H, s, M):
+        calls.append(np.size(s))
+        return interval(H, s, M)
 
-    monkeypatch.setattr(hamiltonians, "_Columns", counted)
+    monkeypatch.setattr(hamiltonians, "sublevel_interval", counted)
     known = hj.abs_hamiltonian(alpha=2.0, kappa=0.5)
     new = hj.abs_hamiltonian(alpha=1.5, kappa=0.25)
     w_known = hj.sublevel_width(known, 2.0)
-    assert rows == [1]
-    widths = hj.sublevel_widths([known, new, new, known], 2.0)
-    # one group of one row: the cached row and the repeat are not redone
-    assert rows == [1, 1]
+    assert calls == [257]      # the check grid, with the s-knots on it
+    widths = [hj.sublevel_width(H, 2.0) for H in (known, new, new, known)]
+    # the cached width and the repeat are not redone
+    assert calls == [257, 257]
     w_new = new._widths[2.0]
     assert widths == [w_known, w_new, w_new, w_known]
-    assert hj.sublevel_widths([new, known], 2.0) == [w_new, w_known]
-    assert rows == [1, 1]
+    cells = hamiltonians.cell_widths(new, 24, 2.0)
+    assert calls == [257, 257, 25] and cells.shape == (24,)
+    assert hamiltonians.cell_widths(new, 24, 2.0) is cells
+    assert new._widths[24, 2.0] is cells and new._widths[2.0] == w_new
+    assert calls == [257, 257, 25]
     assert hj.sublevel_width(dataclasses.replace(new), 2.0) == w_new
 
 
@@ -575,14 +665,11 @@ def test_sorted_distinct_is_numpy_unique_bit_for_bit(values):
     assert np.array_equal(a, values)            # the input is left as it was
 
 
-def test_check_grids_and_width_candidates_are_numpy_unique_bit_for_bit():
+def test_check_grids_are_numpy_unique_bit_for_bit():
     grid = np.linspace(0.0, 1.0, 257)
     for H in _mixed_batch(3.0):
         s = hamiltonians._s_check_grid(H)
         assert s.tobytes() == np.union1d(H.s_knots, grid).tobytes()
-        p = momentum_minimizer(H, s)
-        assert (hamiltonians._sorted_distinct(p).tobytes()
-                == np.unique(p).tobytes())
 
 
 _NO_MASKED_ARRAYS = """
@@ -597,7 +684,7 @@ kinds = [hj.quadratic_hamiltonian(alpha=[1.0, 2.0], beta=[0.0, 0.5]),
          hj.abs_hamiltonian(alpha=1.5, beta=[-0.5, 0.25], kappa=1.0),
          hj.sampled_hamiltonian([0.0, 1.0], p, table, 5.0)]
 assert [hj.c_gamma(H) for H in kinds]
-assert all(w > 0 for w in hj.sublevel_widths(kinds, 4.0))
+assert all(hj.sublevel_width(H, 4.0) > 0 for H in kinds)
 
 net = hj.build_network(["x0", "x1", "x2", "x3"], [("e1", "x1", "x0"),
                        ("e2", "x2", "x0"), ("e3", "x3", "x0")])

@@ -32,27 +32,23 @@ def test_m0_joins_datum_level_and_limiter():
 
 def test_normalization_is_derived_once_per_scenario(monkeypatch):
     calls = Counter()
-    batches = []
 
     def counted(name):
         fn = getattr(network_solver, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
-            if name == "sublevel_widths":
-                batches.append(len(args[0]))
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("positive_shift", "sublevel_widths"):
+    for name in ("positive_shift", "sublevel_width"):
         monkeypatch.setattr(network_solver, name, counted(name))
     sc = make_mixed(12)
     n_edges = len(sc.network.edge_arcs())
     sol = hj.solve(sc, hj.plan_solve(sc))
     hj.verify(sol)
-    # one batch per Scenario object, covering every edge
-    assert calls == {"positive_shift": 1, "sublevel_widths": 1}
-    assert batches == [n_edges]
+    # one width per edge and Scenario object
+    assert calls == {"positive_shift": 1, "sublevel_width": n_edges}
     assert sol.constants is sc.constants
 
     # a changed input is a new object with its own record
@@ -63,8 +59,7 @@ def test_normalization_is_derived_once_per_scenario(monkeypatch):
              for a, H in sc.hamiltonians.by_arc.items()}))
     assert lowered.constants.shift == pytest.approx(sc.constants.shift + 0.5,
                                                     abs=1e-12)
-    assert calls == {"positive_shift": 2, "sublevel_widths": 2}
-    assert batches == [n_edges, n_edges]
+    assert calls == {"positive_shift": 2, "sublevel_width": 2 * n_edges}
 
 
 def test_tripod_closed_form():
@@ -323,6 +318,47 @@ def test_headroom_reads_only_the_rows_the_march_differenced():
     before, after = hj.verify(sol, checks=pair), hj.verify(kinked, checks=pair)
     assert after["headroom"] == before["headroom"]
     assert after["space_lipschitz"].margin < before["space_lipschitz"].margin
+
+
+def test_space_lipschitz_fails_on_one_raised_node_and_names_its_cell():
+    sol = hj.solve(make_mixed(48))
+    assert hj.verify(sol).ok
+    ns, eps = sol.grid.ns, hj.default_epsilon(sol)
+    const = sol.constants
+    bound = hamiltonians.cell_widths(const.hamiltonians["e3"], ns, const.m0)
+    # lift node j of one time row until cell j - 1 climbs 2 eps over its
+    # bound; cell j, now falling, may exceed its own bound too
+    f = sol.fields["e3"].copy()
+    k, j = sol.grid.nt // 2, 12
+    f[k, j] = f[k, j - 1] + (bound[j - 1] + 2.0 * eps) / ns
+    raised = dataclasses.replace(sol, fields={**sol.fields, "e3": f})
+    space = hj.verify(raised, checks=["space_lipschitz"])["space_lipschitz"]
+    assert not space.ok and space.margin <= -eps
+    assert space.witness["edge"] == "e3"
+    assert space.witness["s"] in ((j - 0.5) / ns, (j + 0.5) / ns)
+
+
+@pytest.mark.parametrize("ns", [24, 48, 96, 192])
+def test_whole_battery_holds_on_make_mixed(ns):
+    # on e4 the slopes reach past the width of the intersection over s of
+    # the sublevel sets, but not past the pointwise widths
+    rep = hj.verify(hj.solve(make_mixed(ns)))
+    assert rep.ok, [c.name for c in rep.checks if not c.ok]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_whole_battery_holds_on_rough_scenarios(seed):
+    # s-dependent coefficients of all three kinds on a cycle with a
+    # multi-edge and a pendant edge, a non-zero positivity shift: here the
+    # widths at each node and of the intersection over s differ
+    from conftest import rough_scenario
+    for ns in (32, 96):
+        sc = rough_scenario(np.random.default_rng(seed), ns)
+        assert sc.constants.shift > 0.0
+        assert {H.kind for H in sc.hamiltonians.by_arc.values()} \
+            == {"abs", "quadratic", "sampled"}
+        rep = hj.verify(hj.solve(sc))
+        assert rep.ok, (ns, [c.name for c in rep.checks if not c.ok])
 
 
 def test_solve_rejects_nonnegative_shifted_limiter():

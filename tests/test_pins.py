@@ -3,10 +3,14 @@
 The digests and hex values were taken from the scalar-loop implementation
 the batched marching kernel replaced; the kernel must reproduce every bit.
 The margins digests were retaken when the headroom check replaced the window
-check, again when the inverse_consistency check was retired, and again when
-the two time checks moved from per-step rates to value forms; every other
+check, again when the inverse_consistency check was retired, again when
+the two time checks moved from per-step rates to value forms, and again when
+space_lipschitz moved to per-cell pointwise sublevel widths; every other
 check row kept its margin bit for bit.  The CSV digests
-were taken from the per-cell writer the row-template writer replaced.
+were taken from the per-cell writer the row-template writer replaced.  The
+width pins, and the mixed CSV digest (e5's theta reads its width), were
+retaken when closed-form sublevel sets replaced a bisection: the widths
+moved by at most 2 ulps, and the ternary one to its exact value.
 """
 
 import contextlib
@@ -72,7 +76,7 @@ PINS = {
         "vertex":
             "5c062d6d434e73fb26f94cef24df293c2549ab90ac5298a9e85d8559e304881a",
         "margins":
-            "23dc9a3498b6bc81bd82fb5224321a9575ff966c3ed6cb4d709e611f47db4461",
+            "7e5b885fd4a5d0e9ce7dad49532044a98b0c35f0f58f3a0ed1a1f60f8ab1e5f4",
         "transforms":
             "de00c0164fae10cc81b01adf8669585e31a950538e172e593349cc72503ae561",
         "transforms_default":
@@ -84,7 +88,7 @@ PINS = {
         "vertex":
             "18434e1d6adeabb8bb0a26cbc9cb7873534844eef9947e38c9dfc1718a022c4b",
         "margins":
-            "d314efafde9278c9cffe13de0f233015b8f65719fe15509199bdd1dc98d61b25",
+            "cc6392eec9ca07d26573f0aea2fd20f74df5c571ea265152a9919b6526dd7b87",
         "transforms":
             "0f61fbf39708c7c4b1abcd09c6172451caf8185ad095576f5210b355ea874821",
         "transforms_default":
@@ -96,7 +100,7 @@ PINS = {
         "vertex":
             "1516eb5c8ca614e4ab8ce158f97a17b178a5d234bcfbc63f71001bd40ccf77ec",
         "margins":
-            "faf7142805d7a3f1e73db95ce5768a030be7ee0a68a55d3c137ae647179c53d8",
+            "edff65770e12ad0414cd29fce9aae18f5b0e8159b8c24d82d5d91cd61dba153c",
         "transforms":
             "edb2f3520f63fb19a3ee7927cce0d873b7a5055581a5207e66739154514829c4",
         "transforms_default":
@@ -123,7 +127,8 @@ def test_solution_verify_and_certificate_are_bitwise_pinned(name):
 
 def _ternary_h():
     # the per-s minimizers beta(s) miss the minimizer 0 of max_s H(s, p)
-    # = |p| + 1, so at M = 1.002 every candidate lies above M
+    # = |p| + 1 (a search from them needed a ternary step); at M = 1.002 the
+    # node sets meet in [-0.002, 0.002], and below M = 1 not at all
     return hj.abs_hamiltonian(alpha=1.0, beta=[-1.0, 0.3, 1.0], kappa=0.0)
 
 
@@ -139,13 +144,13 @@ def _sampled_h():
 WIDTHS = [
     ("abs", lambda: hj.abs_hamiltonian(
         alpha=[1.0, 2.0], beta=[0.1, -0.3], kappa=[0.5, 0.8]),
-     2.0, "0x1.ccccccccccccep-1"),
+     2.0, "0x1.cccccccccccccp-1"),
     ("quadratic", lambda: hj.quadratic_hamiltonian(
         alpha=[0.5, 1.5, 1.0], beta=[0.2, -0.4, 0.1], kappa=[0.9, 0.6, 1.0]),
-     3.0, "0x1.5d770214308b5p+0"),
-    ("sampled", _sampled_h, 2.5, "0x1.8313f8313f830p+0"),
+     3.0, "0x1.5d770214308b4p+0"),
+    ("sampled", _sampled_h, 2.5, "0x1.8313f8313f831p+0"),
     ("sampled_beyond_table", _sampled_h, 12.0, "0x1.d613caa613cacp+1"),
-    ("ternary", _ternary_h, 1.002, "0x1.0624dd2f1aaffp-9"),
+    ("ternary", _ternary_h, 1.002, "0x1.0624dd2f1aa00p-9"),
 ]
 
 
@@ -179,7 +184,7 @@ CSV_PINS = {
     },
     "mixed": {
         "solution.csv":
-            "e6c1cd12f37f73f3d75024bee8ca78050bb0f13a61b2605118ff697972385109",
+            "d1a974bc549546d000d8ab5a69f5f61b55fd6162bc771bd4187d8be093b1088c",
         "vertex_traces.csv":
             "8e8edb27ac947721d7d4c304edb3b15554734b0005dae6af8cc2186555cdc5c7",
     },
