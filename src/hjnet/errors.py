@@ -60,4 +60,4 @@ class GridMismatchError(ValidationError):
 
 
 class EmptySublevelError(HJNetError):
-    """Requested sublevel set {p : H(s,p) <= M for all s} is empty."""
+    """A requested sublevel set {p : H(s,p) <= M} is empty at some node s."""

@@ -14,7 +14,9 @@ critical value c_gamma, stationary-subsolution levels, sublevel sets and
 widths, momentum Lipschitz constants) computable in closed form instead of
 being estimated; at one s the sublevel set {p : H(s,p) <= M} is an interval
 whose ends are roots of a linear or quadratic equation, or the crossings of
-a piecewise-linear row.
+a piecewise-linear row.  Its width is pointwise, max(|lo|, |hi|) at one s,
+the bound that H(s, u_s) <= M puts on the slope there; the slope bound of
+an arc is the largest over its nodes, and of a cell the larger at its ends.
 
 Orientation reversal obeys H_rev(s, p) = H(1 - s, -p), so a family defined on
 forward arcs extends uniquely to the inverse arcs.
@@ -62,13 +64,15 @@ class ArcHamiltonian:
     Its arrays are never written in place (``replace`` makes a new object),
     so the invariants derived on the check grid are cached on the object:
     min_p H and the two floats ``c_gamma`` and ``global_min`` read from it,
-    the ``sublevel_width`` of every level asked for and the ``cell_widths``
-    of every (ns, level), the ``shift_hamiltonian`` copy of every shift
-    asked for, the momentum minimizers at s = 0 and s = 1, the column
-    coefficients at the nodes of every ns-cell grid a march asks for and at
-    the cell midpoints of every datum grid a subsolution level asks for, and
-    behind ``momentum_lipschitz`` max alpha and max |beta| of the symbolic
-    kinds or the knot columns and slope maxima of the sampled kind.
+    the pointwise sublevel widths, as the ``sublevel_width`` of every level
+    asked for and the ``cell_widths`` of every (ns, level), the
+    ``shift_hamiltonian`` copy of every shift asked for, the momentum
+    minimizers at s = 0 and s = 1, the column coefficients at the nodes of
+    every ns-cell grid a march asks for (which also give the peak of min_p H
+    there) and at the cell midpoints of every datum grid a subsolution level
+    asks for, and behind ``momentum_lipschitz`` max alpha and max |beta| of
+    the symbolic kinds or the knot columns and slope maxima of the sampled
+    kind.
     """
 
     kind: str
@@ -443,6 +447,21 @@ def subsolution_levels(hams, data):
     return levels.tolist()
 
 
+def _lowest(H, coefs):
+    """min_p H at the nodes whose ``_coefficients`` are coefs: kappa, the
+    vertex value kappa - beta^2 / (4 alpha), or the least table entry."""
+    if H.kind == "sampled":
+        return np.min(coefs, axis=1)
+    a, b, k = coefs
+    return k if H.kind == "abs" else k - b * b / (4.0 * a)
+
+
+def _grid_peak(H, ns):
+    """max over the nodes of the ns-cell grid of min_p H, read from the
+    coefficients a march at ns caches there."""
+    return float(np.max(_lowest(H, _grid_coefficients(H, ns))))
+
+
 def sublevel_interval(H, s, M):
     """The ends (lo, hi) of {p : H(s, p) <= M} at each node s, in closed form.
 
@@ -457,12 +476,8 @@ def sublevel_interval(H, s, M):
     EmptySublevelError, the first such node named.
     """
     s = _check_s(np.atleast_1d(s))
-    if H.kind == "sampled":
-        rows = _sampled_rows_at(H, s)
-        low = np.min(rows, axis=1)
-    else:
-        a, b, k = _coefficients(H, s)
-        low = k if H.kind == "abs" else k - b * b / (4.0 * a)
+    coefs = _coefficients(H, s)
+    low = _lowest(H, coefs)
     miss = low - M > _LEVEL_SLACK * (1.0 + abs(M))
     if miss.any():
         i = int(np.argmax(miss))
@@ -470,11 +485,12 @@ def sublevel_interval(H, s, M):
                                  f"s={float(s[i])} (min {float(low[i])})")
     level = np.maximum(low, M)
     if H.kind == "sampled":
-        below = rows <= level[:, None]
+        below = coefs <= level[:, None]
         first = np.argmax(below, axis=1)
         last = below.shape[1] - 1 - np.argmax(below[:, ::-1], axis=1)
-        return (_crossing(H, rows, level, first, first - 1),
-                _crossing(H, rows, level, last, last + 1))
+        return (_crossing(H, coefs, level, first, first - 1),
+                _crossing(H, coefs, level, last, last + 1))
+    a, b, k = coefs
     if H.kind == "abs":
         r = (level - k) / a
         return b - r, b + r
@@ -500,33 +516,33 @@ def _crossing(H, rows, level, at, out):
     return pk[at] + np.sign(out - at) * ((level - v) * run / rise)
 
 
-def sublevel_width(H, M):
-    """max{|p| : H(s,p) <= M for every s on the check grid}: the larger
-    |end| of [max_s lo(s), min_s hi(s)], the intersection of the
-    ``sublevel_interval``s, cached per level.
+def _node_widths(H, s, M):
+    """max(|lo|, |hi|) of ``sublevel_interval`` at each node s: the bound
+    that H(s, u_s) <= M puts on |u_s| there."""
+    lo, hi = sublevel_interval(H, s, M)
+    return np.maximum(np.abs(lo), np.abs(hi))
 
-    Raises EmptySublevelError when a node's set or the intersection is empty.
+
+def sublevel_width(H, M):
+    """The largest pointwise width max{|p| : H(s,p) <= M} over the nodes s
+    of the check grid: the slope bound that H(s, u_s) <= M gives on the
+    whole arc, cached per level.
+
+    Raises EmptySublevelError when a node's set is empty.
     """
     if M not in H._widths:
-        lo, hi = sublevel_interval(H, _s_check_grid(H), M)
-        left, right = float(np.max(lo)), float(np.min(hi))
-        if left > right:
-            raise EmptySublevelError(
-                f"sublevel at M={M} is empty: the node sets do not meet "
-                f"({left} > {right})")
-        H._widths[M] = max(abs(left), abs(right))
+        H._widths[M] = float(np.max(_node_widths(H, _s_check_grid(H), M)))
     return H._widths[M]
 
 
 def cell_widths(H, ns, M):
-    """Per cell of the ns-cell grid, the larger of the pointwise widths
-    max(|lo|, |hi|) of {p : H(s, p) <= M} at its two nodes: the bound that
-    H(s, u_s) <= M puts on |u_s| in the cell.  Derived once per (H, ns, M).
+    """Per cell of the ns-cell grid, the larger of the pointwise widths at
+    its two nodes: the bound that H(s, u_s) <= M puts on |u_s| in the cell.
+    Derived once per (H, ns, M).
     """
     key = (ns, M)
     if key not in H._widths:
-        lo, hi = sublevel_interval(H, np.linspace(0.0, 1.0, ns + 1), M)
-        w = np.maximum(np.abs(lo), np.abs(hi))
+        w = _node_widths(H, np.linspace(0.0, 1.0, ns + 1), M)
         H._widths[key] = np.maximum(w[:-1], w[1:])
     return H._widths[key]
 

@@ -48,6 +48,7 @@ from .errors import (
 )
 from .hamiltonians import (
     HamiltonianFamily,
+    _grid_peak,
     cell_widths,
     global_min,
     momentum_lipschitz,
@@ -93,7 +94,7 @@ class SolveConstants:
 
     shift: float            # a: every H raised by a, every c_x lowered by a
     m0: float               # slope budget of the normalized problem
-    l_bound: dict           # edge id -> space-slope bound at m0
+    l_bound: dict           # edge id -> largest pointwise width at m0
     hamiltonians: HamiltonianFamily = field(compare=False, repr=False)
     limiter: dict = field(compare=False, repr=False)  # shifted c_x
 
@@ -209,12 +210,15 @@ def with_resolution(sc: Scenario, ns: int) -> Scenario:
 
 
 def compute_m0(sc: Scenario) -> float:
-    """Time-slope budget: datum stationary level joined with max |c_x|."""
+    """Time-slope budget: datum stationary level joined with max |c_x| and
+    with the largest min_p H at the field nodes, so that the sublevel set at
+    m0 is non-empty at every node the checks read."""
     arcs = sc.network.edge_arcs()
-    level = max(subsolution_levels([sc.hamiltonians[a.id] for a in arcs],
-                                   [sc.initial[a.id] for a in arcs]))
+    hams = [sc.hamiltonians[a.id] for a in arcs]
+    level = max(subsolution_levels(hams, [sc.initial[a.id] for a in arcs]))
     cmax = max(abs(c) for c in sc.limiter_values().values())
-    return max(level, cmax)
+    peak = max(_grid_peak(H, sc.ns) for H in hams)
+    return max(level, cmax, peak)
 
 
 @dataclass(frozen=True)

@@ -178,13 +178,14 @@ def _rough_arc(rng, kind, negative):
                 beta=rng.uniform(-0.5, 0.5, size=n), kappa=kappa, s_knots=s)
 
 
-def rough_scenario(rng, ns, horizon=0.25):
+def rough_scenario(rng, ns, horizon=0.25, at_c_gamma=False):
     """A cycle A-B-C-A with a multi-edge A-B and a pendant edge C-D.
 
     Every kind appears, on arcs whose coefficients vary in s; one or two
     of the five arcs go negative, so the positivity shift is non-zero; the
     limiters lie below min c_gamma and the datum is piecewise linear
-    through drawn knots.
+    through drawn knots.  With ``at_c_gamma`` the same draws give limiters
+    at min c_gamma and a zero datum.
     """
     net = hj.build_network(["A", "B", "C", "D"],
                            [("e1", "A", "B"), ("e2", "A", "B"), ("e3", "B", "C"),
@@ -207,6 +208,10 @@ def rough_scenario(rng, ns, horizon=0.25):
         knots = rng.uniform(-0.4, 0.4, size=5)
         knots[0], knots[-1] = vval[arc.start], vval[arc.end]
         g[arc.id] = np.interp(s, np.linspace(0.0, 1.0, 5), knots)
+    if at_c_gamma:
+        lim = {x: min(hj.c_gamma(fam[a.id]) for a in hj.incident_arcs(net, x))
+               for x in net.vertex_ids()}
+        g = {arc.id: np.zeros(ns + 1) for arc in arcs}
     return hj.Scenario(net, fam, lim, g, horizon=horizon, ns=ns, name="rough")
 
 

@@ -316,14 +316,24 @@ def test_dumped_solution_roundtrips_through_verify(tmp_path):
 
 def test_mixed_scenario_passes_the_whole_battery(tmp_path):
     # one arc of each Hamiltonian kind, at its own ns (48) and at ns 96,
-    # where a space-slope bound taken over the intersection of the sublevel
-    # sets, not set by set, failed
+    # where a space-slope bound that was not taken set by set failed
     scn = os.path.join(os.path.dirname(TRIPOD_SCN), "mixed.scn")
     for extra in ([], ["--ns", "96"]):
         out = tmp_path / f"mixed{len(extra)}"
         assert main(["run", "--scenario", scn, "--out", str(out), *extra]) == 0
         report = json.loads((out / "report.json").read_text())
         assert [c["name"] for c in report["checks"]] == list(CHECK_NAMES)
+
+
+def test_drift_scenario_passes_the_whole_battery(tmp_path):
+    # the minimizer of H drifts with s, so the sublevel sets at m0 share no
+    # momentum: a slope budget read off their intersection had none to give
+    scn = os.path.join(os.path.dirname(TRIPOD_SCN), "drift.scn")
+    out = tmp_path / "drift"
+    assert main(["run", "--scenario", scn, "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert [c["name"] for c in report["checks"]] == list(CHECK_NAMES)
+    assert report["ok"] and all(c["ok"] for c in report["checks"])
 
 
 @pytest.mark.parametrize("row, name", [("e1,0.1875,0,", "edge 'e1'"),

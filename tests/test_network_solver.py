@@ -340,20 +340,30 @@ def test_space_lipschitz_fails_on_one_raised_node_and_names_its_cell():
 
 @pytest.mark.parametrize("ns", [24, 48, 96, 192])
 def test_whole_battery_holds_on_make_mixed(ns):
-    # on e4 the slopes reach past the width of the intersection over s of
-    # the sublevel sets, but not past the pointwise widths
+    # on e4 the slopes reach past every momentum that the sublevel sets at
+    # all s share, but not past the width at their own nodes
     rep = hj.verify(hj.solve(make_mixed(ns)))
     assert rep.ok, [c.name for c in rep.checks if not c.ok]
 
 
-@pytest.mark.parametrize("seed", range(12))
-def test_whole_battery_holds_on_rough_scenarios(seed):
+# draws whose sublevel sets at m0 share no momentum, or share too few for
+# the slopes the scheme reaches, once the limiters sit at min c_gamma
+_AT_C_GAMMA = (56, 85, 96, 124, 130, 137)
+
+
+@pytest.mark.parametrize(
+    "seed,at_c_gamma",
+    [(seed, False) for seed in range(12)]
+    + [(seed, True) for seed in _AT_C_GAMMA],
+    ids=[*map(str, range(12)), *(f"at_c_gamma-{s}" for s in _AT_C_GAMMA)])
+def test_whole_battery_holds_on_rough_scenarios(seed, at_c_gamma):
     # s-dependent coefficients of all three kinds on a cycle with a
     # multi-edge and a pendant edge, a non-zero positivity shift: here the
-    # widths at each node and of the intersection over s differ
+    # sublevel widths differ from node to node
     from conftest import rough_scenario
-    for ns in (32, 96):
-        sc = rough_scenario(np.random.default_rng(seed), ns)
+    for ns in (37,) if at_c_gamma else (32, 96):
+        sc = rough_scenario(np.random.default_rng(seed), ns,
+                            at_c_gamma=at_c_gamma)
         assert sc.constants.shift > 0.0
         assert {H.kind for H in sc.hamiltonians.by_arc.values()} \
             == {"abs", "quadratic", "sampled"}

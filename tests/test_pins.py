@@ -10,7 +10,12 @@ check row kept its margin bit for bit.  The CSV digests
 were taken from the per-cell writer the row-template writer replaced.  The
 width pins, and the mixed CSV digest (e5's theta reads its width), were
 retaken when closed-form sublevel sets replaced a bisection: the widths
-moved by at most 2 ulps, and the ternary one to its exact value.
+moved by at most 2 ulps, and the ternary one to its exact value.  They were
+retaken again, with the mixed row and both mixed CSV digests, when the width
+became the largest pointwise width over s instead of the width of the
+intersection of the sets over s: every width pin has coefficients that vary
+with s, and on make_mixed e3's and e5's thetas read their widths.  The
+tripod and path rows, whose coefficients are constant in s, did not move.
 """
 
 import contextlib
@@ -96,15 +101,15 @@ PINS = {
     },
     "mixed": {
         "fields":
-            "44d15bc7624939e202a1cf87408be597039cd7f808e92ad784e8809103d21968",
+            "1badf74d3a143666af51bac45e9bd33133e9de8d7a1ca37445e558156c322eea",
         "vertex":
-            "1516eb5c8ca614e4ab8ce158f97a17b178a5d234bcfbc63f71001bd40ccf77ec",
+            "9bf5b6709445270685c998ce1b2244116eeb088e6f8267deaa6b90891a45939f",
         "margins":
-            "edff65770e12ad0414cd29fce9aae18f5b0e8159b8c24d82d5d91cd61dba153c",
+            "7bb9e7a64ea9737f50842d398ca3d8a5a6909e43a5a84f94807a16291c67157b",
         "transforms":
-            "edb2f3520f63fb19a3ee7927cce0d873b7a5055581a5207e66739154514829c4",
+            "fd83b05e3c0d50c7a97c252450c3ac5c680fba7aeaf7e719fbe9e4073c5eee34",
         "transforms_default":
-            "3f55a005a392f08b1fe99613ccf2b58506c29761bf4c888d5e3e23b3030d9ecf",
+            "d965efbfa2c2bbc899405652d7f26d88444d280b37c822b5e8839a996a60e91a",
     },
 }
 
@@ -126,9 +131,9 @@ def test_solution_verify_and_certificate_are_bitwise_pinned(name):
 
 
 def _ternary_h():
-    # the per-s minimizers beta(s) miss the minimizer 0 of max_s H(s, p)
-    # = |p| + 1 (a search from them needed a ternary step); at M = 1.002 the
-    # node sets meet in [-0.002, 0.002], and below M = 1 not at all
+    # the per-s minimizers beta(s) run from -1 to 1, so at M = 1.002 the
+    # node sets share only [-0.002, 0.002]; the width is the widest node's,
+    # 1 + 1.002 at s = 0 and s = 1
     return hj.abs_hamiltonian(alpha=1.0, beta=[-1.0, 0.3, 1.0], kappa=0.0)
 
 
@@ -144,13 +149,13 @@ def _sampled_h():
 WIDTHS = [
     ("abs", lambda: hj.abs_hamiltonian(
         alpha=[1.0, 2.0], beta=[0.1, -0.3], kappa=[0.5, 0.8]),
-     2.0, "0x1.cccccccccccccp-1"),
+     2.0, "0x1.999999999999ap+0"),
     ("quadratic", lambda: hj.quadratic_hamiltonian(
         alpha=[0.5, 1.5, 1.0], beta=[0.2, -0.4, 0.1], kappa=[0.9, 0.6, 1.0]),
-     3.0, "0x1.5d770214308b4p+0"),
-    ("sampled", _sampled_h, 2.5, "0x1.8313f8313f831p+0"),
-    ("sampled_beyond_table", _sampled_h, 12.0, "0x1.d613caa613cacp+1"),
-    ("ternary", _ternary_h, 1.002, "0x1.0624dd2f1aa00p-9"),
+     3.0, "0x1.212b0aac533a0p+1"),
+    ("sampled", _sampled_h, 2.5, "0x1.f7fa565b131cap+0"),
+    ("sampled_beyond_table", _sampled_h, 12.0, "0x1.0b85cef385cf0p+2"),
+    ("ternary", _ternary_h, 1.002, "0x1.004189374bc6ap+1"),
 ]
 
 
@@ -161,8 +166,11 @@ def test_sublevel_width_is_bitwise_pinned(name, make, M, pinned):
 
 
 def test_sublevel_width_empty_after_ternary_search():
-    with pytest.raises(EmptySublevelError, match="is empty"):
-        hj.sublevel_width(_ternary_h(), 0.9)
+    # a level below min H = 0 at every node names the first node
+    with pytest.raises(EmptySublevelError,
+                       match=r"^sublevel at M=-0.1 is empty at s=0.0 "
+                             r"\(min 0.0\)$"):
+        hj.sublevel_width(_ternary_h(), -0.1)
 
 
 CSV_PINS = {
@@ -184,9 +192,9 @@ CSV_PINS = {
     },
     "mixed": {
         "solution.csv":
-            "d1a974bc549546d000d8ab5a69f5f61b55fd6162bc771bd4187d8be093b1088c",
+            "3b14b57d22d5e35d69292f5be6707bfce5e5c82966778037fbbfad56afdc4928",
         "vertex_traces.csv":
-            "8e8edb27ac947721d7d4c304edb3b15554734b0005dae6af8cc2186555cdc5c7",
+            "2ef7a11c3f8b4588f6e32f3a17db830d577ecc08efae25b7506bae4bc2e1b124",
     },
 }
 
