@@ -11,14 +11,11 @@ propagation) into executable checks.
 
 from .arc_solver import (
     ArcField,
-    BoundaryMode,
     Grid2D,
     constrained,
     free,
     max_subsolution,
     propagation_window,
-    subsolution_residual,
-    supersolution_residual,
 )
 from .hamiltonians import (
     ArcHamiltonian,

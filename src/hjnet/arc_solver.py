@@ -24,20 +24,21 @@ One stepper takes every step: ``_ArcStepper``, built once per march or
 scan on an (R, ns + 1) stack of arc rows of any kinds with per-row theta.
 It groups the rows by kind (by momentum-knot vector, for the sampled kind)
 and is bound to its state: an array of its own that a march seeds, or the
-caller's C-contiguous rows, which a residual scan binds without a copy.
+caller's C-contiguous rows, which the residual scan binds without a copy.
 All of its views and each kind group's evaluator are bound at
 construction, and it has one stencil: ``advance()`` steps the state in
 place on flat buffers, rows back to back, one contiguous call per stencil
 operation (the entries straddling two rows are junk, overwritten by the end
-clip or zeroed), and ``hhat()``, its first half, is what the residual scans
-read.  One loop, ``_march``, marches it and its end groups: a network
+clip or zeroed), and ``hhat()``, its first half, is what the residual scan
+reads.  One loop, ``_march``, marches it and its end groups: a network
 vertex, capped at v + c_x dt, or a constrained side of an arc with lateral
 data (``max_subsolution`` and the certificate's arc transforms), capped at
 its datum.  A marched field is an ``ArcField``: its grid, values and
 marching theta.
 
-Also provided: residual scans, and the finite-speed window within which
-lateral data cannot reach an arc's interior.
+Also provided: the interior residual scan that ``verify`` runs, and the
+finite-speed window within which lateral data cannot reach an arc's
+interior.
 """
 
 from __future__ import annotations
@@ -64,13 +65,10 @@ from .hamiltonians import (
 
 __all__ = [
     "Grid2D",
-    "BoundaryMode",
     "ArcField",
     "free",
     "constrained",
     "max_subsolution",
-    "subsolution_residual",
-    "supersolution_residual",
     "propagation_window",
     "default_dissipation",
 ]
@@ -106,21 +104,15 @@ class Grid2D:
         return self.t0 + self.dt * np.arange(self.nt + 1)
 
 
-@dataclass(frozen=True)
-class BoundaryMode:
-    kind: str  # "free" | "constrained"
-    datum: np.ndarray | None = None
+def free():
+    """State-constraint side, which takes no datum: None."""
+    return None
 
 
-def free() -> BoundaryMode:
-    """State-constraint side: no incoming datum."""
-    return BoundaryMode("free")
-
-
-def constrained(datum) -> BoundaryMode:
-    """Side where the trace must stay at or below the datum."""
-    datum = np.asarray(getattr(datum, "values", datum), dtype=float)
-    return BoundaryMode("constrained", datum)
+def constrained(datum) -> np.ndarray:
+    """Side where the trace must stay at or below the datum: its values as
+    a float array."""
+    return np.asarray(getattr(datum, "values", datum), dtype=float)
 
 
 @dataclass(eq=False)
@@ -225,19 +217,18 @@ class _ArcStepper:
         self.hh, self.hhat, self.advance = hh, hhat, advance
 
 
-def default_dissipation(H, initial, left=None, right=None, dt=None):
+def default_dissipation(H, initial, left, right, dt):
     """Dissipation coefficient covering the run's expected slope range.
 
     The slope budget combines the stationary level of the initial datum with
-    the lateral data's time-Lipschitz constants, widened to the sublevel
-    width those imply, plus headroom.  A side is a BoundaryMode, a datum
-    series, or None for a free side.
+    the lateral data's time-Lipschitz constants on steps of dt, widened to
+    the sublevel width those imply, plus headroom.  A side is its datum on
+    the time grid, an array, or None for a free side.
     """
     initial = np.asarray(initial, dtype=float)
     level = subsolution_level(H, initial)
-    for side in (left, right):
-        datum = getattr(side, "datum", side)
-        if datum is not None and datum.size > 1 and dt is not None:
+    for datum in (left, right):
+        if datum is not None and datum.size > 1:
             level = max(level, float(np.max(np.abs(np.diff(datum)))) / dt)
     gmax = float(np.max(np.abs(np.diff(initial)))) * (initial.size - 1)
     try:
@@ -343,13 +334,15 @@ def _march_arcs(hams, init, left, right, grid, theta, record):
 def max_subsolution(H, initial, left, right, grid, theta=None) -> ArcField:
     """March the monotone scheme; converges to the maximal subsolution.
 
-    initial is sampled on the s-grid; left/right are BoundaryMode.  The
-    returned field solves the discrete equation exactly at interior nodes,
-    matches the initial datum exactly at t0, and keeps constrained traces at
-    or below their datum.  It is the one-arc case of the stack march.
+    initial is sampled on the s-grid; a side, left or right, is its datum
+    on the time grid, an array (``constrained``), or None for a free side
+    (``free``).  The returned field solves the discrete equation exactly at
+    interior nodes, matches the initial datum exactly at t0, and keeps
+    constrained traces at or below their datum.  It is the one-arc case of
+    the stack march.
     """
-    values, theta = _march_arcs([H], [initial], [left.datum], [right.datum],
-                                grid, [theta], slice(None))
+    values, theta = _march_arcs([H], [initial], [left], [right], grid,
+                                [theta], slice(None))
     return ArcField(grid=grid, values=values[0], theta=theta[0])
 
 
@@ -360,28 +353,6 @@ def _interior_residuals(u, u_t, H, theta, dt):
         return np.zeros((0, max(u.shape[1] - 2, 0)))
     hh = _ArcStepper([H], u.shape[1] - 1, theta, dt, state=u[:-1]).hhat()
     return u_t[:, 1:-1] + hh[:, 1:-1]
-
-
-def _field_residuals(field: ArcField, H, theta):
-    if theta is None:
-        theta = field.theta
-    if theta is None:  # a hand-built field: cover its own largest slope
-        slope = np.max(np.abs(np.diff(field.values, axis=1))) * field.grid.ns
-        theta = momentum_lipschitz(H, float(slope) + 1.0)
-    u, dt = np.ascontiguousarray(field.values), field.grid.dt
-    return _interior_residuals(u, np.diff(u, axis=0) / dt, H, theta, dt)
-
-
-def subsolution_residual(field, H, theta=None) -> float:
-    """Positive part of the worst interior violation of u_t + Hhat <= 0."""
-    r = _field_residuals(field, H, theta)
-    return float(max(0.0, np.max(r, initial=-np.inf)))
-
-
-def supersolution_residual(field, H, theta=None) -> float:
-    """Positive part of the worst interior violation of u_t + Hhat >= 0."""
-    r = _field_residuals(field, H, theta)
-    return float(max(0.0, -np.min(r, initial=np.inf)))
 
 
 def propagation_window(H, lipschitz_bound) -> float:

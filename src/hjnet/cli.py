@@ -3,7 +3,7 @@
     hjnet run --scenario tripod.scn --out results [--t-final 2] [--ns 200]
               [--cfl 0.9] [--checks all|none|a,b,c] [--refine 2]
               [--dump-slices 0.5,1.0]
-    hjnet oracle --oracle g|refine|hopflax [--scenario ...] [--out ...]
+    hjnet oracle --oracle g|refine [--scenario ...] [--out ...]
 
 Exit codes: 0 all enabled checks passed; 1 a check or oracle comparison
 failed; 2 scenario parse, validation, planning or solve errors.  CSV
@@ -368,50 +368,12 @@ def _oracle_refine(args, outdir):
     return 0 if ok else 1
 
 
-def _oracle_hopflax(args, outdir):
-    scenario, _ = parse_scenario_file(args.scenario, ns=args.ns,
-                                      horizon=args.t_final, cfl=args.cfl)
-    params = plan_solve(scenario)
-    g = Grid2D(params.ns, scenario.t0, params.dt, params.nt)
-    s = g.s_nodes()
-    t = g.t_nodes()
-    rows = []
-    for arc in scenario.network.edge_arcs():
-        H = scenario.hamiltonians[arc.id]
-        if H.kind != "abs" or np.ptp(H.alpha) or np.ptp(H.beta) \
-                or np.ptp(H.kappa) or H.beta[0] != 0.0:
-            print("error: hopflax oracle needs H = alpha |p| + kappa with "
-                  "constant coefficients", file=sys.stderr)
-            return 2
-        alpha, kappa = float(H.alpha[0]), float(H.kappa[0])
-        gdat = np.asarray(scenario.initial[arc.id], dtype=float)
-        for k, tk in enumerate(t):
-            reach = alpha * (tk - t[0])
-            for i, si in enumerate(s):
-                lo, hi = max(0.0, si - reach), min(1.0, si + reach)
-                val = _pl_min(gdat, s, lo, hi) - kappa * (tk - t[0])
-                rows.append((arc.id, si, tk, val))
-    _write_csv(os.path.join(outdir, "hopflax.csv"),
-               ["arc_id", "s", "t", "u"], rows)
-    print("PASS hopflax oracle")
-    return 0
-
-
-def _pl_min(vals, s, lo, hi):
-    """Exact min of the piecewise-linear interpolant of vals over [lo, hi]."""
-    inner = vals[(s >= lo) & (s <= hi)]
-    cands = [np.interp(lo, s, vals), np.interp(hi, s, vals)]
-    if inner.size:
-        cands.append(float(np.min(inner)))
-    return float(min(cands))
-
-
 def _check_oracle_flags(args):
     """Raise ValidationError for a flag the chosen oracle cannot run with."""
-    if args.oracle in ("refine", "hopflax"):
+    if args.oracle == "refine":
         rules = [(args.scenario is not None,
-                  f"--oracle {args.oracle} needs --scenario"),
-                 (args.oracle != "refine" or args.refine >= 2,
+                  "--oracle refine needs --scenario"),
+                 (args.refine >= 2,
                   "--refine must be at least 2 for --oracle refine")]
     else:
         rules = [(args.length >= 1, "--length must be at least 1"),
@@ -424,8 +386,7 @@ def _check_oracle_flags(args):
             raise ValidationError(message)
 
 
-_ORACLES = {"g": _oracle_g, "refine": _oracle_refine,
-            "hopflax": _oracle_hopflax}
+_ORACLES = {"g": _oracle_g, "refine": _oracle_refine}
 
 
 def _cmd_oracle(args):

@@ -24,8 +24,9 @@
 
 Each edge line declares the Hamiltonian of the forward arc; the inverse
 arc's Hamiltonian is derived from the reversal law.  Edges without an
-[initial] line start from zero.  Parse failures raise ScenarioParseError
-with the offending line number.
+[initial] line start from zero.  A key the edge's kind does not read, a
+repeated key, and a second limiter or initial line for one id are errors.
+Parse failures raise ScenarioParseError with the offending line number.
 """
 
 from __future__ import annotations
@@ -97,31 +98,44 @@ def _kv(tokens, line):
     for tok in tokens:
         if "=" not in tok:
             _fail(f"expected key=value, got {tok!r}", line)
-        k, v = tok.split("=", 1)
-        out[k.strip()] = v.strip()
+        k, v = (x.strip() for x in tok.split("=", 1))
+        if k in out:
+            _fail(f"a second {k}=", line)
+        out[k] = v
     return out
 
 
+_COEFFS = {"alpha": "1", "beta": "0", "kappa": "0"}  # with their defaults
+_KEYS = {"abs": _COEFFS, "quadratic": _COEFFS,
+         "sampled": ("pmin", "pmax", "npts", "slope", "values")}
+
+
 def _edge_hamiltonian(kind, kv, line):
+    if kind not in _KEYS:
+        _fail(f"unknown Hamiltonian kind {kind!r}", line)
+    for key in kv:
+        if key not in _KEYS[kind]:
+            _fail(f"{kind} Hamiltonian reads no key {key!r}", line)
     try:
-        if kind in ("abs", "quadratic"):
-            make = abs_hamiltonian if kind == "abs" else quadratic_hamiltonian
-            return make(**{c: _floats(kv.get(c, d), line) for c, d in
-                           (("alpha", "1"), ("beta", "0"), ("kappa", "0"))})
         if kind == "sampled":
-            for key in ("pmin", "pmax", "npts", "slope", "values"):
+            for key in _KEYS[kind]:
                 if key not in kv:
                     _fail(f"sampled Hamiltonian needs {key}=", line)
-            p = np.linspace(_number(kv["pmin"], line),
-                            _number(kv["pmax"], line),
-                            _number(kv["npts"], line, int))
             table = np.vstack([_floats(r, line)
                                for r in kv["values"].split(";") if r])
+            npts = _number(kv["npts"], line, int)
+            if npts != table.shape[1]:
+                _fail(f"npts={npts}, but the first values row has "
+                      f"{table.shape[1]} entries", line)
+            p = np.linspace(_number(kv["pmin"], line),
+                            _number(kv["pmax"], line), npts)
             s = np.linspace(0.0, 1.0, table.shape[0])
             return sampled_hamiltonian(s, p, table, _number(kv["slope"], line))
+        make = abs_hamiltonian if kind == "abs" else quadratic_hamiltonian
+        return make(**{c: _floats(kv.get(c, d), line)
+                       for c, d in _COEFFS.items()})
     except ValueError as e:  # the constructors' checks of the coefficients
         _fail(str(e), line)
-    _fail(f"unknown Hamiltonian kind {kind!r}", line)
 
 
 def _profile(tokens, ns, line):
@@ -220,18 +234,17 @@ def parse_scenario(text, name="scenario", ns=None, horizon=None, cfl=None):
         raise ScenarioParseError(str(e), at[0]) from e
     fam = family_from_edges(net, per_edge_h)
 
-    limiter = {}
-    default_c = None
+    limiter = {}    # "default" is the value of every vertex not named
     for lineno, line in sections["limiter"]:
         toks = line.split()
         if len(toks) != 2:
             _fail("limiter lines are: vertex value", lineno)
-        if toks[0] == "default":
-            default_c = _number(toks[1], lineno)
-        elif toks[0] in net.vertices:
-            limiter[toks[0]] = _number(toks[1], lineno)
-        else:
+        if toks[0] != "default" and toks[0] not in net.vertices:
             _fail(f"unknown vertex {toks[0]!r} in limiter", lineno)
+        if toks[0] in limiter:
+            _fail(f"a second limiter line for {toks[0]!r}", lineno)
+        limiter[toks[0]] = _number(toks[1], lineno)
+    default_c = limiter.pop("default", None)
     for x in net.vertex_ids():
         if x not in limiter:
             if default_c is None:
@@ -240,12 +253,16 @@ def parse_scenario(text, name="scenario", ns=None, horizon=None, cfl=None):
             limiter[x] = default_c
 
     initial = {eid: np.zeros(run["ns"] + 1) for _, (eid, _, _) in edges}
+    given = set()
     for lineno, line in sections["initial"]:
         toks = line.split()
         if len(toks) < 2:
             _fail("initial lines are: edge profile [values ...]", lineno)
         if toks[0] not in initial:
             _fail(f"unknown edge {toks[0]!r} in initial", lineno)
+        if toks[0] in given:
+            _fail(f"a second initial line for edge {toks[0]!r}", lineno)
+        given.add(toks[0])
         initial[toks[0]] = _profile(toks[1:], run["ns"], lineno)
 
     scenario = Scenario(network=net, hamiltonians=fam, limiter=limiter,

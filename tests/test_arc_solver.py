@@ -5,7 +5,7 @@ import pytest
 
 import hjnet as hj
 from hjnet import arc_solver, hamiltonians, network_solver
-from hjnet.arc_solver import (_ArcStepper, _Columns, _field_residuals,
+from hjnet.arc_solver import (_ArcStepper, _Columns, _interior_residuals,
                               _march_arcs)
 from hjnet.errors import (CFLViolationError, CornerMismatchError,
                           ValidationError)
@@ -168,56 +168,15 @@ def test_shift_equivariance_at_arc_level():
 def test_produced_fields_solve_the_discrete_equation():
     grid, theta = fo_grid(60)
     t = grid.t_nodes()
-    fld = hj.max_subsolution(H1, np.linspace(0, 0.5, 61),
-                             hj.constrained(-1.5 * t), hj.free(), grid,
-                             theta=theta)
-    assert hj.subsolution_residual(fld, H1) < 1e-9
-    assert hj.supersolution_residual(fld, H1) < 1e-9
-
-
-def test_residuals_of_handmade_fields():
-    grid = hj.Grid2D(20, 0.0, 0.02, 25)
-    t = grid.t_nodes()
-    flat = hj.ArcField(grid, np.zeros((26, 21)), theta=1.0)
-    assert hj.subsolution_residual(flat, H1) == pytest.approx(1.0, abs=1e-12)
-    assert hj.supersolution_residual(flat, H1) == 0.0
-    steep = hj.ArcField(grid, np.broadcast_to(-2.0 * t[:, None], (26, 21)).copy(),
-                        theta=1.0)
-    assert hj.subsolution_residual(steep, H1) == 0.0
-    assert hj.supersolution_residual(steep, H1) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_handmade_field_without_theta_covers_its_own_slopes():
-    H = hj.quadratic_hamiltonian()  # momentum_lipschitz(H, M) = 2 M
-    grid = hj.Grid2D(20, 0.0, 0.005, 10)
-    vals = np.random.default_rng(3).normal(size=(11, 21))
-    fld = hj.ArcField(grid, vals)
-    slope = np.max(np.abs(np.diff(vals, axis=1))) * grid.ns
-    own = hj.momentum_lipschitz(H, slope + 1.0)
-    for residual in (hj.subsolution_residual, hj.supersolution_residual):
-        assert residual(fld, H) == residual(fld, H, theta=own)
-        assert residual(fld, H) != residual(fld, H, theta=2.0)
-
-
-def test_residuals_of_a_non_contiguous_field_are_the_contiguous_ones():
-    grid, theta = fo_grid(40)
-    t = grid.t_nodes()
-    fld = hj.max_subsolution(H1, np.linspace(0, 0.5, 41),
-                             hj.constrained(-1.5 * t), hj.free(), grid,
-                             theta=theta)
-    rng = np.random.default_rng(5)
-    vals = fld.values + rng.normal(scale=1e-3, size=fld.values.shape)
-    wide = np.zeros((grid.nt + 1, 2 * (grid.ns + 1)))
-    wide[:, ::2] = vals
-    want = _field_residuals(hj.ArcField(grid, vals, theta), H1, None)
-    for layout in (np.asfortranarray(vals), wide[:, ::2]):
-        assert not layout.flags.c_contiguous
-        field = hj.ArcField(grid, layout, theta)
-        assert _field_residuals(field, H1, None).tobytes() == want.tobytes()
-        for residual in (hj.subsolution_residual, hj.supersolution_residual):
-            got = residual(field, H1)
-            assert got > 0.0
-            assert got == residual(hj.ArcField(grid, vals, theta), H1)
+    for right in (hj.free(), hj.constrained(0.5 - 2.0 * t)):
+        fld = hj.max_subsolution(H1, np.linspace(0, 0.5, 61),
+                                 hj.constrained(-1.5 * t), right, grid,
+                                 theta=theta)
+        u = fld.values
+        r = _interior_residuals(u, np.diff(u, axis=0) / grid.dt, H1,
+                                fld.theta, grid.dt)
+        assert r.shape == (grid.nt, grid.ns - 1)
+        assert np.max(np.abs(r)) < 1e-9
 
 
 def test_time_slices_stay_below_the_datum_level():
