@@ -3,12 +3,15 @@
     hjnet run --scenario tripod.scn --out results [--t-final 2] [--ns 200]
               [--cfl 0.9] [--checks all|none|a,b,c] [--refine 2]
               [--dump-slices 0.5,1.0]
-    hjnet oracle --oracle g|refine [--scenario ...] [--out ...]
 
-Exit codes: 0 all enabled checks passed; 1 a check or oracle comparison
-failed; 2 scenario parse, validation, planning or solve errors.  CSV
-numbers use 17 significant digits, so outputs are byte-stable across runs
-and round-trip exactly.
+--refine k calibrates the tolerance on ns, 2 ns, ..., 2^k ns; from k = 2 on,
+report.json's refine entry holds the orders of the level differences and
+the verdict that they shrink.
+
+Exit codes: 0 all enabled checks passed and the level differences shrink;
+1 a check failed or a level difference did not shrink; 2 scenario parse,
+validation, planning or solve errors.  CSV numbers use 17 significant
+digits, so outputs are byte-stable across runs and round-trip exactly.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from .network_solver import (
     verify,
 )
 from .scenario_io import parse_checks, parse_scenario_file
-from .slope_cap import TimeSeries, apply_g, apply_g_bruteforce
 
 __all__ = ["main", "write_solution_csv", "load_solution_csv"]
 
@@ -42,14 +44,6 @@ _CHUNK = 1 << 18    # bytes per read of the dump layout scan
 
 def _fmt(x):
     return format(float(x), ".17g")
-
-
-def _write_csv(path, header, rows):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(str(c) if isinstance(c, str) else _fmt(c)
-                              for c in row) + "\n")
 
 
 def _row_template(key, cells):
@@ -261,7 +255,26 @@ def _slice_times(text, t0, t1):
     return times
 
 
-def _report(solution, rep, refine_details, elapsed, outdir):
+def _refine_verdict(C, details):
+    """The refine entry of report.json and its PASS/FAIL line.
+
+    The entry holds C, the levels, the orders log2(diff[i] / diff[i+1]) of
+    consecutive level differences and their verdict.  A difference that
+    does not shrink has an order <= 0, or nan when it and the one before
+    are both 0; either fails.  A non-finite order is written as null.
+    """
+    diffs = np.array([d["diff"] for d in details])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        orders = np.log2(diffs[:-1] / diffs[1:])
+    ok = bool(np.all(orders > 0))
+    shown = ", ".join(f"{o:.3g}" for o in orders)
+    return ({"C": C, "levels": details,
+             "orders": [float(o) if np.isfinite(o) else None for o in orders],
+             "ok": ok},
+            f"{'PASS' if ok else 'FAIL'} refine (C = {C:.6g}, order {shown})")
+
+
+def _report(solution, rep, refine, elapsed, outdir):
     doc = {
         "scenario": solution.scenario.name,
         "constants": {
@@ -275,9 +288,9 @@ def _report(solution, rep, refine_details, elapsed, outdir):
         },
         "eps_scheme": rep.eps_scheme if rep is not None else None,
         "checks": [asdict(c) for c in (rep.checks if rep is not None else [])],
-        "refine": refine_details,
+        "refine": refine,
         "timing": {"total_s": elapsed},
-        "ok": bool(rep.ok) if rep is not None else True,
+        "ok": (rep is None or rep.ok) and (refine is None or refine["ok"]),
     }
     with open(os.path.join(outdir, "report.json"), "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=False)
@@ -300,14 +313,13 @@ def _cmd_run(args):
         print(f"error: {e}", file=sys.stderr)
         return 2
     t_start = time.perf_counter()
-    refine_details = None
-    eps = None
+    refine = verdict = eps = None
     try:
         solution = solve(scenario, params)
         if args.refine:
             C, details = calibrate_epsilon(scenario, levels=args.refine + 1)
             eps = default_epsilon(solution, C)
-            refine_details = {"C": C, "levels": details}
+            refine, verdict = _refine_verdict(C, details)
     except HJNetError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -319,84 +331,14 @@ def _cmd_run(args):
     write_solution_csv(solution, args.out)
     if times:
         _dump_slices(solution, args.out, times)
-    doc = _report(solution, rep, refine_details, time.perf_counter() - t_start,
+    doc = _report(solution, rep, refine, time.perf_counter() - t_start,
                   args.out)
     for c in doc["checks"]:
         state = "PASS" if c["ok"] else "FAIL"
         print(f"{state} {c['name']} (margin {c['margin']:.3e})")
-    if rep is not None and not rep.ok:
-        return 1
-    return 0
-
-
-def _oracle_g(args, outdir):
-    rng = np.random.default_rng(args.seed)
-    n = args.length
-    dt = args.dt
-    vals = rng.integers(-2 ** 20, 2 ** 20, size=n) / 2.0 ** 10
-    psi = TimeSeries(0.0, dt, vals)
-    a = args.slope
-    fast = apply_g(psi, a)
-    brute = apply_g_bruteforce(psi, a)
-    t = psi.times()
-    _write_csv(os.path.join(outdir, "g_oracle.csv"),
-               ["t", "psi", "capped", "capped_brute"],
-               ((t[k], vals[k], fast.values[k], brute.values[k])
-                for k in range(n)))
-    same = np.array_equal(fast.values, brute.values)
-    print(f"{'PASS' if same else 'FAIL'} g oracle (bitwise {'equal' if same else 'DIFFERENT'})")
-    return 0 if same else 1
-
-
-def _oracle_refine(args, outdir):
-    scenario, _ = parse_scenario_file(args.scenario, ns=args.ns,
-                                      horizon=args.t_final, cfl=args.cfl)
-    C, details = calibrate_epsilon(scenario, levels=args.refine + 1)
-    diffs = np.array([d["diff"] for d in details])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        orders = np.log2(diffs[:-1] / diffs[1:])
-    rows = [(str(lvl), d["ns"], d["dt"], d["diff"], order)
-            for lvl, (d, order) in enumerate(zip(details, [np.nan, *orders]))]
-    _write_csv(os.path.join(outdir, "refine.csv"),
-               ["level", "ns", "dt", "diff", "order"], rows)
-    # a level difference that does not shrink has an order <= 0, or nan
-    # when it and the one before are both 0
-    ok = bool(np.all(orders > 0))
-    shown = ", ".join(f"{o:.3g}" for o in orders)
-    print(f"{'PASS' if ok else 'FAIL'} refine oracle (C = {C:.6g}, "
-          f"order {shown})")
-    return 0 if ok else 1
-
-
-def _check_oracle_flags(args):
-    """Raise ValidationError for a flag the chosen oracle cannot run with."""
-    if args.oracle == "refine":
-        rules = [(args.scenario is not None,
-                  "--oracle refine needs --scenario"),
-                 (args.refine >= 2,
-                  "--refine must be at least 2 for --oracle refine")]
-    else:
-        rules = [(args.length >= 1, "--length must be at least 1"),
-                 (np.isfinite(args.dt), "--dt must be finite"),
-                 (args.dt > 0, "--dt must be positive"),
-                 (np.isfinite(args.slope), "--slope must be finite"),
-                 (args.slope < 0, "--slope must be negative")]
-    for ok, message in rules:
-        if not ok:
-            raise ValidationError(message)
-
-
-_ORACLES = {"g": _oracle_g, "refine": _oracle_refine}
-
-
-def _cmd_oracle(args):
-    try:
-        _check_oracle_flags(args)
-        os.makedirs(args.out, exist_ok=True)
-        return _ORACLES[args.oracle](args, args.out)
-    except (HJNetError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    if refine is not None and refine["orders"]:
+        print(verdict)
+    return 0 if doc["ok"] else 1
 
 
 def main(argv=None):
@@ -416,21 +358,6 @@ def main(argv=None):
     p_run.add_argument("--dump-slices", default=None,
                        help="comma-separated times; writes slices.csv")
     p_run.set_defaults(func=_cmd_run)
-
-    p_or = sub.add_parser("oracle", help="independent reference computations")
-    p_or.add_argument("--oracle", required=True,
-                      choices=tuple(_ORACLES))
-    p_or.add_argument("--out", default="hjnet-out")
-    p_or.add_argument("--scenario", default=None)
-    p_or.add_argument("--ns", type=int, default=None)
-    p_or.add_argument("--t-final", type=float, default=None)
-    p_or.add_argument("--cfl", type=float, default=None)
-    p_or.add_argument("--refine", type=int, default=2)
-    p_or.add_argument("--seed", type=int, default=0)
-    p_or.add_argument("--length", type=int, default=512)
-    p_or.add_argument("--dt", type=float, default=0.0078125)
-    p_or.add_argument("--slope", type=float, default=-1.0)
-    p_or.set_defaults(func=_cmd_oracle)
 
     args = parser.parse_args(argv)
     return args.func(args)

@@ -50,7 +50,6 @@ from .hamiltonians import (
     HamiltonianFamily,
     _grid_peak,
     cell_widths,
-    global_min,
     momentum_lipschitz,
     positive_shift,
     shift_hamiltonian,
@@ -487,13 +486,12 @@ def verify(solution: NetworkSolution, eps_scheme=None,
                                           eps - worst, wit)
 
     # one pass over the edges feeds every edge check, each edge's time
-    # quotient computed once; time_monotone reads the original field, and
-    # only with every Hamiltonian positive.  The time checks gate on values,
-    # first order in the grid as eps is: the rise of u above its running
-    # minimum, and the drop of u_shifted + m0 t below its running maximum
-    # (the rise of its negative); the per-step rates go to the witness.
+    # quotient computed once.  The time checks read the normalized field g,
+    # whose Hamiltonians are all positive, and gate on values, first order in
+    # the grid as eps is: the rise of g above its running minimum, and the
+    # drop of g + m0 t below its running maximum (the rise of its negative);
+    # the per-step rates go to the witness.
     lift, down = _time_shift(a, grid), _time_shift(-m0s, grid)[:, None]
-    positive = min(global_min(H) for H in sc.hamiltonians.by_arc.values()) > 0
     timed = grid.nt and want & {"time_monotone", "time_lipschitz"}
     resid, resid_wit = 0.0, {}
     rise = drop = rise_rate = lip_rate = 0.0 if grid.nt == 0 else -np.inf
@@ -514,10 +512,8 @@ def verify(solution: NetworkSolution, eps_scheme=None,
         if timed:
             drop = max(drop, _rise(down - g))    # -(g + m0 t)
             lip_rate = max(lip_rate, -float(np.min(g_t)) - m0s)
-            if positive:
-                rise = max(rise, _rise(f))
-                up = g_t if g is f else np.diff(f, axis=0) / grid.dt
-                rise_rate = max(rise_rate, float(np.max(up)))
+            rise = max(rise, _rise(g))
+            rise_rate = max(rise_rate, float(np.max(g_t)))
         if want & {"space_lipschitz", "headroom"}:
             # per cell the largest slope over the rows the march differenced
             # (0..nt-1) for headroom, and over all rows against the
@@ -548,10 +544,8 @@ def verify(solution: NetworkSolution, eps_scheme=None,
 
     out["interior_residual"] = CheckResult(
         "interior_residual", resid <= _RESID_TOL, _RESID_TOL - resid, resid_wit)
-    out["time_monotone"] = CheckResult(
-        "time_monotone", rise <= eps, eps - rise, {"rate": rise_rate}) \
-        if positive else CheckResult("time_monotone", True, 0.0,
-                                     {"skipped": "Hamiltonians not positive"})
+    out["time_monotone"] = CheckResult("time_monotone", rise <= eps,
+                                       eps - rise, {"rate": rise_rate})
     out["time_lipschitz"] = CheckResult("time_lipschitz", drop <= eps,
                                         eps - drop, {"rate": lip_rate})
     out["space_lipschitz"] = CheckResult("space_lipschitz", space <= eps,

@@ -25,7 +25,8 @@
 Each edge line declares the Hamiltonian of the forward arc; the inverse
 arc's Hamiltonian is derived from the reversal law.  Edges without an
 [initial] line start from zero.  A key the edge's kind does not read, a
-repeated key, and a second limiter or initial line for one id are errors.
+repeated key, a second limiter or initial line for one id, a repeated [run]
+key (T, t and horizon are one key), and dt together with cfl are errors.
 Parse failures raise ScenarioParseError with the offending line number.
 """
 
@@ -187,11 +188,19 @@ def parse_scenario(text, name="scenario", ns=None, horizon=None, cfl=None):
 
     run = {"horizon": 1.0, "ns": 100, "dt": None, "cfl": None}  # Scenario fields
     checks = CHECK_NAMES
+    given = {}      # run key -> the line that set it; T and t are horizon
     for lineno, line in sections["run"]:
         if "=" not in line:
             _fail("run entries are key = value", lineno)
         k, v = (x.strip() for x in line.split("=", 1))
-        if k in ("T", "t", "horizon"):
+        key = "horizon" if k in ("T", "t") else k
+        if key in given:
+            _fail(f"a second {key} entry (the first on line {given[key]})",
+                  lineno)
+        if key in ("dt", "cfl") and {"dt", "cfl"} & given.keys():
+            _fail("dt and cfl both set the time step; give one", lineno)
+        given[key] = lineno
+        if key == "horizon":
             run["horizon"] = _number(v, lineno)
         elif k == "ns":
             run["ns"] = _number(v, lineno, int)

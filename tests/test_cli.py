@@ -135,13 +135,21 @@ SAMPLED_E3 = ("e3 x3 x0 sampled pmin=-2 pmax=2 npts=abc slope=5 "
     ("x0 -2", "x0 -2\nx0 -3"),
     ("default -1", "default -1\ndefault -3"),
     ("e1 constant 0", "e1 constant 0\ne1 constant 1"),
+    ("ns = 60", "ns = 60\nns = 40"),
+    ("T = 1.0", "T = 1.0\nhorizon = 0.5"),
+    ("T = 1.0", "T = 1.0\nt = 0.5"),
+    ("checks = all", "checks = all\nchecks = none"),
+    ("T = 1.0", "T = 1.0\ndt = 0.01\ncfl = 0.5"),
+    ("T = 1.0", "T = 1.0\ncfl = 0.5\ndt = 0.01"),
 ], ids=["limiter-abc", "horizon-abc", "ns-2.5", "linear-x", "bare-initial",
         "sampled-npts-abc", "alpha-0", "alpha-nan", "abs-kapa", "kappa-twice",
         "sampled-alpha", "sampled-npts-too-many", "limiter-twice",
-        "default-twice", "initial-twice"])
+        "default-twice", "initial-twice", "ns-twice", "horizon-after-T",
+        "t-after-T", "checks-twice", "dt-then-cfl", "cfl-then-dt"])
 def test_bad_values_are_parse_errors_with_their_line(tmp_path, capsys, old,
                                                      new):
-    # a replacement of two lines is a repeat, an error on its second line
+    # a replacement of several lines ends in a repeat or a conflict, an
+    # error on its last line
     text = TRIPOD.replace(old, new)
     line = next(i for i, ln in enumerate(text.splitlines(), start=1)
                 if ln == new.splitlines()[-1])
@@ -395,8 +403,8 @@ def test_refine_calibrates_epsilon(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["run"],
     ["run", "--refine", "1"],
-    ["oracle", "--oracle", "refine"],
-], ids=["run", "run-refine", "oracle-refine"])
+    ["run", "--refine", "2"],
+], ids=["run", "run-refine", "run-refine-2"])
 def test_a_time_step_over_the_cfl_cap_exits_2_before_writing(tmp_path, capsys,
                                                              argv):
     scn = _write(tmp_path, TRIPOD.replace("T = 1.0", "T = 1.0\ndt = 1.0"))
@@ -405,7 +413,7 @@ def test_a_time_step_over_the_cfl_cap_exits_2_before_writing(tmp_path, capsys,
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("error: requested dt 1.0 exceeds")
-    assert argv[0] == "oracle" or not out.exists()
+    assert not out.exists()
 
 
 def test_refine_keeps_a_given_time_step_in_ratio_with_ds(tmp_path):
@@ -417,77 +425,55 @@ def test_refine_keeps_a_given_time_step_in_ratio_with_ds(tmp_path):
     assert report["ok"] and report["refine"]["C"] > 0.0
 
 
-def test_oracle_g(tmp_path):
-    out = str(tmp_path / "og")
-    assert main(["oracle", "--oracle", "g", "--out", out, "--seed", "5",
-                 "--length", "400"]) == 0
-    lines = (tmp_path / "og" / "g_oracle.csv").read_text().splitlines()
-    assert lines[0] == "t,psi,capped,capped_brute"
-    assert len(lines) == 401
-
-
-@pytest.mark.parametrize("flags, message", [
-    (["--oracle", "refine"], "--oracle refine needs --scenario"),
-    (["--oracle", "g", "--length", "0"], "--length must be at least 1"),
-    (["--oracle", "g", "--dt", "0"], "--dt must be positive"),
-    (["--oracle", "g", "--slope", "0"], "--slope must be negative"),
-    (["--oracle", "refine", "--scenario", "any.scn", "--refine", "1"],
-     "--refine must be at least 2 for --oracle refine"),
-    (["--oracle", "refine", "--scenario", "any.scn", "--refine", "0"],
-     "--refine must be at least 2 for --oracle refine"),
-], ids=["refine-no-scenario", "g-length-0", "g-dt-0", "g-slope-0",
-        "refine-1", "refine-0"])
-def test_oracle_rejects_bad_flags_before_writing(tmp_path, capsys, flags,
-                                                 message):
+@pytest.mark.parametrize("flags", [
+    ["--oracle", "refine"],
+    ["--oracle", "refine", "--scenario", "any.scn", "--refine", "1"],
+    ["--oracle", "refine", "--scenario", "any.scn", "--refine", "0"],
+], ids=["refine-no-scenario", "refine-1", "refine-0"])
+def test_oracle_rejects_bad_flags_before_writing(tmp_path, flags):
+    # the refinement verdict is run --refine's; oracle is no subcommand, so
+    # argparse exits 2 before anything is written
     out = tmp_path / "o"
-    assert main(["oracle", *flags, "--out", str(out)]) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("flags, message", [
-    (["--oracle", "g", "--dt", "inf"], "--dt must be finite"),
-    (["--oracle", "g", "--dt", "nan"], "--dt must be finite"),
-    (["--oracle", "g", "--slope=-inf"], "--slope must be finite"),
-    (["--oracle", "g", "--slope", "inf"], "--slope must be finite"),
-    (["--oracle", "g", "--slope", "nan"], "--slope must be finite"),
-], ids=["g-dt-inf", "g-dt-nan", "g-slope-minus-inf", "g-slope-inf",
-        "g-slope-nan"])
-def test_oracle_rejects_non_finite_flags_before_writing(tmp_path, capsys,
-                                                        flags, message):
-    out = tmp_path / "o"
-    assert main(["oracle", *flags, "--out", str(out)]) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
-    assert not out.exists()
-
-
-def test_oracle_refine_and_hopflax(tmp_path, capsys):
-    scn = _write(tmp_path, TRIPOD)
-    out = str(tmp_path / "or")
-    assert main(["oracle", "--oracle", "refine", "--scenario", scn, "--out",
-                 out, "--ns", "30", "--refine", "2"]) == 0
-    assert "order" in capsys.readouterr().out
-    rows = (tmp_path / "or" / "refine.csv").read_text().splitlines()[1:]
-    orders = [float(r.split(",")[4]) for r in rows[1:]]
-    assert all(o >= 0.8 for o in orders)  # first-order level differences
-    # hopflax is no oracle choice: argparse exits 2
     with pytest.raises(SystemExit) as exc:
-        main(["oracle", "--oracle", "hopflax", "--scenario", scn])
+        main(["oracle", *flags, "--out", str(out)])
     assert exc.value.code == 2
+    assert not out.exists()
 
 
-@pytest.mark.parametrize("diffs", [[0.1, 0.1], [0.1, 0.05, 0.06],
-                                    [0.0, 0.0]],
-                         ids=["flat", "rising", "zero"])
-def test_oracle_refine_fails_when_a_level_difference_does_not_shrink(
-        tmp_path, capsys, monkeypatch, diffs):
+def test_run_refine_reports_convergence_orders(tmp_path, capsys):
     scn = _write(tmp_path, TRIPOD)
-    details = [{"ns": 30 * 2 ** k, "dt": 0.01 / 2 ** k, "diff": d}
+    out = tmp_path / "ref"
+    assert main(["run", "--scenario", scn, "--out", str(out), "--ns", "30",
+                 "--refine", "2"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith(
+        "PASS refine (C = ")
+    refine = json.loads((out / "report.json").read_text())["refine"]
+    assert len(refine["levels"]) == 2 and refine["ok"]
+    assert len(refine["orders"]) == 1
+    assert all(o >= 0.8 for o in refine["orders"])  # first order
+
+
+@pytest.mark.parametrize("diffs, orders", [
+    ([0.1, 0.1], [0.0]),
+    ([0.1, 0.05, 0.06], [1.0, float(np.log2(0.05 / 0.06))]),
+    ([0.0, 0.0], [None]),     # nan is no JSON number
+], ids=["flat", "rising", "zero"])
+def test_run_refine_fails_when_a_level_difference_does_not_shrink(
+        tmp_path, capsys, monkeypatch, diffs, orders):
+    scn = _write(tmp_path, TRIPOD)
+    details = [{"ns": 60 * 2 ** k, "dt": 0.01 / 2 ** k, "diff": d}
                for k, d in enumerate(diffs)]
     monkeypatch.setattr("hjnet.cli.calibrate_epsilon",
                         lambda sc, levels: (1.0, details))
-    assert main(["oracle", "--oracle", "refine", "--scenario", scn,
-                 "--out", str(tmp_path / "or")]) == 1
-    assert capsys.readouterr().out.startswith("FAIL refine oracle (C = 1, order ")
-    rows = (tmp_path / "or" / "refine.csv").read_text().splitlines()[1:]
-    assert [float(r.split(",")[3]) for r in rows] == diffs
+    out = tmp_path / "ref"
+    assert main(["run", "--scenario", scn, "--out", str(out),
+                 "--refine", "2"]) == 1
+    assert capsys.readouterr().out.splitlines()[-1].startswith(
+        "FAIL refine (C = 1, order ")
+    report = json.loads((out / "report.json").read_text(),
+                        parse_constant=pytest.fail)    # strict JSON
+    assert not report["ok"] and not report["refine"]["ok"]
+    assert [d["diff"] for d in report["refine"]["levels"]] == diffs
+    assert report["refine"]["orders"] == orders
+    assert (out / "solution.csv").exists()
+    assert (out / "vertex_traces.csv").exists()

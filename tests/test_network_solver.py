@@ -626,6 +626,27 @@ def test_negative_hamiltonians_solve_through_the_positivity_shift():
     assert hj.shift_check(sc, 2.0).ok
 
 
+def test_time_monotone_gates_the_normalized_field_under_a_shift():
+    # make_mixed's e4 goes negative, so the original field may rise; the
+    # normalized field u - shift t must not, up to O(ds + dt)
+    rises = []
+    for ns in (24, 48):
+        sol = hj.solve(make_mixed(ns))
+        assert sol.constants.shift > 0.0
+        rep = hj.verify(sol)
+        mono = rep["time_monotone"]
+        assert mono.ok and set(mono.witness) == {"rate"}
+        rises.append(rep.eps_scheme - mono.margin)
+    assert 0.0 < rises[1] <= 0.55 * rises[0]   # first order in ds
+    # negative control: one node raised by 2 eps half-way through the run
+    eps = rep.eps_scheme
+    f = sol.fields["e4"].copy()
+    f[sol.grid.nt // 2, sol.grid.ns // 2] += 2.0 * eps
+    bad = dataclasses.replace(sol, fields={**sol.fields, "e4": f})
+    mono = hj.verify(bad, checks=["time_monotone"])["time_monotone"]
+    assert not mono.ok and mono.margin < -0.9 * eps
+
+
 def test_resolution_change_resamples_the_datum():
     sc = make_tripod(40, initial={e: np.linspace(0.0, 0.0, 41)
                                   for e in ("e1", "e2", "e3")})
