@@ -31,7 +31,6 @@ from .hamiltonians import (
     sampled_hamiltonian,
     sublevel_interval,
     sublevel_width,
-    subsolution_level,
     subsolution_levels,
 )
 from .network import (

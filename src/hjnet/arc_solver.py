@@ -9,6 +9,8 @@ with theta at least the momentum-Lipschitz constant of H over the slopes in
 play and the step restriction dt * theta <= ds.  Under these the update is
 nondecreasing in every stencil value, which is what makes discrete
 comparison, equivariance and ordering statements exact at the grid level.
+Every march takes theta from its caller; for a network ``plan_solve`` is
+the one place that budgets it, for the solve and for the certificate.
 
 Boundary handling:
 
@@ -48,20 +50,9 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import (
-    CFLViolationError,
-    CornerMismatchError,
-    EmptySublevelError,
-    GridMismatchError,
-    ValidationError,
-)
-from .hamiltonians import (
-    _Columns,
-    _grid_coefficients,
-    momentum_lipschitz,
-    sublevel_width,
-    subsolution_level,
-)
+from .errors import (CFLViolationError, CornerMismatchError, GridMismatchError,
+                     ValidationError)
+from .hamiltonians import _Columns, _grid_coefficients, momentum_lipschitz
 
 __all__ = [
     "Grid2D",
@@ -70,7 +61,6 @@ __all__ = [
     "constrained",
     "max_subsolution",
     "propagation_window",
-    "default_dissipation",
 ]
 
 _START_TOL = 1e-9  # relative: two vertex values that must agree at t0
@@ -118,11 +108,11 @@ def constrained(datum) -> np.ndarray:
 @dataclass(eq=False)
 class ArcField:
     """Gridded u(s,t) on one arc; values indexed [time, space]; theta is the
-    dissipation it was marched with, if any."""
+    dissipation it was marched with."""
 
     grid: Grid2D
     values: np.ndarray
-    theta: float | None = None
+    theta: float
 
 
 class _ArcStepper:
@@ -217,27 +207,6 @@ class _ArcStepper:
         self.hh, self.hhat, self.advance = hh, hhat, advance
 
 
-def default_dissipation(H, initial, left, right, dt):
-    """Dissipation coefficient covering the run's expected slope range.
-
-    The slope budget combines the stationary level of the initial datum with
-    the lateral data's time-Lipschitz constants on steps of dt, widened to
-    the sublevel width those imply, plus headroom.  A side is its datum on
-    the time grid, an array, or None for a free side.
-    """
-    initial = np.asarray(initial, dtype=float)
-    level = subsolution_level(H, initial)
-    for datum in (left, right):
-        if datum is not None and datum.size > 1:
-            level = max(level, float(np.max(np.abs(np.diff(datum)))) / dt)
-    gmax = float(np.max(np.abs(np.diff(initial)))) * (initial.size - 1)
-    try:
-        width = sublevel_width(H, level)
-    except EmptySublevelError:
-        width = gmax
-    return momentum_lipschitz(H, max(width, gmax) + 1.0)
-
-
 def _check_monotone(dt, theta, ds, edge=None):
     """The step restriction dt * theta <= ds, up to the relative
     ``_STEP_SLACK``, which a NaN theta fails; a violation names the edge when
@@ -293,13 +262,12 @@ def _march(hams, init, theta, grid, ends, limit, record):
 
 def _march_arcs(hams, init, left, right, grid, theta, record):
     """March a stack of arcs; returns the columns ``record`` picks (an index
-    or a slice) of every arc at every step, (R, nt+1, ...), and the thetas
-    marched with, both in the callers' order.
+    or a slice) of every arc at every step, (R, nt+1, ...), in input order.
 
     Per arc: an initial datum on the s-grid, a left and a right datum on the
-    time grid (None: a free side), a theta (None: ``default_dissipation``).
-    The stack is checked as a whole, with the errors one bad arc raises
-    alone.  A constrained side is a one-node end group capped at its datum.
+    time grid (None: a free side) and its theta.  The stack is checked as a
+    whole, with the errors one bad arc raises alone.  A constrained side is
+    a one-node end group capped at its datum.
     """
     init = [np.asarray(g, dtype=float) for g in init]
     sides = [[None if d is None else np.asarray(d, dtype=float) for d in lr]
@@ -311,9 +279,6 @@ def _march_arcs(hams, init, left, right, grid, theta, record):
         if arrays and not np.isfinite(
                 np.concatenate([d.ravel() for d in arrays])).all():
             raise ValidationError(f"{what} datum must be finite")
-    theta = [float(default_dissipation(H, g, *lr, dt=grid.dt)
-                   if th is None else th)
-             for H, g, lr, th in zip(hams, init, sides, theta)]
     for th in theta:
         _check_monotone(grid.dt, th, grid.ds)
     if any(d.shape != (grid.nt + 1,) for d in data):
@@ -328,22 +293,22 @@ def _march_arcs(hams, init, left, right, grid, theta, record):
                                   f"below initial endpoint ({g_end[low][0]})")
     block, row = _march(hams, init, theta, grid, [[e] for e in ends], limit,
                         record)
-    return block[row], theta
+    return block[row]
 
 
-def max_subsolution(H, initial, left, right, grid, theta=None) -> ArcField:
+def max_subsolution(H, initial, left, right, grid, theta) -> ArcField:
     """March the monotone scheme; converges to the maximal subsolution.
 
     initial is sampled on the s-grid; a side, left or right, is its datum
     on the time grid, an array (``constrained``), or None for a free side
     (``free``).  The returned field solves the discrete equation exactly at
     interior nodes, matches the initial datum exactly at t0, and keeps
-    constrained traces at or below their datum.  It is the one-arc case of
-    the stack march.
+    constrained traces at or below their datum; it is marched with the
+    dissipation theta, and is the one-arc case of the stack march.
     """
-    values, theta = _march_arcs([H], [initial], [left], [right], grid,
-                                [theta], slice(None))
-    return ArcField(grid=grid, values=values[0], theta=theta[0])
+    values = _march_arcs([H], [initial], [left], [right], grid, [theta],
+                         slice(None))
+    return ArcField(grid=grid, values=values[0], theta=float(theta))
 
 
 def _interior_residuals(u, u_t, H, theta, dt):

@@ -29,7 +29,7 @@ from .arc_solver import Grid2D
 from .errors import HJNetError, ValidationError
 from .network_solver import (
     NetworkSolution,
-    calibrate_epsilon,
+    _calibrate_from,
     default_epsilon,
     plan_solve,
     solve,
@@ -317,7 +317,7 @@ def _cmd_run(args):
     try:
         solution = solve(scenario, params)
         if args.refine:
-            C, details = calibrate_epsilon(scenario, levels=args.refine + 1)
+            C, details = _calibrate_from(solution, args.refine + 1)
             eps = default_epsilon(solution, C)
             refine, verdict = _refine_verdict(C, details)
     except HJNetError as e:

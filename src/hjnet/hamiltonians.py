@@ -41,7 +41,6 @@ __all__ = [
     "c_gamma",
     "reverse_hamiltonian",
     "positive_shift",
-    "subsolution_level",
     "subsolution_levels",
     "sublevel_interval",
     "sublevel_width",
@@ -408,26 +407,18 @@ def shift_hamiltonian(H, a):
     return H._shifted[a]
 
 
-def subsolution_level(H, w0):
-    """Smallest m with H(s, w0') <= m a.e., rendered on the grid: the
-    one-pair case of ``subsolution_levels``.
+def subsolution_levels(hams, data):
+    """For every pair (H, w0) of hams and data, in their order, the smallest
+    m with H(s, w0') <= m a.e., rendered on the grid.
 
     w0 is sampled on a uniform s-grid; the a.e. condition becomes the maximum
     of H evaluated at cell midpoints with forward-difference slopes, matching
-    the upwind stencil of the marching scheme.
-    """
-    return subsolution_levels([H], [w0])[0]
-
-
-def subsolution_levels(hams, data):
-    """The ``subsolution_level`` of every pair (H, w0) of hams and data, in
-    their order.
-
-    Rows of one kind (sampled ones sharing their momentum knots) and one
-    datum length share one ``_Columns`` call on their stacked slopes, at the
-    midpoint coefficients each Hamiltonian caches per datum length, so every
-    level is bitwise its one-pair level.  A datum that is not 1-D with at
-    least 2 samples raises ValueError.
+    the upwind stencil of the marching scheme.  Rows of one kind (sampled
+    ones sharing their momentum knots) and one datum length share one
+    ``_Columns`` call on their stacked slopes, at the midpoint coefficients
+    each Hamiltonian caches per datum length, so a pair's level is bitwise
+    the same in any batch.  A datum that is not 1-D with at least 2 samples
+    raises ValueError.
     """
     data = [np.asarray(w0, dtype=float) for w0 in data]
     groups = {}
@@ -615,6 +606,12 @@ def positive_shift(family, limiter, margin=1e-6):
     a = max(0.0, margin - gmin)
     if a == 0.0:
         return family, 0.0, dict(limiter)
-    shifted = HamiltonianFamily(
-        {aid: shift_hamiltonian(H, a) for aid, H in family.by_arc.items()})
-    return shifted, a, {x: c - a for x, c in limiter.items()}
+    shifted, lim = _shifted_problem(family, limiter, a)
+    return shifted, a, lim
+
+
+def _shifted_problem(family, limiter, a):
+    """The family with every H + a and the limiter with every c_x - a."""
+    return (HamiltonianFamily({aid: shift_hamiltonian(H, a)
+                               for aid, H in family.by_arc.items()}),
+            {x: c - a for x, c in limiter.items()})

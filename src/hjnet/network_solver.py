@@ -49,10 +49,10 @@ from .errors import (
 from .hamiltonians import (
     HamiltonianFamily,
     _grid_peak,
+    _shifted_problem,
     cell_widths,
     momentum_lipschitz,
     positive_shift,
-    shift_hamiltonian,
     sublevel_width,
     subsolution_levels,
 )
@@ -581,10 +581,15 @@ def calibrate_epsilon(scenario: Scenario, levels=3):
     if levels < 2:
         raise ValidationError(
             f"calibrate_epsilon needs levels >= 2 to compare, got {levels}")
-    sols = []
-    for k in range(levels):
-        ns_k = scenario.ns * (2 ** k)
-        sols.append(solve(with_resolution(scenario, ns_k)))
+    return _calibrate_from(solve(scenario), levels)
+
+
+def _calibrate_from(base: NetworkSolution, levels):
+    """``calibrate_epsilon`` of base's scenario, whose level 0 is base, its
+    solution on its own plan."""
+    sc = base.scenario
+    sols = [base] + [solve(with_resolution(sc, sc.ns * 2 ** k))
+                     for k in range(1, levels)]
     C = 0.0
     details = []
     for coarse, fine in zip(sols, sols[1:]):
@@ -654,9 +659,8 @@ def shift_check(scenario: Scenario, a: float) -> ShiftReport:
     which round differently), and one shared theta makes the identity exact
     for the scheme.
     """
-    fam2 = HamiltonianFamily({aid: shift_hamiltonian(H, a)
-                              for aid, H in scenario.hamiltonians.by_arc.items()})
-    lim2 = {x: c - a for x, c in scenario.limiter_values().items()}
+    fam2, lim2 = _shifted_problem(scenario.hamiltonians,
+                                  scenario.limiter_values(), a)
     sc2 = replace(scenario, hamiltonians=fam2, limiter=lim2)
     params = plan_solve(scenario)
     p2 = plan_solve(sc2)
@@ -702,9 +706,7 @@ def stability_sweep(scenario: Scenario, eps_h=0.0, eps_c=0.0, eps_g=0.0,
         init = {e: np.asarray(v, dtype=float).copy()
                 for e, v in scenario.initial.items()}
         if eps_h:
-            fam = HamiltonianFamily({aid: shift_hamiltonian(H, eps_h * f)
-                                     for aid, H in fam.by_arc.items()})
-            lim = {x: c - eps_h * f for x, c in lim.items()}
+            fam, lim = _shifted_problem(fam, lim, eps_h * f)
         if eps_c:
             lim = {x: c - eps_c * f for x, c in lim.items()}
         if eps_g:

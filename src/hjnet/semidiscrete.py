@@ -98,42 +98,39 @@ def _start_trace(traces, network, arc_id):
     return traces.traces[x]
 
 
-def f_gamma(traces, network, hams, arc_id, theta=None):
+def f_gamma(traces, network, hams, arc_id, theta):
     """Arc transform: maximal subsolution fed by the far-endpoint trace.
 
     Left side constrained by the trace at the arc's start vertex, right side
-    a state constraint; the field's right trace is what the vertex transform
-    consumes.
+    a state constraint, marched with the dissipation theta; the field's
+    right trace is what the vertex transform consumes.
     """
     return max_subsolution(
-        hams[arc_id],
-        arc_initial(traces, arc_id),
-        constrained(_start_trace(traces, network, arc_id)),
-        free(),
-        traces.grid,
-        theta=theta,
-    )
+        hams[arc_id], arc_initial(traces, arc_id),
+        constrained(_start_trace(traces, network, arc_id)), free(),
+        traces.grid, theta)
 
 
-def _arc_transform_traces(traces, network, hams, ids, thetas=None):
+def _arc_transform_traces(traces, network, hams, ids, thetas):
     """Right-end traces (len(ids), nt+1) of the arc transforms of ids, from
-    one march of them all, checked with the errors of ``f_gamma``.  An arc
-    that ``thetas`` does not cover gets ``default_dissipation``."""
-    thetas = {} if thetas is None else thetas
+    one march of them all, checked with the errors of ``f_gamma``; each arc
+    marches with its edge's theta, and ``thetas`` must hold every edge."""
+    edges = [min(aid, reverse_arc_id(aid), key=len) for aid in ids]
+    for eid in edges:
+        if eid not in thetas:
+            raise ValidationError(f"params carry no theta for edge {eid!r}")
     return _march_arcs(
         [hams[aid] for aid in ids], [arc_initial(traces, aid) for aid in ids],
         [_start_trace(traces, network, aid) for aid in ids],
-        [None] * len(ids), traces.grid,
-        [thetas.get(aid, thetas.get(reverse_arc_id(aid))) for aid in ids],
-        -1)[0]
+        [None] * len(ids), traces.grid, [thetas[eid] for eid in edges], -1)
 
 
-def f_x(traces, network, hams, x, thetas=None) -> np.ndarray:
+def f_x(traces, network, hams, x, thetas) -> np.ndarray:
     """Vertex transform: pointwise min of arc transforms over arcs into x."""
     return f_x_selected(traces, network, hams, x, thetas)[0]
 
 
-def f_x_selected(traces, network, hams, x, thetas=None):
+def f_x_selected(traces, network, hams, x, thetas):
     """Vertex transform plus the per-time selected arc (smallest id on ties)."""
     ids = [arc.id for arc in incident_arcs(network, x)]
     per_arc = _arc_transform_traces(traces, network, hams, ids, thetas)
@@ -180,7 +177,7 @@ class DiscrReport:
 
 
 def discr_residual(traces, network, hams, limiter, tolerance,
-                   thetas=None) -> DiscrReport:
+                   thetas) -> DiscrReport:
     """Per-vertex sup distance between the trace and its coupled prediction."""
     grid = traces.grid
     capped = _capped_transforms(traces, network, hams, limiter, thetas)
@@ -205,7 +202,7 @@ class CompareReport:
 
 
 def discr_compare(sub, sup, network, hams, limiter, tolerance,
-                  thetas=None) -> CompareReport:
+                  thetas) -> CompareReport:
     """Discrete comparison: a subsolution trace set stays below a supersolution.
 
     Preconditions (checked, reported, and the comparison still evaluated):

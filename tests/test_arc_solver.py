@@ -185,9 +185,8 @@ def test_time_slices_stay_below_the_datum_level():
     grid, theta = fo_grid(100)
     g = np.linspace(0, 1, 101)
     fld = hj.max_subsolution(H1, g, hj.free(), hj.free(), grid, theta=theta)
-    M0 = hj.subsolution_level(H1, g)
-    worst = max(hj.subsolution_level(H1, fld.values[k])
-                for k in range(grid.nt + 1))
+    M0 = hj.subsolution_levels([H1], [g])[0]
+    worst = max(hj.subsolution_levels([H1] * (grid.nt + 1), fld.values))
     assert worst <= M0 + 10.0 * grid.ds
 
 
@@ -422,7 +421,7 @@ def test_a_stack_march_clips_each_end_as_one_row_marched_alone(seed):
                     rng.uniform(-2.0, 0.5, size=grid.nt + 1) * grid.dt))
                 lr[-1][0] = g[end]
         sides.append(lr)
-    out, _ = _march_arcs(hams, init, *zip(*sides), grid, theta, slice(None))
+    out = _march_arcs(hams, init, *zip(*sides), grid, theta, slice(None))
     for i, H in enumerate(hams):
         step = _ArcStepper([H], grid.ns, theta[i], grid.dt)
         u = step.state[0]

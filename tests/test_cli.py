@@ -9,6 +9,7 @@ import pytest
 
 import hjnet as hj
 import hjnet.cli as hj_cli
+from hjnet import network_solver
 from hjnet.cli import load_solution_csv, main, write_solution_csv
 from hjnet.errors import ScenarioParseError, ValidationError
 from hjnet.network_solver import CHECK_NAMES
@@ -453,6 +454,27 @@ def test_run_refine_reports_convergence_orders(tmp_path, capsys):
     assert all(o >= 0.8 for o in refine["orders"])  # first order
 
 
+def test_run_refine_marches_each_level_once(tmp_path, monkeypatch):
+    # the run's own solution is level 0 of the refinement study
+    grids = []
+    ensemble = network_solver.solve_ensemble
+
+    def spy(scenarios, params):
+        scenarios = list(scenarios)
+        grids.append(tuple(sc.ns for sc in scenarios))
+        return ensemble(scenarios, params)
+
+    monkeypatch.setattr(network_solver, "solve_ensemble", spy)
+    out = tmp_path / "ref"
+    assert main(["run", "--scenario", TRIPOD_SCN, "--out", str(out),
+                 "--refine", "2"]) == 0
+    assert grids == [(100,), (200,), (400,)]
+    refine = json.loads((out / "report.json").read_text())["refine"]
+    C, details = hj.calibrate_epsilon(parse_scenario_file(TRIPOD_SCN)[0],
+                                      levels=3)
+    assert refine["C"] == C and refine["levels"] == details
+
+
 @pytest.mark.parametrize("diffs, orders", [
     ([0.1, 0.1], [0.0]),
     ([0.1, 0.05, 0.06], [1.0, float(np.log2(0.05 / 0.06))]),
@@ -463,8 +485,8 @@ def test_run_refine_fails_when_a_level_difference_does_not_shrink(
     scn = _write(tmp_path, TRIPOD)
     details = [{"ns": 60 * 2 ** k, "dt": 0.01 / 2 ** k, "diff": d}
                for k, d in enumerate(diffs)]
-    monkeypatch.setattr("hjnet.cli.calibrate_epsilon",
-                        lambda sc, levels: (1.0, details))
+    monkeypatch.setattr("hjnet.cli._calibrate_from",
+                        lambda base, levels: (1.0, details))
     out = tmp_path / "ref"
     assert main(["run", "--scenario", scn, "--out", str(out),
                  "--refine", "2"]) == 1

@@ -144,20 +144,25 @@ def test_positive_shift_global_minimum_across_arcs():
     assert a == pytest.approx(margin, abs=0.0)
 
 
+def _level(H, w0):
+    """The level of one pair: a batch of one."""
+    return hj.subsolution_levels([H], [w0])[0]
+
+
 def test_subsolution_level(habs, hquad):
     grid = np.linspace(0.0, 1.0, 11)
-    assert hj.subsolution_level(habs, grid) == pytest.approx(2.0, rel=1e-12)
-    assert hj.subsolution_level(habs, np.full(11, 7.0)) == 1.0
-    assert hj.subsolution_level(hquad, 2.0 * grid) == pytest.approx(4.0, rel=1e-12)
+    assert _level(habs, grid) == pytest.approx(2.0, rel=1e-12)
+    assert _level(habs, np.full(11, 7.0)) == 1.0
+    assert _level(hquad, 2.0 * grid) == pytest.approx(4.0, rel=1e-12)
     with pytest.raises(ValueError):
-        hj.subsolution_level(habs, np.array([1.0]))
+        _level(habs, np.array([1.0]))
 
 
 def test_subsolution_level_monotone_in_slopes(habs):
     rng = np.random.default_rng(5)
     base = np.cumsum(rng.normal(size=33)) * 0.05
     steeper = base * 1.7
-    assert hj.subsolution_level(habs, steeper) >= hj.subsolution_level(habs, base)
+    assert _level(habs, steeper) >= _level(habs, base)
 
 
 def _old_level(H, w0):
@@ -201,8 +206,7 @@ def test_batched_levels_equal_the_per_pair_formula_bitwise():
         assert all(type(m) is float for m in batch)
         assert [m.hex() for m in batch] == want
         fresh = [dataclasses.replace(H) for H in hams]
-        assert [hj.subsolution_level(H, w0).hex()
-                for H, w0 in zip(fresh, data)] == want
+        assert [_level(H, w0).hex() for H, w0 in zip(fresh, data)] == want
         # the same pairs in reverse order, on warm midpoint caches
         assert [m.hex() for m in hj.subsolution_levels(hams[::-1],
                                                        data[::-1])] \
@@ -246,7 +250,7 @@ def test_batched_levels_reject_a_short_datum(habs, hquad):
         with pytest.raises(ValueError, match="at least 2 samples"):
             hj.subsolution_levels([habs, hquad], [np.zeros(5), bad])
         with pytest.raises(ValueError, match="at least 2 samples"):
-            hj.subsolution_level(hquad, bad)
+            _level(hquad, bad)
 
 
 def test_cached_scalars_equal_their_uncached_formulas_bitwise():

@@ -182,24 +182,22 @@ def test_max_subsolution_equals_scalar_loop(kind, sides):
                                                 theta).tobytes()
 
 
-@pytest.mark.parametrize("planned", [True, False],
-                         ids=["plan-theta", "default-theta"])
-def test_vertex_transforms_equal_per_arc_min_and_argmin(planned):
+def test_vertex_transforms_equal_per_arc_min_and_argmin():
     sol = hj.solve(make_mixed(16))
     sc = sol.scenario
     fam = hj.positive_shift(sc.hamiltonians, sc.limiter_values())[0]
     ts = sol.trace_set(shifted=True)
     t = sol.grid.t_nodes()
-    if planned:                       # off consistency, so the arcs compete
-        traces = {x: v + 0.03 * (i + 1) * np.cos(5.0 * t)
-                  for i, (x, v) in enumerate(sorted(ts.traces.items()))}
-        ts = VertexTraceSet(sol.grid, traces, ts.initial)
-    thetas = sol.params.theta if planned else None
+    # off consistency, so the arcs compete
+    traces = {x: v + 0.03 * (i + 1) * np.cos(5.0 * t)
+              for i, (x, v) in enumerate(sorted(ts.traces.items()))}
+    ts = VertexTraceSet(sol.grid, traces, ts.initial)
+    thetas = sol.params.theta
     for x in sc.network.vertex_ids():
         ids = [arc.id for arc in hj.incident_arcs(sc.network, x)]
         per_arc = np.array([
             f_gamma(ts, sc.network, fam, aid,
-                    theta=thetas and thetas[aid.rstrip("~")]).values[:, -1]
+                    theta=thetas[aid.rstrip("~")]).values[:, -1]
             for aid in ids])
         fx = f_x(ts, sc.network, fam, x, thetas=thetas)
         vals, chosen = f_x_selected(ts, sc.network, fam, x, thetas=thetas)

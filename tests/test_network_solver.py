@@ -371,6 +371,32 @@ def test_whole_battery_holds_on_rough_scenarios(seed, at_c_gamma):
         assert rep.ok, (ns, [c.name for c in rep.checks if not c.ok])
 
 
+_NEAR_POINT = pytest.mark.xfail(strict=True, reason=(
+    "open defect: space_lipschitz assumes H(s, u_s) <= m0, but through the "
+    "scheme's dissipation H at the cell-averaged slopes exceeds m0 where "
+    "the sublevel set at m0 is almost a point; the excess over the cell "
+    "width does not shrink with ds"))
+
+
+@pytest.mark.parametrize("checks", [
+    pytest.param([c for c in network_solver.CHECK_NAMES
+                  if c != "space_lipschitz"],
+                 id="others"),
+    pytest.param(["space_lipschitz"], id="space_lipschitz",
+                 marks=_NEAR_POINT),
+])
+@pytest.mark.parametrize("seed", [9, 117])
+def test_battery_on_draws_whose_sublevel_set_at_m0_is_almost_a_point(
+        seed, checks):
+    # limiters at min c_gamma and a zero datum: space_lipschitz fails on e3
+    # (seed 9) and on e4 (seed 117) at ns 96 and 192, while -u_t <= m0
+    # holds to roundoff and every other check passes
+    from conftest import rough_scenario
+    sc = rough_scenario(np.random.default_rng(seed), 96, at_c_gamma=True)
+    rep = hj.verify(hj.solve(sc), checks=checks)
+    assert rep.ok, [c.name for c in rep.checks if not c.ok]
+
+
 def test_solve_rejects_nonnegative_shifted_limiter():
     sc = make_tripod(40)
     params = hj.plan_solve(sc)

@@ -56,11 +56,10 @@ def margins_digest(report):
     return hashlib.sha256(repr(rows).encode()).hexdigest()
 
 
-def vertex_transforms(sol, thetas, amp):
+def vertex_transforms(sol, amp):
     """F_x at every vertex of the shifted trace set, lifted off consistency
-    by amp; with thetas None every arc picks its default dissipation.  The
-    data use only exactly rounded arithmetic, so the pins hold on any
-    IEEE-754 machine."""
+    by amp.  The data use only exactly rounded arithmetic, so the pins hold
+    on any IEEE-754 machine."""
     ts = sol.trace_set(shifted=True)
     t = sol.grid.t_nodes()
     wave = np.abs((t + 0.0625) % 0.25 - 0.125) - 0.0625  # zero at t = 0
@@ -69,7 +68,8 @@ def vertex_transforms(sol, thetas, amp):
     lifted_ts = VertexTraceSet(sol.grid, lifted, ts.initial)
     fam = hj.positive_shift(sol.scenario.hamiltonians,
                             sol.scenario.limiter_values())[0]
-    return {x: f_x(lifted_ts, sol.scenario.network, fam, x, thetas=thetas)
+    return {x: f_x(lifted_ts, sol.scenario.network, fam, x,
+                   thetas=sol.params.theta)
             for x in sol.scenario.network.vertex_ids()}
 
 
@@ -89,8 +89,6 @@ PINS = {
             "7e5b885fd4a5d0e9ce7dad49532044a98b0c35f0f58f3a0ed1a1f60f8ab1e5f4",
         "transforms":
             "de00c0164fae10cc81b01adf8669585e31a950538e172e593349cc72503ae561",
-        "transforms_default":
-            "c751d7a6ed63f104375c76b439b7a369aa0d26885b3d25cabd26fd33a0293a65",
     },
     "path": {
         "fields":
@@ -101,8 +99,6 @@ PINS = {
             "cc6392eec9ca07d26573f0aea2fd20f74df5c571ea265152a9919b6526dd7b87",
         "transforms":
             "0f61fbf39708c7c4b1abcd09c6172451caf8185ad095576f5210b355ea874821",
-        "transforms_default":
-            "7f4082e3d43b179f874977b2a8f178ae1fb58e716c50aa9d427b8adc7589f022",
     },
     "mixed": {
         "fields":
@@ -113,8 +109,6 @@ PINS = {
             "b3aa723d443fbf523c08bd8e6ceeae9c9d9b031b61f33309253b10e52cf8a7f8",
         "transforms":
             "fd83b05e3c0d50c7a97c252450c3ac5c680fba7aeaf7e719fbe9e4073c5eee34",
-        "transforms_default":
-            "d965efbfa2c2bbc899405652d7f26d88444d280b37c822b5e8839a996a60e91a",
     },
 }
 
@@ -125,8 +119,7 @@ def pin_values(name):
         "fields": digest(sol.fields),
         "vertex": digest(sol.vertex),
         "margins": margins_digest(hj.verify(sol)),
-        "transforms": digest(vertex_transforms(sol, sol.params.theta, 0.4)),
-        "transforms_default": digest(vertex_transforms(sol, None, 0.0)),
+        "transforms": digest(vertex_transforms(sol, 0.4)),
     }
 
 

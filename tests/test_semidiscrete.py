@@ -222,7 +222,8 @@ def test_comparison_of_trace_sets():
     # trace sets on two time grids do not compare
     short = hj.solve(make_tripod(60, horizon=1.0)).trace_set()
     with pytest.raises(GridMismatchError, match="share the time grid"):
-        discr_compare(ts, short, sc.network, sc.hamiltonians, lim, eps)
+        discr_compare(ts, short, sc.network, sc.hamiltonians, lim, eps,
+                      thetas=sol.params.theta)
 
 
 def test_resolving_arcs_from_converged_traces_replays_the_fields():
@@ -310,27 +311,48 @@ def test_a_trace_set_missing_a_trace_or_a_datum_is_named():
     sol = hj.solve(make_tripod(24))
     sc, full = sol.scenario, sol.trace_set()
     net, fam, lim = sc.network, sc.hamiltonians, sc.limiter_values()
+    th = sol.params.theta
     no_x1 = VertexTraceSet(sol.grid, {x: v for x, v in full.traces.items()
                                       if x != "x1"}, full.initial)
     no_e2 = VertexTraceSet(sol.grid, full.traces, {e: g for e, g in
                                                    full.initial.items()
                                                    if e != "e2"})
-    for ts, missing in ((no_x1, "no trace for vertex 'x1'"),
-                        (no_e2, "no initial datum for edge 'e2'")):
-        for call in (lambda: discr_residual(ts, net, fam, lim, 0.1),
-                     lambda: discr_compare(ts, full, net, fam, lim, 0.1),
-                     lambda: discr_compare(full, ts, net, fam, lim, 0.1),
-                     lambda: f_x(ts, net, fam, "x0"),
-                     lambda: f_x_selected(ts, net, fam, "x0")):
-            assert _error_of(call) == (ValidationError,
-                                       f"trace set has {missing}")
+    no_e2_theta = {e: v for e, v in th.items() if e != "e2"}
+    for ts, thetas, missing in (
+            (no_x1, th, "trace set has no trace for vertex 'x1'"),
+            (no_e2, th, "trace set has no initial datum for edge 'e2'"),
+            (full, no_e2_theta, "params carry no theta for edge 'e2'")):
+        for call in (lambda: discr_residual(ts, net, fam, lim, 0.1, thetas),
+                     lambda: discr_compare(ts, full, net, fam, lim, 0.1,
+                                           thetas),
+                     lambda: discr_compare(full, ts, net, fam, lim, 0.1,
+                                           thetas),
+                     lambda: f_x(ts, net, fam, "x0", thetas),
+                     lambda: f_x_selected(ts, net, fam, "x0", thetas)):
+            assert _error_of(call) == (ValidationError, missing)
     # an arc transform reads only its own datum and its start trace
     with pytest.raises(ValidationError, match="vertex 'x1'"):
-        f_gamma(no_x1, net, fam, "e1")
+        f_gamma(no_x1, net, fam, "e1", th["e1"])
     with pytest.raises(ValidationError, match="edge 'e2'"):
-        f_gamma(no_e2, net, fam, "e2~")
-    assert f_gamma(no_e2, net, fam, "e1").values.shape == (
+        f_gamma(no_e2, net, fam, "e2~", th["e2"])
+    assert f_gamma(no_e2, net, fam, "e1", th["e1"]).values.shape == (
         sol.grid.nt + 1, sol.grid.ns + 1)
+
+
+def test_every_arc_march_takes_its_theta_from_the_caller():
+    # the plan's theta is the one dissipation rule; none is derived here
+    sol = hj.solve(make_tripod(16))
+    sc, ts = sol.scenario, sol.trace_set()
+    net, fam, lim = sc.network, sc.hamiltonians, sc.limiter_values()
+    for call in (lambda: f_gamma(ts, net, fam, "e1"),
+                 lambda: f_x(ts, net, fam, "x0"),
+                 lambda: f_x_selected(ts, net, fam, "x0"),
+                 lambda: discr_residual(ts, net, fam, lim, 0.1),
+                 lambda: discr_compare(ts, ts, net, fam, lim, 0.1),
+                 lambda: hj.max_subsolution(fam["e1"], ts.initial["e1"],
+                                            hj.free(), hj.free(), sol.grid)):
+        with pytest.raises(TypeError, match="theta"):
+            call()
 
 
 def test_discr_compare_names_a_datum_off_the_network_before_marching(
@@ -348,13 +370,13 @@ def test_discr_compare_names_a_datum_off_the_network_before_marching(
     for sub, sup in ((extra, full), (full, extra), (extra, extra)):
         with pytest.raises(ValidationError, match="datum for 'zz', which is "
                                                   "not an edge of the network"):
-            discr_compare(sub, sup, net, fam, lim, 0.1)
+            discr_compare(sub, sup, net, fam, lim, 0.1, sol.params.theta)
     no_e2 = VertexTraceSet(sol.grid, full.traces,
                            {e: g for e, g in full.initial.items() if e != "e2"})
     for sub, sup in ((no_e2, full), (full, no_e2)):
         with pytest.raises(ValidationError, match="no initial datum for edge "
                                                   "'e2'"):
-            discr_compare(sub, sup, net, fam, lim, 0.1)
+            discr_compare(sub, sup, net, fam, lim, 0.1, sol.params.theta)
 
 
 def test_a_non_finite_trace_raises_the_same_error_in_every_transform():
@@ -366,21 +388,6 @@ def test_a_non_finite_trace_raises_the_same_error_in_every_transform():
     assert _error_of(lambda: f_x(ts, net, fam, "b", thetas={"e": th})) == alone
     assert _error_of(lambda: discr_residual(
         ts, net, fam, {"a": -1.0, "b": -1.0}, 0.1, thetas={"e": th})) == alone
-
-
-def test_arcs_without_a_given_theta_get_the_default_dissipation():
-    sc = make_tripod(24)
-    sol = hj.solve(sc)
-    ts, net, fam = sol.trace_set(), sc.network, sc.hamiltonians
-    alone = np.min([f_gamma(ts, net, fam, arc.id, theta=th).values[:, -1]
-                    for arc, th in zip(hj.incident_arcs(net, "x0"),
-                                       (None, sol.params.theta["e2"], None))],
-                   axis=0)
-    assert np.array_equal(f_x(ts, net, fam, "x0",
-                              thetas={"e2": sol.params.theta["e2"]}), alone)
-    derived = np.min([f_gamma(ts, net, fam, arc.id).values[:, -1]
-                      for arc in hj.incident_arcs(net, "x0")], axis=0)
-    assert np.array_equal(f_x(ts, net, fam, "x0"), derived)
 
 
 def _cap_by_scalar_loop(psi, a, dt):
