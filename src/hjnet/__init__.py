@@ -5,8 +5,8 @@ network, coupled through continuity and a per-vertex flux limiter, with a
 monotone finite-difference arc solver, the slope-cap transform handling the
 limiter, a network solver that marches all arcs together and caps every
 vertex at its limiter step by step, and a verification suite that turns the
-well-posedness theory (comparison, contraction, stability, finite speed of
-propagation) into executable checks.
+well-posedness theory (comparison, contraction, stability) into executable
+checks.
 """
 
 from .arc_solver import (

@@ -249,13 +249,15 @@ def _march(hams, init, theta, grid, ends, limit, record):
     steps[0] = kept
     for k in range(1, grid.nt + 1):
         advance()
-        flat.take(gather, out=at_ends)
+        # in-range indices: "clip" skips take's out= buffering; put gains none
+        flat.take(gather, out=at_ends, mode="clip")
         if grouped:
             np.minimum.reduceat(at_ends, starts, out=vmin)
         if cap:
             np.add(vval, c_dt, vval)
         np.minimum(vval if cap else limit[k], vmin, out=vval)
-        flat.put(gather, vval.take(group_of, out=vnew) if grouped else vval)
+        flat.put(gather, vval.take(group_of, out=vnew, mode="clip")
+                 if grouped else vval)
         steps[k] = kept
     return block, row
 

@@ -38,7 +38,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .arc_solver import (_START_TOL, _STEP_SLACK, Grid2D, _check_monotone,
+from .arc_solver import (_STEP_SLACK, Grid2D, _check_monotone,
                          _interior_residuals, _march)
 from .errors import (
     CFLViolationError,
@@ -152,13 +152,17 @@ class Scenario:
     @cached_property
     def datum_slopes(self) -> dict:
         """Edge id -> the largest |slope| of its initial datum."""
-        return {arc.id: float(np.max(np.abs(np.diff(self.initial[arc.id]))))
-                * self.ns for arc in self.network.edge_arcs()}
+        slopes = {}
+        for arc in self.network.edge_arcs():
+            g = np.asarray(self.initial[arc.id], dtype=float)
+            slopes[arc.id] = float(np.abs(g[1:] - g[:-1]).max()) * self.ns
+        return slopes
 
 
 def validate_scenario(sc: Scenario):
     """Grid size, time step, limiter admissibility, datum shape, vertex
-    consistency of the datum; ``Scenario.validation`` keeps the result."""
+    consistency of the datum to the continuity gate's ``_TRACE_TOL``;
+    ``Scenario.validation`` keeps the result."""
     if sc.ns < 2:
         raise ValidationError("ns must be at least 2")
     if not np.isfinite(sc.t0):
@@ -174,7 +178,7 @@ def validate_scenario(sc: Scenario):
         raise ValidationError(
             f"flux limiter exceeds min c_gamma at {bad.vertex} "
             f"(margin {bad.margin:.6g})")
-    at_vertex = {}
+    at_vertex = {}   # vertex id -> the lowest and highest datum value there
     for arc in sc.network.edge_arcs():
         if arc.id not in sc.initial:
             raise ValidationError(f"edge {arc.id!r} is missing its initial datum")
@@ -185,11 +189,12 @@ def validate_scenario(sc: Scenario):
         if not np.all(np.isfinite(g)):
             raise ValidationError(f"initial datum of edge {arc.id!r} not finite")
         for vid, val in ((arc.start, g[0]), (arc.end, g[-1])):
-            ref = at_vertex.setdefault(vid, val)
-            if abs(ref - val) > _START_TOL * (1.0 + abs(ref)):
+            lo, hi = at_vertex.get(vid, (val, val))
+            lo, hi = at_vertex[vid] = min(lo, val), max(hi, val)
+            if hi - lo > _TRACE_TOL:
                 raise ValidationError(
                     f"initial datum inconsistent at vertex {vid!r}: "
-                    f"{ref} vs {val}")
+                    f"{lo if val == hi else hi} vs {val}")
     return rep
 
 
@@ -292,7 +297,7 @@ class NetworkSolution:
         return VertexTraceSet(self.grid, traces, init)
 
     def sup_diff(self, other) -> float:
-        return max(float(np.max(np.abs(self.fields[e] - other.fields[e])))
+        return max(float(np.abs(self.fields[e] - other.fields[e]).max())
                    for e in self.fields)
 
 
@@ -478,7 +483,7 @@ def verify(solution: NetworkSolution, eps_scheme=None,
         for x, tr in ts.traces.items():
             if grid.nt == 0:
                 continue
-            excess = float(np.max(np.diff(tr) / grid.dt - lim[x]))
+            excess = float(((tr[1:] - tr[:-1]) / grid.dt - lim[x]).max())
             if excess > worst:
                 worst, wit = excess, {"vertex": x}
         worst = max(worst, 0.0) if worst == -np.inf else worst
@@ -501,36 +506,38 @@ def verify(solution: NetworkSolution, eps_scheme=None,
         f = solution.fields[arc.id]
         g = f - lift[:, None] if a else f     # the normalized field
         if timed or "interior_residual" in want:
-            g_t = np.diff(g, axis=0) / grid.dt
+            g_t = np.subtract(g[1:], g[:-1])
+            g_t /= grid.dt
         if "interior_residual" in want:
             res = _interior_residuals(g, g_t, fam[arc.id],
                                       params.theta[arc.id], grid.dt)
-            r = max(0.0, float(np.max(res, initial=-np.inf)),
-                    -float(np.min(res, initial=np.inf)))
+            r = max(0.0, float(res.max(initial=-np.inf)),
+                    -float(res.min(initial=np.inf)))
             if r > resid:
                 resid, resid_wit = r, {"edge": arc.id}
         if timed:
             drop = max(drop, _rise(down - g))    # -(g + m0 t)
-            lip_rate = max(lip_rate, -float(np.min(g_t)) - m0s)
+            lip_rate = max(lip_rate, -float(g_t.min()) - m0s)
             rise = max(rise, _rise(g))
-            rise_rate = max(rise_rate, float(np.max(g_t)))
+            rise_rate = max(rise_rate, float(g_t.max()))
         if want & {"space_lipschitz", "headroom"}:
             # per cell the largest slope over the rows the march differenced
             # (0..nt-1) for headroom, and over all rows against the
             # pointwise sublevel widths at m0 for the Lipschitz bound
-            slopes = np.abs(np.diff(f, axis=1))
-            col = np.max(slopes[:-1], axis=0, initial=0.0)
+            slopes = np.subtract(f[:, 1:], f[:, :-1])
+            np.absolute(slopes, out=slopes)
+            col = slopes[:-1].max(axis=0, initial=0.0)
             if "space_lipschitz" in want:
                 excess = (np.maximum(col, slopes[-1]) * grid.ns
                           - cell_widths(fam[arc.id], grid.ns, m0s))
-                i = int(np.argmax(excess))
+                i = int(excess.argmax())
                 if excess[i] > space:
                     space = float(excess[i])
                     space_wit = {"edge": arc.id, "s": (i + 0.5) / grid.ns}
             # theta must cover the momentum-Lipschitz constant at those
             # slopes, floored at ds around p = 0
             H = sc.hamiltonians[arc.id]
-            seen = float(np.max(col)) * grid.ns
+            seen = float(col.max()) * grid.ns
             spare = params.theta[arc.id] - momentum_lipschitz(
                 H, max(seen, grid.ds))
             if spare < room:
@@ -539,8 +546,8 @@ def verify(solution: NetworkSolution, eps_scheme=None,
                     abs(H.p_knots[0]), abs(H.p_knots[-1])) - 1e-12:
                 beyond = True  # a sampled table's p-range bound the width
         cont = max(cont,
-                   float(np.max(np.abs(f[:, 0] - solution.vertex[arc.start]))),
-                   float(np.max(np.abs(f[:, -1] - solution.vertex[arc.end]))))
+                   float(np.abs(f[:, 0] - solution.vertex[arc.start]).max()),
+                   float(np.abs(f[:, -1] - solution.vertex[arc.end]).max()))
 
     out["interior_residual"] = CheckResult(
         "interior_residual", resid <= _RESID_TOL, _RESID_TOL - resid, resid_wit)
@@ -559,14 +566,15 @@ def verify(solution: NetworkSolution, eps_scheme=None,
 
 def _rise(u):
     """max over columns and n of u^n - min_{m<=n} u^m for u (nt+1, ns+1),
-    scanning only the columns where u ever rises: elsewhere it is 0."""
-    cols = np.flatnonzero((np.diff(u, axis=0) > 0).any(axis=0))
+    scanning only the columns where u ever rises: elsewhere it is 0.  For
+    finite u, u^{n+1} > u^n exactly where their difference is positive."""
+    cols = (u[1:] > u[:-1]).any(axis=0).nonzero()[0]
     if cols.size == 0:
         return 0.0
     if cols.size < u.shape[1]:
         u = u[:, cols]
     low = np.minimum.accumulate(u, 0)
-    return float(np.max(np.subtract(u, low, out=low)))
+    return float(np.subtract(u, low, out=low).max())
 
 
 def calibrate_epsilon(scenario: Scenario, levels=3):
@@ -610,7 +618,7 @@ def _level_diff(coarse: NetworkSolution, fine: NetworkSolution) -> float:
     for eid, fc in coarse.fields.items():
         ff = fine.fields[eid][:, ::stride]
         interp = (1.0 - w)[:, None] * ff[idx] + w[:, None] * ff[idx + 1]
-        worst = max(worst, float(np.max(np.abs(fc - interp))))
+        worst = max(worst, float(np.abs(fc - interp).max()))
     return worst
 
 
@@ -628,8 +636,8 @@ def contraction_check(scenario: Scenario, initial2: dict) -> ContractionReport:
                                      for k, v in initial2.items()})
     u1, u2 = solve_ensemble([scenario, sc2],
                             plan_solve(scenario, others=[sc2]))
-    gap = max(float(np.max(np.abs(np.asarray(scenario.initial[e])
-                                  - np.asarray(sc2.initial[e]))))
+    gap = max(float(np.abs(np.asarray(scenario.initial[e])
+                           - np.asarray(sc2.initial[e])).max())
               for e in scenario.initial)
     d = u1.sup_diff(u2)
     ordered = None
@@ -668,10 +676,9 @@ def shift_check(scenario: Scenario, a: float) -> ShiftReport:
         raise ValidationError("shifted run landed on a different grid")
     u1, u2 = solve_ensemble([scenario, sc2], params)
     lift = _time_shift(a, u1.grid)
-    dev = max(float(np.max(np.abs(u2.fields[e] + lift[:, None]
-                                  - u1.fields[e])))
+    dev = max(float(np.abs(u2.fields[e] + lift[:, None] - u1.fields[e]).max())
               for e in u1.fields)
-    scale = 1.0 + max(float(np.max(np.abs(u1.fields[e]))) for e in u1.fields)
+    scale = 1.0 + max(float(np.abs(u1.fields[e]).max()) for e in u1.fields)
     return ShiftReport(shift=a, max_dev=dev, ok=dev <= _SHIFT_TOL * scale)
 
 
@@ -747,5 +754,5 @@ def restart_check(scenario: Scenario, params: SolveParams | None = None):
         glued = np.vstack([sol1.fields[eid], sol2.fields[eid][1:]])
         if not np.array_equal(glued, full.fields[eid]):
             equal = False
-        worst = max(worst, float(np.max(np.abs(glued - full.fields[eid]))))
+        worst = max(worst, float(np.abs(glued - full.fields[eid]).max()))
     return equal, worst

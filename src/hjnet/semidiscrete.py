@@ -184,7 +184,7 @@ def discr_residual(traces, network, hams, limiter, tolerance,
     entries = []
     for x in network.vertex_ids():
         resid = np.abs(np.asarray(traces.traces[x], dtype=float) - capped[x])
-        k = int(np.argmax(resid))
+        k = int(resid.argmax())
         entries.append(DiscrEntry(x, float(resid[k]), grid.t0 + k * grid.dt,
                                   float(resid[k]) <= tolerance))
     return DiscrReport(entries, tolerance)

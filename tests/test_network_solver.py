@@ -620,16 +620,66 @@ def test_core_checks_hold_on_randomized_scenarios():
         assert rep.ok, (trial, [c.name for c in rep.checks if not c.ok])
 
 
+def _rise_by_double_loop(u):
+    """max over columns j and rows n of u[n, j] - min_{m<=n} u[m, j], one
+    Python float at a time."""
+    rows, cols = u.shape
+    return max(float(u[n, j]) - min(float(u[m, j]) for m in range(n + 1))
+               for j in range(cols) for n in range(rows))
+
+
 def test_rise_scans_only_rising_columns_and_matches_the_full_scan():
+    # _rise scans the columns where u[n+1] > u[n], which for finite floats
+    # is diff(u) > 0: gradual underflow never rounds a nonzero difference
+    # to 0.  It equals the full scan, and a scalar double loop bit for bit,
+    # on tied rows, signed zeros, steps of one subnormal, one row and
+    # fields that never rise
     rng = np.random.default_rng(11)
     falling = -np.cumsum(rng.uniform(0.0, 1.0, (9, 5)), axis=0)
-    assert network_solver._rise(falling) == 0.0
     one_rising = falling.copy()
     one_rising[:, 2] = falling[::-1, 2]
-    for u in (rng.standard_normal((9, 5)), one_rising,
-              np.cumsum(rng.standard_normal((40, 7)), axis=0)):
-        full = float(np.max(u - np.minimum.accumulate(u, 0)))
-        assert network_solver._rise(u) == full > 0.0
+    cases = [(rng.standard_normal((9, 5)), True), (one_rising, True),
+             (np.cumsum(rng.standard_normal((40, 7)), axis=0), True)]
+    ties = rng.integers(-2, 3, (12, 6)).astype(float)
+    ties[5] = ties[4]
+    walk = np.empty((10, 4))
+    walk[0] = rng.choice([0.0, -0.0], 4)
+    for n in range(1, 10):      # one subnormal up or down per row
+        walk[n] = np.nextafter(walk[n - 1], rng.choice([-np.inf, np.inf], 4))
+    cases += [(ties, True), (walk, True), (falling, False),
+              (rng.choice([0.0, -0.0], (8, 5)), False),
+              (rng.standard_normal((1, 6)), False),
+              (np.full((4, 3), 0.25), False)]
+    for u, rises in cases:
+        assert ((u[1:] > u[:-1]) == (np.diff(u, axis=0) > 0)).all()
+        got = network_solver._rise(u)
+        assert got == float(np.max(u - np.minimum.accumulate(u, 0)))
+        want = _rise_by_double_loop(u)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        assert (got > 0.0) == rises
+    assert network_solver._rise(walk) <= 9 * np.nextafter(0.0, 1.0)
+
+
+def test_validation_holds_the_datum_at_a_vertex_to_the_continuity_gate():
+    # row 0 keeps each edge's own datum and verify gates vertex continuity
+    # at _TRACE_TOL (absolute), so validation bounds the spread of the
+    # datum's values at a vertex by the same number; e1, e2 and e3 all end
+    # at x0
+    sc = make_tripod(40)
+    for ends, message in (
+            ({"e2": 1e-11}, "'x0': 0.0 vs 1e-11"),
+            ({"e2": 9e-13, "e3": -9e-13}, "'x0': 9e-13 vs -9e-13")):
+        initial = {e: np.full(41, ends.get(e, 0.0)) for e in sc.initial}
+        with pytest.raises(ValidationError,
+                           match=f"initial datum inconsistent at vertex "
+                                 f"{message}"):
+            hj.validate_scenario(dataclasses.replace(sc, initial=initial))
+    close = dataclasses.replace(
+        sc, initial=dict(sc.initial, e2=np.full(41, 1e-13)))
+    hj.validate_scenario(close)
+    rep = hj.verify(hj.solve(close))
+    assert rep.ok, [c.name for c in rep.checks if not c.ok]
+    assert rep["vertex_continuity"].margin == pytest.approx(9e-13, rel=1e-9)
 
 
 def test_negative_hamiltonians_solve_through_the_positivity_shift():
