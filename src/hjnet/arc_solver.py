@@ -27,7 +27,7 @@ scan on an (R, ns + 1) stack of arc rows of any kinds with per-row theta.
 It groups the rows by kind (by momentum-knot vector, for the sampled kind)
 and is bound to its state: an array of its own that a march seeds, or the
 caller's C-contiguous rows, which the residual scan binds without a copy.
-All of its views and each kind group's evaluator are bound at
+All of its views and each kind group's ufunc calls are bound at
 construction, and it has one stencil: ``advance()`` steps the state in
 place on flat buffers, rows back to back, one contiguous call per stencil
 operation (the entries straddling two rows are junk, overwritten by the end
@@ -125,7 +125,7 @@ class _ArcStepper:
     caller's rows, bound without a copy, which one Hamiltonian with a
     scalar theta may serve.
     Every view of the flat buffers, rows back to back, and each kind group's
-    evaluator are bound here, once.  ``advance()`` steps the state in place,
+    ufunc calls are bound here, once.  ``advance()`` steps the state in place,
     columns 0 and ns holding the state-constraint candidates that ``_march``
     clips; ``hhat()``, its first half, returns Hhat of the state.  The end
     clip overwrites the momenta that straddle two rows, and the dissipation
@@ -170,7 +170,7 @@ class _ArcStepper:
                             [_grid_coefficients(H, ns) for H in grp])
             self.groups.append(
                 (cols, cols.bind(p[sl], hh[sl], pm.reshape(n, c)[sl])))
-        evaluators = [ev for _, ev in self.groups]
+        calls = [call for _, group_calls in self.groups for call in group_calls]
         u = state.reshape(-1)
         u_lo, u_hi, slopes = u[:-1], u[1:], pm[:-1]
         pm_lo, pm_hi, p_mid, d = pm[:-2], pm[1:-1], fp[1:-1], ft[1:-1]
@@ -191,8 +191,8 @@ class _ArcStepper:
             np.multiply(pair, factor, pair)
             np.minimum(pm_0, p_star_0, out=p_0)
             np.maximum(pm_n, p_star_n, out=p_n)
-            for evaluate in evaluators:
-                evaluate()
+            for call in calls:
+                call()
             d_ends.fill(0.0)
             np.subtract(fh, ft, fh)
             return hh

@@ -20,6 +20,10 @@ an arc is the largest over its nodes, and of a cell the larger at its ends.
 
 Orientation reversal obeys H_rev(s, p) = H(1 - s, -p), so a family defined on
 forward arcs extends uniquely to the inverse arcs.
+
+A column evaluator of the symbolic kinds skips the products that alpha = 1
+and beta = +-0 make identities, exact at every finite momentum; at p = +-inf
+a quadratic with beta = 0 gives +inf, not the nan of 0 * inf.
 """
 
 from __future__ import annotations
@@ -149,6 +153,9 @@ def _make_knots(n, s_knots):
 
 def _symbolic(kind, alpha, beta, kappa, s_knots):
     arrs = [np.atleast_1d(np.asarray(c, dtype=float)) for c in (alpha, beta, kappa)]
+    for name, a in zip(("alpha", "beta", "kappa"), arrs):
+        if a.size == 0:
+            raise ValueError(f"{name} needs at least one value")
     sizes = {a.size for a in arrs if a.size > 1}
     if len(sizes) > 1:
         raise ValueError("coefficient arrays must share one s-knot grid")
@@ -245,7 +252,18 @@ class _Columns:
     momenta (R, C), or any (N, C) when R = 1.  ``coefs`` holds each
     Hamiltonian's ``_coefficients`` at s when the caller keeps them.  Given
     ``out`` (and a scratch ``tmp`` of its shape) the values are written
-    there; ``bind`` fixes all three for repeated calls."""
+    there; ``bind`` fixes all three for repeated calls.
+
+    A symbolic group binds fewer ufunc calls when all its alphas at the
+    columns are exactly 1 ("unit") or all its betas +-0 ("centered"),
+    flags set once here.  abs: unit drops the product by alpha (x 1 = x);
+    centered takes |p| for |p - beta| (|.| clears the sign that p - (-0)
+    may flip).  quadratic: unit takes p p for (alpha p) p; centered drops
+    beta p and its sum, since (alpha p) p is never -0 (alpha > 0) and
+    adding +-0 to it is exact.  Each is bitwise the full sequence at finite
+    momenta, the only ones a march or a residual scan evaluates; at
+    p = +-inf a centered quadratic gives +inf where the full sequence gives
+    nan (0 * inf)."""
 
     def __init__(self, hams, s, coefs=None):
         if coefs is None:
@@ -268,36 +286,35 @@ class _Columns:
             self.a, self.b, self.k = (np.array([c[i] for c in coefs])
                                       for i in range(3))
             self.shape = self.a.shape
+            self.unit = (self.a == 1.0).all()
+            self.centered = (self.b == 0.0).all()
 
     def __call__(self, p, out=None, tmp=None):
         if out is None:
             out = np.empty(np.broadcast_shapes(self.shape, np.shape(p)))
         if tmp is None and self.kind != "abs":
             tmp = np.empty_like(out)
-        self.bind(p, out, tmp)()
+        for call in self.bind(p, out, tmp):
+            call()
         return out
 
     def bind(self, p, out, tmp):
-        """A call without arguments that writes H at the momenta p into out,
-        with tmp as scratch (the abs kind takes none); a stepper binds its
-        buffers once and calls it every step."""
+        """The calls without arguments that, made in order, write H at the
+        momenta p into out, with tmp as scratch (the abs kind takes none); a
+        stepper binds its buffers once and makes them every step."""
         if self.kind == "sampled":
-            return partial(self._sampled, p, out, tmp)
+            return [partial(self._sampled, p, out, tmp)]
         a, b, k = self.a, self.b, self.k
         if self.kind == "abs":        # a |p - b| + k
-            def evaluate():
-                np.subtract(p, b, out)
-                np.absolute(out, out)
-                np.multiply(out, a, out)
-                np.add(out, k, out)
-        else:                         # a p p + b p + k
-            def evaluate():
-                np.multiply(a, p, out)
-                np.multiply(out, p, out)
-                np.multiply(b, p, tmp)
-                np.add(out, tmp, out)
-                np.add(out, k, out)
-        return evaluate
+            calls = ([(np.absolute, p, out)] if self.centered else
+                     [(np.subtract, p, b, out), (np.absolute, out, out)])
+            calls += [] if self.unit else [(np.multiply, out, a, out)]
+        else:                         # (a p) p + b p + k
+            calls = ([(np.multiply, p, p, out)] if self.unit else
+                     [(np.multiply, a, p, out), (np.multiply, out, p, out)])
+            calls += [] if self.centered else [(np.multiply, b, p, tmp),
+                                               (np.add, out, tmp, out)]
+        return [partial(*c) for c in calls + [(np.add, out, k, out)]]
 
     def _sampled(self, p, out, pc):
         # (1 - w) A + w B on the cell of the clipped momentum pc, whose index

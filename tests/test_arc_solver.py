@@ -462,7 +462,7 @@ def test_end_nodes_hold_h_at_the_clipped_slope_without_dissipation(
     # a column table writing -0.0 everywhere: the ends keep it, so the
     # dissipation term there is +0.0 whatever junk the stencil straddled
     monkeypatch.setattr(_Columns, "bind",
-                        lambda self, p, out, tmp: lambda: out.fill(-0.0))
+                        lambda self, p, out, tmp: [lambda: out.fill(-0.0)])
     step = _ArcStepper([H] * 3, 4, [1.0, 2.0, 3.0], 1e-3)
     step.state[:] = u
     hh = step.hhat()

@@ -127,6 +127,9 @@ SAMPLED_E3 = ("e3 x3 x0 sampled pmin=-2 pmax=2 npts=abc slope=5 "
      "e3 x3 x0 abs alpha=nan beta=0 kappa=1"),
     ("e3 x3 x0 abs alpha=1 beta=0 kappa=1",
      "e3 x3 x0 abs alpha=1 beta=0 kapa=1"),
+    ("e3 x3 x0 abs alpha=1 beta=0 kappa=1", "e3 x3 x0 abs kappa="),
+    ("e3 x3 x0 abs alpha=1 beta=0 kappa=1", "e3 x3 x0 quadratic beta="),
+    ("e3 x3 x0 abs alpha=1 beta=0 kappa=1", "e3 x3 x0 abs alpha= kappa=1"),
     ("e3 x3 x0 abs alpha=1 beta=0 kappa=1",
      "e3 x3 x0 abs alpha=1 beta=0 kappa=1 kappa=2"),
     ("e3 x3 x0 abs alpha=1 beta=0 kappa=1",
@@ -143,7 +146,8 @@ SAMPLED_E3 = ("e3 x3 x0 sampled pmin=-2 pmax=2 npts=abc slope=5 "
     ("T = 1.0", "T = 1.0\ndt = 0.01\ncfl = 0.5"),
     ("T = 1.0", "T = 1.0\ncfl = 0.5\ndt = 0.01"),
 ], ids=["limiter-abc", "horizon-abc", "ns-2.5", "linear-x", "bare-initial",
-        "sampled-npts-abc", "alpha-0", "alpha-nan", "abs-kapa", "kappa-twice",
+        "sampled-npts-abc", "alpha-0", "alpha-nan", "abs-kapa", "kappa-empty",
+        "beta-empty", "alpha-empty", "kappa-twice",
         "sampled-alpha", "sampled-npts-too-many", "limiter-twice",
         "default-twice", "initial-twice", "ns-twice", "horizon-after-T",
         "t-after-T", "checks-twice", "dt-then-cfl", "cfl-then-dt"])

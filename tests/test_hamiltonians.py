@@ -668,6 +668,17 @@ def test_constructors_reject_non_finite_data(make, name):
         make()
 
 
+@pytest.mark.parametrize("make, name", [
+    (lambda: hj.abs_hamiltonian(kappa=[]), "kappa"),
+    (lambda: hj.quadratic_hamiltonian(beta=np.empty(0)), "beta"),
+    (lambda: hj.abs_hamiltonian(alpha=[], beta=[0.0, 0.5]), "alpha"),
+], ids=["abs-kappa", "quadratic-beta", "alpha-beside-an-array"])
+def test_constructors_reject_an_empty_coefficient(make, name):
+    # unchecked, kappa=[] built an H that np.interp later failed on
+    with pytest.raises(ValueError, match=f"^{name} needs at least one value$"):
+        make()
+
+
 @pytest.mark.parametrize("values", [
     [0.75, -2.0, 0.25, 3.5, -1.0],
     [1.0, 0.5, 1.0, 0.5, 0.5, 2.0, 1.0],

@@ -4,9 +4,11 @@ max_subsolution and the vertex transforms go through one arc march, and it
 and the network solver step with one stepper over stacks of arc rows
 grouped by kind; these tests rebuild them from scalar evaluations, arc by
 arc in the callers' order, and require equality bit for bit (the arc
-marches byte for byte, so signed zeros count).  The sampled kind's column
-lookup is checked the same way against a scalar search over each row's own
-momentum knots.
+marches byte for byte, so signed zeros count).  The scalar evaluations
+never go through the column evaluator: the symbolic kinds take their
+formula in Python floats, and the sampled kind a scalar search over each
+row's own momentum knots.  Each is also checked against the column
+evaluator directly, the symbolic kinds on every shortened call sequence.
 """
 
 import dataclasses
@@ -21,7 +23,7 @@ from hjnet.hamiltonians import _Columns, momentum_minimizer
 from hjnet.semidiscrete import (VertexTraceSet, _arc_transform_traces,
                                 arc_initial, f_gamma, f_x, f_x_selected)
 
-from conftest import make_comb, make_mixed
+from conftest import make_comb, make_mixed, make_path, make_tripod
 
 
 def scalar_sampled(H, s, p):
@@ -44,19 +46,36 @@ def scalar_sampled(H, s, p):
             + H.extension_slope * (max(p - hi, 0.0) + max(lo - p, 0.0)))
 
 
+def scalar_symbolic(H, s, p):
+    """An abs or quadratic H at one (s, p), in Python floats: the
+    coefficients interpolated on the s-knots, then a |p - b| + k or
+    (a p) p + b p + k with every product and sum made."""
+    a, b, k = (float(np.interp(s, H.s_knots, c))
+               for c in (H.alpha, H.beta, H.kappa))
+    if H.kind == "abs":
+        return a * abs(p - b) + k
+    return (a * p) * p + b * p + k
+
+
+def scalar_H(H, s, p):
+    """H at one (s, p) from its scalar oracle, never through _Columns."""
+    return (scalar_sampled if H.kind == "sampled" else scalar_symbolic)(
+        H, float(s), float(p))
+
+
 def scalar_step(H, u, grid, theta):
-    """One scheme step of the row u node by node with scalar hj.evaluate
-    calls; the end entries are the state-constraint candidates."""
+    """One scheme step of the row u node by node with scalar_H calls; the
+    end entries are the state-constraint candidates."""
     ns, dt, s = grid.ns, grid.dt, grid.s_nodes()
     p_l = float(momentum_minimizer(H, 0.0)[0])
     p_r = float(momentum_minimizer(H, 1.0)[0])
     pm = [(u[i + 1] - u[i]) * ns for i in range(ns)]
-    new = [u[0] - dt * hj.evaluate(H, 0.0, min(pm[0], p_l))]
+    new = [u[0] - dt * scalar_H(H, 0.0, min(pm[0], p_l))]
     for i in range(1, ns):
-        hhat = (hj.evaluate(H, s[i], 0.5 * (pm[i - 1] + pm[i]))
+        hhat = (scalar_H(H, s[i], 0.5 * (pm[i - 1] + pm[i]))
                 - 0.5 * theta * (pm[i] - pm[i - 1]))
         new.append(u[i] - dt * hhat)
-    new.append(u[ns] - dt * hj.evaluate(H, 1.0, max(pm[-1], p_r)))
+    new.append(u[ns] - dt * scalar_H(H, 1.0, max(pm[-1], p_r)))
     return new
 
 
@@ -311,6 +330,86 @@ def test_network_march_on_two_knot_vectors_equals_scalar_marches():
     assert knots == sorted({tuple(H.p_knots) for H in hams
                             if H.kind == "sampled"})
     assert len(knots) == 2
+    fields, vertex = scalar_network(sc, params)
+    sol = hj.solve(sc, params)
+    for e, f in fields.items():
+        assert sol.fields[e].tobytes() == f.tobytes(), e
+    for x, v in vertex.items():
+        assert sol.vertex[x].tobytes() == v.tobytes(), x
+
+
+def _symbolic_groups():
+    """Groups of one kind for every unit (alpha = 1) x centered (beta = 0)
+    combination and the edge cases, each with the number of ufunc calls it
+    binds.  beta = -0.0 from a reversal is centered; beta = 5e-324 is not.
+    alpha one ulp above 1 is not unit.  A group whose rows mix alpha 1 and
+    2, or beta 0 and 0.5, loses that flag, and so do knots that leave 1 or
+    0 along s."""
+    out = []
+    for kind, make, n_full in (("abs", hj.abs_hamiltonian, 4),
+                               ("quadratic", hj.quadratic_hamiltonian, 5)):
+        skip_b = 1 if kind == "abs" else 2        # b p and its add
+        for unit, centered in itertools.product((True, False), repeat=2):
+            H = make(alpha=1.0 if unit else [0.75, 2.0, 1.25],
+                     beta=0.0 if centered else [0.3, -0.2, 0.1],
+                     kappa=[0.5, 1.0, 0.7])
+            out.append(pytest.param(
+                [H], n_full - unit - skip_b * centered,
+                id=f"{kind}-unit={unit}-centered={centered}"))
+        reversed_zero = hj.reverse_hamiltonian(make(kappa=1.0))
+        assert np.signbit(reversed_zero.beta).all()
+        cases = {
+            "reversed": ([reversed_zero], n_full - 1 - skip_b),
+            "beta-5e-324": ([make(beta=5e-324, kappa=1.0)], n_full - 1),
+            "alpha-above-1": ([make(alpha=np.nextafter(1.0, 2.0), kappa=1.0)],
+                              n_full - skip_b),
+            "alpha-1-and-2": ([make(kappa=1.0), make(alpha=2.0, kappa=1.0)],
+                              n_full - skip_b),
+            "beta-0-and-0.5": ([make(kappa=1.0), make(beta=0.5, kappa=1.0)],
+                               n_full - 1),
+            "knots-off-1-and-0": ([make(alpha=[1.0, 2.0], beta=[0.0, 0.5])],
+                                  n_full),
+        }
+        out += [pytest.param(hams, n, id=f"{kind}-{case}")
+                for case, (hams, n) in cases.items()]
+    return out
+
+
+@pytest.mark.parametrize("hams, n_calls", _symbolic_groups())
+def test_symbolic_columns_equal_the_scalar_formula(hams, n_calls):
+    s = np.linspace(0.0, 1.0, 7)
+    cols = _Columns(hams, s)
+    p = np.empty((len(hams), s.size))
+    assert len(cols.bind(p, np.empty_like(p), np.empty_like(p))) == n_calls
+    # both zeros, momenta on either side of the betas, values whose square
+    # underflows to +0.0, and large finite ones
+    probes = [0.0, -0.0, 0.3, -0.2, 5e-324, -5e-324, 1e-170, -1e-170, 0.75,
+              -3.5, 1e150, -1e150]
+    for pv in probes:
+        p[:] = pv
+        want = np.array([[scalar_symbolic(H, float(sv), pv) for sv in s]
+                         for H in hams])
+        assert cols(p).tobytes() == want.tobytes(), pv
+        for H, row in zip(hams, want):
+            assert hj.evaluate(H, s, p[0]).tobytes() == row.tobytes(), pv
+
+
+def test_a_centered_quadratic_is_inf_at_infinite_momenta():
+    # the centered kernel makes no beta p term, so no 0 * inf = nan
+    H = hj.quadratic_hamiltonian(alpha=[1.0, 2.0], kappa=1.0)
+    assert hj.evaluate(H, [0.0, 0.5], [np.inf, -np.inf]).tolist() \
+        == [np.inf, np.inf]
+
+
+@pytest.mark.parametrize("make", [lambda: make_tripod(24),
+                                  lambda: make_path(24)],
+                         ids=["tripod", "path"])
+def test_network_march_of_unit_centered_arcs_equals_scalar_marches(make):
+    sc = make()
+    fam = sc.constants.hamiltonians
+    assert all((fam[a.id].alpha == 1.0).all() and (fam[a.id].beta == 0.0).all()
+               for a in sc.network.edge_arcs())
+    params = hj.plan_solve(sc)
     fields, vertex = scalar_network(sc, params)
     sol = hj.solve(sc, params)
     for e, f in fields.items():
