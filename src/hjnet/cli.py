@@ -11,7 +11,13 @@ the verdict that they shrink.
 Exit codes: 0 all enabled checks passed and the level differences shrink;
 1 a check failed or a level difference did not shrink; 2 scenario parse,
 validation, planning or solve errors.  CSV numbers use 17 significant
-digits, so outputs are byte-stable across runs and round-trip exactly.
+digits, byte for byte Python's %.17g, so outputs are byte-stable across
+runs and round-trip exactly.  numpy makes the digits (_g17): |x| 10^(16 - E)
+from a double-double product is exact to about 1e-14, so its nearest
+integer is the 17 digits; Python's format writes only the values whose
+rounding that cannot settle (near ties, a log10 one off, a carry to the
+next power of ten) and nan, inf and nonzero |x| outside 1e-280..1e280.
+report.json's timing holds solve_s, verify_s, write_s and total_s.
 """
 
 from __future__ import annotations
@@ -39,47 +45,236 @@ from .scenario_io import parse_checks, parse_scenario_file
 
 __all__ = ["main", "write_solution_csv", "load_solution_csv"]
 
-_CHUNK = 1 << 18    # bytes per read of the dump layout scan
+_CHUNK = 1 << 18        # bytes per read of the dump layout scan
+_WRITE_CELLS = 1 << 12  # values per block of the CSV writer (about 1 MB)
+
+# The window of |x| on which _g17 makes the digits: the split of |x| and of
+# 10^(16 - E) stays clear of overflow and of subnormals on it.
+_G17_LO, _G17_HI = 1e-280, 1e280
+_G17_E0 = -281          # the lowest floor(log10 |x|) in the window's tables
+_SPLIT = 134217729.0    # 2^27 + 1, Dekker's splitter of a double
+_G17_WIDTH = 29         # sign, "0.000", 17 digits and a point, "e-281"
+_G17_TABLES = {}        # _g17's constant tables, built at the first write
 
 
 def _fmt(x):
     return format(float(x), ".17g")
 
 
-def _row_template(key, cells):
-    """One CSV line per cell: key, the cell's text, a %.17g slot for u.
+def _g17_tables():
+    """_g17's constant tables, filled once.
 
-    A NUL character in a cell marks where the time string goes.  The key
-    is an id that build_network checked to be printable; its '%' are
-    escaped.
+    Per decimal exponent E (row E - _G17_E0): 10^(16 - E) as the pair
+    hi + lo (hi the double nearest it and lo the double nearest the rest,
+    from integers, where int / int rounds correctly) with hi's Dekker halves;
+    the %g layout's fixed characters on a 32-byte line (``0.`` and zeros
+    at bytes 1-5 for E in -4..-1, the exponent ``e+XX`` at bytes 24-28
+    when E < -4 or E >= 17); the digits that layout always shows (the
+    integer part, else one or none); and where the point goes among the
+    digits (18: before them).  Then the four ASCII digits of 0..9999 as one
+    uint32 (index 10000: four NULs), their trailing zeros, and the masks of
+    bytes 6 to 6 + c - 1 of a line for c = 0..18.
     """
-    key = key.replace("%", "%%")
-    return "".join(f"{key},{c},%.17g\n" for c in cells)
+    if _G17_TABLES:
+        return _G17_TABLES
+    es = range(_G17_E0, -_G17_E0 + 1)
+    pairs = np.zeros((len(es), 4))
+    text = bytearray(32 * len(es))
+    whole = np.zeros(len(es), np.int8)
+    point = np.zeros(len(es), np.int8)
+    for j, e in enumerate(es):
+        k = 16 - e
+        num, den = (10 ** k, 1) if k >= 0 else (1, 10 ** -k)
+        a, b = (num / den).as_integer_ratio()
+        pairs[j, [0, 3]] = a / b, (num * b - a * den) / (den * b)
+        if -4 <= e < 0:
+            lead = b"0." + b"0" * (-e - 1)
+            text[32 * j + 1:32 * j + 1 + len(lead)] = lead
+            point[j] = 18
+        elif 0 <= e < 17:
+            whole[j] = point[j] = e + 1
+        else:
+            tail = f"e{e:+03d}".encode()
+            text[32 * j + 24:32 * j + 24 + len(tail)] = tail
+            whole[j] = point[j] = 1
+    t = pairs[:, 0] * _SPLIT
+    pairs[:, 1] = t - (t - pairs[:, 0])
+    pairs[:, 2] = pairs[:, 0] - pairs[:, 1]
+    # broadcast copies, not arithmetic on 10^4-long arrays: the first run
+    # of a numpy loop maps its code, and its temporaries stay in the heap
+    digits = np.zeros((10001, 4), np.uint8)
+    zeros = np.zeros(10000, np.int8)
+    ascii = np.arange(48, 58, dtype=np.uint8)
+    by_digit = digits[:10000].reshape(10, 10, 10, 10, 4)
+    by_digit[..., 0] = ascii[:, None, None, None]
+    by_digit[..., 1] = ascii[:, None, None]
+    by_digit[..., 2] = ascii[:, None]
+    by_digit[..., 3] = ascii
+    for j in range(1, 5):   # the numbers whose last j digits are 0
+        zeros.reshape(10 ** (4 - j), 10 ** j)[:, 0] = j
+    band = np.zeros((19, 32), np.uint8)
+    for c in range(19):
+        band[c, 6:6 + c] = 255
+    _G17_TABLES.update(pairs=pairs, whole=whole, point=point,
+                       text=np.frombuffer(text, np.uint8).reshape(-1, 32),
+                       digits=digits.view(np.uint32).ravel(), zeros=zeros,
+                       band=band)
+    return _G17_TABLES
 
 
-def _fill(template, tk, row):
-    """The lines of one time row: CPython's %.17g, byte for byte _fmt's."""
-    return template.replace("\0", tk) % tuple(row.tolist())
+def _g17(x):
+    """The text of format(v, '.17g') for each value v of a float array, as an
+    (n, _G17_WIDTH) uint8 array: row i holds the ASCII bytes of v_i in
+    order, with NUL bytes between and after them (drop the NULs to get the
+    text).
+
+    For 1e-280 <= |v| <= 1e280, with E = floor(log10 |v|) and k = 16 - E,
+    the 17 significant digits are the integer D nearest |v| 10^k.  Holding
+    10^k as hi + lo, p = fl(|v| hi) is an integer and the exact rounding
+    error of that product (Dekker's two-product) plus |v| lo gives the rest
+    e to within about 1e-14, so D = p + rint(e) exactly.  Python's format
+    writes a value instead when the rounding is a near or exact tie
+    (| |e - rint(e)| - 0.5 | <= 1e-6), when D falls outside [1e16, 1e17)
+    or reaches 1e16 from below (log10 one off, or a carry to the next
+    power of ten), and for nan, inf and values outside the window.  0 and
+    -0 are written as the digit 0.  The digits come from a 4-digit table
+    and take %g's layout: exponent form iff E < -4 or E >= 17, trailing
+    zeros and a bare point dropped, a signed exponent of two or three
+    digits.
+    """
+    tb = _g17_tables()
+    x = np.asarray(x, dtype=np.float64).ravel()
+    n = x.size
+    a = np.abs(x)
+    zero = a == 0
+    aw = np.fmin(np.fmax(a, _G17_LO), _G17_HI)     # nan -> _G17_LO
+    fallback = a != aw
+    fallback &= ~zero
+    aw += zero                                      # 0 -> 1 (LO + 1 == 1)
+    row = np.log10(aw)
+    np.floor(row, out=row)
+    row -= _G17_E0
+    row = row.astype(np.intp)
+    hi, hh, hl, lo = tb["pairs"].take(row, axis=0).T
+    # |v| 10^k = p + e exactly, to within |v| times lo's rounding error
+    p = aw * hi
+    t = aw * _SPLIT
+    ah = t - (t - aw)
+    al = aw - ah
+    e = ah * hh
+    e -= p
+    e += ah * hl
+    e += al * hh
+    e += al * hl
+    e += aw * lo
+    r = np.rint(e)
+    e -= r
+    D = p.astype(np.int64)
+    D += r.astype(np.int64)
+    fallback |= np.abs(np.abs(e) - 0.5) <= 1e-6
+    fallback |= (D - 10 ** 16).view(np.uint64) >= 9 * 10 ** 16
+    fallback |= (D == 10 ** 16) & (e < 0)
+    # the 17 digits: d0 at byte 7, groups of four after it, NULs at 24-31
+    q = D // 10 ** 8
+    low = D - q * 10 ** 8
+    g0 = q // 10 ** 8
+    q -= g0 * 10 ** 8
+    g1 = q // 10 ** 4
+    g3 = low // 10 ** 4
+    groups = (g0, g1, q - g1 * 10 ** 4, g3, low - g3 * 10 ** 4)
+    digits = np.zeros((n, 8), np.uint32)
+    for j, g in enumerate(groups, 1):
+        digits[:, j] = tb["digits"].take(g)
+    # trailing zeros of D (at most 16, since d0 > 0)
+    zeros = tb["zeros"]
+    tz = zeros.take(groups[4]).astype(np.intp)
+    rows = np.flatnonzero(tz == 4)
+    for g in groups[3:0:-1]:
+        if not rows.size:
+            break
+        z = zeros.take(g[rows])
+        tz[rows] += z
+        rows = rows[z == 4]
+    # digits shown: all but the trailing zeros, and never fewer than the
+    # integer part's; the body's bytes add the point when a digit follows it
+    keep = np.maximum(17 - tz, tb["whole"].take(row))
+    point = tb["point"].take(row)
+    cut = keep + (keep > point)
+    # byte 6 + j of a line: digit j left of the point (A), the point, digit
+    # j - 1 right of it (B), then nothing from byte 6 + cut on
+    flat = digits.view(np.uint8).ravel()
+    A, B = flat[1:], flat[:-1]
+    body = A ^ B
+    body &= tb["band"].take(point, axis=0).ravel()[:-1]
+    body ^= B
+    body[np.arange(6, 32 * n, 32) + point] = 46
+    body &= tb["band"].take(cut, axis=0).ravel()[:-1]
+    out = tb["text"].take(row, axis=0)
+    out.ravel()[:-1] |= body
+    out[:, 0] = np.signbit(x) * np.uint8(45)
+    out[:, 6] -= zero
+    for i in np.flatnonzero(fallback).tolist():
+        text = _fmt(x[i]).encode()
+        out[i] = 0
+        out[i, :len(text)] = np.frombuffer(text, np.uint8)
+    return out[:, :_G17_WIDTH]
+
+
+def _text_cells(texts):
+    """NUL-padded ASCII/UTF-8 byte rows of the given strings, (n, width)."""
+    cells = np.array([t.encode() for t in texts], dtype="S")
+    return cells.view(np.uint8).reshape(len(texts), -1)
+
+
+def _write_lines(fh, cells, u):
+    """Write one CSV line per value of the 2-D array u: its cells, then the
+    value's %.17g text and a newline.
+
+    Each cell is a (rows, 1, w), (1, cols, w) or (1, 1, w) array of
+    NUL-padded text ending in its comma: one per row of u, per column, or
+    one for all.  Blocks of at most _WRITE_CELLS values are laid out on one
+    canvas, the per-column cells put down once, and written with the NULs
+    dropped.
+    """
+    R, C = u.shape
+    rows = max(1, _WRITE_CELLS // C)
+    width = sum(c.shape[2] for c in cells)
+    canvas = np.zeros((min(rows, R), C, width + _G17_WIDTH + 1), np.uint8)
+    canvas[:, :, -1] = 10
+    per_row, at = [], 0
+    for c in cells:
+        if len(c) == 1:
+            canvas[:, :, at:at + c.shape[2]] = c
+        else:
+            per_row.append((at, c))
+        at += c.shape[2]
+    for r0 in range(0, R, rows):
+        block = canvas[:min(rows, R - r0)]
+        for at_c, c in per_row:
+            block[:, :, at_c:at_c + c.shape[2]] = c[r0:r0 + len(block)]
+        block[:, :, width:-1] = _g17(u[r0:r0 + len(block)]).reshape(
+            len(block), C, _G17_WIDTH)
+        fh.write(block[block != 0].tobytes().decode())
 
 
 def write_solution_csv(solution: NetworkSolution, outdir):
     os.makedirs(outdir, exist_ok=True)
     g = solution.grid
-    s_text = [_fmt(x) for x in g.s_nodes()]
-    t_text = [_fmt(x) for x in g.t_nodes()]
+    s_cells = _text_cells([_fmt(x) + "," for x in g.s_nodes()])[None]
+    t_cells = _text_cells([_fmt(x) + "," for x in g.t_nodes()])[:, None]
     with open(os.path.join(outdir, "solution.csv"), "w",
               encoding="utf-8") as fh:
         fh.write("arc_id,s,t,u\n")
         for eid in sorted(solution.fields):
-            tpl = _row_template(eid, [f"{si},\0" for si in s_text])
-            for tk, row in zip(t_text, solution.fields[eid]):
-                fh.write(_fill(tpl, tk, row))
+            key = _text_cells([eid + ","])[None]
+            _write_lines(fh, [key, s_cells, t_cells], solution.fields[eid])
     with open(os.path.join(outdir, "vertex_traces.csv"), "w",
               encoding="utf-8") as fh:
         fh.write("vertex_id,t,u\n")
         for x in sorted(solution.vertex):
-            fh.write(_row_template(x, t_text)
-                     % tuple(np.asarray(solution.vertex[x]).tolist()))
+            key = _text_cells([x + ","])[None]
+            _write_lines(fh, [key, t_cells],
+                         np.asarray(solution.vertex[x])[:, None])
 
 
 def _read_u_blocks(path, kind, ids, size, ends):
@@ -230,16 +425,17 @@ def load_solution_csv(outdir, scenario, params=None) -> NetworkSolution:
 
 def _dump_slices(solution, outdir, times):
     g = solution.grid
-    s_text = [_fmt(x) for x in g.s_nodes()]
+    s_cells = _text_cells([_fmt(x) + "," for x in g.s_nodes()])[None]
     t = g.t_nodes()
     ks = [int(np.argmin(np.abs(t - want))) for want in times]
     with open(os.path.join(outdir, "slices.csv"), "w", encoding="utf-8") as fh:
         fh.write("arc_id,t,s,u\n")
-        tpls = {eid: _row_template(eid, [f"\0,{si}" for si in s_text])
-                for eid in sorted(solution.fields)}
         for k in ks:
-            for eid, tpl in tpls.items():
-                fh.write(_fill(tpl, _fmt(t[k]), solution.fields[eid][k]))
+            t_cell = _text_cells([_fmt(t[k]) + ","])[None]
+            for eid in sorted(solution.fields):
+                key = _text_cells([eid + ","])[None]
+                _write_lines(fh, [key, t_cell, s_cells],
+                             solution.fields[eid][k:k + 1])
 
 
 def _slice_times(text, t0, t1):
@@ -274,7 +470,7 @@ def _refine_verdict(C, details):
             f"{'PASS' if ok else 'FAIL'} refine (C = {C:.6g}, order {shown})")
 
 
-def _report(solution, rep, refine, elapsed, outdir):
+def _report(solution, rep, refine, timing, outdir):
     doc = {
         "scenario": solution.scenario.name,
         "constants": {
@@ -289,7 +485,7 @@ def _report(solution, rep, refine, elapsed, outdir):
         "eps_scheme": rep.eps_scheme if rep is not None else None,
         "checks": [asdict(c) for c in (rep.checks if rep is not None else [])],
         "refine": refine,
-        "timing": {"total_s": elapsed},
+        "timing": timing,
         "ok": (rep is None or rep.ok) and (refine is None or refine["ok"]),
     }
     with open(os.path.join(outdir, "report.json"), "w", encoding="utf-8") as fh:
@@ -316,6 +512,7 @@ def _cmd_run(args):
     refine = verdict = eps = None
     try:
         solution = solve(scenario, params)
+        solve_s = time.perf_counter() - t_start
         if args.refine:
             C, details = _calibrate_from(solution, args.refine + 1)
             eps = default_epsilon(solution, C)
@@ -325,13 +522,17 @@ def _cmd_run(args):
         return 2
 
     rep = None
+    t_verify = time.perf_counter()
     if checks:
         rep = verify(solution, eps_scheme=eps, checks=checks)
-
+    t_write = time.perf_counter()
     write_solution_csv(solution, args.out)
     if times:
         _dump_slices(solution, args.out, times)
-    doc = _report(solution, rep, refine, time.perf_counter() - t_start,
+    t_end = time.perf_counter()
+    doc = _report(solution, rep, refine,
+                  {"solve_s": solve_s, "verify_s": t_write - t_verify,
+                   "write_s": t_end - t_write, "total_s": t_end - t_start},
                   args.out)
     for c in doc["checks"]:
         state = "PASS" if c["ok"] else "FAIL"

@@ -199,6 +199,19 @@ def test_run_solves_and_reports(tmp_path):
     assert len(slices) == 1 + 2 * 3 * 61
 
 
+@pytest.mark.parametrize("checks", ["all", "none"])
+def test_report_times_the_solve_the_checks_and_the_dump(tmp_path, checks):
+    scn = _write(tmp_path, TRIPOD)
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", scn, "--out", str(out), "--checks",
+                 checks, "--dump-slices", "0.5"]) == 0
+    timing = json.loads((out / "report.json").read_text())["timing"]
+    assert list(timing) == ["solve_s", "verify_s", "write_s", "total_s"]
+    assert all(v >= 0 for v in timing.values())
+    parts = timing["solve_s"] + timing["verify_s"] + timing["write_s"]
+    assert parts <= timing["total_s"]
+
+
 def test_run_exits_1_when_an_enabled_check_fails(tmp_path, monkeypatch,
                                                 capsys):
     # a negative tolerance fails every check gated on eps; the dump and the

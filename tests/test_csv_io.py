@@ -13,8 +13,12 @@ import hjnet.cli as cli
 from hjnet.cli import _dump_slices, load_solution_csv, write_solution_csv
 from hjnet.errors import ValidationError
 from hjnet.network_solver import NetworkSolution
+from hjnet.scenario_io import parse_scenario_file
 
 from conftest import make_tripod
+
+MIXED_SCN = os.path.join(os.path.dirname(__file__), os.pardir, "demos",
+                         "scenarios", "mixed.scn")
 
 
 def _fmt(x):
@@ -92,6 +96,132 @@ def test_row_template_writer_matches_the_per_cell_writer(tmp_path):
         with open(os.path.join(ref, name), "rb") as a, \
                 open(os.path.join(new, name), "rb") as b:
             assert a.read() == b.read(), name
+
+
+def _assert_same_dumps(ref, new):
+    for name in ("solution.csv", "vertex_traces.csv", "slices.csv"):
+        with open(os.path.join(ref, name), "rb") as a, \
+                open(os.path.join(new, name), "rb") as b:
+            assert a.read() == b.read(), name
+
+
+def g17_mismatches(values):
+    """The (format's text, _g17's text) pairs of the values that differ."""
+    values = np.asarray(values).ravel()
+    rows = cli._g17(values)
+    got = np.concatenate([rows, np.full((len(rows), 1), 10, np.uint8)], 1)
+    got = got[got != 0].tobytes().decode().split("\n")[:-1]
+    want = [_fmt(v) for v in values.tolist()]
+    assert len(got) == len(want)
+    return [(w, g) for w, g in zip(want, got) if w != g]
+
+
+def check_random_bit_patterns(n, seed, block=1 << 16):
+    """_g17 against format(v, '.17g') on n doubles made of seeded random
+    bits (all exponents, subnormals, nan and inf included), a block at a
+    time; raises AssertionError naming the first values that differ."""
+    rng = np.random.default_rng(seed)
+    for start in range(0, n, block):
+        bits = rng.integers(0, 2 ** 64, size=min(block, n - start),
+                            dtype=np.uint64)
+        bad = g17_mismatches(bits.view(np.float64))
+        assert not bad, bad[:5]
+
+
+def test_g17_matches_format_on_random_bit_patterns():
+    check_random_bit_patterns(200_000, seed=28)
+
+
+def _powers_of_ten():
+    p = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    return np.concatenate([p, np.nextafter(p, 0), np.nextafter(p, np.inf)])
+
+
+def _round_up_to_a_power_of_ten():
+    # 18 nines: the nearest double's 17 digits carry to 10^k (or are 10^k)
+    return np.array([float(f"9.99999999999999999e{k}")
+                     for k in range(-300, 301)])
+
+
+def _g_switch_points():
+    # %g turns to exponent form below 1e-4 and from 1e17 on
+    p = np.array([1e-5, 1e-4, 1e16, 1e17, 9.99999999999999999e-5,
+                  9.99999999999999999e16, 12345678901234567.0,
+                  1.2345678901234567e-4, 1.2345678901234567e-5])
+    return np.concatenate([p, np.nextafter(p, 0), np.nextafter(p, np.inf)])
+
+
+@pytest.mark.parametrize("values", [
+    2.0 ** np.arange(-1074, 1024),
+    _powers_of_ten(),
+    _round_up_to_a_power_of_ten(),
+    _g_switch_points(),
+    np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 1.0, 0.5,
+              2.0 ** -25, 3 * 2.0 ** -30, 5e-324, 1.7976931348623157e308]),
+    np.array([0, 7, -3, 2 ** 53 + 1, 2 ** 63 - 1, -2 ** 63,
+              12345678901234567], dtype=np.int64),
+], ids=["powers_of_two", "powers_of_ten", "round_up_to_power_of_ten",
+        "g_switch_points", "zeros_nan_inf_ties", "integer_dtype"])
+def test_g17_matches_format_on_edge_cases(values):
+    for signed in (values, -values):
+        assert not g17_mismatches(signed)
+
+
+def test_g17_leaves_ties_and_values_outside_its_window_to_format(
+        monkeypatch):
+    # 2^-25 = 2.98023223876953125e-08 is an exact tie at 17 digits
+    seen = []
+    monkeypatch.setattr(cli, "_fmt",
+                        lambda v: seen.append(_fmt(v)) or _fmt(v))
+    values = [2.0 ** -25, 0.1, -0.0, 1.0, np.nan, -np.inf, 1e300, 5e-324]
+    assert not g17_mismatches(values)
+    assert seen == ["2.9802322387695312e-08", "nan", "-inf",
+                    "1.0000000000000001e+300", "4.9406564584124654e-324"]
+
+
+@pytest.fixture(scope="module")
+def mixed_96_reference(tmp_path_factory):
+    """mixed.scn at ns 96 (all three kinds, exponent-form values) and its
+    dump by the per-cell writer."""
+    sc, _ = parse_scenario_file(MIXED_SCN, ns=96)
+    sol = hj.solve(sc)
+    ref = str(tmp_path_factory.mktemp("mixed96") / "ref")
+    reference_write(sol, ref, [0.0, 0.5, 1.0])
+    return sol, ref
+
+
+@pytest.mark.parametrize("cells", [None, 1, 7 * 97],
+                         ids=["default_blocks", "one_row", "seven_rows"])
+def test_writer_matches_the_per_cell_writer_on_mixed_at_ns_96(
+        tmp_path, monkeypatch, mixed_96_reference, cells):
+    # blocks of one row of every file, and of 7 field rows, which do not
+    # divide the nt + 1 = 292 rows of a field
+    sol, ref = mixed_96_reference
+    g = sol.grid
+    assert (g.ns, (g.nt + 1) % 7) == (96, 5)
+    if cells is not None:
+        monkeypatch.setattr(cli, "_WRITE_CELLS", cells)
+    new = str(tmp_path / "new")
+    write_solution_csv(sol, new)
+    _dump_slices(sol, new, [0.0, 0.5, 1.0])
+    _assert_same_dumps(ref, new)
+    with open(os.path.join(new, "solution.csv")) as fh:
+        assert re.search(r"e-\d\d\n", fh.read())
+
+
+def test_writer_matches_the_per_cell_writer_on_non_ascii_ids(tmp_path):
+    # the ids' UTF-8 bytes go through the writer's byte canvas
+    net = hj.build_network(["é", "b"], [("ü1", "é", "b")])
+    fam = hj.family_from_edges(net, {"ü1": hj.abs_hamiltonian(kappa=1.0)})
+    s = np.linspace(0.0, 1.0, 9)
+    sol = hj.solve(hj.Scenario(net, fam, {"é": -1.0, "b": -1.0},
+                               {"ü1": 0.1 * s * (1.0 - s)}, horizon=0.25,
+                               ns=8, name="utf8"))
+    ref, new = str(tmp_path / "ref"), str(tmp_path / "new")
+    reference_write(sol, ref, [0.125])
+    write_solution_csv(sol, new)
+    _dump_slices(sol, new, [0.125])
+    _assert_same_dumps(ref, new)
 
 
 def test_loader_returns_the_written_doubles(tmp_path):
