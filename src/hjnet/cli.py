@@ -10,13 +10,14 @@ the verdict that they shrink.
 
 Exit codes: 0 all enabled checks passed and the level differences shrink;
 1 a check failed or a level difference did not shrink; 2 scenario parse,
-validation, planning or solve errors.  CSV numbers use 17 significant
-digits, byte for byte Python's %.17g, so outputs are byte-stable across
-runs and round-trip exactly.  numpy makes the digits (_g17): |x| 10^(16 - E)
-from a double-double product is exact to about 1e-14, so its nearest
-integer is the 17 digits; Python's format writes only the values whose
-rounding that cannot settle (near ties, a log10 one off, a carry to the
-next power of ten) and nan, inf and nonzero |x| outside 1e-280..1e280.
+validation, planning or solve errors, or an output that cannot be written.
+CSV numbers use 17 significant digits, byte for byte Python's %.17g, so
+outputs are byte-stable across runs and round-trip exactly.  numpy makes
+the digits (_g17): |x| 10^(16 - E) from a double-double product is exact
+to about 1e-14, so its nearest integer is the 17 digits; Python's format
+writes only the values whose rounding that cannot settle (near ties, a
+log10 one off, a carry to the next power of ten) and nan, inf and nonzero
+|x| outside 1e-280..1e280.
 report.json's timing holds solve_s, verify_s, write_s and total_s.
 """
 
@@ -505,6 +506,7 @@ def _cmd_run(args):
             raise ValidationError("--refine must be at least 0")
         times = _slice_times(args.dump_slices, scenario.t0,
                              scenario.t0 + scenario.horizon)
+        os.makedirs(args.out, exist_ok=True)    # after every flag is valid
     except (HJNetError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -526,14 +528,18 @@ def _cmd_run(args):
     if checks:
         rep = verify(solution, eps_scheme=eps, checks=checks)
     t_write = time.perf_counter()
-    write_solution_csv(solution, args.out)
-    if times:
-        _dump_slices(solution, args.out, times)
-    t_end = time.perf_counter()
-    doc = _report(solution, rep, refine,
-                  {"solve_s": solve_s, "verify_s": t_write - t_verify,
-                   "write_s": t_end - t_write, "total_s": t_end - t_start},
-                  args.out)
+    try:
+        write_solution_csv(solution, args.out)
+        if times:
+            _dump_slices(solution, args.out, times)
+        t_end = time.perf_counter()
+        doc = _report(solution, rep, refine,
+                      {"solve_s": solve_s, "verify_s": t_write - t_verify,
+                       "write_s": t_end - t_write, "total_s": t_end - t_start},
+                      args.out)
+    except OSError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     for c in doc["checks"]:
         state = "PASS" if c["ok"] else "FAIL"
         print(f"{state} {c['name']} (margin {c['margin']:.3e})")

@@ -26,9 +26,10 @@ Scenario keeps its validation, its limiter report and its datum slope
 maxima, so every march and every plan validates each object once, planning
 budgets it once and ``verify`` reports the limiter from the same record.
 
-The verification battery re-derives the certificate of the semidiscrete
-vertex system, interior scheme residuals, slope bounds, vertex continuity
-and limiter admissibility from a finished solution.
+The verification battery re-derives from a finished solution the limiter,
+interior residuals, vertex certificate, vertex slope, time monotonicity,
+time and space Lipschitz bounds, vertex continuity and dissipation
+headroom, each as its worst excess over a vertex or an edge.
 """
 
 from __future__ import annotations
@@ -439,12 +440,14 @@ def verify(solution: NetworkSolution, eps_scheme=None,
            checks=None) -> VerifyReport:
     """Run the verification battery on a finished solution.
 
-    All PDE-level checks run in the normalized (positive-Hamiltonian) frame;
+    Each check records its excess over its tolerance at every vertex or edge
+    it tests; the largest, the first on a tie, gives the margin (tolerance
+    minus excess) and the witness, which names that vertex or edge.  All
+    PDE-level checks run in the normalized (positive-Hamiltonian) frame;
     slope checks and the vertex certificate then transfer to the original
     problem by the exact shift identity.  ``checks`` selects a subset of
     CHECK_NAMES; an unknown name, or a field or vertex trace that is not
-    finite, raises ValidationError.  The edge checks share one pass over the
-    edges, which normalizes one field at a time.
+    finite, raises ValidationError.  The edge checks share one pass.
     """
     if checks is not None:
         unknown = [c for c in checks if c not in CHECK_NAMES]
@@ -463,32 +466,22 @@ def verify(solution: NetworkSolution, eps_scheme=None,
     fam, a, lim, m0s = const.hamiltonians, const.shift, const.limiter, const.m0
     grid = solution.grid
     eps = default_epsilon(solution) if eps_scheme is None else float(eps_scheme)
-    out = {}
+    rec = {c: [] for c in CHECK_NAMES}    # check -> [(excess, witness), ...]
 
     if "limiter" in want:
-        rep = sc.limiter_report
-        worst = max((e.margin for e in rep.entries), default=0.0)
-        out["limiter"] = CheckResult("limiter", rep.ok, -worst)
-
+        rec["limiter"] = [(e.margin, {"vertex": e.vertex})
+                          for e in sc.limiter_report.entries]
     if want & {"discr_certificate", "vertex_slope"}:
         ts = solution.trace_set(shifted=True)
     if "discr_certificate" in want:
         rep = discr_residual(ts, sc.network, fam, lim, eps, thetas=params.theta)
-        wit = {e.vertex: e.residual for e in rep.entries if not e.ok}
-        out["discr_certificate"] = CheckResult(
-            "discr_certificate", rep.ok, eps - rep.worst, wit)
-
-    if "vertex_slope" in want:
-        worst, wit = -np.inf, {}
-        for x, tr in ts.traces.items():
-            if grid.nt == 0:
-                continue
-            excess = float(((tr[1:] - tr[:-1]) / grid.dt - lim[x]).max())
-            if excess > worst:
-                worst, wit = excess, {"vertex": x}
-        worst = max(worst, 0.0) if worst == -np.inf else worst
-        out["vertex_slope"] = CheckResult("vertex_slope", worst <= eps,
-                                          eps - worst, wit)
+        rec["discr_certificate"] = [
+            (e.residual, {"vertex": e.vertex, "t": e.witness_time})
+            for e in rep.entries]
+    if "vertex_slope" in want and grid.nt:
+        rec["vertex_slope"] = [
+            (float(((tr[1:] - tr[:-1]) / grid.dt - lim[x]).max()),
+             {"vertex": x}) for x, tr in ts.traces.items()]
 
     # one pass over the edges feeds every edge check, each edge's time
     # quotient computed once.  The time checks read the normalized field g,
@@ -498,10 +491,6 @@ def verify(solution: NetworkSolution, eps_scheme=None,
     # the per-step rates go to the witness.
     lift, down = _time_shift(a, grid), _time_shift(-m0s, grid)[:, None]
     timed = grid.nt and want & {"time_monotone", "time_lipschitz"}
-    resid, resid_wit = 0.0, {}
-    rise = drop = rise_rate = lip_rate = 0.0 if grid.nt == 0 else -np.inf
-    space, space_wit, cont = -np.inf, {}, 0.0
-    room, room_wit, beyond = np.inf, {}, False
     for arc in sc.network.edge_arcs():
         f = solution.fields[arc.id]
         g = f - lift[:, None] if a else f     # the normalized field
@@ -511,15 +500,14 @@ def verify(solution: NetworkSolution, eps_scheme=None,
         if "interior_residual" in want:
             res = _interior_residuals(g, g_t, fam[arc.id],
                                       params.theta[arc.id], grid.dt)
-            r = max(0.0, float(res.max(initial=-np.inf)),
-                    -float(res.min(initial=np.inf)))
-            if r > resid:
-                resid, resid_wit = r, {"edge": arc.id}
+            rec["interior_residual"].append(
+                (float(np.abs(res).max(initial=0.0)), {"edge": arc.id}))
         if timed:
-            drop = max(drop, _rise(down - g))    # -(g + m0 t)
-            lip_rate = max(lip_rate, -float(g_t.min()) - m0s)
-            rise = max(rise, _rise(g))
-            rise_rate = max(rise_rate, float(g_t.max()))
+            rec["time_monotone"].append(
+                (_rise(g), {"edge": arc.id, "rate": float(g_t.max())}))
+            rec["time_lipschitz"].append(
+                (_rise(down - g),                 # down - g = -(g + m0 t)
+                 {"edge": arc.id, "rate": -float(g_t.min()) - m0s}))
         if want & {"space_lipschitz", "headroom"}:
             # per cell the largest slope over the rows the march differenced
             # (0..nt-1) for headroom, and over all rows against the
@@ -531,37 +519,41 @@ def verify(solution: NetworkSolution, eps_scheme=None,
                 excess = (np.maximum(col, slopes[-1]) * grid.ns
                           - cell_widths(fam[arc.id], grid.ns, m0s))
                 i = int(excess.argmax())
-                if excess[i] > space:
-                    space = float(excess[i])
-                    space_wit = {"edge": arc.id, "s": (i + 0.5) / grid.ns}
+                rec["space_lipschitz"].append(
+                    (float(excess[i]),
+                     {"edge": arc.id, "s": (i + 0.5) / grid.ns}))
             # theta must cover the momentum-Lipschitz constant at those
-            # slopes, floored at ds around p = 0
+            # slopes, floored at ds around p = 0; a sampled table's p-range
+            # may bound the width
             H = sc.hamiltonians[arc.id]
             seen = float(col.max()) * grid.ns
-            spare = params.theta[arc.id] - momentum_lipschitz(
-                H, max(seen, grid.ds))
-            if spare < room:
-                room, room_wit = spare, {"edge": arc.id, "slope_seen": seen}
-            if H.kind == "sampled" and const.l_bound[arc.id] >= max(
-                    abs(H.p_knots[0]), abs(H.p_knots[-1])) - 1e-12:
-                beyond = True  # a sampled table's p-range bound the width
-        cont = max(cont,
-                   float(np.abs(f[:, 0] - solution.vertex[arc.start]).max()),
-                   float(np.abs(f[:, -1] - solution.vertex[arc.end]).max()))
+            rec["headroom"].append((
+                momentum_lipschitz(H, max(seen, grid.ds))
+                - params.theta[arc.id],
+                {"edge": arc.id, "slope_seen": seen,
+                 "width_beyond_table": H.kind == "sampled" and bool(
+                     const.l_bound[arc.id] >= max(
+                         abs(H.p_knots[0]), abs(H.p_knots[-1])) - 1e-12)}))
+        if "vertex_continuity" in want:
+            rec["vertex_continuity"].append((max(
+                float(np.abs(f[:, 0] - solution.vertex[arc.start]).max()),
+                float(np.abs(f[:, -1] - solution.vertex[arc.end]).max())),
+                {"edge": arc.id}))
 
-    out["interior_residual"] = CheckResult(
-        "interior_residual", resid <= _RESID_TOL, _RESID_TOL - resid, resid_wit)
-    out["time_monotone"] = CheckResult("time_monotone", rise <= eps,
-                                       eps - rise, {"rate": rise_rate})
-    out["time_lipschitz"] = CheckResult("time_lipschitz", drop <= eps,
-                                        eps - drop, {"rate": lip_rate})
-    out["space_lipschitz"] = CheckResult("space_lipschitz", space <= eps,
-                                         eps - space, space_wit)
-    out["vertex_continuity"] = CheckResult(
-        "vertex_continuity", cont <= _TRACE_TOL, _TRACE_TOL - cont)
-    room_wit["width_beyond_table"] = beyond
-    out["headroom"] = CheckResult("headroom", room >= 0.0, room, room_wit)
-    return VerifyReport([out[c] for c in CHECK_NAMES if c in want], eps)
+    # the limiter's -0.0 keeps its margin -worst to the sign of a zero; its
+    # verdict is the limiter report's, which allows the limiter's slack
+    tol = {"limiter": -0.0, "interior_residual": _RESID_TOL,
+           "vertex_continuity": _TRACE_TOL, "headroom": 0.0}
+    out = []
+    for name in CHECK_NAMES:
+        if name in want:
+            # only a zero-step solution's time-difference checks test nothing
+            excess, wit = max(rec[name], key=lambda r: r[0],
+                              default=(0.0, {"rate": 0.0}))
+            cap = tol.get(name, eps)
+            ok = sc.limiter_report.ok if name == "limiter" else excess <= cap
+            out.append(CheckResult(name, ok, cap - excess, wit))
+    return VerifyReport(out, eps)
 
 
 def _rise(u):

@@ -231,6 +231,32 @@ def test_run_exits_1_when_an_enabled_check_fails(tmp_path, monkeypatch,
     assert (out / "solution.csv").exists()
 
 
+def test_run_exits_2_on_an_output_path_that_is_a_file(tmp_path, capsys,
+                                                     monkeypatch):
+    # the output directory is made before the solve, so nothing is solved
+    # for a dump that cannot be written
+    def no_solve(*args):
+        raise AssertionError("solved before the output directory was made")
+
+    monkeypatch.setattr(hj_cli, "solve", no_solve)
+    scn = _write(tmp_path, TRIPOD)
+    out = tmp_path / "file"
+    out.write_text("")
+    assert main(["run", "--scenario", scn, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err
+
+
+def test_run_exits_2_when_the_dump_cannot_be_written(tmp_path, capsys):
+    scn = _write(tmp_path, TRIPOD)
+    out = tmp_path / "out"
+    (out / "solution.csv").mkdir(parents=True)
+    assert main(["run", "--scenario", scn, "--out", str(out),
+                 "--checks", "none"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out / "solution.csv") in err
+
+
 def test_slice_times_at_the_ends_of_the_span_are_kept(tmp_path):
     scn = _write(tmp_path, TRIPOD)
     out = tmp_path / "out"

@@ -212,6 +212,9 @@ def test_verify_flags_forced_vertex_slope():
     rep = hj.verify(broken)
     assert not rep["vertex_slope"].ok
     assert rep["vertex_slope"].witness == {"vertex": "x0"}
+    cert = rep["discr_certificate"]
+    assert not cert.ok and cert.witness["vertex"] == "x0"
+    assert sol.grid.t0 < cert.witness["t"] <= sol.grid.t0 + sc.horizon
     assert not rep["vertex_continuity"].ok
 
 
@@ -225,6 +228,34 @@ def test_verify_flags_lifted_arc_field():
     rep = hj.verify(broken)
     assert not rep["vertex_continuity"].ok
     assert not rep["interior_residual"].ok
+    assert rep["vertex_continuity"].witness == {"edge": "e2"}
+    assert rep["interior_residual"].witness == {"edge": "e2"}
+
+
+def test_verify_on_a_zero_step_solution():
+    # the first leg of restart_check at nt = 1: no step to difference, so the
+    # time-difference checks test nothing and the interior residual is 0
+    sc = make_mixed(24)
+    sol = hj.solve(sc, dataclasses.replace(hj.plan_solve(sc), nt=0))
+    rep = hj.verify(sol)
+    assert rep.ok, [c.name for c in rep.checks if not c.ok]
+    for name in ("vertex_slope", "time_monotone", "time_lipschitz"):
+        assert rep[name].margin == rep.eps_scheme
+        assert rep[name].witness == {"rate": 0.0}
+    assert rep["interior_residual"].margin == network_solver._RESID_TOL
+    assert "edge" in rep["interior_residual"].witness
+
+
+@pytest.mark.parametrize("name", network_solver.CHECK_NAMES)
+def test_each_check_alone_equals_its_row_in_the_full_battery(name):
+    # all three kinds and a nonzero shift: the shared edge pass must not
+    # couple one check to another
+    sol = hj.solve(make_mixed(48))
+    assert sol.constants.shift > 0.0
+    alone = hj.verify(sol, checks=[name])[name]
+    row = hj.verify(sol)[name]
+    assert (alone.ok, float(alone.margin).hex(), alone.witness) \
+        == (row.ok, float(row.margin).hex(), row.witness)
 
 
 def test_contraction_constant_is_exact():
@@ -711,7 +742,7 @@ def test_time_monotone_gates_the_normalized_field_under_a_shift():
         assert sol.constants.shift > 0.0
         rep = hj.verify(sol)
         mono = rep["time_monotone"]
-        assert mono.ok and set(mono.witness) == {"rate"}
+        assert mono.ok and set(mono.witness) == {"edge", "rate"}
         rises.append(rep.eps_scheme - mono.margin)
     assert 0.0 < rises[1] <= 0.55 * rises[0]   # first order in ds
     # negative control: one node raised by 2 eps half-way through the run
