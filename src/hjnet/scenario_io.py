@@ -62,6 +62,8 @@ def parse_checks(text, line=None):
     if text == "none":
         return ()
     wanted = tuple(c.strip() for c in text.split(",") if c.strip())
+    if not wanted:
+        _fail(f"no check named in {text!r}; 'none' runs no check", line)
     for c in wanted:
         if c not in CHECK_NAMES:
             _fail(f"unknown check {c!r}", line)

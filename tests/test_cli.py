@@ -143,6 +143,7 @@ SAMPLED_E3 = ("e3 x3 x0 sampled pmin=-2 pmax=2 npts=abc slope=5 "
     ("T = 1.0", "T = 1.0\nhorizon = 0.5"),
     ("T = 1.0", "T = 1.0\nt = 0.5"),
     ("checks = all", "checks = all\nchecks = none"),
+    ("checks = all", "checks = ,"),
     ("T = 1.0", "T = 1.0\ndt = 0.01\ncfl = 0.5"),
     ("T = 1.0", "T = 1.0\ncfl = 0.5\ndt = 0.01"),
 ], ids=["limiter-abc", "horizon-abc", "ns-2.5", "linear-x", "bare-initial",
@@ -150,7 +151,8 @@ SAMPLED_E3 = ("e3 x3 x0 sampled pmin=-2 pmax=2 npts=abc slope=5 "
         "beta-empty", "alpha-empty", "kappa-twice",
         "sampled-alpha", "sampled-npts-too-many", "limiter-twice",
         "default-twice", "initial-twice", "ns-twice", "horizon-after-T",
-        "t-after-T", "checks-twice", "dt-then-cfl", "cfl-then-dt"])
+        "t-after-T", "checks-twice", "checks-empty", "dt-then-cfl",
+        "cfl-then-dt"])
 def test_bad_values_are_parse_errors_with_their_line(tmp_path, capsys, old,
                                                      new):
     # a replacement of several lines ends in a repeat or a conflict, an
@@ -289,7 +291,10 @@ def test_run_rejects_unknown_check(tmp_path):
     (["--dump-slices", "0.5,abc"], "--dump-slices"),
     (["--ns", "32", "--refine", "-1"], "--refine must be at least 0"),
     (["--dump-slices=-3,99"], "in the span [0, 1], got -3"),
-], ids=["ns-1", "slice-time-abc", "refine-negative", "slice-time-off-span"])
+    (["--checks="], "no check named in ''; 'none' runs no check"),
+    (["--checks", ","], "no check named in ','; 'none' runs no check"),
+], ids=["ns-1", "slice-time-abc", "refine-negative", "slice-time-off-span",
+        "checks-empty", "checks-comma"])
 def test_run_rejects_bad_flags_before_writing(tmp_path, capsys, flags,
                                               message):
     scn = _write(tmp_path, TRIPOD)

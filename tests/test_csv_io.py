@@ -4,6 +4,7 @@ exact round trip and its layout errors."""
 import dataclasses
 import os
 import re
+import tempfile
 
 import numpy as np
 import pytest
@@ -447,3 +448,151 @@ def test_loader_joins_runs_across_chunk_boundaries(tmp_path, monkeypatch,
     with pytest.raises(ValidationError,
                        match=re.escape("solution.csv: unknown edge '\\n'")):
         load_solution_csv(out, sol.scenario, sol.params)
+
+
+def _old_loadtxt(path):
+    """The u column as one np.loadtxt call over the whole file reads it."""
+    return np.loadtxt(path, delimiter=",", skiprows=1, usecols=-1, ndmin=1,
+                      comments=None)
+
+
+def read_u(path, texts):
+    """Write texts as the u column of a vertex dump of the one id x at t =
+    0, and read it back: (the loader's doubles, the texts it left to
+    np.loadtxt)."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("vertex_id,t,u\n")
+        fh.writelines(f"x,0,{t}\n" for t in texts)
+    calls, real = [], cli._loadtxt
+
+    def spy(lines):
+        calls.append([line.rpartition(",")[2] for line in lines])
+        return real(lines)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_loadtxt", spy)
+        u = cli._read_u_blocks(str(path), "vertex", ["x"], len(texts),
+                               ("0", "0"))["x"]
+    return u, calls[0] if calls else []
+
+
+def _same_doubles(a, b):
+    """Bitwise equal, except that any nan matches any nan."""
+    a, b = np.asarray(a, float), np.asarray(b, float)
+    return (a.view(np.int64) == b.view(np.int64)) | (np.isnan(a) & np.isnan(b))
+
+
+def reload_mismatches(path, texts):
+    """The (text, float(text), loaded) triples of the texts whose loaded
+    double is not float(text)."""
+    got, _ = read_u(path, texts)
+    want = np.array([float(t) for t in texts])
+    return [(texts[i], want[i], got[i])
+            for i in np.flatnonzero(~_same_doubles(got, want))]
+
+
+def check_reload_of_random_bit_patterns(n, seed, block=1 << 16):
+    """The loader against float() on n doubles made of seeded random bits
+    (all exponents, subnormals, nan and inf included), as the writer's
+    %.17g texts and as repr's shortest texts, a block at a time; raises
+    AssertionError naming the first texts read otherwise."""
+    rng = np.random.default_rng(seed)
+    key = cli._text_cells(["x,0,"])[None]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "u.csv")
+        for start in range(0, n, block):
+            x = rng.integers(0, 2 ** 64, size=min(block, n - start),
+                             dtype=np.uint64).view(np.float64)
+            with open(path, "w", encoding="utf-8") as fh:
+                cli._write_lines(fh, [key], x[:, None])
+            with open(path, encoding="utf-8") as fh:
+                written = [line[4:] for line in fh.read().splitlines()]
+            assert written == [_fmt(v) for v in x.tolist()]
+            for texts in (written, [repr(v) for v in x.tolist()]):
+                bad = reload_mismatches(path, texts)
+                assert not bad, bad[:5]
+
+
+def test_loader_reads_random_bit_patterns_as_float_does():
+    check_reload_of_random_bit_patterns(100_000, seed=30)
+
+
+# in the window and of the form the loader reads itself
+CANONICAL = ["0", "-0", "0.0", "-0.000", "5.", ".5", "-.5", "00012", "1.5",
+             "-0.00012345678901234567", "123456789012345678",
+             "1.2345678901234567", "1e+16", "-1.5e-05", "2.5e+100",
+             "1.2345678901234567e-249", "9.9999999999999999e+278", "1e+262",
+             "-9.8765432109876543e-100", "4.5e+00", "7e-07",
+             # either side of the ties below 2^53 and below 1
+             "9007199254740991.4", "9007199254740991.6",
+             "0.99999999999999994", "0.99999999999999995"]
+
+
+def test_loader_reads_canonical_texts_as_float_does(tmp_path):
+    got, slow = read_u(tmp_path / "u.csv", CANONICAL)
+    assert slow == []
+    assert _same_doubles(got, [float(t) for t in CANONICAL]).all()
+    assert np.signbit(got[[1, 3]]).all()
+
+
+@pytest.mark.parametrize("texts", [
+    ["0", "-0", "4.9406564584124654e-324", "-2.2250738585072009e-308",
+     "nan", "inf", "-inf", "1.7976931348623157e+308"],
+    [" 1.5 ", "+2", "1E5", "Infinity", "-nan", "1.5\t", "1e5", "1e+5",
+     "1.5e+0001", "-infinity"],
+], ids=["zeros_subnormals_nan_inf", "non_canonical"])
+def test_loader_reads_what_loadtxt_reads(tmp_path, texts):
+    path = tmp_path / "u.csv"
+    got, _ = read_u(path, texts)
+    assert _same_doubles(got, _old_loadtxt(path)).all()
+    assert _same_doubles(got, [float(t) for t in texts]).all()
+
+
+@pytest.mark.parametrize("texts", [
+    ["9007199254740993", "-18014398509481986", "1.8014398509481986e+16",
+     "9007199254740991.5"],
+    ["1.2345678901234567890", "9007199254740993.0001",
+     "-0.1234567890123456789"],
+    ["1e-300", "1e-266", "4.9406564584124654e-324",
+     "1.7976931348623157e+308", "1e+263", "1.2345678901234567e-250"],
+    ["1e5", "1e+5", "1E+05", "1.5e+0001", "1.5e-5"],
+    [" 1.5 ", "+2", "Infinity", "nan", "inf", "-inf", "1.5\t"],
+    ["0.000000000000000000000001", "-1234567890123456789012345"],
+], ids=["tie", "over_18_digits", "off_the_window", "exponent_form",
+        "not_a_mantissa", "longer_than_the_window"])
+def test_loader_leaves_each_kind_of_text_to_loadtxt(tmp_path, texts):
+    path = tmp_path / "u.csv"
+    got, slow = read_u(path, ["0.5", *texts, "-1.25"])
+    assert slow == texts
+    assert _same_doubles(got, _old_loadtxt(path)).all()
+
+
+@pytest.mark.parametrize("text", ["1_0", "u0", "1.2.3", "--1", "-", ".", "",
+                                  "1e+05e+05", "0x10", "1,5e+0x"])
+def test_loader_rejects_what_loadtxt_rejects_with_its_message(tmp_path,
+                                                              text):
+    # float() reads 1_0 as 10; loadtxt does not, and its message names the
+    # row and column in the file, after rows read here and by loadtxt
+    path = tmp_path / "u.csv"
+    with pytest.raises(ValidationError) as got:
+        read_u(path, ["0.5", "nan", "1E5", "2.5", text, "x"])
+    with pytest.raises(ValueError) as want:
+        _old_loadtxt(path)
+    assert str(got.value) == f"{path}: {want.value}"
+    assert "at row 4, column " in str(got.value)
+
+
+def test_loader_reads_across_blocks_of_lines_and_of_values(tmp_path,
+                                                           monkeypatch):
+    # blocks of a few lines, parsed 3 values at a time, with nan, inf,
+    # subnormals and 1e300 left to loadtxt
+    sol = awkward_solution()
+    out = str(tmp_path / "rt")
+    write_solution_csv(sol, out)
+    monkeypatch.setattr(cli, "_CHUNK", 100)
+    monkeypatch.setattr(cli, "_READ_ROWS", 3)
+    back = load_solution_csv(out, sol.scenario, sol.params)
+    for eid, values in sol.fields.items():
+        assert _same_doubles(back.fields[eid], values).all(), eid
+    for x, trace in sol.vertex.items():
+        assert back.vertex[x].tobytes() == trace.astype(float).tobytes(), x
