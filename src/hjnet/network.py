@@ -70,9 +70,6 @@ class Network:
     def vertex_ids(self):
         return self._vertex_ids
 
-    def arc_ids(self):
-        return self._arc_ids
-
     def edge_arcs(self):
         """One representative (forward) arc per edge, sorted by id."""
         return self._edge_arcs
@@ -89,18 +86,14 @@ class Network:
         return tuple(sorted(self.vertices))
 
     @cached_property
-    def _arc_ids(self):
-        return tuple(sorted(self.arcs))
-
-    @cached_property
     def _edge_arcs(self):
-        return tuple(self.arcs[a] for a in self._arc_ids
+        return tuple(self.arcs[a] for a in sorted(self.arcs)
                      if not a.endswith(_REV))
 
     @cached_property
     def _incidence(self):
         into = {x: [] for x in self._vertex_ids}
-        for aid in self._arc_ids:
+        for aid in sorted(self.arcs):
             into[self.arcs[aid].end].append(aid)
         return MappingProxyType({x: tuple(ids) for x, ids in into.items()})
 

@@ -53,9 +53,6 @@ class TimeSeries:
         if not np.all(np.isfinite(v)):
             raise ValueError("values must be finite")
 
-    def times(self):
-        return self.t0 + self.dt * np.arange(self.values.size)
-
     def __len__(self):
         return self.values.size
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import hjnet as hj
-import hjnet.cli as cli
+import hjnet.dump as dump
 from hjnet.cli import _dump_slices, load_solution_csv, write_solution_csv
 from hjnet.errors import ValidationError
 from hjnet.network_solver import NetworkSolution
@@ -109,7 +109,7 @@ def _assert_same_dumps(ref, new):
 def g17_mismatches(values):
     """The (format's text, _g17's text) pairs of the values that differ."""
     values = np.asarray(values).ravel()
-    rows = cli._g17(values)
+    rows = dump._g17(values)
     got = np.concatenate([rows, np.full((len(rows), 1), 10, np.uint8)], 1)
     got = got[got != 0].tobytes().decode().split("\n")[:-1]
     want = [_fmt(v) for v in values.tolist()]
@@ -172,7 +172,7 @@ def test_g17_leaves_ties_and_values_outside_its_window_to_format(
         monkeypatch):
     # 2^-25 = 2.98023223876953125e-08 is an exact tie at 17 digits
     seen = []
-    monkeypatch.setattr(cli, "_fmt",
+    monkeypatch.setattr(dump, "_fmt",
                         lambda v: seen.append(_fmt(v)) or _fmt(v))
     values = [2.0 ** -25, 0.1, -0.0, 1.0, np.nan, -np.inf, 1e300, 5e-324]
     assert not g17_mismatches(values)
@@ -201,7 +201,7 @@ def test_writer_matches_the_per_cell_writer_on_mixed_at_ns_96(
     g = sol.grid
     assert (g.ns, (g.nt + 1) % 7) == (96, 5)
     if cells is not None:
-        monkeypatch.setattr(cli, "_WRITE_CELLS", cells)
+        monkeypatch.setattr(dump, "_WRITE_CELLS", cells)
     new = str(tmp_path / "new")
     write_solution_csv(sol, new)
     _dump_slices(sol, new, [0.0, 0.5, 1.0])
@@ -439,7 +439,7 @@ def test_loader_joins_runs_across_chunk_boundaries(tmp_path, monkeypatch,
                      _crlf if crlf else None)
     data = (tmp_path / "dump" / "solution.csv").read_bytes()
     boundary = data.index(b"\ne2,") + 1
-    monkeypatch.setattr(cli, "_CHUNK", boundary + shift)
+    monkeypatch.setattr(dump, "_CHUNK", boundary + shift)
     _assert_round_trip(sol, out)
     # a blank line right at the boundary is still its own run
     path = tmp_path / "dump" / "solution.csv"
@@ -463,15 +463,15 @@ def read_u(path, texts):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("vertex_id,t,u\n")
         fh.writelines(f"x,0,{t}\n" for t in texts)
-    calls, real = [], cli._loadtxt
+    calls, real = [], dump._loadtxt
 
     def spy(lines):
         calls.append([line.rpartition(",")[2] for line in lines])
         return real(lines)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "_loadtxt", spy)
-        u = cli._read_u_blocks(str(path), "vertex", ["x"], len(texts),
+        mp.setattr(dump, "_loadtxt", spy)
+        u = dump._read_u_blocks(str(path), "vertex", ["x"], len(texts),
                                ("0", "0"))["x"]
     return u, calls[0] if calls else []
 
@@ -497,14 +497,14 @@ def check_reload_of_random_bit_patterns(n, seed, block=1 << 16):
     %.17g texts and as repr's shortest texts, a block at a time; raises
     AssertionError naming the first texts read otherwise."""
     rng = np.random.default_rng(seed)
-    key = cli._text_cells(["x,0,"])[None]
+    key = dump._text_cells(["x,0,"])[None]
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "u.csv")
         for start in range(0, n, block):
             x = rng.integers(0, 2 ** 64, size=min(block, n - start),
                              dtype=np.uint64).view(np.float64)
             with open(path, "w", encoding="utf-8") as fh:
-                cli._write_lines(fh, [key], x[:, None])
+                dump._write_lines(fh, [key], x[:, None])
             with open(path, encoding="utf-8") as fh:
                 written = [line[4:] for line in fh.read().splitlines()]
             assert written == [_fmt(v) for v in x.tolist()]
@@ -589,8 +589,8 @@ def test_loader_reads_across_blocks_of_lines_and_of_values(tmp_path,
     sol = awkward_solution()
     out = str(tmp_path / "rt")
     write_solution_csv(sol, out)
-    monkeypatch.setattr(cli, "_CHUNK", 100)
-    monkeypatch.setattr(cli, "_READ_ROWS", 3)
+    monkeypatch.setattr(dump, "_CHUNK", 100)
+    monkeypatch.setattr(dump, "_READ_ROWS", 3)
     back = load_solution_csv(out, sol.scenario, sol.params)
     for eid, values in sol.fields.items():
         assert _same_doubles(back.fields[eid], values).all(), eid

@@ -90,7 +90,7 @@ def test_every_arc_is_incident_to_its_end():
 
 def test_orderings_are_derived_once_and_read_only():
     net = tripod()
-    for order in (net.vertex_ids, net.arc_ids, net.edge_arcs, net.incidence):
+    for order in (net.vertex_ids, net.edge_arcs, net.incidence):
         assert order() is order()
     assert net.vertex_ids() == ("x0", "x1", "x2", "x3")
     assert [a.id for a in net.edge_arcs()] == ["e1", "e2", "e3"]
