@@ -65,17 +65,16 @@ class ArcHamiltonian:
     """Evaluable Hamiltonian on one arc, parametrized on s in [0,1].
 
     Its arrays are never written in place (``replace`` makes a new object),
-    so the invariants derived on the check grid are cached on the object:
-    min_p H and the two floats ``c_gamma`` and ``global_min`` read from it,
-    the pointwise sublevel widths, as the ``sublevel_width`` of every level
-    asked for and the ``cell_widths`` of every (ns, level), the
-    ``shift_hamiltonian`` copy of every shift asked for, the momentum
-    minimizers at s = 0 and s = 1, the column coefficients at the nodes of
-    every ns-cell grid a march asks for (which also give the peak of min_p H
-    there) and at the cell midpoints of every datum grid a subsolution level
-    asks for, and behind ``momentum_lipschitz`` max alpha and max |beta| of
-    the symbolic kinds or the knot columns and slope maxima of the sampled
-    kind.
+    so its derived invariants are cached on the object: the check grid and
+    the column coefficients at its nodes, which give min_p H (and from it
+    the two floats ``c_gamma`` and ``global_min``) and the ``sublevel_width``
+    of every level asked for; the column coefficients at the nodes of every
+    ns-cell grid a march asks for, which give the peak of min_p H there and
+    the ``cell_widths`` of every level, and at the cell midpoints of every
+    datum grid a subsolution level asks for; the ``shift_hamiltonian`` copy
+    of every shift asked for; the momentum minimizers at s = 0 and s = 1;
+    and behind ``momentum_lipschitz`` max alpha and max |beta| of the
+    symbolic kinds or the knot columns and slope maxima of the sampled kind.
     """
 
     kind: str
@@ -87,12 +86,15 @@ class ArcHamiltonian:
     table: np.ndarray | None = None
     extension_slope: float | None = None
 
-    def __call__(self, s, p):
-        return evaluate(self, s, p)
+    @cached_property
+    def _check(self):
+        """The check grid and the ``_coefficients`` at its nodes."""
+        s = _s_check_grid(self)
+        return s, _coefficients(self, s)
 
     @cached_property
     def _min_p(self):
-        return _min_over_p(self, _s_check_grid(self))
+        return _lowest(self, self._check[1])
 
     @cached_property
     def _c_gamma(self):
@@ -366,29 +368,19 @@ def _s_check_grid(H):
 
 
 def momentum_minimizer(H, s):
-    """Per-s minimizer(s) of p -> H(s,p); vectorized over s."""
-    s = _check_s(np.atleast_1d(s))
-    if H.kind != "sampled":
-        b = np.interp(s, H.s_knots, H.beta)
-        return b if H.kind == "abs" else -b / (2.0 * np.interp(s, H.s_knots, H.alpha))
-    # piecewise linear between knots, rising beyond them: a knot minimizes
-    return H.p_knots[np.argmin(_sampled_rows_at(H, s), axis=1)]
-
-
-def _min_over_p(H, s):
-    """min_p H(s,p) per s (vectorized)."""
-    s = np.atleast_1d(s)
+    """Per-s minimizer(s) of p -> H(s,p); vectorized over s.  From the
+    ``_coefficients`` at s: beta, -beta / (2 alpha), or the lowest knot."""
+    coefs = _coefficients(H, _check_s(np.atleast_1d(s)))
     if H.kind == "sampled":
-        return np.min(_sampled_rows_at(H, s), axis=1)
-    return evaluate(H, s, momentum_minimizer(H, s))
+        # piecewise linear between knots, rising beyond them: a knot minimizes
+        return H.p_knots[np.argmin(coefs, axis=1)]
+    a, b, _ = coefs
+    return b if H.kind == "abs" else -b / (2.0 * a)
 
 
 def c_gamma(H):
-    """Critical value -max_s min_p H(s,p) on the check grid.
-
-    Symbolic kinds use the closed-form per-s minimizer; the sampled kind
-    scans its momentum knots.
-    """
+    """Critical value -max_s min_p H(s,p) on the check grid, min_p H from
+    ``_lowest`` at the grid's cached coefficients."""
     return H._c_gamma
 
 
@@ -484,7 +476,12 @@ def sublevel_interval(H, s, M):
     EmptySublevelError, the first such node named.
     """
     s = _check_s(np.atleast_1d(s))
-    coefs = _coefficients(H, s)
+    return _interval(H, s, _coefficients(H, s), M)
+
+
+def _interval(H, s, coefs, M):
+    """``sublevel_interval`` at the nodes s whose ``_coefficients`` are
+    coefs."""
     low = _lowest(H, coefs)
     miss = low - M > _LEVEL_SLACK * (1.0 + abs(M))
     if miss.any():
@@ -524,33 +521,36 @@ def _crossing(H, rows, level, at, out):
     return pk[at] + np.sign(out - at) * ((level - v) * run / rise)
 
 
-def _node_widths(H, s, M):
-    """max(|lo|, |hi|) of ``sublevel_interval`` at each node s: the bound
-    that H(s, u_s) <= M puts on |u_s| there."""
-    lo, hi = sublevel_interval(H, s, M)
+def _node_widths(H, s, coefs, M):
+    """max(|lo|, |hi|) of ``sublevel_interval`` at each node s, whose
+    ``_coefficients`` are coefs: the bound that H(s, u_s) <= M puts on |u_s|
+    there."""
+    lo, hi = _interval(H, s, coefs, M)
     return np.maximum(np.abs(lo), np.abs(hi))
 
 
 def sublevel_width(H, M):
     """The largest pointwise width max{|p| : H(s,p) <= M} over the nodes s
     of the check grid: the slope bound that H(s, u_s) <= M gives on the
-    whole arc, cached per level.
+    whole arc, cached per level and read from the check grid's cached
+    coefficients.
 
     Raises EmptySublevelError when a node's set is empty.
     """
     if M not in H._widths:
-        H._widths[M] = float(np.max(_node_widths(H, _s_check_grid(H), M)))
+        H._widths[M] = float(np.max(_node_widths(H, *H._check, M)))
     return H._widths[M]
 
 
 def cell_widths(H, ns, M):
     """Per cell of the ns-cell grid, the larger of the pointwise widths at
     its two nodes: the bound that H(s, u_s) <= M puts on |u_s| in the cell.
-    Derived once per (H, ns, M).
+    Derived once per (H, ns, M), from the coefficients a march at ns caches.
     """
     key = (ns, M)
     if key not in H._widths:
-        w = _node_widths(H, np.linspace(0.0, 1.0, ns + 1), M)
+        w = _node_widths(H, np.linspace(0.0, 1.0, ns + 1),
+                         _grid_coefficients(H, ns), M)
         H._widths[key] = np.maximum(w[:-1], w[1:])
     return H._widths[key]
 

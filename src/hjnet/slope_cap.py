@@ -53,9 +53,6 @@ class TimeSeries:
         if not np.all(np.isfinite(v)):
             raise ValueError("values must be finite")
 
-    def __len__(self):
-        return self.values.size
-
 
 def _slope_value(a) -> float:
     a = float(a)

@@ -33,6 +33,14 @@ def test_grid_rejects_a_non_finite_start_or_step(t0, dt):
         hj.Grid2D(4, t0, dt, 3)
 
 
+def test_grid_and_window_reject_degenerate_sizes():
+    with pytest.raises(ValueError, match="need at least 2 space cells"):
+        hj.Grid2D(1, 0.0, 0.1, 3)
+    for bound in (0.0, -1.0):
+        with pytest.raises(ValueError, match="lipschitz_bound must be positive"):
+            hj.propagation_window(H1, bound)
+
+
 def test_flat_datum_decays_at_the_stationary_level():
     grid, theta = fo_grid(50)
     fld = hj.max_subsolution(H1, np.zeros(51), hj.free(), hj.free(), grid,

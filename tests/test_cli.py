@@ -11,7 +11,7 @@ import hjnet as hj
 import hjnet.cli as hj_cli
 from hjnet import network_solver
 from hjnet.cli import load_solution_csv, main, write_solution_csv
-from hjnet.errors import ScenarioParseError, ValidationError
+from hjnet.errors import HJNetError, ScenarioParseError, ValidationError
 from hjnet.network_solver import CHECK_NAMES
 from hjnet.scenario_io import parse_scenario, parse_scenario_file
 
@@ -146,13 +146,33 @@ SAMPLED_E3 = ("e3 x3 x0 sampled pmin=-2 pmax=2 npts=abc slope=5 "
     ("checks = all", "checks = ,"),
     ("T = 1.0", "T = 1.0\ndt = 0.01\ncfl = 0.5"),
     ("T = 1.0", "T = 1.0\ncfl = 0.5\ndt = 0.01"),
+    ("e3 x3 x0 abs alpha=1 beta=0 kappa=1",
+     "e3 x3 x0 abs alpha=1 beta=0 kappa=1,x"),
+    ("e1 constant 0", "e1 samples 0,x"),
+    ("e3 x3 x0 abs alpha=1 beta=0 kappa=1", "e3 x3 x0 abs alpha=1 beta kappa=1"),
+    ("e3 x3 x0 abs alpha=1 beta=0 kappa=1",
+     SAMPLED_E3.replace("npts=abc slope=5", "npts=5")),
+    ("e1 constant 0", "e1 bump 0.2 0.1 0.2"),
+    ("e1 constant 0", "e1 samples 3"),
+    ("e1 constant 0", "e1 wave 1"),
+    ("[vertices]", "vertices"),
+    ("T = 1.0", "T 1.0"),
+    ("checks = all", "check = all"),
+    ("e1 x1 x0 abs alpha=1 beta=0 kappa=1", "e1 x1 x0"),
+    ("x0 -2", "x0"),
+    ("x0 -2", "x9 -2"),
+    ("e1 constant 0", "e9 constant 0"),
 ], ids=["limiter-abc", "horizon-abc", "ns-2.5", "linear-x", "bare-initial",
         "sampled-npts-abc", "alpha-0", "alpha-nan", "abs-kapa", "kappa-empty",
         "beta-empty", "alpha-empty", "kappa-twice",
         "sampled-alpha", "sampled-npts-too-many", "limiter-twice",
         "default-twice", "initial-twice", "ns-twice", "horizon-after-T",
         "t-after-T", "checks-twice", "checks-empty", "dt-then-cfl",
-        "cfl-then-dt"])
+        "cfl-then-dt", "kappa-x", "samples-x", "key-without-value",
+        "sampled-no-slope", "bump-outside", "one-sample", "unknown-profile",
+        "before-any-section", "run-without-equals", "unknown-run-key",
+        "edge-without-kind", "limiter-without-value", "limiter-unknown-vertex",
+        "initial-unknown-edge"])
 def test_bad_values_are_parse_errors_with_their_line(tmp_path, capsys, old,
                                                      new):
     # a replacement of several lines ends in a repeat or a conflict, an
@@ -168,6 +188,26 @@ def test_bad_values_are_parse_errors_with_their_line(tmp_path, capsys, old,
                  "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(f"error: line {line}: ")
     assert not out.exists()
+
+
+def test_a_vertex_without_a_limiter_needs_a_default(tmp_path, capsys):
+    # the error belongs to no one line of the file
+    text = TRIPOD.replace("default -1", "x1 -1")
+    with pytest.raises(ScenarioParseError,
+                       match="^no flux limiter for vertex 'x2' and no "
+                             "default$") as err:
+        parse_scenario(text)
+    assert err.value.line is None
+    assert main(["run", "--scenario", _write(tmp_path, text),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error: no flux limiter for ")
+
+
+def test_a_cfl_override_replaces_the_files_time_step():
+    text = TRIPOD.replace("T = 1.0", "T = 1.0\ndt = 0.01")
+    assert parse_scenario(text)[0].dt == 0.01
+    sc, _ = parse_scenario(text, cfl=0.5)
+    assert sc.dt is None and sc.cfl == 0.5
 
 
 def test_parse_rejects_ids_with_commas():
@@ -247,6 +287,22 @@ def test_run_exits_2_on_an_output_path_that_is_a_file(tmp_path, capsys,
     assert main(["run", "--scenario", scn, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(out) in err
+
+
+@pytest.mark.parametrize("flags, target", [
+    ([], "solve"), (["--refine", "1"], "_calibrate_from"),
+], ids=["solve", "refine"])
+def test_run_exits_2_when_the_solve_or_the_refinement_raises(
+        tmp_path, capsys, monkeypatch, flags, target):
+    def fail(*args):
+        raise HJNetError(f"{target} failed")
+
+    monkeypatch.setattr(hj_cli, target, fail)
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", _write(tmp_path, TRIPOD), "--out",
+                 str(out), *flags]) == 2
+    assert capsys.readouterr().err == f"error: {target} failed\n"
+    assert not (out / "report.json").exists()
 
 
 def test_run_exits_2_when_the_dump_cannot_be_written(tmp_path, capsys):

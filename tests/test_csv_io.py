@@ -20,6 +20,8 @@ from conftest import make_tripod
 
 MIXED_SCN = os.path.join(os.path.dirname(__file__), os.pardir, "demos",
                          "scenarios", "mixed.scn")
+TRIPOD_SCN = os.path.join(os.path.dirname(__file__), os.pardir, "demos",
+                          "scenarios", "tripod.scn")
 
 
 def _fmt(x):
@@ -299,6 +301,33 @@ def test_loader_names_the_file_and_id_of_a_bad_layout(tmp_path, name, edit,
     path.write_text("".join(edit(lines, arg)))
     with pytest.raises(ValidationError, match=match):
         load_solution_csv(str(out), sc, sol.params)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 5: load_solution_csv checks only the first and last s,t "
+    "cells of each run, so a row out of place reloads"))
+def test_a_dump_with_two_rows_swapped_reloads_its_field_or_is_refused(
+        tmp_path):
+    # rows (t_8, s = 8/16) and (t_9, s = 7/16) of e1 swapped: the dump
+    # reloads with no error into another field, and of the battery only
+    # interior_residual flags it
+    sc, _ = parse_scenario_file(TRIPOD_SCN, ns=16)
+    sol = hj.solve(sc)
+    out = tmp_path / "swapped"
+    write_solution_csv(sol, str(out))
+    path = out / "solution.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    a, b = 1 + 8 * 17 + 8, 1 + 9 * 17 + 7
+    assert lines[a].startswith("e1,0.5,0.47") \
+        and lines[b].startswith("e1,0.4375,0.52")
+    lines[a], lines[b] = lines[b], lines[a]
+    path.write_text("".join(lines))
+    try:
+        back = load_solution_csv(str(out), sc, sol.params)
+    except ValidationError:
+        return
+    failed = [c.name for c in hj.verify(back).checks if not c.ok]
+    assert back.fields["e1"].tobytes() == sol.fields["e1"].tobytes(), failed
 
 
 def test_loader_rejects_a_dump_of_another_time_grid(tmp_path):

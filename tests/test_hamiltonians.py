@@ -266,7 +266,18 @@ def test_cached_scalars_equal_their_uncached_formulas_bitwise():
                                 kappa=rng.uniform(-1.0, 1.0, 3))
              for _ in range(10)]
     for H in hams:
-        mins = hamiltonians._min_over_p(H, hamiltonians._s_check_grid(H))
+        # min_p H in closed form at the check grid's nodes, looked up afresh
+        s = hamiltonians._s_check_grid(H)
+        if H.kind == "sampled":
+            mins = np.min(hamiltonians._sampled_rows_at(H, s), axis=1)
+        else:
+            a, b, k = (np.interp(s, H.s_knots, c)
+                       for c in (H.alpha, H.beta, H.kappa))
+            mins = k if H.kind == "abs" else k - b * b / (4.0 * a)
+            # H at its minimizer, to the roundoff of the terms it sums
+            at = hj.evaluate(H, s, momentum_minimizer(H, s))
+            scale = np.abs(k) + (0.0 if H.kind == "abs" else b * b / a)
+            assert np.all(np.abs(at - mins) <= 2.0 * np.spacing(scale))
         for _ in range(2):            # derived, then read from the cache
             assert hj.c_gamma(H).hex() == (-float(np.max(mins))).hex()
             assert global_min(H).hex() == float(np.min(mins)).hex()
@@ -407,44 +418,47 @@ def test_a_quadratic_at_its_evaluated_minimum_is_a_point_not_empty():
 
 
 def test_invariants_are_derived_once_per_hamiltonian(monkeypatch):
-    calls = {"min_over_p": 0, "interval": 0}
-    min_over_p = hamiltonians._min_over_p
-    interval = hamiltonians.sublevel_interval
+    # the check grid and its coefficients are derived once; c_gamma,
+    # global_min and every sublevel_width read them
+    calls = {"grid": 0, "interval": 0}
+    check_grid = hamiltonians._s_check_grid
+    interval = hamiltonians._interval
 
-    def counted_min(H, s):
-        calls["min_over_p"] += 1
-        return min_over_p(H, s)
+    def counted_grid(H):
+        calls["grid"] += 1
+        return check_grid(H)
 
-    def counted_interval(H, s, M):
+    def counted_interval(H, s, coefs, M):
         calls["interval"] += 1
-        return interval(H, s, M)
+        return interval(H, s, coefs, M)
 
-    monkeypatch.setattr(hamiltonians, "_min_over_p", counted_min)
-    monkeypatch.setattr(hamiltonians, "sublevel_interval", counted_interval)
+    monkeypatch.setattr(hamiltonians, "_s_check_grid", counted_grid)
+    monkeypatch.setattr(hamiltonians, "_interval", counted_interval)
     H = hj.abs_hamiltonian(alpha=[1.0, 2.0, 1.5], beta=[0.0, 0.4, -0.2],
                            kappa=-0.5)
     fresh = dataclasses.replace(H)
     cg, gm = hj.c_gamma(H), global_min(H)
-    assert calls["min_over_p"] == 1
+    assert calls["grid"] == 1
     assert hj.c_gamma(H) == cg and global_min(H) == gm
-    assert calls["min_over_p"] == 1
+    assert calls["grid"] == 1
     # bitwise the values a fresh copy derives afresh
     assert hj.c_gamma(fresh) == cg and global_min(fresh) == gm
-    assert calls["min_over_p"] == 2
+    assert calls["grid"] == 2
 
     w = hj.sublevel_width(H, 2.0)
-    assert calls["interval"] == 1
+    assert calls == {"grid": 2, "interval": 1}
     assert hj.sublevel_width(H, 2.0) == w and calls["interval"] == 1
     assert hj.sublevel_width(fresh, 2.0) == w
     assert hj.sublevel_width(H, 3.0) > w
-    assert calls["interval"] == 3
+    assert calls == {"grid": 2, "interval": 3}
 
     # a replaced Hamiltonian is a new object with its own invariants
     raised = shift_hamiltonian(H, 1.0)
     assert hj.c_gamma(raised) == pytest.approx(cg - 1.0, abs=1e-12)
-    assert calls["min_over_p"] == 3
+    assert calls["grid"] == 3
     with pytest.raises(EmptySublevelError):
         hj.sublevel_width(raised, -5.0)
+    assert calls["grid"] == 3
 
 
 def _parabolas(centers):
@@ -511,14 +525,16 @@ def test_sublevel_interval_raises_at_the_first_empty_node():
 
 
 def test_sublevel_width_reads_and_fills_the_width_cache(monkeypatch):
+    # coefficients are looked up once per grid: the check grid's serve
+    # sublevel_width and c_gamma, a march grid's serve cell_widths
     calls = []
-    interval = hamiltonians.sublevel_interval
+    coefficients = hamiltonians._coefficients
 
-    def counted(H, s, M):
+    def counted(H, s):
         calls.append(np.size(s))
-        return interval(H, s, M)
+        return coefficients(H, s)
 
-    monkeypatch.setattr(hamiltonians, "sublevel_interval", counted)
+    monkeypatch.setattr(hamiltonians, "_coefficients", counted)
     known = hj.abs_hamiltonian(alpha=2.0, kappa=0.5)
     new = hj.abs_hamiltonian(alpha=1.5, kappa=0.25)
     w_known = hj.sublevel_width(known, 2.0)
@@ -528,12 +544,17 @@ def test_sublevel_width_reads_and_fills_the_width_cache(monkeypatch):
     assert calls == [257, 257]
     w_new = new._widths[2.0]
     assert widths == [w_known, w_new, w_new, w_known]
+    assert hj.sublevel_width(new, 1.0) < w_new and calls == [257, 257]
+    assert hj.c_gamma(new) == -0.25 and calls == [257, 257]
     cells = hamiltonians.cell_widths(new, 24, 2.0)
     assert calls == [257, 257, 25] and cells.shape == (24,)
     assert hamiltonians.cell_widths(new, 24, 2.0) is cells
     assert new._widths[24, 2.0] is cells and new._widths[2.0] == w_new
+    hamiltonians.cell_widths(new, 24, 1.0)
+    assert hamiltonians._grid_peak(new, 24) == 0.25
     assert calls == [257, 257, 25]
     assert hj.sublevel_width(dataclasses.replace(new), 2.0) == w_new
+    assert calls == [257, 257, 25, 257]
 
 
 def test_momentum_lipschitz(habs, hquad):
@@ -676,6 +697,40 @@ def test_constructors_reject_non_finite_data(make, name):
 def test_constructors_reject_an_empty_coefficient(make, name):
     # unchecked, kappa=[] built an H that np.interp later failed on
     with pytest.raises(ValueError, match=f"^{name} needs at least one value$"):
+        make()
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: hj.abs_hamiltonian(alpha=[1.0, 2.0], s_knots=[0.0, 0.5, 1.0]),
+     "s_knots must match coefficient length"),
+    (lambda: hj.quadratic_hamiltonian(kappa=[0.0, 1.0, 2.0],
+                                      s_knots=[0.0, 0.7, 0.5]),
+     "s_knots must increase from 0 to 1"),
+    (lambda: hj.abs_hamiltonian(kappa=[0.0, 1.0], s_knots=[0.1, 1.0]),
+     "s_knots must increase from 0 to 1"),
+    (lambda: hj.abs_hamiltonian(alpha=[1.0, 2.0], kappa=[0.0, 1.0, 2.0]),
+     "coefficient arrays must share one s-knot grid"),
+    (lambda: hj.sampled_hamiltonian([0.0, 1.0], [-1.0, 0.0, 1.0],
+                                    np.ones((3, 3)), 2.0),
+     r"table shape must be \(len\(s_knots\), len\(p_knots\)\)"),
+    (lambda: hj.sampled_hamiltonian([0.0, 1.0], [-1.0, 1.0],
+                                    np.ones((2, 2)), 2.0),
+     "need at least 3 momentum knots"),
+    (lambda: hj.sampled_hamiltonian([0.0, 1.0], [-1.0, 1.0, 0.0],
+                                    np.ones((2, 3)), 2.0),
+     "p_knots must be increasing"),
+    (lambda: hj.sampled_hamiltonian([0.0, 1.0], [-1.0, 0.0, 1.0],
+                                    [[0.0, 1.0, 0.0], [1.0, 0.0, 1.0]], 2.0),
+     "table is not convex in p"),
+    (lambda: hj.sampled_hamiltonian([0.0, 1.0], *_table(), 0.0),
+     r"extension slope must be positive \(coercivity\)"),
+    (lambda: hj.sampled_hamiltonian([0.0, 1.0], *_table(), 0.5),
+     "extension slope shallower than boundary table slopes"),
+], ids=["knots-length", "knots-unsorted", "knots-from-0.1", "two-grids",
+        "table-shape", "two-momenta", "momenta-unsorted", "not-convex",
+        "slope-0", "slope-shallow"])
+def test_constructors_reject_malformed_knots_and_tables(make, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
         make()
 
 

@@ -1,6 +1,7 @@
 """Network solver: constants, closed forms, well-posedness checks."""
 
 import dataclasses
+import os
 from collections import Counter
 
 import numpy as np
@@ -13,6 +14,7 @@ from hjnet.errors import (CFLViolationError, GridMismatchError, HJNetError,
 from hjnet import hamiltonians, network_solver
 from hjnet.hamiltonians import shift_hamiltonian
 from hjnet.network_solver import interior_bump
+from hjnet.scenario_io import parse_scenario
 
 from conftest import (make_comb, make_mixed, make_path, make_single_edge,
                       make_tripod)
@@ -126,6 +128,24 @@ def test_missing_initial_datum_is_named():
     with pytest.raises(ValidationError,
                        match="edge 'e2' is missing its initial datum"):
         hj.validate_scenario(dataclasses.replace(sc, initial=initial))
+    bad = {**sc.initial, "e3": sc.initial["e3"].copy()}
+    bad["e3"][7] = np.nan
+    with pytest.raises(ValidationError,
+                       match="initial datum of edge 'e3' not finite"):
+        hj.validate_scenario(dataclasses.replace(sc, initial=bad))
+
+
+def test_comparable_scenarios_must_share_ns():
+    with pytest.raises(ValidationError,
+                       match="comparable scenarios must share ns"):
+        hj.plan_solve(make_tripod(20), others=[make_tripod(24)])
+
+
+def test_a_report_names_an_unknown_check_as_a_key_error():
+    rep = hj.verify(hj.solve(make_path(20)), checks=["headroom"])
+    assert rep["headroom"].name == "headroom"
+    with pytest.raises(KeyError, match="limiter"):
+        rep["limiter"]
 
 
 @pytest.mark.parametrize("t0", [np.nan, np.inf, -np.inf])
@@ -325,6 +345,20 @@ def test_restart_at_odd_splits_replays_byte_identically():
         assert equal and worst == 0.0, sc.name
 
 
+@pytest.mark.parametrize("at_c_gamma", [False, True], ids=["plain", "at-c"])
+def test_restart_under_a_positivity_shift_differs_by_roundoff(at_c_gamma):
+    # the restart datum is lifted by a T/2, which the march may round in
+    # the last bits: not byte-identical, but within a few ulps of
+    # 1 + sup|u| (at most 6 on rough draws 0-59, plain and at c_gamma)
+    from conftest import rough_scenario
+    sc = rough_scenario(np.random.default_rng(0), 13, at_c_gamma=at_c_gamma)
+    assert sc.constants.shift == pytest.approx(1.298306, abs=1e-6)
+    equal, worst = hj.restart_check(sc)
+    assert equal is False
+    sup = max(float(np.abs(f).max()) for f in hj.solve(sc).fields.values())
+    assert 0.0 < worst <= 32.0 * np.spacing(1.0 + sup)
+
+
 def test_headroom_flags_underdissipated_arc():
     sc = make_path(40)
     params = hj.plan_solve(sc)
@@ -426,6 +460,33 @@ def test_battery_on_draws_whose_sublevel_set_at_m0_is_almost_a_point(
     sc = rough_scenario(np.random.default_rng(seed), 96, at_c_gamma=True)
     rep = hj.verify(hj.solve(sc), checks=checks)
     assert rep.ok, [c.name for c in rep.checks if not c.ok]
+
+
+_TRIPOD_SCN = os.path.join(os.path.dirname(__file__), os.pardir, "demos",
+                           "scenarios", "tripod.scn")
+
+
+@pytest.mark.parametrize("offset", [
+    "1e5",
+    pytest.param("1e6", marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError, reason=(
+            "ROADMAP item 1: interior_residual is gated at the absolute "
+            "_RESID_TOL = 1e-9, below the roundoff of a residual on data "
+            "near 1e6 (margin -4.879e-09)"))),
+])
+def test_a_datum_offset_by_a_constant_passes_the_whole_battery(offset):
+    # a constant added to the datum shifts the solution by that constant;
+    # at 1e5 interior_residual keeps a margin of 2.651e-10, and at 1e6 it
+    # is the one check that fails
+    with open(_TRIPOD_SCN, encoding="utf-8") as fh:
+        text = fh.read().replace("constant 0\n", f"constant {offset}\n")
+    assert text.count(f"constant {offset}\n") == 3
+    sc, _ = parse_scenario(text, ns=100)
+    rep = hj.verify(hj.solve(sc))
+    others = [c.name for c in rep.checks
+              if not c.ok and c.name != "interior_residual"]
+    assert others == []
+    assert rep["interior_residual"].ok, rep["interior_residual"].margin
 
 
 def test_solve_rejects_nonnegative_shifted_limiter():

@@ -177,6 +177,17 @@ def test_trace_set_validation():
     bad["x0"] = bad["x0"] + 1.0
     with pytest.raises(ValidationError):
         VertexTraceSet(sol.grid, bad, ts.initial).validate(sc.network)
+    missing = {x: v for x, v in ts.traces.items() if x != "x2"}
+    with pytest.raises(ValidationError, match="missing trace for vertex 'x2'"):
+        VertexTraceSet(sol.grid, missing, ts.initial).validate(sc.network)
+    short = {**ts.traces, "x1": ts.traces["x1"][:-1]}
+    with pytest.raises(GridMismatchError, match="trace at 'x1' off the time"):
+        VertexTraceSet(sol.grid, short, ts.initial).validate(sc.network)
+    for initial in ({e: v for e, v in ts.initial.items() if e != "e3"},
+                    {**ts.initial, "e3": ts.initial["e3"][:-1]}):
+        with pytest.raises(GridMismatchError,
+                           match="initial datum of 'e3' off the s-grid"):
+            VertexTraceSet(sol.grid, ts.traces, initial).validate(sc.network)
 
 
 def test_transform_equivariance_and_monotonicity():

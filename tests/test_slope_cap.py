@@ -8,6 +8,7 @@ from hjnet.slope_cap import (
     TimeSeries,
     apply_g,
     apply_g_bruteforce,
+    _cap_columns,
     contact_set,
 )
 
@@ -55,6 +56,24 @@ def test_nonnegative_slope_rejected():
 def test_series_rejects_a_non_finite_start_or_step(t0, dt):
     with pytest.raises(ValueError):
         TimeSeries(t0, dt, [1.0])
+
+
+@pytest.mark.parametrize("values, message", [
+    ([], "values must be a nonempty 1-d array"),
+    ([[1.0, 2.0]], "values must be a nonempty 1-d array"),
+    ([1.0, np.nan], "values must be finite"),
+    ([np.inf], "values must be finite"),
+], ids=["empty", "2-d", "nan", "inf"])
+def test_series_rejects_values_that_are_not_a_finite_row(values, message):
+    with pytest.raises(ValueError, match=message):
+        TimeSeries(0.0, 0.5, values)
+
+
+def test_the_stacked_cap_rejects_non_finite_values():
+    # the vertex caps of the certificate call it on arrays, not series
+    cols = np.array([[0.0, 1.0], [np.nan, 0.5]])
+    with pytest.raises(ValueError, match="values must be finite"):
+        _cap_columns(cols, [-1.0, -1.0], 0.1)
 
 
 def test_matches_bruteforce_bitwise_on_dyadic_series():
