@@ -13,7 +13,10 @@ Exit codes: 0 all enabled checks passed and the level differences shrink;
 validation, planning or solve errors, or an output that cannot be written.
 CSV numbers use 17 significant digits, byte for byte Python's %.17g, so
 outputs are byte-stable across runs and round-trip exactly (hjnet.dump).
-report.json's timing holds solve_s, verify_s, write_s and total_s.
+report.json's timing holds parse_s (reading the scenario file), plan_s
+(plan_solve), solve_s, verify_s, write_s and total_s, which spans the
+solve, the --refine levels, the checks and the dump, not the parse or the
+plan.
 """
 
 from __future__ import annotations
@@ -143,10 +146,13 @@ def _report(solution, rep, refine, timing, outdir):
 
 
 def _cmd_run(args):
+    t_parse = time.perf_counter()
     try:
         scenario, checks = parse_scenario_file(
             args.scenario, ns=args.ns, horizon=args.t_final, cfl=args.cfl)
+        t_plan = time.perf_counter()
         params = plan_solve(scenario)
+        parse_s, plan_s = t_plan - t_parse, time.perf_counter() - t_plan
         if args.checks is not None:
             checks = parse_checks(args.checks)
         if args.refine < 0:
@@ -181,7 +187,8 @@ def _cmd_run(args):
             _dump_slices(solution, args.out, times)
         t_end = time.perf_counter()
         doc = _report(solution, rep, refine,
-                      {"solve_s": solve_s, "verify_s": t_write - t_verify,
+                      {"parse_s": parse_s, "plan_s": plan_s,
+                       "solve_s": solve_s, "verify_s": t_write - t_verify,
                        "write_s": t_end - t_write, "total_s": t_end - t_start},
                       args.out)
     except OSError as e:

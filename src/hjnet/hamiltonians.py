@@ -5,8 +5,9 @@ coercive in p, and locally Lipschitz in p:
 
 * ``quadratic``  H(s,p) = alpha(s) p^2 + beta(s) p + kappa(s),  alpha > 0
 * ``abs``        H(s,p) = alpha(s) |p - beta(s)| + kappa(s),    alpha > 0
-* ``sampled``    bilinear table on an (s, p) grid with a declared linear
-  coercive extension beyond the p-range
+* ``sampled``    a table on an (s, p) grid, linear in s between its s-knots
+  and piecewise linear in p between its momentum knots, with a declared
+  linear coercive extension beyond the p-range
 
 Coefficient functions are sampled arrays on an s-knot grid and interpolated
 linearly.  Restricting to these kinds keeps every derived constant (the
@@ -23,7 +24,10 @@ forward arcs extends uniquely to the inverse arcs.
 
 A column evaluator of the symbolic kinds skips the products that alpha = 1
 and beta = +-0 make identities, exact at every finite momentum; at p = +-inf
-a quadratic with beta = 0 gives +inf, not the nan of 0 * inf.
+a quadratic with beta = 0 gives +inf, not the nan of 0 * inf.  The sampled
+kind is evaluated in point-slope form, the row's value at a knot plus a
+slope times the distance from it, so it returns the table value exactly at
+every knot.
 """
 
 from __future__ import annotations
@@ -128,11 +132,11 @@ class ArcHamiltonian:
     @cached_property
     def _knot_cells(self):
         """Sampled kind: its columns at the s-knots, and per momentum cell
-        [p_j, p_j+1] the largest |slope| over the s-knots."""
+        [p_j, p_j+1] the largest |slope| over the s-knots, read from the
+        columns' knot-cell pieces."""
         cols = _Columns([self], self.s_knots)
-        slopes = np.diff(cols(self.p_knots[:, None]), axis=0) \
-            / np.diff(self.p_knots)[:, None]
-        return cols, np.max(np.abs(slopes), axis=1)
+        slopes = cols.slope.reshape(-1, self.p_knots.size + 1)[:, 1:-1]
+        return cols, np.max(np.abs(slopes), axis=0)
 
 
 def _finite(**arrays):
@@ -183,9 +187,10 @@ def abs_hamiltonian(alpha=1.0, beta=0.0, kappa=0.0, s_knots=None):
 def sampled_hamiltonian(s_knots, p_knots, table, extension_slope):
     """Tabulated H on an (s,p) grid, linearly extended beyond the p-range.
 
-    The table must be discretely convex in p, and the declared extension
-    slope at least as steep as the outermost table slopes so the extension
-    preserves convexity and coercivity.
+    The table must be discretely convex in p (its cell slopes do not fall
+    from one cell to the next, on any knot spacing), and the declared
+    extension slope at least as steep as the outermost table slopes so the
+    extension preserves convexity and coercivity.
     """
     s = np.asarray(s_knots, dtype=float)
     p = np.asarray(p_knots, dtype=float)
@@ -199,13 +204,15 @@ def sampled_hamiltonian(s_knots, p_knots, table, extension_slope):
     if np.any(np.diff(p) <= 0):
         raise ValueError("p_knots must be increasing")
     scale = 1.0 + float(np.max(np.abs(t)))
-    d2 = np.diff(t, n=2, axis=1) / np.diff(p)[:-1].min() ** 2
-    if np.min(d2) < -TOL_CONVEX * scale:
+    cell = np.diff(t, axis=1) / np.diff(p)
+    # the cell slopes must not fall: each rise over the mean width of its
+    # two cells (the second difference over h^2 on knots of spacing h)
+    if np.min(2.0 * np.diff(cell, axis=1) / (p[2:] - p[:-2])) \
+            < -TOL_CONVEX * scale:
         raise ValueError("table is not convex in p")
-    edge = np.diff(t, axis=1) / np.diff(p)
     if slope <= 0:
         raise ValueError("extension slope must be positive (coercivity)")
-    if slope < np.max(edge[:, -1]) - TOL_CONVEX or slope < np.max(-edge[:, 0]) - TOL_CONVEX:
+    if slope < np.max(cell[:, -1]) - TOL_CONVEX or slope < np.max(-cell[:, 0]) - TOL_CONVEX:
         raise ValueError("extension slope shallower than boundary table slopes")
     return ArcHamiltonian(kind="sampled", s_knots=_make_knots(s.size, s),
                           p_knots=p, table=t, extension_slope=slope)
@@ -265,7 +272,16 @@ class _Columns:
     adding +-0 to it is exact.  Each is bitwise the full sequence at finite
     momenta, the only ones a march or a residual scan evaluates; at
     p = +-inf a centered quadratic gives +inf where the full sequence gives
-    nan (0 * inf)."""
+    nan (0 * inf).
+
+    A sampled group splits each row at a column into K + 1 pieces, the left
+    extension, the K - 1 knot cells and the right extension, each with an
+    anchor knot (the cell's left knot; the end knot of an extension), the
+    row's value there and a slope (the cell's rise over its width, or
+    -+ the extension slope).  One right-sided knot search picks the piece,
+    and H is its value plus its slope times p minus its anchor: exact at
+    every knot, where that distance is 0, +inf at p = +-inf and nan at nan,
+    in 8 numpy calls with no clip or division."""
 
     def __init__(self, hams, s, coefs=None):
         if coefs is None:
@@ -273,16 +289,19 @@ class _Columns:
             coefs = [_coefficients(H, s) for H in hams]
         self.kind = hams[0].kind
         if self.kind == "sampled":
-            # cell j of row r at column c is entry (r C + c)(K - 1) + j of
-            # the flat tables of the cells' left and right ends
+            # piece j of row r at column c is entry (r C + c)(K + 1) + j of
+            # the flat value and slope tables, and anchor[j] its anchor knot
             pk = hams[0].p_knots
             rows = np.array(coefs)
-            self.lo, self.hi, self.inner = pk[0], pk[-1], pk[1:-1]
-            self.k0, self.dk = pk[:-1], np.diff(pk)
-            self.t0, self.t1 = rows[..., :-1].ravel(), rows[..., 1:].ravel()
-            self.base = (pk.size - 1) * np.arange(rows.shape[0] * rows.shape[1]
+            ext = np.array([[[H.extension_slope]] for H in hams])
+            slope = np.empty(rows.shape[:2] + (pk.size + 1,))
+            np.divide(np.diff(rows), np.diff(pk), out=slope[..., 1:-1])
+            slope[..., :1], slope[..., -1:] = -ext, ext
+            self.knots, self.anchor = pk, np.r_[pk[0], pk]
+            self.value = np.concatenate((rows[..., :1], rows), axis=-1).ravel()
+            self.slope = slope.ravel()
+            self.base = (pk.size + 1) * np.arange(rows.shape[0] * rows.shape[1]
                                                   ).reshape(rows.shape[:2])
-            self.ext = np.array([[H.extension_slope] for H in hams])
             self.shape = self.base.shape
         else:
             self.a, self.b, self.k = (np.array([c[i] for c in coefs])
@@ -318,24 +337,15 @@ class _Columns:
                                                (np.add, out, tmp, out)]
         return [partial(*c) for c in calls + [(np.add, out, k, out)]]
 
-    def _sampled(self, p, out, pc):
-        # (1 - w) A + w B on the cell of the clipped momentum pc, whose index
-        # counts the interior knots at or below it, plus the extension
-        # slope times |p - pc|
-        np.maximum(p, self.lo, out=pc)
-        np.minimum(pc, self.hi, out=pc)
-        j = self.inner.searchsorted(pc, side="right")
-        w = pc - self.k0.take(j)
-        w /= self.dk.take(j)
-        j += self.base
-        np.subtract(1.0, w, out)
-        out *= self.t0.take(j)
-        w *= self.t1.take(j)
-        out += w
-        pc -= p
-        np.absolute(pc, pc)
-        pc *= self.ext
-        out += pc
+    def _sampled(self, p, out, d):
+        # the piece's index counts the knots at or below p; the indices are
+        # in range, and mode "clip" spares the copy of out that "raise" makes
+        j = self.knots.searchsorted(p, side="right")
+        np.subtract(p, self.anchor.take(j), d)
+        j = j + self.base               # at out's shape, whatever p's
+        self.value.take(j, out=out, mode="clip")
+        d *= self.slope.take(j)
+        out += d
 
 
 def evaluate(H, s, p):

@@ -340,7 +340,7 @@ def test_a_second_stepper_derives_no_grid_data_again(monkeypatch):
     _ArcStepper(hams, 16, 1.0, 0.01)
     assert calls[n:] and set(calls[n:]) == {"_sampled_rows_at"}
     for cols, *_ in second.groups:
-        arrays = ((cols.t0, cols.t1, cols.base, cols.ext)
+        arrays = ((cols.anchor, cols.value, cols.slope, cols.base)
                   if cols.kind == "sampled" else (cols.a, cols.b, cols.k))
         assert all(a.flags.c_contiguous for a in arrays), cols.kind
 

@@ -734,6 +734,26 @@ def test_constructors_reject_malformed_knots_and_tables(make, message):
         make()
 
 
+@pytest.mark.parametrize("knots, row, convex", [
+    # wide second cells: slopes 1 then 1/9 fall, -1 then -4/9 rise
+    ([0.0, 1.0, 10.0], [0.0, 1.0, 2.0], False),
+    ([0.0, 1.0, 10.0], [0.0, -1.0, -5.0], True),
+    # unit knots: the slopes may fall by TOL_CONVEX (1 + max |table|)
+    ([-1.0, 0.0, 1.0], [0.0, 2e-11, 0.0], True),
+    ([-1.0, 0.0, 1.0], [0.0, 1e-10, 0.0], False),
+], ids=["wide-cell-concave", "wide-cell-convex", "unit-inside-tolerance",
+        "unit-beyond-tolerance"])
+def test_convexity_is_judged_on_the_cell_slopes(knots, row, convex):
+    def make():
+        return hj.sampled_hamiltonian([0.0, 1.0], knots, [row, row], 2.0)
+
+    if convex:
+        assert make().kind == "sampled"
+    else:
+        with pytest.raises(ValueError, match="^table is not convex in p$"):
+            make()
+
+
 @pytest.mark.parametrize("values", [
     [0.75, -2.0, 0.25, 3.5, -1.0],
     [1.0, 0.5, 1.0, 0.5, 0.5, 2.0, 1.0],

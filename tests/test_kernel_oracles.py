@@ -7,19 +7,22 @@ arc in the callers' order, and require equality bit for bit (the arc
 marches byte for byte, so signed zeros count).  The scalar evaluations
 never go through the column evaluator: the symbolic kinds take their
 formula in Python floats, and the sampled kind a scalar search over each
-row's own momentum knots.  Each is also checked against the column
-evaluator directly, the symbolic kinds on every shortened call sequence.
+row's own momentum knots and the point-slope form of the piece it finds.
+Each is also checked against the column evaluator directly, the symbolic
+kinds on every shortened call sequence.
 """
 
+import bisect
 import dataclasses
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import hjnet as hj
 from hjnet.arc_solver import _ArcStepper
-from hjnet.hamiltonians import _Columns, momentum_minimizer
+from hjnet.hamiltonians import _Columns, _coefficients, momentum_minimizer
 from hjnet.semidiscrete import (VertexTraceSet, _arc_transform_traces,
                                 arc_initial, f_gamma, f_x, f_x_selected)
 
@@ -28,22 +31,26 @@ from conftest import make_comb, make_mixed, make_path, make_tripod
 
 def scalar_sampled(H, s, p):
     """A sampled H at one (s, p), in scalar arithmetic: the table row
-    interpolated in s, the cell of the clipped p found by a right-sided
-    search over the row's own knots, and the extension term as the sum of
-    the distances beyond either end."""
+    interpolated in s, and in it the piece that holds p, found by a
+    right-sided search over all the row's own knots (the left extension
+    below the first knot, the right one at or above the last), evaluated in
+    point-slope form: the row's value at the piece's anchor knot plus its
+    slope times p minus that knot."""
     sk, pk, tab = H.s_knots, H.p_knots, H.table
     i = min(max(int(np.searchsorted(sk, s, side="right")) - 1, 0), sk.size - 2)
     s0, s1 = float(sk[i]), float(sk[i + 1])
     ws = (s - s0) / (s1 - s0) if s1 > s0 else 0.0
-    lo, hi = float(pk[0]), float(pk[-1])
-    pc = min(max(p, lo), hi)
-    j = min(int(np.searchsorted(pk, pc, side="right")), pk.size - 1) - 1
-    a, b = ((1.0 - ws) * float(tab[i, k]) + ws * float(tab[i + 1, k])
-            for k in (j, j + 1))
-    k0, k1 = float(pk[j]), float(pk[j + 1])
-    w = (pc - k0) / (k1 - k0)
-    return ((1.0 - w) * a + w * b
-            + H.extension_slope * (max(p - hi, 0.0) + max(lo - p, 0.0)))
+    row = [(1.0 - ws) * float(tab[i, k]) + ws * float(tab[i + 1, k])
+           for k in range(pk.size)]
+    j = int(np.searchsorted(pk, p, side="right"))
+    if j == 0:
+        a, slope = 0, -H.extension_slope
+    elif j == pk.size:
+        a, slope = j - 1, H.extension_slope
+    else:
+        a = j - 1
+        slope = (row[j] - row[a]) / (float(pk[j]) - float(pk[a]))
+    return row[a] + slope * (p - float(pk[a]))
 
 
 def scalar_symbolic(H, s, p):
@@ -303,6 +310,99 @@ def test_sampled_columns_equal_the_scalar_lookup():
             assert hj.evaluate(H, 0.3, pv) == want(H, 0.3, pv)
 
 
+def _convex_table(rng):
+    """A sampled H on 3-11 non-uniform knots (cell widths 1-100 times apart),
+    with 2-4 convex rows over s whose cell slopes rise by 0.05-2 from cell
+    to cell, the values and knots at drawn scales."""
+    k = int(rng.integers(3, 12))
+    scale = 10.0 ** rng.uniform(-1.0, 2.0)
+    knots = scale * (rng.uniform(-1.0, 0.5)
+                     + np.cumsum(np.r_[0.0, rng.uniform(0.01, 1.0, k - 1)]))
+    s = np.r_[0.0, np.sort(rng.uniform(0.0, 1.0, int(rng.integers(0, 3)))),
+              1.0]
+    slopes = (rng.uniform(-3.0, 0.0, (s.size, 1))
+              + np.cumsum(rng.uniform(0.05, 2.0, (s.size, k - 1)), axis=1))
+    offset = rng.uniform(-1.0, 1.0, (s.size, 1)) * 10.0 ** rng.uniform(-1, 3)
+    table = offset + np.c_[np.zeros(s.size),
+                           np.cumsum(slopes * np.diff(knots), axis=1)]
+    cell = np.diff(table, axis=1) / np.diff(knots)
+    ext = max(np.max(-cell[:, 0]), np.max(cell[:, -1]), 0.0) \
+        + rng.uniform(0.1, 1.0)
+    return hj.sampled_hamiltonian(s, knots, table, ext)
+
+
+def _exact_row(knots, row, ext, p):
+    """The value at p of the piecewise-linear row through (knots, row) with
+    slopes -ext and ext beyond its ends, in rational arithmetic, and the
+    forward error bound of its point-slope form, u |value at the anchor| +
+    gamma_6 |slope d| (u = 2^-53, gamma_n = n u / (1 - n u)).  The computed
+    product slope * d carries at most five relative roundings (the slope's
+    two differences and quotient, d = p - anchor, the product), so it errs
+    by gamma_5 at most (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., Lemma 3.1); the sum's rounding adds u times both
+    terms, and gamma_5 + u (1 + gamma_5) <= gamma_6."""
+    u = Fraction(1, 2 ** 53)
+    j = bisect.bisect_right(knots, p)
+    a = max(j - 1, 0)
+    if 0 < j < len(knots):
+        slope = (Fraction(row[j]) - Fraction(row[a])) \
+            / (Fraction(knots[j]) - Fraction(knots[a]))
+    else:
+        slope = Fraction(ext) * (-1 if j == 0 else 1)
+    rise = slope * (Fraction(p) - Fraction(knots[a]))
+    return (Fraction(row[a]) + rise,
+            u * abs(Fraction(row[a])) + 6 * u / (1 - 6 * u) * abs(rise))
+
+
+def check_sampled_columns_against_exact(n, seed):
+    """Sampled columns against exact rational arithmetic at n or more
+    (column, momentum) points: seeded ``_convex_table`` draws, each at its
+    s-knots and two drawn s, at every knot, at three points inside each
+    cell, at three points on each extension (10^-3 to 10^3 spans beyond the
+    ends), at +-inf and at nan.  The reference is the exact value of the
+    same s-interpolated row: a value must equal it at every knot, be +inf
+    at infinite momenta, nan at nan, and elsewhere lie within the bound of
+    ``_exact_row``.  Raises AssertionError naming the first point that does
+    not; returns the number of points and the largest error over its
+    bound."""
+    rng = np.random.default_rng(seed)
+    points, worst = 0, Fraction(0)
+    while points < n:
+        H = _convex_table(rng)
+        pk = H.p_knots
+        s = np.r_[H.s_knots, rng.uniform(0.0, 1.0, 2)]
+        span = pk[-1] - pk[0]
+        beyond = span * 10.0 ** rng.uniform(-3.0, 3.0, (2, 3))
+        p = np.r_[pk, (pk[:-1] + rng.uniform(0.0, 1.0, (3, 1))
+                       * np.diff(pk)).ravel(),
+                  pk[0] - beyond[0], pk[-1] + beyond[1], -np.inf, np.inf,
+                  np.nan]
+        got = _Columns([H], s)(p[:, None])
+        knots = pk.tolist()
+        for c, row in enumerate(_coefficients(H, s).tolist()):
+            for pv, v in zip(p.tolist(), got[:, c].tolist()):
+                where = (seed, points, float(s[c]), pv, v)
+                if np.isnan(pv):
+                    assert np.isnan(v), where
+                elif np.isinf(pv):
+                    assert v == np.inf, where
+                else:
+                    exact, bound = _exact_row(knots, row,
+                                              H.extension_slope, pv)
+                    err = abs(Fraction(v) - exact)
+                    assert err == 0 if pv in knots else err <= bound, \
+                        (*where, float(exact), float(bound))
+                    if bound:
+                        worst = max(worst, err / bound)
+                points += 1
+    return points, float(worst)
+
+
+def test_sampled_columns_are_exact_at_knots_and_within_roundoff_off_them():
+    points, worst = check_sampled_columns_against_exact(3000, seed=33)
+    assert points >= 3000 and worst <= 1.0
+
+
 def _two_knot_sets(ns, horizon=0.1):
     """make_mixed with e5 sampled on other knots than e3's (as many of
     them), limiters redrawn below the new critical values."""
@@ -325,8 +425,8 @@ def test_network_march_on_two_knot_vectors_equals_scalar_marches():
     params = hj.plan_solve(sc)
     hams = [sc.constants.hamiltonians[a.id] for a in sc.network.edge_arcs()]
     step = _ArcStepper(hams, params.ns, 1.0, params.dt)
-    knots = sorted(tuple(np.r_[cols.lo, cols.inner, cols.hi])
-                   for cols, *_ in step.groups if cols.kind == "sampled")
+    knots = sorted(tuple(cols.knots) for cols, *_ in step.groups
+                   if cols.kind == "sampled")
     assert knots == sorted({tuple(H.p_knots) for H in hams
                             if H.kind == "sampled"})
     assert len(knots) == 2

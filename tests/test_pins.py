@@ -20,7 +20,13 @@ The mixed margins digest was retaken once more when time_monotone moved to
 the normalized field: make_mixed has a negative Hamiltonian, where the
 check was skipped with margin 0, and it now gates the rise of the shifted
 field.  Only that row moved; the tripod and path have shift 0, where the
-normalized field is the field itself.
+normalized field is the field itself.  The mixed fields and transforms pins
+and the mixed solution.csv digest were retaken when the sampled kind moved
+to point-slope evaluation (each piece's value at its anchor knot plus its
+slope times the distance): make_mixed's sampled arc e3 moves in the last
+bits off the knots, while its vertex traces, its margins and its
+vertex_traces.csv keep every bit, and the tripod and path rows, which have
+no sampled arc, did not move.
 """
 
 import contextlib
@@ -102,13 +108,13 @@ PINS = {
     },
     "mixed": {
         "fields":
-            "1badf74d3a143666af51bac45e9bd33133e9de8d7a1ca37445e558156c322eea",
+            "ececa46d61a1bb86b62a73f058d8eee32602ca964906e5e22063b2b567267ba9",
         "vertex":
             "9bf5b6709445270685c998ce1b2244116eeb088e6f8267deaa6b90891a45939f",
         "margins":
             "b3aa723d443fbf523c08bd8e6ceeae9c9d9b031b61f33309253b10e52cf8a7f8",
         "transforms":
-            "fd83b05e3c0d50c7a97c252450c3ac5c680fba7aeaf7e719fbe9e4073c5eee34",
+            "038ba76cab27b25aae1506d8abfd2eb6d45daaf86af719b5ca3b8dcf33060d24",
     },
 }
 
@@ -190,7 +196,7 @@ CSV_PINS = {
     },
     "mixed": {
         "solution.csv":
-            "3b14b57d22d5e35d69292f5be6707bfce5e5c82966778037fbbfad56afdc4928",
+            "2967367f25edec3b120cb6a02bdb63f420c34b9b72d63ec11f1323298b989511",
         "vertex_traces.csv":
             "2ef7a11c3f8b4588f6e32f3a17db830d577ecc08efae25b7506bae4bc2e1b124",
     },
