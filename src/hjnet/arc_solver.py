@@ -136,8 +136,7 @@ class _ArcStepper:
     def __init__(self, hams, ns, theta, dt, state=None):
         groups = {}
         for i, H in enumerate(hams):
-            key = (H.kind, None if H.p_knots is None else tuple(H.p_knots))
-            groups.setdefault(key, []).append(i)
+            groups.setdefault(H._stack_key, []).append(i)
         self.order = np.array([i for idx in groups.values() for i in idx])
         # momentum minimizers of the rows at s = 0 and at s = 1
         self.p_star = np.array([hams[i]._p_ends for i in self.order]).T.copy()

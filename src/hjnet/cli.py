@@ -6,7 +6,8 @@
 
 --refine k calibrates the tolerance on ns, 2 ns, ..., 2^k ns; from k = 2 on,
 report.json's refine entry holds the orders of the level differences and
-the verdict that they shrink.
+the verdict that they shrink; each level, ns to 2^(k-1) ns, holds diff to
+the next finer grid and solve_s, the time taken to plan and solve that one.
 
 Exit codes: 0 all enabled checks passed and the level differences shrink;
 1 a check failed or a level difference did not shrink; 2 scenario parse,
@@ -102,20 +103,23 @@ def _slice_times(text, t0, t1):
     return times
 
 
-def _refine_verdict(C, details):
+def _refine_verdict(C, details, solve_s):
     """The refine entry of report.json and its PASS/FAIL line.
 
     The entry holds C, the levels, the orders log2(diff[i] / diff[i+1]) of
-    consecutive level differences and their verdict.  A difference that
-    does not shrink has an order <= 0, or nan when it and the one before
-    are both 0; either fails.  A non-finite order is written as null.
+    consecutive level differences and their verdict; level i gains
+    solve_s[i], the time of the finer solve its diff compares it with.  A
+    difference that does not shrink has an order <= 0, or nan when it and
+    the one before are both 0; either fails.  A non-finite order is written
+    as null.
     """
     diffs = np.array([d["diff"] for d in details])
     with np.errstate(divide="ignore", invalid="ignore"):
         orders = np.log2(diffs[:-1] / diffs[1:])
     ok = bool(np.all(orders > 0))
     shown = ", ".join(f"{o:.3g}" for o in orders)
-    return ({"C": C, "levels": details,
+    return ({"C": C, "levels": [dict(d, solve_s=t)
+                                for d, t in zip(details, solve_s)],
              "orders": [float(o) if np.isfinite(o) else None for o in orders],
              "ok": ok},
             f"{'PASS' if ok else 'FAIL'} refine (C = {C:.6g}, order {shown})")
@@ -169,9 +173,9 @@ def _cmd_run(args):
         solution = solve(scenario, params)
         solve_s = time.perf_counter() - t_start
         if args.refine:
-            C, details = _calibrate_from(solution, args.refine + 1)
+            C, details, level_s = _calibrate_from(solution, args.refine + 1)
             eps = default_epsilon(solution, C)
-            refine, verdict = _refine_verdict(C, details)
+            refine, verdict = _refine_verdict(C, details, level_s)
     except HJNetError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -61,8 +61,6 @@ __all__ = [
 TOL_CONVEX = 1e-10
 _LEVEL_SLACK = 1e-12  # relative roundoff allowed between a level and a minimum
 
-_KINDS = ("quadratic", "abs", "sampled")
-
 
 @dataclass(frozen=True)
 class ArcHamiltonian:
@@ -77,8 +75,10 @@ class ArcHamiltonian:
     the ``cell_widths`` of every level, and at the cell midpoints of every
     datum grid a subsolution level asks for; the ``shift_hamiltonian`` copy
     of every shift asked for; the momentum minimizers at s = 0 and s = 1;
+    the stack key by which a stepper or ``subsolution_levels`` groups rows;
     and behind ``momentum_lipschitz`` max alpha and max |beta| of the
-    symbolic kinds or the knot columns and slope maxima of the sampled kind.
+    symbolic kinds, or the sampled kind's per-cell slope maxima over the
+    table's s-knot rows.
     """
 
     kind: str
@@ -130,13 +130,19 @@ class ArcHamiltonian:
         return float(np.max(self.alpha)), float(np.max(np.abs(self.beta)))
 
     @cached_property
-    def _knot_cells(self):
-        """Sampled kind: its columns at the s-knots, and per momentum cell
-        [p_j, p_j+1] the largest |slope| over the s-knots, read from the
-        columns' knot-cell pieces."""
-        cols = _Columns([self], self.s_knots)
-        slopes = cols.slope.reshape(-1, self.p_knots.size + 1)[:, 1:-1]
-        return cols, np.max(np.abs(slopes), axis=0)
+    def _slope_max(self):
+        """Sampled kind: per momentum cell, the largest |slope| of a row."""
+        return np.max(np.abs(_cell_slopes(self.p_knots, self.table)), axis=0)
+
+    @cached_property
+    def _stack_key(self):
+        """The kind, and the sampled kind's momentum knots."""
+        return self.kind, None if self.p_knots is None else tuple(self.p_knots)
+
+
+def _cell_slopes(p_knots, rows):
+    """Each row's rise over run on each momentum cell."""
+    return np.diff(rows) / np.diff(p_knots)
 
 
 def _finite(**arrays):
@@ -187,10 +193,11 @@ def abs_hamiltonian(alpha=1.0, beta=0.0, kappa=0.0, s_knots=None):
 def sampled_hamiltonian(s_knots, p_knots, table, extension_slope):
     """Tabulated H on an (s,p) grid, linearly extended beyond the p-range.
 
-    The table must be discretely convex in p (its cell slopes do not fall
-    from one cell to the next, on any knot spacing), and the declared
-    extension slope at least as steep as the outermost table slopes so the
-    extension preserves convexity and coercivity.
+    The table must be discretely convex in p (its ``_cell_slopes``, whose
+    maxima ``momentum_lipschitz`` reads, do not fall from one cell to the
+    next on any knot spacing), and the declared extension slope at least as
+    steep as the outermost table slopes so the extension preserves
+    convexity and coercivity.
     """
     s = np.asarray(s_knots, dtype=float)
     p = np.asarray(p_knots, dtype=float)
@@ -204,7 +211,7 @@ def sampled_hamiltonian(s_knots, p_knots, table, extension_slope):
     if np.any(np.diff(p) <= 0):
         raise ValueError("p_knots must be increasing")
     scale = 1.0 + float(np.max(np.abs(t)))
-    cell = np.diff(t, axis=1) / np.diff(p)
+    cell = _cell_slopes(p, t)
     # the cell slopes must not fall: each rise over the mean width of its
     # two cells (the second difference over h^2 on knots of spacing h)
     if np.min(2.0 * np.diff(cell, axis=1) / (p[2:] - p[:-2])) \
@@ -297,7 +304,7 @@ class _Columns:
             slope = np.empty(rows.shape[:2] + (pk.size + 1,))
             np.divide(np.diff(rows), np.diff(pk), out=slope[..., 1:-1])
             slope[..., :1], slope[..., -1:] = -ext, ext
-            self.knots, self.anchor = pk, np.r_[pk[0], pk]
+            self.knots, self.anchor = pk, np.concatenate((pk[:1], pk))
             self.value = np.concatenate((rows[..., :1], rows), axis=-1).ravel()
             self.slope = slope.ravel()
             self.base = (pk.size + 1) * np.arange(rows.shape[0] * rows.shape[1]
@@ -444,9 +451,7 @@ def subsolution_levels(hams, data):
     for i, (H, w0) in enumerate(zip(hams, data)):
         if w0.ndim != 1 or w0.size < 2:
             raise ValueError("need at least 2 samples of the datum")
-        key = (H.kind, None if H.p_knots is None else tuple(H.p_knots),
-               w0.size)
-        groups.setdefault(key, []).append(i)
+        groups.setdefault((H._stack_key, w0.size), []).append(i)
     levels = np.empty(len(data))
     for idx in groups.values():
         n = data[idx[0]].size - 1
@@ -568,10 +573,10 @@ def cell_widths(H, ns, M):
 def momentum_lipschitz(H, M_bound):
     """Lipschitz constant of p -> H(s,p) on |p| <= M_bound, uniform in s.
 
-    The sampled kind takes the slopes between the s-knot rows at the knots
-    in [-M_bound, M_bound] and at the bound itself; the knot cells are read
-    from the cached slope maxima, and only the cells the bound cuts are
-    evaluated, at the cut.
+    The sampled kind is linear in s between its s-knot rows, so its
+    constant is the largest cached |slope| of the table's cells that meet
+    (-M_bound, M_bound), or the extension slope when the bound passes an end
+    of the table and that is larger: stored slopes, nothing evaluated.
     """
     if not (np.isfinite(M_bound) and M_bound > 0):
         raise ValueError(f"M_bound must be finite and positive, got {M_bound}")
@@ -581,22 +586,10 @@ def momentum_lipschitz(H, M_bound):
     if H.kind == "abs":
         return H._coef_max[0]
     pk = H.p_knots
-    lo, hi = max(pk[0], -M_bound), min(pk[-1], M_bound)
-    best = float(H.extension_slope) if (M_bound > pk[-1] or -M_bound < pk[0]) else 0.0
-    cols, cells = H._knot_cells
-    # knots a..b-1 lie in [lo, hi]: the cells between them are cached, and
-    # the cells that lo and hi cut are evaluated at the cut
-    a, b = pk.searchsorted(lo), pk.searchsorted(hi, side="right")
-    cuts = [sorted((lo, hi))] if a >= b else [(lo, pk[a]), (pk[b - 1], hi)]
-    ends = np.array([c for c in cuts if c[0] != c[1]])
-    seen = [cells[a:b - 1]] if a < b - 1 else []
-    if ends.size:
-        vals = cols(ends.reshape(-1, 1)).reshape(len(ends), 2, -1)
-        seen.append(np.max(np.abs((vals[:, 1] - vals[:, 0])
-                                  / (ends[:, 1] - ends[:, 0])[:, None]), axis=1))
-    if seen:
-        best = max(best, float(np.max(np.concatenate(seen))))
-    return best
+    meet = (pk[:-1] < M_bound) & (pk[1:] > -M_bound)
+    ext = M_bound > pk[-1] or -M_bound < pk[0]
+    return max(float(H.extension_slope) if ext else 0.0,
+               float(np.max(H._slope_max[meet], initial=0.0)))
 
 
 @dataclass(frozen=True)

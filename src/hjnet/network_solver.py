@@ -34,6 +34,7 @@ headroom, each as its worst excess over a vertex or an edge.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -581,23 +582,25 @@ def calibrate_epsilon(scenario: Scenario, levels=3):
     if levels < 2:
         raise ValidationError(
             f"calibrate_epsilon needs levels >= 2 to compare, got {levels}")
-    return _calibrate_from(solve(scenario), levels)
+    return _calibrate_from(solve(scenario), levels)[:2]
 
 
 def _calibrate_from(base: NetworkSolution, levels):
     """``calibrate_epsilon`` of base's scenario, whose level 0 is base, its
-    solution on its own plan."""
-    sc = base.scenario
-    sols = [base] + [solve(with_resolution(sc, sc.ns * 2 ** k))
-                     for k in range(1, levels)]
-    C = 0.0
-    details = []
-    for coarse, fine in zip(sols, sols[1:]):
+    solution on its own plan, and the wall time in seconds of planning and
+    solving each finer level, 1 to levels - 1."""
+    sc, coarse = base.scenario, base
+    C, details, solve_s = 0.0, [], []
+    for k in range(1, levels):
+        start = time.perf_counter()
+        fine = solve(with_resolution(sc, sc.ns * 2 ** k))
+        solve_s.append(time.perf_counter() - start)
         d = _level_diff(coarse, fine)
         gc = coarse.grid
         C = max(C, d / (gc.ds + gc.dt))
         details.append({"ns": gc.ns, "dt": gc.dt, "diff": d})
-    return C, details
+        coarse = fine
+    return C, details, solve_s
 
 
 def _level_diff(coarse: NetworkSolution, fine: NetworkSolution) -> float:

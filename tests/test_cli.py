@@ -15,7 +15,7 @@ from hjnet.errors import HJNetError, ScenarioParseError, ValidationError
 from hjnet.network_solver import CHECK_NAMES
 from hjnet.scenario_io import parse_scenario, parse_scenario_file
 
-from conftest import make_mixed
+from conftest import make_mixed, make_tripod
 
 TRIPOD_SCN = os.path.join(os.path.dirname(__file__), os.pardir, "demos",
                           "scenarios", "tripod.scn")
@@ -578,7 +578,28 @@ def test_run_refine_marches_each_level_once(tmp_path, monkeypatch):
     refine = json.loads((out / "report.json").read_text())["refine"]
     C, details = hj.calibrate_epsilon(parse_scenario_file(TRIPOD_SCN)[0],
                                       levels=3)
-    assert refine["C"] == C and refine["levels"] == details
+    assert refine["C"] == C
+    assert [{k: d[k] for k in ("ns", "dt", "diff")}
+            for d in refine["levels"]] == details
+
+
+def test_run_refine_times_each_level_and_calibrate_epsilon_does_not(
+        tmp_path):
+    # a level's solve_s is the wall time of the finer solve its diff
+    # compares it with; calibrate_epsilon's value holds no wall time, so a
+    # digest of it stays stable from run to run
+    out = tmp_path / "ref"
+    assert main(["run", "--scenario", _write(tmp_path, TRIPOD), "--out",
+                 str(out), "--ns", "30", "--refine", "2"]) == 0
+    report = json.loads((out / "report.json").read_text())
+    levels = report["refine"]["levels"]
+    assert [list(d) for d in levels] == [["ns", "dt", "diff", "solve_s"]] * 2
+    assert all(type(d["solve_s"]) is float and d["solve_s"] >= 0.0
+               for d in levels)
+    assert sum(d["solve_s"] for d in levels) <= report["timing"]["total_s"]
+    got = hj.calibrate_epsilon(make_tripod(16), levels=3)
+    assert len(got) == 2
+    assert [list(d) for d in got[1]] == [["ns", "dt", "diff"]] * 2
 
 
 @pytest.mark.parametrize("diffs, orders", [
@@ -592,7 +613,8 @@ def test_run_refine_fails_when_a_level_difference_does_not_shrink(
     details = [{"ns": 60 * 2 ** k, "dt": 0.01 / 2 ** k, "diff": d}
                for k, d in enumerate(diffs)]
     monkeypatch.setattr("hjnet.cli._calibrate_from",
-                        lambda base, levels: (1.0, details))
+                        lambda base, levels: (1.0, details,
+                                              [0.0] * len(details)))
     out = tmp_path / "ref"
     assert main(["run", "--scenario", scn, "--out", str(out),
                  "--refine", "2"]) == 1

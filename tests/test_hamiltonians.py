@@ -565,17 +565,18 @@ def test_momentum_lipschitz(habs, hquad):
 
 
 def _full_scan_lipschitz(H, M_bound):
-    """The sampled kind's constant from every knot in [-M, M] and the bound
-    itself, all evaluated at once: the oracle of the cached cell slopes."""
-    pk = H.p_knots
-    lo, hi = max(pk[0], -M_bound), min(pk[-1], M_bound)
-    grid = np.union1d(pk[(pk >= lo) & (pk <= hi)], [lo, hi])
+    """The sampled kind's constant from an independent scan of its table:
+    rise over run of every cell in every s-knot row, the largest |slope|
+    over the cells that meet (-M, M), and the extension slope when M passes
+    an end of the table: the oracle of the cached cell slopes."""
+    pk, rows = H.p_knots.tolist(), H.table.tolist()
     best = (float(H.extension_slope) if M_bound > pk[-1] or -M_bound < pk[0]
             else 0.0)
-    if grid.size >= 2:
-        vals = hamiltonians._Columns([H], H.s_knots)(grid[:, None])
-        best = max(best, float(np.max(np.abs(np.diff(vals, axis=0)
-                                             / np.diff(grid)[:, None]))))
+    for j in range(len(pk) - 1):
+        if pk[j] < M_bound and pk[j + 1] > -M_bound:
+            for row in rows:
+                best = max(best, abs((row[j + 1] - row[j])
+                                     / (pk[j + 1] - pk[j])))
     return best
 
 

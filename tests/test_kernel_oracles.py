@@ -403,6 +403,76 @@ def test_sampled_columns_are_exact_at_knots_and_within_roundoff_off_them():
     assert points >= 3000 and worst <= 1.0
 
 
+def _one_sided(H, rng):
+    """H with its knots moved by a drawn positive offset so that all of them
+    lie above 0, and its reversal, whose knots all lie below 0.  A shift
+    keeps every cell's width up to its rounding, so both stay convex."""
+    pk = H.p_knots
+    span = pk[-1] - pk[0]
+    up = hj.sampled_hamiltonian(H.s_knots, pk - pk[0] + span
+                                * 10.0 ** rng.uniform(-3.0, 1.0),
+                                H.table, H.extension_slope)
+    return [up, hj.reverse_hamiltonian(up)]
+
+
+def check_sampled_lipschitz_against_exact(n, seed):
+    """``momentum_lipschitz`` of the sampled kind against exact rational
+    arithmetic on n seeded ``_convex_table`` draws, each also moved to lie
+    above 0 and, reversed, below it.  The bounds M: every |knot|, its two
+    ``nextafter`` neighbours, a point inside the cell that holds 0, the
+    midpoints between the sorted |knots| and points beyond both ends.  The
+    reference is the exact maximum of |rise / run| over the cells of the
+    table's s-knot rows that meet (-M, M).  The result must be within 3
+    ulps (relative) of it; it must equal the extension slope exactly when M
+    passes an end of the table and the extension slope is the larger; and
+    it must never decrease as M grows.  Raises AssertionError naming the
+    first bound that fails; returns the number of (table, M) cases and the
+    largest error in ulps of the exact maximum."""
+    rng = np.random.default_rng(seed)
+    cases, worst = 0, Fraction(0)
+    for _ in range(n):
+        H0 = _convex_table(rng)
+        for H in [H0, *_one_sided(H0, rng)]:
+            pk = H.p_knots
+            knots = [Fraction(p) for p in pk.tolist()]
+            cells = [max(abs((Fraction(r[j + 1]) - Fraction(r[j]))
+                             / (knots[j + 1] - knots[j]))
+                         for r in H.table.tolist())
+                     for j in range(pk.size - 1)]
+            ends = np.abs(pk[pk != 0.0])
+            ends.sort()
+            bounds = np.r_[ends, np.nextafter(ends, 0.0),
+                           np.nextafter(ends, np.inf),
+                           0.5 * ends[0] * rng.uniform(0.0, 1.0),
+                           0.5 * (ends[:-1] + ends[1:]),
+                           ends[-1] * 10.0 ** rng.uniform(0.0, 3.0, 2)]
+            bounds.sort()
+            last = 0.0
+            for M in bounds[bounds > 0.0].tolist():
+                got = hj.momentum_lipschitz(H, M)
+                m = Fraction(M)
+                exact = max((c for c, a, b in zip(cells, knots, knots[1:])
+                             if a < m and b > -m), default=Fraction(0))
+                where = (seed, cases, M, got, float(exact))
+                ext = M > pk[-1] or -M < pk[0]
+                if ext and Fraction(H.extension_slope) >= exact:
+                    assert got == H.extension_slope, where
+                else:
+                    err = abs(Fraction(got) - exact)
+                    assert err <= 3 * exact / 2 ** 52, where
+                    if exact:
+                        worst = max(worst, err / exact * 2 ** 52)
+                assert got >= last, (*where, last)
+                last = got
+                cases += 1
+    return cases, float(worst)
+
+
+def test_sampled_lipschitz_is_within_3_ulps_of_the_exact_cell_slope():
+    cases, worst = check_sampled_lipschitz_against_exact(60, seed=34)
+    assert cases >= 60 * 3 * 4 and worst <= 3.0
+
+
 def _two_knot_sets(ns, horizon=0.1):
     """make_mixed with e5 sampled on other knots than e3's (as many of
     them), limiters redrawn below the new critical values."""
