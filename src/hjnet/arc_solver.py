@@ -22,13 +22,13 @@ Boundary handling:
   per-s momentum minimizer), so no information enters from outside and the
   update stays order-preserving.
 
-One stepper takes every step: ``_ArcStepper``, built once per march or
-scan on an (R, ns + 1) stack of arc rows of any kinds with per-row theta.
-It groups the rows by kind (by momentum-knot vector, for the sampled kind)
-and is bound to its state: an array of its own that a march seeds, or the
-caller's C-contiguous rows, which the residual scan binds without a copy.
-All of its views and each kind group's ufunc calls are bound at
-construction, and it has one stencil: ``advance()`` steps the state in
+One stepper takes every step: ``_ArcStepper``, built once per march on an
+(R, ns + 1) stack of arc rows of any kinds with per-row theta, or once per
+kernel of a residual scan.  It groups the rows by kind (by momentum-knot
+vector, for the sampled kind) and is bound to its state: an array of its
+own that a march seeds, or the caller's C-contiguous rows, which the
+residual scan binds without a copy.  All of its views and each kind group's
+ufunc calls are bound at construction, and it has one stencil: ``advance()`` steps the state in
 place on flat buffers, rows back to back, one contiguous call per stencil
 operation (the entries straddling two rows are junk, overwritten by the end
 clip or zeroed), and ``hhat()``, its first half, is what the residual scan
@@ -38,9 +38,19 @@ data (``max_subsolution`` and the certificate's arc transforms), capped at
 its datum.  A marched field is an ``ArcField``: its grid, values and
 marching theta.
 
-Also provided: the interior residual scan that ``verify`` runs, and the
-finite-speed window within which lateral data cannot reach an arc's
-interior.
+The residual scan that ``verify`` runs, u_t + Hhat at the interior nodes
+of every arc, takes the arcs kernel by kernel.  A kernel is one
+``_Columns`` call sequence: the kind, the sampled kind's momentum knots,
+and the unit and centered flags of the symbolic kinds.  Each kernel builds
+one stepper on its first arc and re-points it at the others: their
+coefficients go into the arrays its calls read, their theta / 2 and end
+minimizers into place, and their rows are bound without a copy.  A march
+never re-points, so its steps are untouched.  ``_interior_residuals`` is
+the one-arc case of the scan, as ``max_subsolution`` is of the stack
+march.
+
+Also provided: the finite-speed window within which lateral data cannot
+reach an arc's interior.
 """
 
 from __future__ import annotations
@@ -52,7 +62,8 @@ import numpy as np
 
 from .errors import (CFLViolationError, CornerMismatchError, GridMismatchError,
                      ValidationError)
-from .hamiltonians import _Columns, _grid_coefficients, momentum_lipschitz
+from .hamiltonians import (_Columns, _grid_coefficients, _kernel,
+                           momentum_lipschitz)
 
 __all__ = [
     "Grid2D",
@@ -123,9 +134,11 @@ class _ArcStepper:
     state is the (R, ns + 1) C-contiguous stack the stepper works on: for a
     march, an array of its own that the caller seeds; given ``state``, the
     caller's rows, bound without a copy, which one Hamiltonian with a
-    scalar theta may serve.
+    scalar theta may serve.  Such a stepper is built once per kernel of a
+    residual scan and re-pointed (``point``) at the kernel's other arcs.
     Every view of the flat buffers, rows back to back, and each kind group's
-    ufunc calls are bound here, once.  ``advance()`` steps the state in place,
+    ufunc calls are bound here, once; a re-point rewrites the arrays they
+    read and rebinds the state views, so the calls stay as built.  ``advance()`` steps the state in place,
     columns 0 and ns holding the state-constraint candidates that ``_march``
     clips; ``hhat()``, its first half, returns Hhat of the state.  The end
     clip overwrites the momenta that straddle two rows, and the dissipation
@@ -140,12 +153,8 @@ class _ArcStepper:
         self.order = np.array([i for idx in groups.values() for i in idx])
         # momentum minimizers of the rows at s = 0 and at s = 1
         self.p_star = np.array([hams[i]._p_ends for i in self.order]).T.copy()
-        c = ns + 1
-        if state is None:
-            state = np.empty((len(hams), c))
-        elif not state.flags.c_contiguous:
-            raise ValueError("the state must be C-contiguous")
-        self.state, n = state, state.shape[0]
+        self.ns, c = ns, ns + 1
+        n = len(hams) if state is None else state.shape[0]
         pm = np.empty(n * c)      # the cell slopes, then the kinds' scratch
         p, tmp, hh = bufs = np.empty((3, n, c))
         fp, ft, fh = bufs.reshape(3, -1)
@@ -156,7 +165,7 @@ class _ArcStepper:
         fp[-1] = ft[0] = 0.0
         pair = bufs.reshape(-1)[1:2 * n * c - 1].reshape(2, -1)
         half = 0.5 * np.asarray(theta, dtype=float)
-        factor = np.empty((2, n * c - 1 if half.ndim else 1))
+        self.factor = factor = np.empty((2, n * c - 1 if half.ndim else 1))
         factor[0] = 0.5
         factor[1] = np.repeat(half[self.order], c)[:-1] if half.ndim else half
         bounds = list(accumulate(map(len, groups.values()), initial=0))
@@ -170,14 +179,25 @@ class _ArcStepper:
             self.groups.append(
                 (cols, cols.bind(p[sl], hh[sl], pm.reshape(n, c)[sl])))
         calls = [call for _, group_calls in self.groups for call in group_calls]
-        u = state.reshape(-1)
-        u_lo, u_hi, slopes = u[:-1], u[1:], pm[:-1]
+        u = u_lo = u_hi = None
+        slopes = pm[:-1]
         pm_lo, pm_hi, p_mid, d = pm[:-2], pm[1:-1], fp[1:-1], ft[1:-1]
         pm_0, pm_n, p_0, p_n = slopes[::c], slopes[ns - 1::c], fp[::c], fp[ns::c]
         p_star_0, p_star_n = self.p_star
         d_ends = tmp[:, ::ns]
         # 0-d arrays: cheaper operands for a ufunc than Python numbers
         ns_f, dt_f = np.array(float(ns)), np.array(float(dt))
+
+        def bind(rows):
+            """Bind the state to the caller's (n, ns + 1) C-contiguous rows,
+            without a copy."""
+            nonlocal u, u_lo, u_hi
+            if rows.shape != (n, c):
+                raise ValueError(f"the state must have shape {(n, c)}")
+            if not rows.flags.c_contiguous:
+                raise ValueError("the state must be C-contiguous")
+            u = rows.reshape(-1)
+            u_lo, u_hi = u[:-1], u[1:]
 
         def hhat():
             """Hhat of the state, rows (R, ns+1); at the ends, H at the
@@ -202,8 +222,24 @@ class _ArcStepper:
             np.multiply(fh, dt_f, ft)
             np.subtract(u, ft, u)
 
+        self.state = np.empty((n, c)) if state is None else state
+        bind(self.state)
         # no closure holds self, so the buffers go with the last reference
-        self.hh, self.hhat, self.advance = hh, hhat, advance
+        self.hh, self.hhat, self.advance, self._bind = hh, hhat, advance, bind
+
+    def point(self, H, theta, state):
+        """Re-point a stepper built on one Hamiltonian at H, of its kernel
+        (``_kernel`` on its grid), with the scalar theta, bound to the
+        caller's rows state of its shape: H's coefficients go into the
+        arrays the bound calls read, theta / 2 into the dissipation factor
+        and H's end minimizers into the clip bounds, and the state views are
+        rebound without a copy."""
+        (cols, _), = self.groups
+        cols.load([H], [_grid_coefficients(H, self.ns)])
+        self.factor[1] = 0.5 * float(theta)
+        self.p_star[:, 0] = H._p_ends
+        self._bind(state)
+        self.state = state
 
 
 def _check_monotone(dt, theta, ds, edge=None):
@@ -312,13 +348,44 @@ def max_subsolution(H, initial, left, right, grid, theta) -> ArcField:
     return ArcField(grid=grid, values=values[0], theta=float(theta))
 
 
-def _interior_residuals(u, u_t, H, theta, dt):
-    """u_t + Hhat at the interior nodes of the C-contiguous rows u
-    (nt+1, ns+1), given their time quotient u_t = diff(u) / dt (nt, ns+1)."""
-    if u.shape[0] == 1:
-        return np.zeros((0, max(u.shape[1] - 2, 0)))
-    hh = _ArcStepper([H], u.shape[1] - 1, theta, dt, state=u[:-1]).hhat()
-    return u_t[:, 1:-1] + hh[:, 1:-1]
+def _residual_scan(hams, theta, rows, ns, dt):
+    """Yield (i, r) for every arc i of hams, kernel by kernel: r is
+    u_t + Hhat at the interior nodes of arc i's rows u = rows(i), (nt+1,
+    ns+1) and of one shape for every arc, with u_t = diff(u) / dt.
+
+    The arcs of one kernel (``_kernel`` on the ns-cell grid) share one
+    stepper, built on the first and re-pointed at each of the others, and
+    dropped before the next kernel's is built.  The stepper binds the rows
+    before the last without a copy when they are C-contiguous, a copy of
+    them when not.
+    """
+    kernels = {}
+    for i, H in enumerate(hams):
+        kernels.setdefault(_kernel(H, ns), []).append(i)
+    for idx in kernels.values():
+        step = None    # drops the last kernel's stepper
+        for i in idx:
+            u = rows(i)
+            if u.shape[0] == 1:
+                yield i, np.zeros((0, ns - 1))
+                continue
+            state = np.ascontiguousarray(u[:-1])   # u[:-1] itself if it can
+            if step is None:
+                step = _ArcStepper([hams[i]], ns, theta[i], dt, state=state)
+            else:
+                step.point(hams[i], theta[i], state)
+            # whole rows: contiguous operands are numpy's fast path
+            r = np.subtract(u[1:], u[:-1])
+            r /= dt
+            r += step.hhat()
+            yield i, r[:, 1:-1]
+
+
+def _interior_residuals(u, H, theta, dt):
+    """u_t + Hhat at the interior nodes of the rows u (nt+1, ns+1), with
+    u_t = diff(u) / dt: the one-arc case of the residual scan."""
+    ((_, r),) = _residual_scan([H], [theta], lambda i: u, u.shape[1] - 1, dt)
+    return r
 
 
 def propagation_window(H, lipschitz_bound) -> float:

@@ -299,23 +299,36 @@ class _Columns:
             # piece j of row r at column c is entry (r C + c)(K + 1) + j of
             # the flat value and slope tables, and anchor[j] its anchor knot
             pk = hams[0].p_knots
-            rows = np.array(coefs)
-            ext = np.array([[[H.extension_slope]] for H in hams])
-            slope = np.empty(rows.shape[:2] + (pk.size + 1,))
-            np.divide(np.diff(rows), np.diff(pk), out=slope[..., 1:-1])
-            slope[..., :1], slope[..., -1:] = -ext, ext
+            self.shape = R, C = len(coefs), len(coefs[0])
             self.knots, self.anchor = pk, np.concatenate((pk[:1], pk))
-            self.value = np.concatenate((rows[..., :1], rows), axis=-1).ravel()
-            self.slope = slope.ravel()
-            self.base = (pk.size + 1) * np.arange(rows.shape[0] * rows.shape[1]
-                                                  ).reshape(rows.shape[:2])
-            self.shape = self.base.shape
+            self.run = np.diff(pk)
+            self.value, self.slope = np.empty((2, R * C * (pk.size + 1)))
+            self.base = (pk.size + 1) * np.arange(R * C).reshape(self.shape)
+            self.load(hams, coefs)
         else:
-            self.a, self.b, self.k = (np.array([c[i] for c in coefs])
-                                      for i in range(3))
-            self.shape = self.a.shape
-            self.unit = (self.a == 1.0).all()
-            self.centered = (self.b == 0.0).all()
+            # rows alpha, beta and kappa of one (3, R, C) block
+            self.shape = (len(coefs), np.shape(coefs[0])[1])
+            self.abk = np.empty((3,) + self.shape)
+            self.a, self.b, self.k = self.abk
+            self.load(hams, coefs)
+            self.unit, self.centered = _flags(self.a, self.b)
+
+    def load(self, hams, coefs):
+        """Write the ``_coefficients`` coefs of hams into the arrays that
+        the bound calls read: a stepper re-pointed at other Hamiltonians of
+        the kernel and the shape it was built on keeps its calls."""
+        if self.kind != "sampled":
+            self.abk.swapaxes(0, 1)[...] = coefs
+            return
+        value = self.value.reshape(self.shape + (self.anchor.size,))
+        slope = self.slope.reshape(value.shape)
+        value[..., 1:] = coefs
+        value[..., 0] = value[..., 1]
+        inner = slope[..., 1:-1]
+        np.subtract(value[..., 2:], value[..., 1:-1], out=inner)
+        inner /= self.run
+        ext = np.array([[[H.extension_slope]] for H in hams])
+        slope[..., :1], slope[..., -1:] = -ext, ext
 
     def __call__(self, p, out=None, tmp=None):
         if out is None:
@@ -353,6 +366,22 @@ class _Columns:
         self.value.take(j, out=out, mode="clip")
         d *= self.slope.take(j)
         out += d
+
+
+def _flags(a, b):
+    """The unit and centered flags of alpha and beta columns: every alpha
+    exactly 1, every beta +-0."""
+    return bool((a == 1.0).all()), bool((b == 0.0).all())
+
+
+def _kernel(H, ns):
+    """H's kernel on the ns-cell grid's nodes: its stack key, and for the
+    symbolic kinds the unit and centered flags of its columns there.  The
+    Hamiltonians of one kernel make one ``_Columns`` call sequence."""
+    if H.kind == "sampled":
+        return H._stack_key
+    a, b, _ = _grid_coefficients(H, ns)
+    return H._stack_key + _flags(a, b)
 
 
 def evaluate(H, s, p):

@@ -40,8 +40,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .arc_solver import (_STEP_SLACK, Grid2D, _check_monotone,
-                         _interior_residuals, _march)
+from .arc_solver import (_STEP_SLACK, Grid2D, _check_monotone, _march,
+                         _residual_scan)
 from .errors import (
     CFLViolationError,
     GridMismatchError,
@@ -348,13 +348,9 @@ def solve_ensemble(scenarios, params: SolveParams) -> list:
         members.append((sc, edges, vids, r0, len(c_x), const.shift))
         c_x += [lim[x] for x in vids]
         for a in edges:
-            if a.id not in params.theta:
-                raise ValidationError(f"params carry no theta for edge {a.id!r}")
-            th = float(params.theta[a.id])
-            _check_monotone(dt, th, grid.ds, a.id)
+            theta.append(_edge_theta(params, a.id, grid))
             hams.append(const.hamiltonians[a.id])
             init.append(np.asarray(sc.initial[a.id], dtype=float))
-            theta.append(th)
         # an arc enters its end vertex at column ns, its reverse at column 0
         pos = {a.id: (r0 + i, ns) for i, a in enumerate(edges)}
         pos.update({a.inverse_id: (r0 + i, 0) for i, a in enumerate(edges)})
@@ -382,6 +378,17 @@ def solve_ensemble(scenarios, params: SolveParams) -> list:
             fields={a.id: f[i] for i, a in enumerate(edges)},
             vertex={x: v[i] for i, x in enumerate(vids)}))
     return sols
+
+
+def _edge_theta(params, edge, grid):
+    """The edge's theta in params, as a float that passes the step
+    restriction on grid; a missing one raises ValidationError, one over the
+    restriction (or NaN) CFLViolationError, each naming the edge."""
+    if edge not in params.theta:
+        raise ValidationError(f"params carry no theta for edge {edge!r}")
+    th = float(params.theta[edge])
+    _check_monotone(grid.dt, th, grid.ds, edge)
+    return th
 
 
 def _time_shift(a, grid):
@@ -447,8 +454,12 @@ def verify(solution: NetworkSolution, eps_scheme=None,
     PDE-level checks run in the normalized (positive-Hamiltonian) frame;
     slope checks and the vertex certificate then transfer to the original
     problem by the exact shift identity.  ``checks`` selects a subset of
-    CHECK_NAMES; an unknown name, or a field or vertex trace that is not
-    finite, raises ValidationError.  The edge checks share one pass.
+    CHECK_NAMES; an unknown name, a field or vertex trace that is not
+    finite, or a ``params.theta`` that misses an edge raises
+    ValidationError, and an edge's theta over the step restriction (or NaN)
+    CFLViolationError, before any check runs.  The interior residuals take
+    a pass of their own, kernel by kernel; the other edge checks share one.
+    A NaN excess counts as the largest.
     """
     if checks is not None:
         unknown = [c for c in checks if c not in CHECK_NAMES]
@@ -463,9 +474,11 @@ def verify(solution: NetworkSolution, eps_scheme=None,
             raise ValidationError(f"trace at vertex {x!r} is not finite")
     sc = solution.scenario
     params = solution.params
+    grid = solution.grid
+    edges = sc.network.edge_arcs()
+    theta = [_edge_theta(params, arc.id, grid) for arc in edges]
     const = solution.constants
     fam, a, lim, m0s = const.hamiltonians, const.shift, const.limiter, const.m0
-    grid = solution.grid
     eps = default_epsilon(solution) if eps_scheme is None else float(eps_scheme)
     rec = {c: [] for c in CHECK_NAMES}    # check -> [(excess, witness), ...]
 
@@ -484,26 +497,35 @@ def verify(solution: NetworkSolution, eps_scheme=None,
             (float(((tr[1:] - tr[:-1]) / grid.dt - lim[x]).max()),
              {"vertex": x}) for x, tr in ts.traces.items()]
 
-    # one pass over the edges feeds every edge check, each edge's time
-    # quotient computed once.  The time checks read the normalized field g,
-    # whose Hamiltonians are all positive, and gate on values, first order in
-    # the grid as eps is: the rise of g above its running minimum, and the
-    # drop of g + m0 t below its running maximum (the rise of its negative);
-    # the per-step rates go to the witness.
+    # the residual and time checks read the normalized field g, whose
+    # Hamiltonians are all positive
     lift, down = _time_shift(a, grid), _time_shift(-m0s, grid)[:, None]
+
+    def normalized(i):
+        f = solution.fields[edges[i].id]
+        return f - lift[:, None] if a else f
+
+    if "interior_residual" in want:
+        # a pass of its own, kernel by kernel, so that each kernel's stepper
+        # is gone before the next is built and before the edge pass runs
+        worst = [0.0] * len(edges)
+        for i, res in _residual_scan([fam[arc.id] for arc in edges], theta,
+                                     normalized, grid.ns, grid.dt):
+            worst[i] = float(np.abs(res).max(initial=0.0))
+        rec["interior_residual"] = [(w, {"edge": arc.id})
+                                    for w, arc in zip(worst, edges)]
+
+    # one pass over the edges feeds every other edge check.  The time checks
+    # gate on values, first order in the grid as eps is: the rise of g above
+    # its running minimum, and the drop of g + m0 t below its running maximum
+    # (the rise of its negative); the per-step rates go to the witness.
     timed = grid.nt and want & {"time_monotone", "time_lipschitz"}
-    for arc in sc.network.edge_arcs():
+    for i, arc in enumerate(edges):
         f = solution.fields[arc.id]
-        g = f - lift[:, None] if a else f     # the normalized field
-        if timed or "interior_residual" in want:
+        if timed:
+            g = normalized(i)
             g_t = np.subtract(g[1:], g[:-1])
             g_t /= grid.dt
-        if "interior_residual" in want:
-            res = _interior_residuals(g, g_t, fam[arc.id],
-                                      params.theta[arc.id], grid.dt)
-            rec["interior_residual"].append(
-                (float(np.abs(res).max(initial=0.0)), {"edge": arc.id}))
-        if timed:
             rec["time_monotone"].append(
                 (_rise(g), {"edge": arc.id, "rate": float(g_t.max())}))
             rec["time_lipschitz"].append(
@@ -519,18 +541,17 @@ def verify(solution: NetworkSolution, eps_scheme=None,
             if "space_lipschitz" in want:
                 excess = (np.maximum(col, slopes[-1]) * grid.ns
                           - cell_widths(fam[arc.id], grid.ns, m0s))
-                i = int(excess.argmax())
+                j = int(excess.argmax())
                 rec["space_lipschitz"].append(
-                    (float(excess[i]),
-                     {"edge": arc.id, "s": (i + 0.5) / grid.ns}))
+                    (float(excess[j]),
+                     {"edge": arc.id, "s": (j + 0.5) / grid.ns}))
             # theta must cover the momentum-Lipschitz constant at those
             # slopes, floored at ds around p = 0; a sampled table's p-range
             # may bound the width
             H = sc.hamiltonians[arc.id]
             seen = float(col.max()) * grid.ns
             rec["headroom"].append((
-                momentum_lipschitz(H, max(seen, grid.ds))
-                - params.theta[arc.id],
+                momentum_lipschitz(H, max(seen, grid.ds)) - theta[i],
                 {"edge": arc.id, "slope_seen": seen,
                  "width_beyond_table": H.kind == "sampled" and bool(
                      const.l_bound[arc.id] >= max(
@@ -549,12 +570,19 @@ def verify(solution: NetworkSolution, eps_scheme=None,
     for name in CHECK_NAMES:
         if name in want:
             # only a zero-step solution's time-difference checks test nothing
-            excess, wit = max(rec[name], key=lambda r: r[0],
-                              default=(0.0, {"rate": 0.0}))
+            excess, wit = _worst(rec[name])
             cap = tol.get(name, eps)
             ok = sc.limiter_report.ok if name == "limiter" else excess <= cap
             out.append(CheckResult(name, ok, cap - excess, wit))
     return VerifyReport(out, eps)
+
+
+def _worst(records):
+    """The (excess, witness) record of largest excess, the first on a tie; a
+    NaN excess is the largest.  No record, a zero-step solution's time
+    checks: excess 0 at rate 0."""
+    return max(records, key=lambda r: (r[0] != r[0], r[0]),
+               default=(0.0, {"rate": 0.0}))
 
 
 def _rise(u):

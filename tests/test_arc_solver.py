@@ -181,8 +181,7 @@ def test_produced_fields_solve_the_discrete_equation():
                                  hj.constrained(-1.5 * t), right, grid,
                                  theta=theta)
         u = fld.values
-        r = _interior_residuals(u, np.diff(u, axis=0) / grid.dt, H1,
-                                fld.theta, grid.dt)
+        r = _interior_residuals(u, H1, fld.theta, grid.dt)
         assert r.shape == (grid.nt, grid.ns - 1)
         assert np.max(np.abs(r)) < 1e-9
 

@@ -9,7 +9,9 @@ never go through the column evaluator: the symbolic kinds take their
 formula in Python floats, and the sampled kind a scalar search over each
 row's own momentum knots and the point-slope form of the piece it finds.
 Each is also checked against the column evaluator directly, the symbolic
-kinds on every shortened call sequence.
+kinds on every shortened call sequence.  The residual scan, one stepper per
+kernel re-pointed from arc to arc, is checked against a stepper built for
+each arc alone.
 """
 
 import bisect
@@ -21,12 +23,15 @@ import numpy as np
 import pytest
 
 import hjnet as hj
-from hjnet.arc_solver import _ArcStepper
-from hjnet.hamiltonians import _Columns, _coefficients, momentum_minimizer
+from hjnet import arc_solver, network_solver
+from hjnet.arc_solver import _ArcStepper, _residual_scan
+from hjnet.hamiltonians import (_Columns, _coefficients, _kernel,
+                                momentum_minimizer)
 from hjnet.semidiscrete import (VertexTraceSet, _arc_transform_traces,
                                 arc_initial, f_gamma, f_x, f_x_selected)
 
-from conftest import make_comb, make_mixed, make_path, make_tripod
+from conftest import (make_comb, make_mixed, make_path, make_tripod,
+                      rough_scenario)
 
 
 def scalar_sampled(H, s, p):
@@ -586,3 +591,162 @@ def test_network_march_of_unit_centered_arcs_equals_scalar_marches(make):
         assert sol.fields[e].tobytes() == f.tobytes(), e
     for x, v in vertex.items():
         assert sol.vertex[x].tobytes() == v.tobytes(), x
+
+
+def _fresh_residual(u, H, theta, dt):
+    """u_t + Hhat at the interior nodes of the rows u, read from a stepper
+    built for them alone."""
+    rows = np.ascontiguousarray(u[:-1])
+    hh = _ArcStepper([H], u.shape[1] - 1, theta, dt, state=rows).hhat()
+    return ((u[1:] - u[:-1]) / dt + hh)[:, 1:-1]
+
+
+def _scan_against_fresh(hams, theta, rows, ns, dt):
+    """The residual scan of every arc against ``_fresh_residual``, bit for
+    bit; returns each arc's fresh residual, in arc order."""
+    scanned = dict(_residual_scan(hams, theta, rows, ns, dt))
+    assert sorted(scanned) == list(range(len(hams)))
+    fresh = [_fresh_residual(rows(i), H, th, dt)
+             for i, (H, th) in enumerate(zip(hams, theta))]
+    for i, want in enumerate(fresh):
+        assert scanned[i].shape == want.shape, i
+        assert scanned[i].tobytes() == want.tobytes(), i
+    return fresh
+
+
+def check_residual_scan_against_fresh_steppers(solutions):
+    """verify's residual scan on each solution against a fresh stepper per
+    edge: every residual bit for bit, and the interior_residual margin and
+    witness those residuals give.  Returns (edges checked, worst |r|)."""
+    n, worst_all = 0, 0.0
+    for sol in solutions:
+        const, grid = sol.constants, sol.grid
+        edges = sol.scenario.network.edge_arcs()
+        lift = network_solver._time_shift(const.shift, grid)[:, None]
+        g = [sol.fields[a.id] - lift if const.shift else sol.fields[a.id]
+             for a in edges]
+        hams = [const.hamiltonians[a.id] for a in edges]
+        theta = [sol.params.theta[a.id] for a in edges]
+        fresh = _scan_against_fresh(hams, theta, g.__getitem__, grid.ns,
+                                    grid.dt)
+        worst = [float(np.abs(r).max(initial=0.0)) for r in fresh]
+        i = int(np.argmax(worst))
+        rep = hj.verify(sol, checks=["interior_residual"])["interior_residual"]
+        assert float(rep.margin).hex() == \
+            float(network_solver._RESID_TOL - worst[i]).hex()
+        assert rep.witness == {"edge": edges[i].id}
+        n, worst_all = n + len(edges), max(worst_all, worst[i])
+    return n, worst_all
+
+
+def check_residual_scan_on_rough_draws(seeds, ns=37):
+    """``check_residual_scan_against_fresh_steppers`` on the solutions of
+    ``rough_scenario`` draws, plain and at c_gamma, at ns."""
+    return check_residual_scan_against_fresh_steppers(
+        hj.solve(rough_scenario(np.random.default_rng(seed), ns,
+                                at_c_gamma=at))
+        for seed in seeds for at in (False, True))
+
+
+@pytest.mark.parametrize("make", [
+    *(lambda k=k: make_comb(k) for k in range(4)),
+    lambda: make_mixed(24), lambda: make_path(37), lambda: make_tripod(37)],
+    ids=[*(f"comb-{k}" for k in range(4)), "mixed", "path", "tripod"])
+def test_verify_residual_scan_equals_fresh_steppers(make):
+    sol = hj.solve(make())
+    n, worst = check_residual_scan_against_fresh_steppers([sol])
+    assert n == len(sol.fields) and worst < 1e-9
+
+
+def test_verify_residual_scan_equals_fresh_steppers_on_rough_draws():
+    n, worst = check_residual_scan_on_rough_draws(range(12))
+    assert n == 12 * 2 * 5 and worst < 1e-9
+
+
+def _kernel_mix():
+    """Arcs of nine kernels, two or more on each, with momentum minimizers
+    that differ within a kernel wherever its flags allow: abs and quadratic
+    arcs with every unit/centered flag pair, general abs arcs along s, and
+    sampled arcs on two momentum-knot vectors."""
+    p9, p7 = np.linspace(-3.0, 3.0, 9), np.linspace(-2.0, 2.5, 7)
+    hams = []
+    for make in (hj.abs_hamiltonian, hj.quadratic_hamiltonian):
+        for alpha, beta in ((1.0, 0.0), (1.0, 0.3), (1.5, 0.0)):
+            hams += [make(alpha=alpha, beta=b, kappa=k)
+                     for b, k in ((beta, 0.5), (-2.0 * beta, 0.9))]
+    hams += [hj.abs_hamiltonian(alpha=[1.0, 2.0, 1.5], beta=b, kappa=k)
+             for b, k in (([0.0, 0.4, -0.2], 0.5), ([0.3, -0.1, 0.6], 1.2))]
+    for p, a, c in ((p9, (0.6, 0.8), 0.2), (p9, (0.5, 0.9), -1.4),
+                    (p7, (1.1, 0.7), 0.2), (p7, (0.4, 0.6), -1.1)):
+        table = np.array(a)[:, None] * (p[None, :] + c) ** 2 + 0.6
+        edge = float(np.max(np.abs(np.diff(table, axis=1) / np.diff(p))))
+        hams.append(hj.sampled_hamiltonian([0.0, 1.0], p, table, edge + 0.5))
+    return hams
+
+
+@pytest.mark.parametrize("nt", [1, 2, 9])
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+def test_residual_scan_of_mixed_kernels_equals_fresh_steppers(
+        nt, layout, monkeypatch):
+    rng = np.random.default_rng(nt)
+    ns, dt = 13, 1e-3
+    mix = _kernel_mix()
+    kernels = {_kernel(H, ns) for H in mix}
+    assert len(kernels) == 9
+    hams = [mix[i] for i in rng.permutation(len(mix))]
+    theta = list(rng.uniform(0.5, 8.0, size=len(hams)))
+    rows = []
+    for _ in hams:
+        u = rng.normal(scale=0.5, size=(nt + 1, ns + 1))
+        if layout == "F":
+            u = np.asfortranarray(u)
+        elif layout == "strided":
+            wide = np.zeros((nt + 1, 2 * (ns + 1)))
+            wide[:, ::2] = u
+            u = wide[:, ::2]
+        rows.append(u)
+    built = []
+
+    class Counted(_ArcStepper):
+        def __init__(self, hams, *args, **kwargs):
+            built.append(_kernel(hams[0], ns))
+            super().__init__(hams, *args, **kwargs)
+
+    monkeypatch.setattr(arc_solver, "_ArcStepper", Counted)
+    _scan_against_fresh(hams, theta, rows.__getitem__, ns, dt)
+    # one stepper per kernel, each kernel's arcs in one run
+    assert sorted(built) == sorted(kernels)
+    # no time step: no residual, and no stepper
+    built.clear()
+    first = [u[:1] for u in rows]
+    assert all(r.shape == (0, ns - 1) for _, r in _residual_scan(
+        hams, theta, first.__getitem__, ns, dt))
+    assert not built
+
+
+def test_a_re_pointed_stepper_equals_one_built_for_its_new_arc():
+    # all of Hhat, the end nodes' clipped slopes included, and a step
+    rng = np.random.default_rng(7)
+    ns, dt = 11, 1e-3
+    by_kernel = {}
+    for H in _kernel_mix():
+        by_kernel.setdefault(_kernel(H, ns), []).append(H)
+    for hams in by_kernel.values():
+        first, *others = hams
+        rows = rng.normal(size=(3, ns + 1))
+        step = _ArcStepper([first], ns, 2.0, dt, state=rows)
+        for H in others:
+            theta = float(rng.uniform(0.5, 8.0))
+            rows = rng.normal(size=(3, ns + 1))
+            alone = rows.copy()
+            step.point(H, theta, rows)
+            fresh = _ArcStepper([H], ns, theta, dt, state=alone)
+            assert step.state is rows
+            assert step.hhat().tobytes() == fresh.hhat().tobytes(), H.kind
+            step.advance()
+            fresh.advance()
+            assert rows.tobytes() == alone.tobytes(), H.kind
+        with pytest.raises(ValueError, match="shape"):
+            step.point(first, 2.0, np.zeros((4, ns + 1)))
+        with pytest.raises(ValueError, match="C-contiguous"):
+            step.point(first, 2.0, np.zeros((ns + 1, 3)).T)

@@ -11,7 +11,7 @@ import hjnet as hj
 from hjnet.errors import (CFLViolationError, GridMismatchError, HJNetError,
                           NonNegativeSlopeError, UnknownVertexError,
                           ValidationError)
-from hjnet import hamiltonians, network_solver
+from hjnet import arc_solver, hamiltonians, network_solver
 from hjnet.hamiltonians import shift_hamiltonian
 from hjnet.network_solver import interior_bump
 from hjnet.scenario_io import parse_scenario
@@ -264,6 +264,94 @@ def test_verify_on_a_zero_step_solution():
         assert rep[name].witness == {"rate": 0.0}
     assert rep["interior_residual"].margin == network_solver._RESID_TOL
     assert "edge" in rep["interior_residual"].witness
+
+
+def test_verify_builds_one_residual_stepper_per_kernel(monkeypatch):
+    # the residual scan re-points one stepper at every edge of a kernel
+    sol = hj.solve(make_comb(0, spine_edges=12, ns=64))
+    fam = sol.constants.hamiltonians
+    kernels = {hamiltonians._kernel(fam[e], 64) for e in sol.fields}
+    built = []
+
+    class Counted(arc_solver._ArcStepper):
+        def __init__(self, *args, **kwargs):
+            built.append(args[0])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(arc_solver, "_ArcStepper", Counted)
+    rep = hj.verify(sol, checks=["interior_residual"])
+    assert rep.ok and len(sol.fields) == 24
+    assert len(built) == len(kernels) <= 4
+    assert all(len(hams) == 1 for hams in built)
+
+
+@pytest.mark.parametrize("checks", [None, ["interior_residual"],
+                                    ["headroom"]],
+                         ids=["all", "interior_residual", "headroom"])
+def test_verify_checks_every_edge_theta_before_any_check(checks):
+    # as solve_ensemble does: a missing theta is named, and one over the
+    # step restriction, or NaN, fails it on its edge
+    sol = hj.solve(make_tripod(24))
+    theta = sol.params.theta
+
+    def with_theta(th):
+        return dataclasses.replace(
+            sol, params=dataclasses.replace(sol.params, theta=th))
+
+    missing = with_theta({e: v for e, v in theta.items() if e != "e2"})
+    with pytest.raises(ValidationError,
+                       match="params carry no theta for edge 'e2'"):
+        hj.verify(missing, checks=checks)
+    for bad in (float("nan"), 2.0 * theta["e2"]):
+        with pytest.raises(CFLViolationError, match="edge 'e2': dt\\*theta"):
+            hj.verify(with_theta({**theta, "e2": bad}), checks=checks)
+    assert hj.verify(with_theta(dict(theta)), checks=checks).ok
+
+
+def test_the_battery_reduction_counts_a_nan_excess_as_the_worst(monkeypatch):
+    nan = float("nan")
+    recs = [(0.5, {"edge": "a"}), (nan, {"edge": "b"}), (2.0, {"edge": "c"}),
+            (nan, {"edge": "d"})]
+    excess, wit = network_solver._worst(recs)
+    assert np.isnan(excess) and wit == {"edge": "b"}
+    assert network_solver._worst([recs[0], recs[2], (2.0, {"edge": "e"})]) \
+        == (2.0, {"edge": "c"})
+    assert network_solver._worst([]) == (0.0, {"rate": 0.0})
+    # through verify: a NaN headroom excess on the second edge fails the
+    # check and names that edge
+    sol = hj.solve(make_tripod(24))
+    lip, calls = network_solver.momentum_lipschitz, []
+
+    def nan_on_second(H, M):
+        calls.append(M)
+        return nan if len(calls) == 2 else lip(H, M)
+
+    monkeypatch.setattr(network_solver, "momentum_lipschitz", nan_on_second)
+    head = hj.verify(sol, checks=["headroom"])["headroom"]
+    assert not head.ok and np.isnan(head.margin)
+    assert head.witness["edge"] == "e2"
+
+
+@pytest.mark.parametrize("make", [lambda: make_tripod(24),
+                                  lambda: make_mixed(24)],
+                         ids=["tripod-no-shift", "mixed-shifted"])
+def test_verify_reads_fields_of_any_layout(make):
+    sol = hj.solve(make())
+
+    def strided(f):
+        wide = np.zeros((f.shape[0], 2 * f.shape[1]))
+        wide[:, ::2] = f
+        return wide[:, ::2]
+
+    def battery(s):
+        return [(c.name, c.ok, float(c.margin).hex(), c.witness)
+                for c in hj.verify(s).checks]
+
+    want = battery(sol)
+    for relayout in (np.asfortranarray, strided):
+        fields = {e: relayout(f) for e, f in sol.fields.items()}
+        assert not any(f.flags.c_contiguous for f in fields.values())
+        assert battery(dataclasses.replace(sol, fields=fields)) == want
 
 
 @pytest.mark.parametrize("name", network_solver.CHECK_NAMES)
