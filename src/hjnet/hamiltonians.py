@@ -68,9 +68,9 @@ class ArcHamiltonian:
 
     Its arrays are never written in place (``replace`` makes a new object),
     so its derived invariants are cached on the object: the check grid and
-    the column coefficients at its nodes, which give min_p H (and from it
-    the two floats ``c_gamma`` and ``global_min``) and the ``sublevel_width``
-    of every level asked for; the column coefficients at the nodes of every
+    the column coefficients at its nodes, which give min_p H there (read by
+    ``c_gamma`` and ``global_min``) and the ``sublevel_width`` of every
+    level asked for; the column coefficients at the nodes of every
     ns-cell grid a march asks for, which give the peak of min_p H there and
     the ``cell_widths`` of every level, and at the cell midpoints of every
     datum grid a subsolution level asks for; the ``shift_hamiltonian`` copy
@@ -99,14 +99,6 @@ class ArcHamiltonian:
     @cached_property
     def _min_p(self):
         return _lowest(self, self._check[1])
-
-    @cached_property
-    def _c_gamma(self):
-        return -float(np.max(self._min_p))
-
-    @cached_property
-    def _global_min(self):
-        return float(np.min(self._min_p))
 
     @cached_property
     def _widths(self):
@@ -427,12 +419,12 @@ def momentum_minimizer(H, s):
 def c_gamma(H):
     """Critical value -max_s min_p H(s,p) on the check grid, min_p H from
     ``_lowest`` at the grid's cached coefficients."""
-    return H._c_gamma
+    return -float(np.max(H._min_p))
 
 
 def global_min(H):
     """min over (s,p) of H on the check grid."""
-    return H._global_min
+    return float(np.min(H._min_p))
 
 
 def reverse_hamiltonian(H):
@@ -623,9 +615,13 @@ def momentum_lipschitz(H, M_bound):
 
 @dataclass(frozen=True)
 class HamiltonianFamily:
-    """Map from oriented arc id to its Hamiltonian, closed under reversal."""
+    """Map from oriented arc id to its Hamiltonian, closed under reversal;
+    ``forward`` holds each edge's forward arc id, whose Hamiltonian gives
+    c_gamma and min H for both arcs of the edge (a reversed copy's own may
+    round one ulp apart)."""
 
     by_arc: dict
+    forward: tuple
 
     def __getitem__(self, arc_id):
         return self.by_arc[arc_id]
@@ -641,7 +637,8 @@ def family_from_edges(network, per_edge):
         H = per_edge[arc.id]
         by_arc[arc.id] = H
         by_arc[arc.inverse_id] = reverse_hamiltonian(H)
-    return HamiltonianFamily(by_arc)
+    return HamiltonianFamily(by_arc,
+                             tuple(arc.id for arc in network.edge_arcs()))
 
 
 def positive_shift(family, limiter, margin=1e-6):
@@ -651,7 +648,7 @@ def positive_shift(family, limiter, margin=1e-6):
     the shifted problem relate to the original by u_orig = u_shifted + a*t,
     which the solver applies as a post-correction.
     """
-    gmin = min(global_min(H) for H in family.by_arc.values())
+    gmin = min(global_min(family[aid]) for aid in family.forward)
     a = max(0.0, margin - gmin)
     if a == 0.0:
         return family, 0.0, dict(limiter)
@@ -662,5 +659,6 @@ def positive_shift(family, limiter, margin=1e-6):
 def _shifted_problem(family, limiter, a):
     """The family with every H + a and the limiter with every c_x - a."""
     return (HamiltonianFamily({aid: shift_hamiltonian(H, a)
-                               for aid, H in family.by_arc.items()}),
+                               for aid, H in family.by_arc.items()},
+                              family.forward),
             {x: c - a for x, c in limiter.items()})

@@ -179,9 +179,12 @@ class LimiterReport:
 
 
 def validate_flux_limiter(net, limiter, hams) -> LimiterReport:
-    """Check c_x <= min over incident arcs of c_gamma, vertex by vertex."""
+    """Check c_x <= min over incident arcs of c_gamma, vertex by vertex;
+    both arcs of an edge read the c_gamma of its forward Hamiltonian."""
     entries = []
-    cgam = {aid: c_gamma(hams[aid]) for aid in net.arcs}
+    cgam = {}
+    for arc in net.edge_arcs():
+        cgam[arc.id] = cgam[arc.inverse_id] = c_gamma(hams[arc.id])
     for x, into in net.incidence().items():
         if x not in limiter:
             raise UnknownVertexError(f"flux limiter missing vertex {x!r}")

@@ -359,10 +359,13 @@ def solve_ensemble(scenarios, params: SolveParams) -> list:
 
     fields, row = _march(hams, init, theta, grid, groups, np.array(c_x),
                          slice(None))
-    # each vertex's trace is read back at the first end of its group: that
-    # end's initial value at t0, then the capped value
+    # each vertex's trace is read back at the first end of its group; at t0
+    # it is the group's smallest datum value, where the march starts
     vr, vc = np.array([g[0] for g in groups]).T
     vtr = fields[row[vr], :, vc]
+    nr, nc = np.array([n for g in groups for n in g]).T
+    firsts = np.cumsum([0] + [len(g) for g in groups[:-1]])
+    vtr[:, 0] = np.minimum.reduceat(fields[row[nr], 0, nc], firsts)
 
     sols = []
     for sc, edges, vids, r0, v0, shift_a in members:

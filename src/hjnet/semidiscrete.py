@@ -167,14 +167,6 @@ class DiscrReport:
     entries: list
     tolerance: float
 
-    @property
-    def ok(self):
-        return all(e.ok for e in self.entries)
-
-    @property
-    def worst(self):
-        return max((e.residual for e in self.entries), default=0.0)
-
 
 def discr_residual(traces, network, hams, limiter, tolerance,
                    thetas) -> DiscrReport:

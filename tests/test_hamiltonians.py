@@ -135,6 +135,20 @@ def test_positive_shift_lifts_negative_minimum():
     assert hj.c_gamma(fam2["e"]) == hj.c_gamma(H) - a
 
 
+def test_positive_shift_reads_the_forward_arcs_and_keeps_them():
+    # the family records its forward arcs, and the shift reads min H there;
+    # a reverse arc derives no check grid
+    H = hj.quadratic_hamiltonian(alpha=[1.0, 2.0], beta=[0.5, -0.3],
+                                 kappa=[-1.0, 0.2])
+    net = hj.build_network(["a", "b"], [("e", "a", "b")])
+    fam = hj.family_from_edges(net, {"e": H})
+    assert fam.forward == ("e",)
+    fam2, a, _ = hj.positive_shift(fam, {"a": -4.0, "b": -4.0})
+    assert a == 1e-6 - global_min(H) and fam2.forward == ("e",)
+    assert "_check" not in vars(fam["e~"])
+    assert "_check" not in vars(fam2["e~"])
+
+
 def test_positive_shift_global_minimum_across_arcs():
     net = hj.build_network(["a", "b", "c"], [("e1", "a", "b"), ("e2", "b", "c")])
     fam = hj.family_from_edges(net, {"e1": hj.abs_hamiltonian(),

@@ -1,8 +1,10 @@
 """Network construction, incidence, limiter validation."""
 
+import numpy as np
 import pytest
 
 import hjnet as hj
+from hjnet import network
 from hjnet.errors import (
     DisconnectedNetworkError,
     DuplicateIdError,
@@ -12,6 +14,8 @@ from hjnet.errors import (
     UnknownVertexError,
     ValidationError,
 )
+
+from conftest import rough_scenario
 
 
 def tripod():
@@ -143,6 +147,21 @@ def test_limiter_accepts_stricter_value():
     values = {x: -1.0 for x in net.vertex_ids()}
     values["x0"] = -2.0
     assert hj.validate_flux_limiter(net, values, fam.by_arc).ok
+
+
+def test_both_arcs_of_an_edge_read_the_forward_c_gamma(monkeypatch):
+    # rough seed 18's e1 is sampled on s-knots [0, 0.538.., 1], where 1 - s
+    # is not exact: its reverse's own c_gamma is one ulp lower
+    H = rough_scenario(np.random.default_rng(18), 37).hamiltonians["e1"]
+    net = hj.build_network(["a", "b"], [("e", "a", "b")])
+    fam = hj.family_from_edges(net, {"e": H})
+    assert hj.c_gamma(fam["e~"]) == np.nextafter(hj.c_gamma(H), -np.inf)
+    read = []
+    monkeypatch.setattr(network, "c_gamma",
+                        lambda G: read.append(G) or hj.c_gamma(G))
+    rep = hj.validate_flux_limiter(net, {"a": -2.0, "b": -2.0}, fam)
+    assert len(read) == 1 and read[0] is H
+    assert [e.min_c_gamma for e in rep.entries] == [hj.c_gamma(H)] * 2
 
 
 def test_limiter_rejects_excess_with_margin():

@@ -1,6 +1,7 @@
 """Network solver: constants, closed forms, well-posedness checks."""
 
 import dataclasses
+import functools
 import os
 from collections import Counter
 
@@ -12,9 +13,9 @@ from hjnet.errors import (CFLViolationError, GridMismatchError, HJNetError,
                           NonNegativeSlopeError, UnknownVertexError,
                           ValidationError)
 from hjnet import arc_solver, hamiltonians, network_solver
-from hjnet.hamiltonians import shift_hamiltonian
+from hjnet.hamiltonians import ArcHamiltonian, shift_hamiltonian
 from hjnet.network_solver import interior_bump
-from hjnet.scenario_io import parse_scenario
+from hjnet.scenario_io import parse_scenario, parse_scenario_file
 
 from conftest import (make_comb, make_mixed, make_path, make_single_edge,
                       make_tripod)
@@ -58,10 +59,45 @@ def test_normalization_is_derived_once_per_scenario(monkeypatch):
         sc, limiter={x: c - 0.5 for x, c in sc.limiter.items()},
         hamiltonians=hj.HamiltonianFamily(
             {a: shift_hamiltonian(H, -0.5)
-             for a, H in sc.hamiltonians.by_arc.items()}))
+             for a, H in sc.hamiltonians.by_arc.items()},
+            sc.hamiltonians.forward))
     assert lowered.constants.shift == pytest.approx(sc.constants.shift + 0.5,
                                                     abs=1e-12)
     assert calls == {"positive_shift": 2, "sublevel_width": 2 * n_edges}
+
+
+@pytest.mark.parametrize("make", [
+    lambda: make_comb(0), lambda: make_mixed(24),
+    lambda: parse_scenario_file(_TRIPOD_SCN)[0]],
+    ids=["comb", "mixed", "tripod-file"])
+def test_no_reverse_arc_derives_check_grid_columns(monkeypatch, make):
+    # the edge constants come from the forward arcs: a reverse arc derives
+    # only what the certificate marches, never the check grid's columns
+    sc = make()
+    edges = sc.network.edge_arcs()
+    sc = dataclasses.replace(sc, hamiltonians=hj.family_from_edges(
+        sc.network, {a.id: dataclasses.replace(sc.hamiltonians[a.id])
+                     for a in edges}))      # fresh, nothing derived yet
+    built = []
+    derive = ArcHamiltonian._check.func
+    spy = functools.cached_property(lambda H: built.append(H) or derive(H))
+    spy.__set_name__(ArcHamiltonian, "_check")
+    monkeypatch.setattr(ArcHamiltonian, "_check", spy)
+    assert hj.verify(hj.solve(sc, hj.plan_solve(sc))).ok
+    forward = [fam[a.id] for fam in (sc.hamiltonians, sc.constants.hamiltonians)
+               for a in edges]
+    assert built and all(any(H is F for F in forward) for H in built)
+
+
+def test_a_vertex_trace_starts_at_the_smallest_datum_value_there():
+    # the data of a and b meet at v1 1e-13 apart, inside the continuity
+    # gate; the march starts from the smaller value, and so does the trace,
+    # whichever arc comes first by id
+    sc = make_path(16)
+    g = {**sc.initial, "a": sc.initial["a"] + 1e-13 * np.linspace(0, 1, 17)}
+    sol = hj.solve(dataclasses.replace(sc, initial=g))
+    assert g["a"][-1] > g["b"][0] == sol.vertex["v1"][0]
+    assert hj.verify(sol).ok
 
 
 def test_tripod_closed_form():
@@ -656,7 +692,8 @@ def test_ensemble_members_keep_their_own_positivity_shift():
         sc, limiter={x: c - 2.0 for x, c in sc.limiter.items()},
         hamiltonians=hj.HamiltonianFamily(
             {a: shift_hamiltonian(H, 2.0)
-             for a, H in sc.hamiltonians.by_arc.items()}))
+             for a, H in sc.hamiltonians.by_arc.items()},
+            sc.hamiltonians.forward))
     assert sc.constants.shift > 0.0 and raised.constants.shift == 0.0
     _ensemble_equals_solo_solves([sc, raised],
                                  hj.plan_solve(sc, others=[raised]))
